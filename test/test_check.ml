@@ -222,6 +222,82 @@ let test_es_mutation_replays () =
         check_bool "replay reproduces the violation" true (r.Check.violations <> []);
         check_int "same findings" (List.length v.Check.lines) (List.length r.Check.violations)))
 
+(* ------------------------------------------------------------------ *)
+(* Oracles recorded before the exploration path stopped rendering
+   strings: the explored counts of a deeper configuration (the
+   benchmark's check_explore workload) and the seeded counterexample,
+   byte for byte. Any change to tag equality or to the fingerprint's
+   equivalence shows up here as a different count or schedule. *)
+
+let test_explore_counts_pinned () =
+  let cfg =
+    config ~proto:"es" ~writes:2 ~reads:2 ~drop_budget:1 ~depth_bound:32 ~preempt_bound:2 ()
+  in
+  match Check.run (Protocol.find_exn "es") cfg with
+  | Error e -> Alcotest.fail e
+  | Ok { violation = Some _; _ } -> Alcotest.fail "majority ES violated"
+  | Ok { stats = s; violation = None } ->
+    List.iter
+      (fun (name, expected, got) -> check_int name expected got)
+      [
+        ("schedules", 730, s.Check.schedules);
+        ("truncated", 730, s.Check.truncated);
+        ("state_prunes", 1695, s.Check.state_prunes);
+        ("sleep_skips", 3076, s.Check.sleep_skips);
+        ("preempt_skips", 11302, s.Check.preempt_skips);
+        ("max_depth", 86, s.Check.max_depth);
+        ("cache_entries", 7167, s.Check.cache_entries);
+        ("cache_peak", 5561, s.Check.cache_peak);
+      ]
+
+let seeded_counterexample =
+  String.concat "\n"
+    [
+      "# dds check schedule";
+      "proto=es";
+      "nodes=3";
+      "delta=1";
+      "writes=1";
+      "reads=1";
+      "joins=0";
+      "quorum=1";
+      "drop-budget=1";
+      "crash-budget=0";
+      "depth-bound=20";
+      "preempt-bound=2";
+      "choice 0/2 drop?READ:p0->p0=0";
+      "choice 0/2 drop?READ:p0->p1=0";
+      "choice 0/2 drop?READ:p0->p2=0";
+      "choice 0/3 deliver:READ:p0->p0:READ(r_sn=1)";
+      "choice 0/2 drop?REPLY:p0->p0=0";
+      "choice 0/2 deliver:READ:p0->p1:READ(r_sn=1)";
+      "choice 0/2 drop?REPLY:p1->p0=0";
+      "choice 0/2 drop?REPLY:p2->p0=0";
+      "choice 0/3 deliver:REPLY:p0->p0:REPLY(0#0,r_sn=1)";
+      "choice 0/2 drop?ACK:p0->p0=0";
+      "choice 0/2 drop?WRITE:p0->p0=0";
+      "choice 1/2 drop?WRITE:p0->p1=1";
+      "choice 0/2 deliver:REPLY:p1->p0:REPLY(0#0,r_sn=1)";
+      "choice 0/5 deliver:ACK:p0->p0:ACK(sn=0)";
+      "choice 0/4 deliver:WRITE:p0->p0:WRITE(1#1)";
+      "choice 0/3 deliver:WRITE:p0->p2:WRITE(1#1)";
+      "choice 0/2 deliver:ACK:p0->p1:ACK(sn=0)";
+      "choice 0/2 deliver:ACK:p0->p0:ACK(sn=1)";
+      "choice 1/3 deliver:READ:p1->p1:READ(r_sn=1)";
+      "choice 1/2 deliver:READ:p1->p2:READ(r_sn=1)";
+      "";
+    ]
+
+let test_es_mutation_pinned () =
+  match Lazy.force es_mutation_outcome with
+  | Error e -> Alcotest.fail e
+  | Ok { violation = None; _ } -> Alcotest.fail "quorum-1 mutation not caught"
+  | Ok { violation = Some v; stats } ->
+    check_int "found at schedule" 72 v.Check.at_schedule;
+    check_int "of" 99 stats.Check.schedules;
+    check_string "counterexample, byte for byte" seeded_counterexample
+      (Schedule.to_string v.Check.schedule)
+
 let test_es_majority_tolerates_drop () =
   (* Same deployment, paper-faithful majority quorum: one drop is
      absorbed and no schedule violates regularity. *)
@@ -294,6 +370,11 @@ let () =
           Alcotest.test_case "es quorum-1 caught" `Quick test_es_mutation_caught;
           Alcotest.test_case "counterexample replays" `Quick test_es_mutation_replays;
           Alcotest.test_case "majority absorbs one drop" `Quick test_es_majority_tolerates_drop;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "check_explore counts pinned" `Quick test_explore_counts_pinned;
+          Alcotest.test_case "seeded counterexample pinned" `Quick test_es_mutation_pinned;
         ] );
       ("determinism", [ QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant ]);
     ]
