@@ -44,28 +44,71 @@ let in_sleep tag sleep = List.exists (tag_equal tag) sleep
 let sleep_subset s1 s2 = List.for_all (fun t -> in_sleep t s2) s1
 
 (* ------------------------------------------------------------------ *)
+(* Decisions and their labels. Exploration keeps a decision as the
+   branch taken, the point's arity and the taken branch's tag: nothing
+   is rendered while the tree is explored. A label is rendered only
+   when a schedule is printed or replayed ({!label}). *)
+
+type dec = {
+  chosen : int;
+  arity : int;
+  tag : Scheduler.tag;  (** the taken branch's tag *)
+  at : Time.t;  (** when the point was offered; names untagged events *)
+  sched : bool;  (** a scheduling point, rather than an adversary one *)
+}
+
+(* The label a decision prints as. Scheduling points print their
+   candidate's tag, decoded by the network when it is a delivery key,
+   or the virtual time when the candidate is untagged; adversary points
+   print the tag followed by the branch index. The renderer closes over
+   nothing but the protocol's pure codec and printers, so one instance
+   may be shared by every worker domain. *)
+let label (type p) (module D : Deployment.S with type Protocol.params = p) (d : dec) =
+  if not d.sched then d.tag.Scheduler.kind ^ "=" ^ string_of_int d.chosen
+  else if String.equal d.tag.Scheduler.kind "" then "ev@t=" ^ string_of_int (Time.to_int d.at)
+  else
+    Network.tag_label ~get_msg:D.Protocol.get_msg ~msg_kind:D.Protocol.msg_kind
+      ~pp_msg:D.Protocol.pp_msg d.tag.Scheduler.kind
+
+let to_schedule label decisions =
+  List.map (fun d -> { Schedule.chosen = d.chosen; arity = d.arity; label = label d }) decisions
+
+(* ------------------------------------------------------------------ *)
 (* Exploration internals. *)
 
 type prune = No_prune | Sleep_redundant | State_hit | Preempt_blocked
 
-type point = {
-  arity : int;
-  labels : string array;
-  tags : Scheduler.tag array;
-  sched : bool;  (** scheduling point (preemption accounting applies) *)
-}
+(* The decisions a run is forced through: a DFS path, or a schedule
+   being replayed, whose labels are checked against the run. *)
+type script = Path of dec array | Recorded of Schedule.decision array
+
+(* Decision paths are kept newest first, so a child's path is one cons
+   onto its parent's and every frame a run opens shares that run's
+   list: paths cost O(depth) per run, not O(depth) per frame. *)
+let path_script = function
+  | [] -> Path [||]
+  | newest :: _ as path ->
+    let n = List.length path in
+    let a = Array.make n newest in
+    List.iteri (fun k d -> a.(n - 1 - k) <- d) path;
+    Path a
 
 type frame = {
-  f_path : Schedule.decision list;  (** decisions before this point *)
-  f_point : point;
+  f_path : dec list;  (** decisions before this point, newest first *)
+  f_tags : Scheduler.tag array;  (** the point's branches *)
+  f_at : Time.t;
+  f_sched : bool;  (** scheduling point (preemption accounting applies) *)
   f_chosen : int;
   f_sleep : Scheduler.tag list;  (** sleep set on entry to this node *)
   f_preempts : int;  (** preemptions spent before this point *)
 }
 
+let branch f i =
+  { chosen = i; arity = Array.length f.f_tags; tag = f.f_tags.(i); at = f.f_at; sched = f.f_sched }
+
 type run_result = {
   frames : frame list;  (** fresh points opened, shallow to deep *)
-  decisions : Schedule.decision list;
+  decisions : dec list;  (** newest first *)
   r_truncated : bool;
   pruned : prune;
   bad : string list;
@@ -79,7 +122,24 @@ type cache_entry = {
   ce_preempt_left : int;
 }
 
-type cache = (string, cache_entry list ref) Hashtbl.t
+(* One subtree job's state cache, keyed by raw MD5 fingerprints, with
+   the scratch the fingerprint is written into. Both are job-local:
+   a job runs on one domain, so nothing here is ever shared. *)
+type cache = {
+  entries : (Digest.t, cache_entry list ref) Hashtbl.t;
+  fp : Buffer.t;
+  mutable fp_bytes : Bytes.t;
+}
+
+let create_cache () =
+  { entries = Hashtbl.create 256; fp = Buffer.create 1024; fp_bytes = Bytes.create 1024 }
+
+(* MD5 of the buffer's contents, without copying them into a string. *)
+let digest_fp c =
+  let n = Buffer.length c.fp in
+  if Bytes.length c.fp_bytes < n then c.fp_bytes <- Bytes.create (2 * n);
+  Buffer.blit c.fp 0 c.fp_bytes 0 n;
+  Digest.subbytes c.fp_bytes 0 n
 
 (* The scripted workload: writes from the designated writer, reads
    round-robin over the other founding nodes starting just after a
@@ -112,6 +172,14 @@ let validate (c : Schedule.config) =
   else if c.preempt_bound < 0 then Error "check: preemption bound must be >= 0"
   else Ok ()
 
+let check_arity i ~offered ~recorded =
+  if offered <> recorded then
+    failwith
+      (Printf.sprintf
+         "check: schedule divergence at decision %d: point offers %d branch(es), schedule \
+          recorded %d"
+         i offered recorded)
+
 (* One stateless re-execution: build a fresh deployment, force the
    scripted decision prefix, then descend (lowest awake branch first)
    opening up to [fresh_limit] new frames; beyond the depth bound or
@@ -120,8 +188,8 @@ let validate (c : Schedule.config) =
    delay, no churn engine, fixed workload), so the decision sequence
    alone determines the run. *)
 let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (params : p)
-    ~atomic ~(cfg : Schedule.config) ~(script : Schedule.decision array) ~sleep0 ~preempts0
-    ~fresh_limit ~por ~(cache : cache option) () : run_result =
+    ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~sleep0 ~preempts0 ~fresh_limit
+    ~por ~(cache : cache option) () : run_result =
   let dconfig =
     {
       Deployment.seed = 0;
@@ -150,69 +218,97 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   let pruned = ref No_prune in
   let sleep = ref sleep0 in
   let preempts = ref preempts0 in
+  let script_len = match script with Path a -> Array.length a | Recorded a -> Array.length a in
   (* Fingerprint of everything observable about the simulation state:
      virtual time, each present node's protocol-visible state, every
      in-flight event (including the popped ready set at a scheduling
      point), the adversary's spent budgets, and the full operation
      history. Sequence numbers are deliberately excluded — equivalent
-     interleavings assign them differently. *)
-  let fingerprint (ready_tags : Scheduler.tag array) =
-    let b = Buffer.create 1024 in
-    let addf fmt = Format.kasprintf (Buffer.add_string b) fmt in
-    addf "t=%a;" Time.pp (D.now d);
-    let present = List.sort Pid.compare (Network.attached (D.network d)) in
+     interleavings assign them differently. Written in binary into the
+     cache's buffer: each item opens with a marker byte and strings are
+     length-prefixed, so the encoding is self-delimiting and equal
+     bytes mean equal states. *)
+  let fingerprint (c : cache) (ready_tags : Scheduler.tag array) =
+    let b = c.fp in
+    Buffer.clear b;
+    Wire.put_int b (Time.to_int (D.now d));
     List.iter
       (fun pid ->
         match D.node d pid with
         | None -> ()
         | Some nd ->
-          addf "%a=%b,%b,%s,%s;" Pid.pp pid (D.Protocol.is_active nd) (D.Protocol.busy nd)
-            (match D.Protocol.snapshot nd with
-            | Some v -> Format.asprintf "%a" Value.pp v
-            | None -> "-")
+          Buffer.add_char b 'n';
+          Wire.put_int b (Pid.to_int pid);
+          Wire.put_bool b (D.Protocol.is_active nd);
+          Wire.put_bool b (D.Protocol.busy nd);
+          (match D.Protocol.snapshot nd with
+          | Some v ->
+            Wire.put_u8 b 1;
+            Value.put b v
+          | None -> Wire.put_u8 b 0);
+          Wire.put_u8 b
             (match D.Protocol.current_span nd with
-            | Some (_, k) -> Event.op_kind_to_string k
-            | None -> "-"))
-      present;
+            | None -> 0
+            | Some (_, Event.Join) -> 1
+            | Some (_, Event.Read) -> 2
+            | Some (_, Event.Write) -> 3))
+      (List.sort Pid.compare (Network.attached (D.network d)));
     List.iter
       (fun cand ->
         let tag = Scheduler.candidate_tag cand in
-        addf "q%a:%d:%s;" Time.pp (Scheduler.candidate_time cand) tag.Scheduler.actor
-          tag.Scheduler.kind)
+        Buffer.add_char b 'q';
+        Wire.put_int b (Time.to_int (Scheduler.candidate_time cand));
+        Wire.put_int b tag.Scheduler.actor;
+        Wire.put_string b tag.Scheduler.kind)
       (Scheduler.pending_candidates sched);
-    Array.iter (fun (tag : Scheduler.tag) -> addf "r%d:%s;" tag.actor tag.kind) ready_tags;
+    Array.iter
+      (fun (tag : Scheduler.tag) ->
+        Buffer.add_char b 'r';
+        Wire.put_int b tag.actor;
+        Wire.put_string b tag.kind)
+      ready_tags;
     (match !adversary with
-    | Some a -> addf "adv=%d,%d;" (A.drops_injected a) (A.crashes_injected a)
+    | Some a ->
+      Buffer.add_char b 'a';
+      Wire.put_int b (A.drops_injected a);
+      Wire.put_int b (A.crashes_injected a)
     | None -> ());
-    Buffer.add_string b (History.to_csv (D.history d));
-    Digest.to_hex (Digest.string (Buffer.contents b))
+    History.put b (D.history d);
+    digest_fp c
   in
-  let record ch arity label =
-    taken := { Schedule.chosen = ch; arity; label } :: !taken
-  in
-  let decide ~sched_point ~(tags : Scheduler.tag array) ~(labels : string array) =
+  let decide ~sched_point ~(tags : Scheduler.tag array) ~at =
     let arity = Array.length tags in
+    let offered ch = { chosen = ch; arity; tag = tags.(ch); at; sched = sched_point } in
+    let record dec =
+      taken := dec :: !taken;
+      dec.chosen
+    in
+    let take ch = record (offered ch) in
     let i = !depth in
     incr depth;
-    if i < Array.length script then begin
-      let dec = script.(i) in
-      if dec.Schedule.arity <> arity then
-        failwith
-          (Printf.sprintf
-             "check: schedule divergence at decision %d: point offers %d branch(es), \
-              schedule recorded %d"
-             i arity dec.Schedule.arity);
-      record dec.Schedule.chosen arity labels.(dec.Schedule.chosen);
-      dec.Schedule.chosen
-    end
-    else if !pruned <> No_prune || !fresh_open >= fresh_limit then begin
-      record 0 arity labels.(0);
-      0
-    end
+    if i < script_len then
+      match script with
+      | Path a ->
+        (* The path's own decision is reused as is: runs are
+           deterministic, so its tag equals the one offered here. *)
+        check_arity i ~offered:arity ~recorded:a.(i).arity;
+        record a.(i)
+      | Recorded a ->
+        let r = a.(i) in
+        check_arity i ~offered:arity ~recorded:r.Schedule.arity;
+        let dec = offered r.Schedule.chosen in
+        let here = label dec in
+        if not (String.equal here r.Schedule.label) then
+          failwith
+            (Printf.sprintf
+               "check: schedule divergence at decision %d: branch %d is %S, schedule \
+                recorded %S"
+               i dec.chosen here r.Schedule.label);
+        record dec
+    else if !pruned <> No_prune || !fresh_open >= fresh_limit then take 0
     else if i >= cfg.depth_bound then begin
       truncated := true;
-      record 0 arity labels.(0);
-      0
+      take 0
     end
     else begin
       let depth_left = cfg.depth_bound - i in
@@ -221,8 +317,8 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
         match cache with
         | None -> false
         | Some cache -> (
-          let fp = fingerprint tags in
-          match Hashtbl.find_opt cache fp with
+          let fp = fingerprint cache tags in
+          match Hashtbl.find_opt cache.entries fp with
           | Some entries
             when List.exists
                    (fun e ->
@@ -237,7 +333,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
               :: !entries;
             false
           | None ->
-            Hashtbl.add cache fp
+            Hashtbl.add cache.entries fp
               (ref
                  [
                    {
@@ -250,8 +346,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
       in
       if cache_hit then begin
         pruned := State_hit;
-        record 0 arity labels.(0);
-        0
+        take 0
       end
       else begin
         (* Lowest awake branch within the preemption budget. *)
@@ -271,45 +366,37 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
         match !choice with
         | None ->
           pruned := (if !any_awake then Preempt_blocked else Sleep_redundant);
-          record 0 arity labels.(0);
-          0
+          take 0
         | Some a ->
           frames :=
             {
-              f_path = List.rev !taken;
-              f_point = { arity; labels; tags; sched = sched_point };
+              f_path = !taken;
+              f_tags = tags;
+              f_at = at;
+              f_sched = sched_point;
               f_chosen = a;
               f_sleep = !sleep;
               f_preempts = !preempts;
             }
             :: !frames;
           incr fresh_open;
-          record a arity labels.(a);
           if sched_point && a > 0 then incr preempts;
           if por then sleep := List.filter (fun t -> indep tags.(a) t) !sleep;
-          a
+          take a
       end
     end
   in
   Scheduler.set_chooser sched
     (Some
        (fun candidates ->
-         let tags = Array.map Scheduler.candidate_tag candidates in
-         let labels =
-           Array.map
-             (fun c ->
-               let t = Scheduler.candidate_tag c in
-               if String.equal t.Scheduler.kind "" then
-                 Format.asprintf "ev@%a" Time.pp (Scheduler.candidate_time c)
-               else t.Scheduler.kind)
-             candidates
-         in
-         decide ~sched_point:true ~tags ~labels));
+         decide ~sched_point:true
+           ~tags:(Array.map Scheduler.candidate_tag candidates)
+           ~at:(Scheduler.candidate_time candidates.(0))));
   if cfg.drop_budget > 0 || cfg.crash_budget > 0 then begin
     let choose ~n ~label =
-      let tags = Array.init n (fun _ -> { Scheduler.actor = -1; kind = label }) in
-      let labels = Array.init n (fun j -> Printf.sprintf "%s=%d" label j) in
-      decide ~sched_point:false ~tags ~labels
+      decide ~sched_point:false
+        ~tags:(Array.make n { Scheduler.actor = -1; kind = label })
+        ~at:(D.now d)
     in
     adversary :=
       Some
@@ -358,7 +445,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   in
   {
     frames = List.rev !frames;
-    decisions = List.rev !taken;
+    decisions = !taken;
     r_truncated = !truncated;
     pruned = !pruned;
     bad;
@@ -367,32 +454,35 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   }
 
 (* [make_exec] resolves the protocol's parameters once and closes over
-   them: the returned function is one stateless re-execution. *)
+   them: the returned function is one stateless re-execution, paired
+   with the protocol's label renderer. *)
 let make_exec (p : Protocol.t) (cfg : Schedule.config) =
   let module R = (val p.Protocol.runner : Protocol.RUNNER) in
   match R.params { Protocol.n = cfg.nodes; delta = cfg.delta; quorum = cfg.quorum } with
   | Error e -> Error e
   | Ok params ->
+    let label = label (module R.D) in
     Ok
-      (fun ~script ~sleep0 ~preempts0 ~fresh_limit ~por ~cache () ->
-        run_one
-          (module R.D)
-          params ~atomic:p.Protocol.atomic ~cfg ~script ~sleep0 ~preempts0 ~fresh_limit ~por
-          ~cache ())
+      ( (fun ~script ~sleep0 ~preempts0 ~fresh_limit ~por ~cache () ->
+          run_one
+            (module R.D)
+            params ~label ~atomic:p.Protocol.atomic ~cfg ~script ~sleep0 ~preempts0 ~fresh_limit
+            ~por ~cache ()),
+        label )
 
 (* ------------------------------------------------------------------ *)
 (* DFS over one subtree, stateless-re-execution style: each iteration
    re-runs from the root with a longer forced prefix. *)
 
 type node = {
-  n_path : Schedule.decision list;
+  n_path : dec list;  (** newest first *)
   n_sleep : Scheduler.tag list;
   n_preempts : int;
 }
 
 type leaf =
   | Done of {
-      d_decisions : Schedule.decision list;
+      d_decisions : dec list;  (** newest first *)
       d_truncated : bool;
       d_bad : string list;
       d_depth : int;
@@ -401,14 +491,14 @@ type leaf =
 
 type job_result = {
   jr_stats : stats;
-  jr_violation : (Schedule.decision list * string list * int) option;
+  jr_violation : (dec list * string list * int) option;
       (** decisions, findings, schedules judged when found (job-local) *)
 }
 
 type fstate = { fs : frame; mutable tried : int; mutable dones : Scheduler.tag list }
 
 let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_result =
-  let cache : cache option = if state_cache then Some (Hashtbl.create 256) else None in
+  let cache = if state_cache then Some (create_cache ()) else None in
   let schedules = ref 0
   and truncated = ref 0
   and state_prunes = ref 0
@@ -421,13 +511,13 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
      asleep, or awake but over the preemption budget. *)
   let discovery_skips (f : frame) =
     for i = 0 to f.f_chosen - 1 do
-      if por && in_sleep f.f_point.tags.(i) f.f_sleep then incr sleep_skips
+      if por && in_sleep f.f_tags.(i) f.f_sleep then incr sleep_skips
       else incr preempt_skips
     done
   in
   let run_path script sleep preempts =
     let rr =
-      exec ~script:(Array.of_list script) ~sleep0:sleep ~preempts0:preempts
+      exec ~script:(path_script script) ~sleep0:sleep ~preempts0:preempts
         ~fresh_limit:max_int ~por ~cache ()
     in
     List.iter discovery_skips rr.frames;
@@ -449,14 +539,14 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
     match !stack with
     | [] -> running := false
     | top :: rest -> (
-      top.dones <- top.fs.f_point.tags.(top.tried) :: top.dones;
-      let arity = top.fs.f_point.arity in
+      top.dones <- top.fs.f_tags.(top.tried) :: top.dones;
+      let arity = Array.length top.fs.f_tags in
       let next = ref None in
       let i = ref (top.tried + 1) in
       while !next = None && !i < arity do
-        let t = top.fs.f_point.tags.(!i) in
+        let t = top.fs.f_tags.(!i) in
         if por && in_sleep t top.fs.f_sleep then incr sleep_skips
-        else if top.fs.f_point.sched && !i > 0 && top.fs.f_preempts >= cfg.preempt_bound then
+        else if top.fs.f_sched && !i > 0 && top.fs.f_preempts >= cfg.preempt_bound then
           incr preempt_skips
         else next := Some !i;
         incr i
@@ -465,20 +555,17 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
       | None -> stack := rest
       | Some i ->
         top.tried <- i;
-        let dec =
-          { Schedule.chosen = i; arity; label = top.fs.f_point.labels.(i) }
-        in
         let child_sleep =
           if por then
             List.filter
-              (fun t -> indep top.fs.f_point.tags.(i) t)
+              (fun t -> indep top.fs.f_tags.(i) t)
               (top.fs.f_sleep @ top.dones)
           else []
         in
         let child_preempts =
-          top.fs.f_preempts + (if top.fs.f_point.sched && i > 0 then 1 else 0)
+          top.fs.f_preempts + (if top.fs.f_sched && i > 0 then 1 else 0)
         in
-        run_path (top.fs.f_path @ [ dec ]) child_sleep child_preempts)
+        run_path (branch top.fs i :: top.fs.f_path) child_sleep child_preempts)
   done;
   (* Entries are only ever added, so the cache's final population is
      its peak; every miss inserts exactly one entry, so this is also
@@ -487,7 +574,7 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
   let cache_size =
     match cache with
     | None -> 0
-    | Some c -> Hashtbl.fold (fun _ entries acc -> acc + List.length !entries) c 0
+    | Some c -> Hashtbl.fold (fun _ entries acc -> acc + List.length !entries) c.entries 0
   in
   {
     jr_stats =
@@ -513,7 +600,7 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
 
 let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, leaf) Either.t list =
   let rr =
-    exec ~script:(Array.of_list nd.n_path) ~sleep0:nd.n_sleep ~preempts0:nd.n_preempts
+    exec ~script:(path_script nd.n_path) ~sleep0:nd.n_sleep ~preempts0:nd.n_preempts
       ~fresh_limit:1 ~por ~cache:None ()
   in
   match rr.pruned with
@@ -534,20 +621,23 @@ let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, leaf) Eith
     | f :: _ ->
       let out = ref [] in
       let dones = ref [] in
-      for i = 0 to f.f_point.arity - 1 do
-        let t = f.f_point.tags.(i) in
+      for i = 0 to Array.length f.f_tags - 1 do
+        let t = f.f_tags.(i) in
         if por && in_sleep t f.f_sleep then out := Either.Right (Skip Sleep_redundant) :: !out
-        else if f.f_point.sched && i > 0 && f.f_preempts >= cfg.preempt_bound then
+        else if f.f_sched && i > 0 && f.f_preempts >= cfg.preempt_bound then
           out := Either.Right (Skip Preempt_blocked) :: !out
         else begin
-          let dec = { Schedule.chosen = i; arity = f.f_point.arity; label = f.f_point.labels.(i) } in
           let child_sleep =
             if por then List.filter (fun b -> indep t b) (f.f_sleep @ !dones) else []
           in
-          let child_preempts = f.f_preempts + (if f.f_point.sched && i > 0 then 1 else 0) in
+          let child_preempts = f.f_preempts + (if f.f_sched && i > 0 then 1 else 0) in
           out :=
             Either.Left
-              { n_path = f.f_path @ [ dec ]; n_sleep = child_sleep; n_preempts = child_preempts }
+              {
+                n_path = branch f i :: f.f_path;
+                n_sleep = child_sleep;
+                n_preempts = child_preempts;
+              }
             :: !out;
           dones := t :: !dones
         end
@@ -559,8 +649,8 @@ let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, leaf) Eith
 
 let rec drop_while p = function x :: tl when p x -> drop_while p tl | l -> l
 
-let trim_defaults decisions =
-  List.rev (drop_while (fun d -> d.Schedule.chosen = 0) (List.rev decisions))
+(* Oldest first, without the trailing run of branch-0 decisions. *)
+let trim_defaults newest_first = List.rev (drop_while (fun d -> d.chosen = 0) newest_first)
 
 let zero =
   {
@@ -574,7 +664,7 @@ let zero =
     cache_peak = 0;
   }
 
-let merge (cfg : Schedule.config) (items : (job_result, leaf) Either.t list) : outcome =
+let merge ~label (cfg : Schedule.config) (items : (job_result, leaf) Either.t list) : outcome =
   let st = ref zero in
   let violation = ref None in
   List.iter
@@ -619,7 +709,8 @@ let merge (cfg : Schedule.config) (items : (job_result, leaf) Either.t list) : o
       Option.map
         (fun (decs, lines, at) ->
           {
-            schedule = { Schedule.config = cfg; decisions = trim_defaults decs };
+            schedule =
+              { Schedule.config = cfg; decisions = to_schedule label (trim_defaults decs) };
             lines;
             at_schedule = at;
           })
@@ -637,7 +728,7 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
         (Printf.sprintf "check: config is for protocol %S, asked to check %S" cfg.proto
            p.Protocol.name)
   in
-  let* exec = make_exec p cfg in
+  let* exec, label = make_exec p cfg in
   let root = { n_path = []; n_sleep = []; n_preempts = 0 } in
   let go pool =
     let frontier_nodes =
@@ -664,7 +755,7 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
       | Either.Left _ :: fr, jr :: js -> splice fr js (Either.Left jr :: acc)
       | Either.Left _ :: _, [] | [], _ :: _ -> assert false
     in
-    merge cfg (splice frontier_nodes jresults [])
+    merge ~label cfg (splice frontier_nodes jresults [])
   in
   match pool with
   | Some pool -> Ok (go pool)
@@ -682,9 +773,10 @@ let replay_schedule (s : Schedule.t) : (replay, string) result =
         (Printf.sprintf "unknown protocol %S (%s)" cfg.proto
            (String.concat "|" Protocol.names))
   in
-  let* exec = make_exec p cfg in
+  let* exec, _ = make_exec p cfg in
   match
-    exec ~script:(Array.of_list s.Schedule.decisions) ~sleep0:[] ~preempts0:0 ~fresh_limit:0
+    exec ~script:(Recorded (Array.of_list s.Schedule.decisions)) ~sleep0:[] ~preempts0:0
+      ~fresh_limit:0
       ~por:false ~cache:None ()
   with
   | exception Failure msg -> Error msg

@@ -92,6 +92,8 @@ type replay = {
 val replay_schedule : Schedule.t -> (replay, string) result
 (** Re-executes one schedule exactly ([dds run --schedule]): decisions
     beyond the recorded sequence take branch 0. [Error] on unknown
-    protocol, invalid spec, or divergence (a recorded arity that does
-    not match the replayed choice point). *)
+    protocol, invalid spec, or divergence: a recorded arity that does
+    not match the replayed choice point, or a recorded label that is
+    not the label of the branch the run takes there (the error names
+    the decision index and both labels). *)
 

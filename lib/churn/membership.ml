@@ -19,11 +19,11 @@ type t = {
   mutable active_set : Pid.Set.t;
 }
 
-let create ?metrics ?events () =
+let create ?metrics ?events ?(nodes = 64) () =
   {
     metrics;
     events;
-    table = Pid.Table.create 64;
+    table = Pid.Table.create nodes;
     joining_set = Pid.Set.empty;
     active_set = Pid.Set.empty;
   }

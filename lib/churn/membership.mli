@@ -28,8 +28,9 @@ type record = {
 
 type t
 
-val create : ?metrics:Metrics.t -> ?events:Event.sink -> unit -> t
-(** An empty composition. [metrics] receives [churn.join],
+val create : ?metrics:Metrics.t -> ?events:Event.sink -> ?nodes:int -> unit -> t
+(** An empty composition. [nodes] (default 64) is the expected
+    population; it only sizes the record table. [metrics] receives [churn.join],
     [churn.activate], [churn.leave] and [churn.crash] counters;
     [events] receives one typed [Node_join] per {!add} and one
     [Node_leave] — or [Node_crash] for a [~crashed] removal — per

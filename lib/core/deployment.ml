@@ -216,9 +216,10 @@ module Make (P : Register_intf.PROTOCOL) = struct
     let trace = Trace.create ~enabled:cfg.trace_enabled () in
     let net =
       Network.create ~sched ~rng:net_rng ~delay:cfg.delay ~metrics ~trace ~events
-        ~pp_msg:P.pp_msg ~msg_kind:P.msg_kind ~broadcast_mode:cfg.broadcast_mode ()
+        ~pp_msg:P.pp_msg ~msg_kind:P.msg_kind ~put_msg:P.put_msg
+        ~broadcast_mode:cfg.broadcast_mode ~nodes:cfg.n ()
     in
-    let membership = Membership.create ~metrics ~events () in
+    let membership = Membership.create ~metrics ~events ~nodes:cfg.n () in
     (* Stamp the eventually-synchronous model's stabilization instant
        into the trace. Scheduled only when telemetry is on, so disabled
        runs keep the exact same scheduler queue as before. *)
@@ -246,8 +247,8 @@ module Make (P : Register_intf.PROTOCOL) = struct
         churn_rng;
         workload_rng;
         pid_gen = Pid.generator ();
-        nodes = Pid.Table.create 64;
-        pending_ops = Pid.Table.create 64;
+        nodes = Pid.Table.create cfg.n;
+        pending_ops = Pid.Table.create cfg.n;
         writer = None;
         churn = None;
         write_counter = 0;

@@ -14,8 +14,9 @@ module Make (D : Deployment.S) = struct
   }
 
   let drop_label decision ~msg_kind =
-    Format.asprintf "drop?%s:%a->%a" msg_kind Pid.pp decision.Delay.src Pid.pp
-      decision.Delay.dst
+    String.concat ""
+      [ "drop?"; msg_kind; ":"; Pid.to_string decision.Delay.src; "->";
+        Pid.to_string decision.Delay.dst ]
 
   (* Every transmission is a binary choice point while budget remains:
      0 delivers, 1 drops. The plan is consulted by the network at send
@@ -56,8 +57,8 @@ module Make (D : Deployment.S) = struct
       | [] -> ()
       | victims ->
         let label =
-          Format.asprintf "crash@%a?%s" Time.pp (D.now t.d)
-            (String.concat "," (List.map (Format.asprintf "%a" Pid.pp) victims))
+          Printf.sprintf "crash@t=%d?%s" (Time.to_int (D.now t.d))
+            (String.concat "," (List.map Pid.to_string victims))
         in
         let k = t.choose ~n:(1 + List.length victims) ~label in
         if k > 0 then begin

@@ -29,6 +29,8 @@ type 'a t = {
   events : Event.sink option;
   pp_msg : (Format.formatter -> 'a -> unit) option;
   msg_kind : ('a -> string) option;
+  put_msg : (Buffer.t -> 'a -> unit) option;
+  key_buf : Buffer.t;  (** scratch for delivery keys; one per network *)
   mode : broadcast_mode;
   handlers : 'a handler Pid.Table.t;
   mutable fault : fault_plan option;
@@ -42,8 +44,8 @@ type 'a t = {
           event sink is wired (the stamps are observable nowhere else) *)
 }
 
-let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind
-    ?(broadcast_mode = Primitive) ?fault () =
+let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
+    ?(broadcast_mode = Primitive) ?fault ?(nodes = 64) () =
   (match broadcast_mode with
   | Flooding { relay_depth } when relay_depth < 1 ->
     invalid_arg "Network.create: flooding relay depth must be >= 1"
@@ -57,42 +59,45 @@ let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind
     events;
     pp_msg;
     msg_kind;
+    put_msg;
+    key_buf = Buffer.create 64;
     mode = broadcast_mode;
-    handlers = Pid.Table.create 64;
+    handlers = Pid.Table.create nodes;
     fault;
     injected = 0;
     flying = 0;
     broadcast_counter = 0;
-    flood_seen = Hashtbl.create 256;
-    clocks = Pid.Table.create 64;
+    flood_seen =
+      Hashtbl.create (match broadcast_mode with Primitive -> 1 | Flooding _ -> 4 * nodes);
+    clocks = Pid.Table.create nodes;
   }
 
 let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
+let now t = Scheduler.now t.sched
 
-let tracef t fmt_thunk =
+(* Telemetry. Call sites test [events_live]/[trace_live] first and
+   build their event or trace arguments only inside the test, so
+   disabled telemetry allocates nothing: no closure, no event, no
+   rendered payload. *)
+let events_live t = match t.events with Some s -> Event.enabled s | None -> false
+let trace_live t = match t.trace with Some tr -> Trace.enabled tr | None -> false
+let emit t ev = match t.events with Some s -> Event.emit s ~at:(now t) ev | None -> ()
+
+let tracef t ~topic fmt =
   match t.trace with
-  | Some tr when Trace.enabled tr -> fmt_thunk tr
-  | Some _ | None -> ()
+  | Some tr -> Trace.recordf tr ~time:(now t) ~topic fmt
+  | None -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let pp_payload t ppf msg =
   match t.pp_msg with Some pp -> pp ppf msg | None -> Format.pp_print_string ppf "<msg>"
 
-(* Typed telemetry. The thunk keeps event construction (and the
-   msg_kind string) off the hot path when no enabled sink is wired. *)
-let emitf t mk =
-  match t.events with
-  | Some sink when Event.enabled sink -> Event.emit sink ~at:(Scheduler.now t.sched) (mk ())
-  | Some _ | None -> ()
-
 let kind_of t msg = match t.msg_kind with Some f -> f msg | None -> "msg"
-
-let events_live t = match t.events with Some s -> Event.enabled s | None -> false
 
 (* Lamport stamping. [tick_send] advances the sender's clock by one;
    [tick_recv] applies the max(local, sent) + 1 receive rule. Both are
    called only under [events_live], so uninstrumented runs never touch
    the table. *)
-let clock t pid = match Pid.Table.find_opt t.clocks pid with Some c -> c | None -> 0
+let clock t pid = match Pid.Table.find t.clocks pid with c -> c | exception Not_found -> 0
 
 let tick_send t pid =
   let c = clock t pid + 1 in
@@ -124,91 +129,122 @@ let in_flight t = t.flying
 let metrics t = t.metrics
 let events t = t.events
 
+(* Delivery keys. Under a chooser every delivery is tagged with the
+   acting node (for the partial-order reduction) and a key naming the
+   message: a NUL lead byte, then source, destination and the
+   protocol's own wire bytes. The codec is injective and [msg_kind] is
+   a function of the payload, so two keys are equal exactly when the
+   human label ("deliver:KIND:src->dst:PAYLOAD") would be — which is
+   what sleep sets and state fingerprints compare — while building one
+   costs a few buffer writes instead of a [Format] rendering. The NUL
+   lead keeps keys disjoint from every other tag kind (timer, drop,
+   crash), which are printable. {!tag_label} renders a key back when a
+   schedule is printed. *)
+let key_lead = '\000'
+
+let delivery_key t ~src ~dst msg =
+  match t.put_msg with
+  | None -> invalid_arg "Network: delivery under a chooser needs the payload codec (put_msg)"
+  | Some put ->
+    let b = t.key_buf in
+    Buffer.clear b;
+    Buffer.add_char b key_lead;
+    Wire.put_int b (Pid.to_int src);
+    Wire.put_int b (Pid.to_int dst);
+    put b msg;
+    Buffer.contents b
+
+let tag_label ~get_msg ~msg_kind ~pp_msg kind =
+  if String.length kind = 0 || kind.[0] <> key_lead then kind
+  else begin
+    let r = Wire.reader kind in
+    ignore (Wire.get_u8 r);
+    let src = Pid.of_int (Wire.get_int r) in
+    let dst = Pid.of_int (Wire.get_int r) in
+    let msg = get_msg r in
+    Wire.expect_end r;
+    String.concat ""
+      [ "deliver:"; msg_kind msg; ":"; Pid.to_string src; "->"; Pid.to_string dst; ":";
+        Format.asprintf "%a" pp_msg msg ]
+  end
+
+(* One Send event (and one net.transmit tick) per point-to-point copy,
+   so [count Send events = net.transmit] holds for any trace; each Send
+   is later resolved by exactly one Deliver or Drop. An injected
+   duplicate is one more copy, with its own Send. Returns the sender's
+   Lamport stamp (0 without an enabled event sink). *)
+let announce t ~kind ~src ~dst msg =
+  bump t "net.transmit";
+  if not (events_live t) then 0
+  else begin
+    let lamport = tick_send t src in
+    emit t
+      (Event.Send
+         {
+           src = Pid.to_int src;
+           dst = Pid.to_int dst;
+           kind = kind_of t msg;
+           broadcast = (match kind with Delay.Broadcast -> true | Delay.Point_to_point -> false);
+           lamport;
+         });
+    lamport
+  end
+
+(* One copy reaching its delivery instant: attachment is checked now,
+   not at send time. [on_arrival] runs instead of the plain handler
+   call when provided (flooding uses it to dedup and relay). *)
+let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
+  t.flying <- t.flying - 1;
+  match Pid.Table.find t.handlers dst with
+  | handler -> (
+    bump t "net.delivered";
+    if events_live t then begin
+      let lamport = tick_recv t dst ~sent:sent_lc in
+      emit t
+        (Event.Deliver
+           {
+             src = Pid.to_int src;
+             dst = Pid.to_int dst;
+             kind = kind_of t msg;
+             lamport;
+             sent = sent_lc;
+           })
+    end;
+    if trace_live t then
+      tracef t ~topic:"net" "deliver %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg;
+    match on_arrival with Some f -> f handler | None -> handler ~src:as_src msg)
+  | exception Not_found ->
+    (* Destination left the system before delivery. *)
+    bump t "net.dropped";
+    if events_live t then
+      emit t
+        (Event.Drop
+           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Departed });
+    if trace_live t then
+      tracef t ~topic:"net" "drop(left) %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg
+
+(* Schedules one copy. [as_src] is the sender identity the protocol
+   handler observes — forged by an injected Corrupt_tag; the
+   Send/Deliver telemetry keeps the true wire endpoints so causal
+   pairing stays intact. [extra] stretches the sampled delay (injected
+   Delay_by). *)
+let copy t ~kind ~src ~dst ~as_src ~extra ~on_arrival decision msg =
+  let sent_lc = announce t ~kind ~src ~dst msg in
+  let d = Delay.sample t.delay ~rng:t.rng decision + extra in
+  t.flying <- t.flying + 1;
+  let tag =
+    if Scheduler.choosing t.sched then
+      Some { Scheduler.actor = Pid.to_int dst; kind = delivery_key t ~src ~dst msg }
+    else None
+  in
+  ignore
+    (Scheduler.schedule_after t.sched ?tag d (fun () ->
+         arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg))
+
 (* Schedules one point-to-point transmission; consults the fault plan
-   at send time and checks attachment at delivery time. [on_arrival]
-   runs instead of the plain handler call when provided (flooding uses
-   it to dedup and relay). *)
+   at send time. *)
 let transmit t ~kind ~src ~dst ?on_arrival msg =
-  let decision = { Delay.now = Scheduler.now t.sched; src; dst; kind } in
-  (* One Send event (and one net.transmit tick) per point-to-point
-     copy, so [count Send events = net.transmit] holds for any trace;
-     each Send is later resolved by exactly one Deliver or Drop. An
-     injected duplicate is one more copy, with its own Send. *)
-  let announce () =
-    bump t "net.transmit";
-    let sent_lc = if events_live t then tick_send t src else 0 in
-    emitf t (fun () ->
-        Event.Send
-          {
-            src = Pid.to_int src;
-            dst = Pid.to_int dst;
-            kind = kind_of t msg;
-            broadcast = (match kind with Delay.Broadcast -> true | Delay.Point_to_point -> false);
-            lamport = sent_lc;
-          });
-    sent_lc
-  in
-  (* [as_src] is the sender identity the protocol handler observes —
-     forged by an injected Corrupt_tag; the Send/Deliver telemetry
-     keeps the true wire endpoints so causal pairing stays intact.
-     [extra] stretches the sampled delay (injected Delay_by). *)
-  let copy ~as_src ~extra =
-    let sent_lc = announce () in
-    let d = Delay.sample t.delay ~rng:t.rng decision + extra in
-    t.flying <- t.flying + 1;
-    (* Under a chooser (model checking), deliveries carry a tag naming
-       the acting node and the full rendered payload: the actor feeds
-       the partial-order reduction (deliveries to different nodes
-       commute) and the kind string feeds schedule rendering and state
-       fingerprints. Ordinary runs skip the rendering cost. *)
-    let tag =
-      if Scheduler.choosing t.sched then
-        Some
-          {
-            Scheduler.actor = Pid.to_int dst;
-            kind =
-              Format.asprintf "deliver:%s:%a->%a:%a" (kind_of t msg) Pid.pp src Pid.pp dst
-                (pp_payload t) msg;
-          }
-      else None
-    in
-    ignore
-      (Scheduler.schedule_after t.sched ?tag d (fun () ->
-           t.flying <- t.flying - 1;
-           match Pid.Table.find_opt t.handlers dst with
-           | Some handler ->
-             bump t "net.delivered";
-             let recv_lc = if events_live t then tick_recv t dst ~sent:sent_lc else 0 in
-             emitf t (fun () ->
-                 Event.Deliver
-                   {
-                     src = Pid.to_int src;
-                     dst = Pid.to_int dst;
-                     kind = kind_of t msg;
-                     lamport = recv_lc;
-                     sent = sent_lc;
-                   });
-             tracef t (fun tr ->
-                 Trace.recordf tr ~time:(Scheduler.now t.sched) ~topic:"net"
-                   "deliver %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg);
-             (match on_arrival with
-             | Some f -> f handler
-             | None -> handler ~src:as_src msg)
-           | None ->
-             (* Destination left the system before delivery. *)
-             bump t "net.dropped";
-             emitf t (fun () ->
-                 Event.Drop
-                   {
-                     src = Pid.to_int src;
-                     dst = Pid.to_int dst;
-                     kind = kind_of t msg;
-                     reason = Departed;
-                   });
-             tracef t (fun tr ->
-                 Trace.recordf tr ~time:(Scheduler.now t.sched) ~topic:"net"
-                   "drop(left) %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg)))
-  in
+  let decision = { Delay.now = now t; src; dst; kind } in
   let action =
     match t.fault with
     | Some plan -> plan decision ~msg_kind:(kind_of t msg)
@@ -219,36 +255,38 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
   | faulted ->
     t.injected <- t.injected + 1;
     bump t "net.injected";
-    emitf t (fun () ->
-        Event.Fault_injected
-          {
-            fault = fault_action_name faulted;
-            src = Pid.to_int src;
-            dst = Pid.to_int dst;
-            kind = kind_of t msg;
-          });
-    tracef t (fun tr ->
-        Trace.recordf tr ~time:(Scheduler.now t.sched) ~topic:"fault" "inject %s %a->%a: %a"
-          (fault_action_name faulted) Pid.pp src Pid.pp dst (pp_payload t) msg));
+    if events_live t then
+      emit t
+        (Event.Fault_injected
+           {
+             fault = fault_action_name faulted;
+             src = Pid.to_int src;
+             dst = Pid.to_int dst;
+             kind = kind_of t msg;
+           });
+    if trace_live t then
+      tracef t ~topic:"fault" "inject %s %a->%a: %a" (fault_action_name faulted) Pid.pp src
+        Pid.pp dst (pp_payload t) msg);
   match action with
-  | Pass -> copy ~as_src:src ~extra:0
+  | Pass -> copy t ~kind ~src ~dst ~as_src:src ~extra:0 ~on_arrival decision msg
   | Drop_msg ->
-    let _lc = announce () in
+    let _lc = announce t ~kind ~src ~dst msg in
     bump t "net.faulted";
-    emitf t (fun () ->
-        Event.Drop
-          { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Faulted });
-    tracef t (fun tr ->
-        Trace.recordf tr ~time:(Scheduler.now t.sched) ~topic:"net" "fault-drop %a->%a: %a"
-          Pid.pp src Pid.pp dst (pp_payload t) msg)
-  | Delay_by { extra } -> copy ~as_src:src ~extra:(Stdlib.max 0 extra)
+    if events_live t then
+      emit t
+        (Event.Drop
+           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Faulted });
+    if trace_live t then
+      tracef t ~topic:"net" "fault-drop %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg
+  | Delay_by { extra } ->
+    copy t ~kind ~src ~dst ~as_src:src ~extra:(Stdlib.max 0 extra) ~on_arrival decision msg
   | Corrupt_tag ->
     (* The sender tag is scrambled: the receiver observes itself as the
        source, so replies routed by sender identity are misdirected. *)
-    copy ~as_src:dst ~extra:0
+    copy t ~kind ~src ~dst ~as_src:dst ~extra:0 ~on_arrival decision msg
   | Duplicate { copies } ->
     for _ = 0 to Stdlib.max 0 copies do
-      copy ~as_src:src ~extra:0
+      copy t ~kind ~src ~dst ~as_src:src ~extra:0 ~on_arrival decision msg
     done
 
 let send t ~src ~dst msg =

@@ -86,8 +86,10 @@ val create :
   ?events:Event.sink ->
   ?pp_msg:(Format.formatter -> 'a -> unit) ->
   ?msg_kind:('a -> string) ->
+  ?put_msg:(Buffer.t -> 'a -> unit) ->
   ?broadcast_mode:broadcast_mode ->
   ?fault:fault_plan ->
+  ?nodes:int ->
   unit ->
   'a t
 (** A network with no attached processes. [metrics] (counters
@@ -100,7 +102,13 @@ val create :
     trace's [Send] count always equals the [net.transmit] counter.
     [pp_msg] renders payloads in string traces; [msg_kind] names each
     payload's wire kind (e.g. ["INQUIRY"]) in typed events.
-    [broadcast_mode] defaults to [Primitive].
+    [put_msg] is the payload's binary codec; it is required only while
+    the scheduler has a chooser installed, where every delivery is
+    tagged with a key built from it (see {!tag_label}) — delivering
+    under a chooser without it raises [Invalid_argument].
+    [broadcast_mode] defaults to [Primitive]. [nodes] (default 64) is
+    the expected number of attached processes; it only sizes internal
+    tables.
 
     The reliability guarantee in the header is the behavior of the
     {e default} fault plan (none installed, i.e. [Pass] for every
@@ -109,6 +117,32 @@ val create :
     see {!fault_action} for what it may do and [Dds_fault] for the
     plan combinators built on top of this hook.
     @raise Invalid_argument if a [Flooding] relay depth is [< 1]. *)
+
+val delivery_key : 'a t -> src:Pid.t -> dst:Pid.t -> 'a -> string
+(** The tag kind a delivery of [msg] from [src] to [dst] carries under
+    a chooser: a NUL byte, then [src], [dst] and the payload's
+    [put_msg] bytes. Equal for two deliveries exactly when their
+    rendered labels are (the codec is injective), and cheap: a few
+    writes into a buffer the network owns.
+    @raise Invalid_argument if the network was created without
+    [put_msg]. *)
+
+val tag_label :
+  get_msg:(Wire.reader -> 'a) ->
+  msg_kind:('a -> string) ->
+  pp_msg:(Format.formatter -> 'a -> unit) ->
+  string ->
+  string
+(** Renders a scheduler tag kind for people. Under a chooser, a
+    delivery's tag kind is a compact binary key (source, destination
+    and the payload's [put_msg] bytes), equal for two deliveries
+    exactly when their labels are equal; [tag_label] decodes such a key
+    with the protocol's [get_msg] into
+    ["deliver:KIND:pS->pD:PAYLOAD"], with [KIND] from [msg_kind] and
+    [PAYLOAD] from [pp_msg]. Any other kind (timers, adversary points)
+    is printable already and is returned unchanged.
+    @raise Dds_net.Wire.Truncated or Dds_net.Wire.Malformed on a
+    corrupt key. *)
 
 val attach : 'a t -> Pid.t -> 'a handler -> unit
 (** Puts a process in listening mode.

@@ -19,6 +19,7 @@ let equal = Int.equal
 let compare = Int.compare
 let hash = Hashtbl.hash
 let pp ppf t = Format.fprintf ppf "p%d" t
+let to_string t = "p" ^ string_of_int t
 
 module Ord = struct
   type nonrec t = t

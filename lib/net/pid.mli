@@ -37,6 +37,9 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints as [p<i>]. *)
 
+val to_string : t -> string
+(** The same text as {!pp} (["p3"]), without going through [Format]. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 module Table : Hashtbl.S with type key = t

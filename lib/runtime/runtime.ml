@@ -23,8 +23,7 @@ let of_sim ~sched ~net =
            needs them for POR, plain simulations never look at them. *)
         let tag =
           if Scheduler.choosing sched then
-            Some
-              { Scheduler.actor = Pid.to_int who; kind = Format.asprintf "timer:%a" Pid.pp who }
+            Some { Scheduler.actor = Pid.to_int who; kind = "timer:" ^ Pid.to_string who }
           else None
         in
         let tok = Scheduler.schedule_after sched ?tag d f in

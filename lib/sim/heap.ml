@@ -47,21 +47,21 @@ let insert h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty heap";
+  h.data.(0)
 
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let min = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    (* Drop the stale slot so popped elements can be collected. *)
-    h.data.(h.size) <- h.data.(if h.size = 0 then 0 else h.size - 1);
-    Some min
-  end
+  if h.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let min = h.data.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  (* Drop the stale slot so popped elements can be collected. *)
+  h.data.(h.size) <- h.data.(if h.size = 0 then 0 else h.size - 1);
+  min
 
 let clear h =
   h.data <- [||];
@@ -69,5 +69,5 @@ let clear h =
 
 let to_sorted_list h =
   let copy = { cmp = h.cmp; data = Array.sub h.data 0 h.size; size = h.size } in
-  let rec drain acc = match pop copy with None -> List.rev acc | Some x -> drain (x :: acc) in
+  let rec drain acc = if is_empty copy then List.rev acc else drain (pop copy :: acc) in
   drain []

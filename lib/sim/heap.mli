@@ -19,11 +19,14 @@ val is_empty : 'a t -> bool
 val insert : 'a t -> 'a -> unit
 (** Adds an element. O(log n). *)
 
-val peek : 'a t -> 'a option
-(** The minimum element, without removing it. O(1). *)
+val top : 'a t -> 'a
+(** The minimum element, without removing it. O(1).
+    @raise Invalid_argument if the heap is empty. *)
 
-val pop : 'a t -> 'a option
-(** Removes and returns the minimum element. O(log n). *)
+val pop : 'a t -> 'a
+(** Removes and returns the minimum element. O(log n). Allocates
+    nothing, so the scheduler's per-event pop is garbage-free.
+    @raise Invalid_argument if the heap is empty. *)
 
 val clear : 'a t -> unit
 (** Removes every element. *)

@@ -7,15 +7,20 @@ type t = {
 let create () =
   { counters = Hashtbl.create 32; gauge_tbl = Hashtbl.create 8; hist_tbl = Hashtbl.create 8 }
 
+(* One lookup per tick, and no [Some] box: counters are bumped on
+   every simulated transmission. *)
 let cell t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add t.counters name r;
     r
 
-let add t name v = cell t name := !(cell t name) + v
+let add t name v =
+  let r = cell t name in
+  r := !r + v
+
 let incr t name = add t name 1
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 

@@ -66,29 +66,30 @@ let fire s ev =
   s.fired <- s.fired + 1;
   ev.callback ()
 
+(* Drops cancelled events from the head of the queue; true when a live
+   event is left at the head. Allocates nothing, so the plain FIFO
+   loop runs garbage-free. *)
+let rec live_head s =
+  if Heap.is_empty s.queue then false
+  else if (Heap.top s.queue).cancelled then begin
+    ignore (Heap.pop s.queue);
+    live_head s
+  end
+  else true
+
 (* Pop every non-cancelled event sharing the minimal time, in seq
    order. Cancelled events encountered on the way are dropped. *)
 let pop_ready s =
-  let rec head () =
-    match Heap.pop s.queue with
-    | None -> None
-    | Some ev when ev.cancelled -> head ()
-    | Some ev -> Some ev
-  in
-  match head () with
-  | None -> []
-  | Some first ->
+  if not (live_head s) then []
+  else begin
+    let first = Heap.pop s.queue in
     let rec rest acc =
-      match Heap.peek s.queue with
-      | Some ev when ev.cancelled ->
-        ignore (Heap.pop s.queue);
-        rest acc
-      | Some ev when Time.compare ev.time first.time = 0 ->
-        ignore (Heap.pop s.queue);
-        rest (ev :: acc)
-      | Some _ | None -> List.rev acc
+      if live_head s && Time.compare (Heap.top s.queue).time first.time = 0 then
+        rest (Heap.pop s.queue :: acc)
+      else List.rev acc
     in
     first :: rest []
+  end
 
 let pending_candidates s =
   List.filter (fun ev -> not ev.cancelled) (Heap.to_sorted_list s.queue)
@@ -96,15 +97,11 @@ let pending_candidates s =
 let step s =
   match s.chooser with
   | None ->
-    let rec next () =
-      match Heap.pop s.queue with
-      | None -> false
-      | Some ev when ev.cancelled -> next ()
-      | Some ev ->
-        fire s ev;
-        true
-    in
-    next ()
+    if live_head s then begin
+      fire s (Heap.pop s.queue);
+      true
+    end
+    else false
   | Some choose -> (
     match pop_ready s with
     | [] -> false
@@ -124,13 +121,7 @@ let step s =
 
 let run_until s horizon =
   let rec loop () =
-    match Heap.peek s.queue with
-    | Some ev when ev.cancelled ->
-      ignore (Heap.pop s.queue);
-      loop ()
-    | Some ev when Time.(ev.time <= horizon) ->
-      if step s then loop ()
-    | Some _ | None -> ()
+    if live_head s && Time.((Heap.top s.queue).time <= horizon) && step s then loop ()
   in
   loop ();
   if Time.(horizon > s.clock) then s.clock <- horizon

@@ -32,9 +32,13 @@ type tag = { actor : int; kind : string }
 (** Checker-facing identity of an event. [actor] is the node the event
     acts upon ([Pid.to_int]), or [-1] for global/untagged events; the
     partial-order reduction only commutes events whose actors are both
-    non-negative and distinct. [kind] is a human-readable label
-    ("deliver write_ack p2->p0 ...", "timer", ...) used in rendered
-    schedules and state fingerprints. Events scheduled without a tag
+    non-negative and distinct. [kind] identifies what the event does,
+    canonically: two events do the same thing exactly when their tags
+    are equal, which is what sleep sets and state fingerprints compare.
+    It need not be readable: a timer's kind is ["timer:p1"], but a
+    message delivery carries a compact binary key that is rendered
+    only when a schedule is printed ([Dds_net.Network.tag_label]).
+    Events scheduled without a tag
     get [{actor = -1; kind = ""}] and are treated as dependent with
     everything — always sound, never unsound, merely less reduced. *)
 

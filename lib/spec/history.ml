@@ -27,11 +27,11 @@ type op = {
 type t = {
   initial : Value.t;
   mutable cells : cell list; (* newest first *)
-  by_id : (op_id, cell) Hashtbl.t;
+  mutable by_id : cell array;  (** indexed by id; grows by doubling *)
   mutable next_id : int;
 }
 
-let create ~initial = { initial; cells = []; by_id = Hashtbl.create 256; next_id = 0 }
+let create ~initial = { initial; cells = []; by_id = [||]; next_id = 0 }
 let initial t = t.initial
 
 let register t pid ~now kind =
@@ -40,13 +40,17 @@ let register t pid ~now kind =
   in
   t.next_id <- t.next_id + 1;
   t.cells <- cell :: t.cells;
-  Hashtbl.replace t.by_id cell.id cell;
+  if cell.id = Array.length t.by_id then begin
+    let grown = Array.make (Stdlib.max 8 (2 * cell.id)) cell in
+    Array.blit t.by_id 0 grown 0 cell.id;
+    t.by_id <- grown
+  end;
+  t.by_id.(cell.id) <- cell;
   cell.id
 
 let cell t id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some c -> c
-  | None -> invalid_arg "History: unknown operation id"
+  if id < 0 || id >= t.next_id then invalid_arg "History: unknown operation id";
+  t.by_id.(id)
 
 let respond t id ~now update =
   let c = cell t id in
@@ -157,6 +161,33 @@ let to_csv t =
            o.aborted))
     (ops t);
   Buffer.contents buf
+
+let put b t =
+  let value (v : Value.t) =
+    Wire.put_int b v.Value.data;
+    Wire.put_int b v.Value.sn
+  in
+  List.iter
+    (fun (c : cell) ->
+      (match c.kind with
+      | Read None -> Wire.put_u8 b 0
+      | Read (Some _) -> Wire.put_u8 b 1
+      | Write _ -> Wire.put_u8 b 2
+      | Join None -> Wire.put_u8 b 3
+      | Join (Some _) -> Wire.put_u8 b 4);
+      Wire.put_int b c.id;
+      Wire.put_int b (Pid.to_int c.pid);
+      (match c.kind with
+      | Read (Some v) | Write v | Join (Some v) -> value v
+      | Read None | Join None -> ());
+      Wire.put_int b (Time.to_int c.invoked);
+      (match c.responded with
+      | Some r ->
+        Wire.put_u8 b 1;
+        Wire.put_int b (Time.to_int r)
+      | None -> Wire.put_u8 b 0);
+      Wire.put_bool b c.aborted)
+    t.cells
 
 let pp_op ppf o =
   Format.fprintf ppf "[%a %a %a..%s%s]" Pid.pp o.pid pp_kind o.kind Time.pp o.invoked

@@ -97,3 +97,13 @@ val to_csv : t -> string
     order). Pending fields render as empty cells; the initial value is
     not a row (it is no operation). For offline analysis of runs
     produced by the CLI's [--dump-history]. *)
+
+val put : Buffer.t -> t -> unit
+(** Appends the fields {!to_csv} prints, in binary and newest
+    operation first: per operation a kind byte (which also says whether
+    a value is present), then id, pid, value, invocation time,
+    response (a presence byte and the time) and the aborted flag, with
+    integers as {!Dds_net.Wire.put_int}. Two histories append equal
+    bytes exactly when their [to_csv] texts are equal, and the encoding
+    is self-delimiting; the model checker hashes it into its state
+    fingerprint without rendering any text. *)

@@ -5,6 +5,8 @@
    counts. *)
 
 open Dds_sim
+open Dds_net
+open Dds_spec
 open Dds_core
 open Dds_check
 module Pool = Dds_engine.Pool
@@ -298,6 +300,49 @@ let test_es_mutation_pinned () =
     check_string "counterexample, byte for byte" seeded_counterexample
       (Schedule.to_string v.Check.schedule)
 
+(* Replay checks every forced decision's label against the run, so a
+   schedule whose labels no longer describe the run is an error naming
+   the decision, not a silent replay of something else. *)
+let replay_edited ~from ~into =
+  let edited =
+    String.concat "\n"
+      (List.map
+         (fun line -> if String.equal line from then into else line)
+         (String.split_on_char '\n' seeded_counterexample))
+  in
+  check_bool "the edit applies" false (String.equal edited seeded_counterexample);
+  match Schedule.of_string edited with
+  | Error e -> Alcotest.fail e
+  | Ok sched -> Check.replay_schedule sched
+
+let test_replay_checks_labels () =
+  (match Schedule.of_string seeded_counterexample with
+  | Error e -> Alcotest.fail e
+  | Ok sched -> (
+    match Check.replay_schedule sched with
+    | Error e -> Alcotest.fail e
+    | Ok r -> check_bool "unedited schedule still violates" true (r.Check.violations <> [])));
+  (match
+     replay_edited ~from:"choice 1/2 drop?WRITE:p0->p1=1" ~into:"choice 1/2 drop?WRITE:p0->p2=1"
+   with
+  | Ok _ -> Alcotest.fail "edited adversary label replayed silently"
+  | Error e ->
+    check_string "adversary label mismatch"
+      "check: schedule divergence at decision 11: branch 1 is \"drop?WRITE:p0->p1=1\", \
+       schedule recorded \"drop?WRITE:p0->p2=1\""
+      e);
+  match
+    replay_edited ~from:"choice 1/2 deliver:READ:p1->p2:READ(r_sn=1)"
+      ~into:"choice 1/2 deliver:READ:p1->p2:READ(r_sn=2)"
+  with
+  | Ok _ -> Alcotest.fail "edited delivery label replayed silently"
+  | Error e ->
+    check_string "delivery label mismatch"
+      "check: schedule divergence at decision 19: branch 1 is \
+       \"deliver:READ:p1->p2:READ(r_sn=1)\", schedule recorded \
+       \"deliver:READ:p1->p2:READ(r_sn=2)\""
+      e
+
 let test_es_majority_tolerates_drop () =
   (* Same deployment, paper-faithful majority quorum: one drop is
      absorbed and no schedule violates regularity. *)
@@ -308,6 +353,97 @@ let test_es_majority_tolerates_drop () =
     Alcotest.failf "majority ES violated under one drop: %s" (String.concat "; " v.Check.lines)
   | Ok { violation = None; stats } ->
     check_bool "explored some schedules" true (stats.Check.schedules > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Delivery keys against the labels they replace. Under a chooser a
+   delivery's tag carries a binary key instead of the rendered label
+   "deliver:KIND:src->dst:PAYLOAD". Sleep sets and state fingerprints
+   compare tags, so they prune exactly as before only if two keys are
+   equal precisely when the two labels are; and printed schedules stay
+   byte-identical only if rendering a key gives the label back. The
+   domains are small so that equal messages are drawn often. *)
+
+module Keyed (P : Register_intf.PROTOCOL) = struct
+  let old_label ~src ~dst m =
+    Format.asprintf "deliver:%s:%a->%a:%a" (P.msg_kind m) Pid.pp src Pid.pp dst P.pp_msg m
+
+  let prop gen =
+    let net =
+      Network.create ~sched:(Scheduler.create ()) ~rng:(Rng.create ~seed:0)
+        ~delay:(Delay.synchronous ~delta:1) ~put_msg:P.put_msg ()
+    in
+    let delivery = QCheck.Gen.(triple (int_range 0 3) (int_range 0 3) gen) in
+    let print (src, dst, m) = old_label ~src:(Pid.of_int src) ~dst:(Pid.of_int dst) m in
+    QCheck.Test.make ~count:500
+      ~name:(P.name ^ ": delivery keys equal iff labels equal, and render back")
+      (QCheck.make ~print:QCheck.Print.(pair print print)
+         QCheck.Gen.(
+           (* A third of the pairs repeat the first delivery, so the
+              "equal labels" side is exercised for every message shape. *)
+           delivery >>= fun first ->
+           map (fun second -> (first, second)) (frequency [ (1, return first); (2, delivery) ])))
+      (fun ((s1, d1, m1), (s2, d2, m2)) ->
+        let s1 = Pid.of_int s1 and d1 = Pid.of_int d1 in
+        let s2 = Pid.of_int s2 and d2 = Pid.of_int d2 in
+        let k1 = Network.delivery_key net ~src:s1 ~dst:d1 m1 in
+        let k2 = Network.delivery_key net ~src:s2 ~dst:d2 m2 in
+        let l1 = old_label ~src:s1 ~dst:d1 m1 and l2 = old_label ~src:s2 ~dst:d2 m2 in
+        let render = Network.tag_label ~get_msg:P.get_msg ~msg_kind:P.msg_kind ~pp_msg:P.pp_msg in
+        Bool.equal (String.equal k1 k2) (String.equal l1 l2)
+        && String.equal (render k1) l1
+        && String.equal (render k2) l2)
+end
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        return Value.bottom;
+        map2 (fun data sn -> Value.make ~data ~sn) (int_range (-2) 2) (int_range 0 2);
+      ])
+
+let gen_int = QCheck.Gen.int_range (-1) 2
+
+let key_props =
+  let module Sync = Keyed (Sync_register) in
+  let module Es = Keyed (Es_register) in
+  let module Abd = Keyed (Abd_register) in
+  let open QCheck.Gen in
+  [
+    ( "sync",
+      Sync.prop
+        (oneof
+           [
+             return Sync_register.Inquiry;
+             map (fun v -> Sync_register.Reply v) gen_value;
+             map (fun v -> Sync_register.Write_msg v) gen_value;
+           ]) );
+    ( "es",
+      Es.prop
+        (oneof
+           [
+             map (fun r_sn -> Es_register.Inquiry { r_sn }) gen_int;
+             map (fun r_sn -> Es_register.Read_req { r_sn }) gen_int;
+             map2 (fun value r_sn -> Es_register.Reply { value; r_sn }) gen_value gen_int;
+             map (fun value -> Es_register.Write_msg { value }) gen_value;
+             map (fun sn -> Es_register.Ack { sn }) gen_int;
+             map (fun r_sn -> Es_register.Dl_prev { r_sn }) gen_int;
+           ]) );
+    ( "abd",
+      Abd.prop
+        (oneof
+           [
+             map (fun r_sn -> Abd_register.Read_req { r_sn }) gen_int;
+             map2 (fun value r_sn -> Abd_register.Read_reply { value; r_sn }) gen_value gen_int;
+             map2 (fun value wid -> Abd_register.Write_req { value; wid }) gen_value gen_int;
+             map (fun wid -> Abd_register.Write_ack { wid }) gen_int;
+           ]) );
+  ]
+
+let test_keys_cover_registry () =
+  check
+    Alcotest.(list string)
+    "a key property per registered protocol" Protocol.names (List.map fst key_props)
 
 (* ------------------------------------------------------------------ *)
 (* Worker-count invariance: explored counts and the counterexample are
@@ -375,6 +511,10 @@ let () =
         [
           Alcotest.test_case "check_explore counts pinned" `Quick test_explore_counts_pinned;
           Alcotest.test_case "seeded counterexample pinned" `Quick test_es_mutation_pinned;
+          Alcotest.test_case "replay checks labels" `Quick test_replay_checks_labels;
         ] );
+      ( "keys",
+        Alcotest.test_case "every registered protocol covered" `Quick test_keys_cover_registry
+        :: List.map (fun (_, p) -> QCheck_alcotest.to_alcotest ~long:false p) key_props );
       ("determinism", [ QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant ]);
     ]

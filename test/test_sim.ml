@@ -100,11 +100,12 @@ let test_heap_ordering () =
   let h = Heap.create ~cmp:Int.compare () in
   List.iter (Heap.insert h) [ 5; 1; 4; 1; 3; 9; 0 ];
   check_int "length" 7 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek" (Some 0) (Heap.peek h);
-  let drained = List.init 7 (fun _ -> Option.get (Heap.pop h)) in
+  check_int "top" 0 (Heap.top h);
+  let drained = List.init 7 (fun _ -> Heap.pop h) in
   Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] drained;
   check_bool "empty after drain" true (Heap.is_empty h);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Heap.pop h)
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
+      ignore (Heap.pop h))
 
 let test_heap_to_sorted_list () =
   let h = Heap.create ~cmp:Int.compare () in
@@ -125,7 +126,7 @@ let prop_heap_model =
       let h = Heap.create ~cmp:Int.compare () in
       List.iter (Heap.insert h) xs;
       let drained =
-        let rec go acc = match Heap.pop h with None -> List.rev acc | Some x -> go (x :: acc) in
+        let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
         go []
       in
       drained = List.sort Int.compare xs)
