@@ -134,7 +134,8 @@ type cache = {
 let create_cache () =
   { entries = Hashtbl.create 256; fp = Buffer.create 1024; fp_bytes = Bytes.create 1024 }
 
-(* MD5 of the buffer's contents, without copying them into a string. *)
+(* MD5 of the buffer's contents, through a reused scratch rather than a
+   fresh string per fingerprint. *)
 let digest_fp c =
   let n = Buffer.length c.fp in
   if Bytes.length c.fp_bytes < n then c.fp_bytes <- Bytes.create (2 * n);
