@@ -125,22 +125,9 @@ type cache_entry = {
 (* One subtree job's state cache, keyed by raw MD5 fingerprints, with
    the scratch the fingerprint is written into. Both are job-local:
    a job runs on one domain, so nothing here is ever shared. *)
-type cache = {
-  entries : (Digest.t, cache_entry list ref) Hashtbl.t;
-  fp : Buffer.t;
-  mutable fp_bytes : Bytes.t;
-}
+type cache = { entries : (Digest.t, cache_entry list ref) Hashtbl.t; fp : Buffer.t }
 
-let create_cache () =
-  { entries = Hashtbl.create 256; fp = Buffer.create 1024; fp_bytes = Bytes.create 1024 }
-
-(* MD5 of the buffer's contents, through a reused scratch rather than a
-   fresh string per fingerprint. *)
-let digest_fp c =
-  let n = Buffer.length c.fp in
-  if Bytes.length c.fp_bytes < n then c.fp_bytes <- Bytes.create (2 * n);
-  Buffer.blit c.fp 0 c.fp_bytes 0 n;
-  Digest.subbytes c.fp_bytes 0 n
+let create_cache () = { entries = Hashtbl.create 256; fp = Buffer.create 1024 }
 
 (* The scripted workload: writes from the designated writer, reads
    round-robin over the other founding nodes starting just after a
@@ -275,7 +262,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
       Wire.put_int b (A.crashes_injected a)
     | None -> ());
     History.put b (D.history d);
-    digest_fp c
+    Digest.string (Buffer.contents b)
   in
   let decide ~sched_point ~(tags : Scheduler.tag array) ~at =
     let arity = Array.length tags in
