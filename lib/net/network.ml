@@ -129,17 +129,10 @@ let in_flight t = t.flying
 let metrics t = t.metrics
 let events t = t.events
 
-(* Delivery keys. Under a chooser every delivery is tagged with the
-   acting node (for the partial-order reduction) and a key naming the
-   message: a NUL lead byte, then source, destination and the
-   protocol's own wire bytes. The codec is injective and [msg_kind] is
-   a function of the payload, so two keys are equal exactly when the
-   human label ("deliver:KIND:src->dst:PAYLOAD") would be — which is
-   what sleep sets and state fingerprints compare — while building one
-   costs a few buffer writes instead of a [Format] rendering. The NUL
-   lead keeps keys disjoint from every other tag kind (timer, drop,
-   crash), which are printable. {!tag_label} renders a key back when a
-   schedule is printed. *)
+(* Delivery keys (see the interface). The NUL lead keeps them disjoint
+   from every other tag kind (timer, drop, crash), which is printable.
+   The message kind is not written: it is a function of the payload,
+   so the payload bytes already decide it. *)
 let key_lead = '\000'
 
 let delivery_key t ~src ~dst msg =
