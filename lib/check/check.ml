@@ -123,7 +123,7 @@ type cache_entry = {
 }
 
 (* One subtree job's state cache, keyed by raw MD5 fingerprints, with
-   the scratch the fingerprint is written into. Both are job-local:
+   the buffer the fingerprint is written into. Both are job-local:
    a job runs on one domain, so nothing here is ever shared. *)
 type cache = { entries : (Digest.t, cache_entry list ref) Hashtbl.t; fp : Buffer.t }
 

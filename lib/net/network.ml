@@ -30,7 +30,7 @@ type 'a t = {
   pp_msg : (Format.formatter -> 'a -> unit) option;
   msg_kind : ('a -> string) option;
   put_msg : (Buffer.t -> 'a -> unit) option;
-  key_buf : Buffer.t;  (** scratch for delivery keys; one per network *)
+  key_buf : Buffer.t;  (** reused for every delivery key; one per network *)
   mode : broadcast_mode;
   handlers : 'a handler Pid.Table.t;
   mutable fault : fault_plan option;
