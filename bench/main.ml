@@ -43,251 +43,66 @@ let max_regress =
   | Some s -> ( try float_of_string s with Failure _ -> 25.0)
   | None -> 25.0
 
-let scale x = if quick then Stdlib.max 1 (x / 4) else x
-
 (* ------------------------------------------------------------------ *)
 (* Experiment tables *)
 
 (* Prints each table as it is produced and returns them all (plus the
    engine-scaling rows), so the run can be serialized to
-   BENCH_results.json at the end. Every sweep submits its cells
-   through [pool]. *)
+   BENCH_results.json at the end. Every experiment of the registry runs
+   at its registered parameters (reduced by --quick) through [pool]. *)
 let run_tables ~pool () =
   let acc = ref [] in
   let show r =
     acc := r :: !acc;
     Report.print r
   in
+  let scaled p = if quick then Experiment.quick p else p in
   Format.printf "@.#### Experiment tables (paper: Baldoni et al., ICDCS 2009) ####@.";
-
-  (* E1 — new/old inversion (introduction's figure). *)
-  show (Tables.inversion (Scenario.inversion ()));
-
-  (* E2/E3 — Figure 3a/3b. *)
-  show
-    (Tables.fig3 (Scenario.fig3 ~join_wait:false) (Scenario.fig3 ~join_wait:true));
-
-  (* E4 — Lemma 2's bound. *)
-  let n = 60 and delta = 3 in
-  show
-    (Tables.lemma2 ~n ~delta
-       (Sweep.lemma2 ~pool ~n ~delta
-          ~ratios:[ 0.25; 0.5; 0.75; 0.9; 1.0; 1.2 ]
-          ~horizon:(scale 1500) ~seed:42 ()));
-
-  (* E5 — synchronous safety across the churn threshold, under both
-     empty-inquiry policies (the paper's literal protocol vs the retry
-     hardening — an ablation of the one underdefined step). *)
-  let n = 30 and delta = 3 in
-  let seeds = List.init (scale 10) (fun i -> 100 + i) in
-  let ratios = [ 0.3; 0.6; 0.9; 1.1; 1.4; 2.0; 3.0 ] in
-  show
-    (Tables.sync_safety ~n ~delta ~variant:"paper-literal: adopt bottom"
-       (Sweep.sync_safety ~on_empty:Sync_register.Adopt_bottom ~pool ~n ~delta ~ratios ~seeds
-          ~horizon:(scale 600) ()));
-  show
-    (Tables.sync_safety ~n ~delta ~variant:"hardened: retry inquiry"
-       (Sweep.sync_safety ~on_empty:Sync_register.Retry ~pool ~n ~delta ~ratios ~seeds
-          ~horizon:(scale 600) ()));
-
-  (* E6 — synchronous operation latencies (Lemma 1's bounds). *)
-  show
-    (Tables.latency
-       ~title:
-         "E6 — synchronous latencies (Lemma 1: join <= 3*delta=15, write = delta=5, read = 0)"
-       (Sweep.sync_latency ~n:30 ~delta:5 ~c:0.01 ~horizon:(scale 1000) ~seed:7));
-
-  (* E7 — asynchronous impossibility curve. *)
-  show
-    (Tables.async_impossibility
-       (Sweep.async_series ~pool ~horizons:[ 250; 500; 1000; 2000; scale 4000 ] ()));
-
-  (* E8 — eventually synchronous latencies, pre- vs post-GST. *)
-  show
-    (Tables.latency ~title:"E8 — ES latencies before vs after GST (gst=500, delta=4, wild=60)"
-       (Sweep.es_latency ~n:20 ~gst:500 ~delta:4 ~wild:60 ~horizon:(scale 1200) ~seed:21));
-
-  (* E9 — ES liveness at the majority boundary. *)
-  let n = 10 in
-  show
-    (Tables.es_boundary ~n
-       (Sweep.es_boundary ~pool ~n
-          ~rates:[ 0.0; 0.005; 0.01; 0.02; 0.04; 0.08; 0.15 ]
-          ~horizon:(scale 600) ~seed:3 ()));
-
-  (* E10 — ABD vs the dynamic protocols. *)
-  let n = 20 and c = 0.02 and horizon = scale 1500 in
-  show
-    (Tables.abd_vs_dynamic ~n ~c ~horizon
-       (Sweep.abd_vs_dynamic ~pool ~n ~delta:3 ~c ~horizon ~seed:11 ()));
-
-  (* E11 — message complexity. *)
-  show
-    (Tables.msg_complexity
-       (Sweep.msg_complexity ~pool ~ns:[ 10; 20; 40 ] ~delta:3 ~seed:5 ()));
-
-  (* E12 — timed quorums. *)
-  let n = 30 in
-  show
-    (Tables.timed_quorum ~n
-       (Sweep.timed_quorum ~pool ~n
-          ~cs:[ 0.005; 0.01; 0.02; 0.05; 0.1 ]
-          ~lifetime:20 ~trials:(scale 400) ~seed:17 ()));
-
-  (* E13 — the greatest tolerable churn (Section 7's open question). *)
-  let n = 24 in
-  show
-    (Tables.churn_threshold ~n
-       (Sweep.churn_threshold ~pool ~n ~deltas:[ 2; 3; 4 ]
-          ~seeds:(List.init (scale 4) (fun i -> 500 + i))
-          ~horizon:(scale 400) ()));
-
-  (* E14 — bursty churn at a constant average rate. *)
-  let n = 30 and delta = 3 in
-  show
-    (Tables.bursty_churn ~n ~delta
-       (Sweep.bursty_churn ~pool ~n ~delta
-          ~seeds:(List.init (scale 8) (fun i -> 900 + i))
-          ~horizon:(scale 600) ()));
-
-  (* E15 — message-loss fault injection (outside the paper's model). *)
-  let n = 16 in
-  show
-    (Tables.message_loss ~n
-       (Sweep.message_loss ~pool ~n ~delta:3
-          ~losses:[ 0.0; 0.01; 0.05; 0.1; 0.2 ]
-          ~horizon:(scale 500) ~seed:23 ()));
-
-  (* E16 — footnote 4's join-wait optimization. *)
-  let n = 20 and delta = 6 in
-  show
-    (Tables.join_wait_optimization ~n ~delta
-       (Sweep.join_wait_optimization ~pool ~n ~delta ~p2ps:[ 1; 2; 3 ] ~horizon:(scale 800)
-          ~seed:29 ()));
-
-  (* E17 — the broadcast assumption, implemented and priced. *)
-  let n = 16 in
-  show
-    (Tables.broadcast_robustness ~n
-       (Sweep.broadcast_robustness ~pool ~n
-          ~losses:[ 0.0; 0.05; 0.1; 0.2 ]
-          ~horizon:(scale 600) ~seed:31 ()));
-
-  (* E18 — consensus from the registers (the introduction's claim). *)
-  let n = 10 and kregs = 3 in
-  show
-    (Tables.consensus ~n ~k:kregs
-       (Sweep.consensus_under_churn ~pool ~n ~k:kregs
-          ~cs:[ 0.0; 0.005; 0.01; 0.02 ]
-          ~horizon:(scale 1200) ~seed:37 ()));
-
-  (* E19 — the wireless zone: the churn bound as a speed limit. *)
-  show
-    (Tables.geo_speed ~delta:3
-       (Sweep.geo_speed ~pool
-          ~speeds:[ 0.0; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 ]
-          ~horizon:(scale 1000) ~seed:5 ()));
-
-  (* E20 — quorum-size ablation: majority is the safety boundary. *)
-  let n = 10 and c = 0.01 and loss = 0.3 in
-  show
-    (Tables.quorum_ablation ~n ~c ~loss
-       (Sweep.quorum_ablation ~loss ~pool ~n ~quorums:[ 1; 2; 3; 4; 5; 6 ] ~c
-          ~horizon:(scale 800) ~seed:1 ()));
-
-  (* E21 — regular-to-atomic via read-repair. *)
-  show
-    (Tables.read_repair ~n:10
-       (Sweep.read_repair_ablation ~pool ~n:10 ~horizon:(scale 800) ~seed:47 ()));
-
-  (* E22 — delta mis-calibration. *)
-  show
-    (Tables.delta_calibration ~n:20 ~actual:6
-       (Sweep.delta_calibration ~pool ~n:20 ~actual:6
-          ~believed:[ 2; 4; 6; 9; 12 ]
-          ~horizon:(scale 900) ~seed:53 ()));
-
-  (* E23 — churn process shape at equal average rate. *)
-  let n = 30 and delta = 3 in
-  show
-    (Tables.session_models ~n ~delta
-       (Sweep.session_models ~pool ~n ~delta ~mean:15.0 ~horizon:(scale 900) ~seed:59 ()));
-
-  (* E24 — nemesis fault matrix. *)
-  let n = 10 and delta = 3 in
-  let e24_horizon = Stdlib.max 120 (scale 240) in
-  show
-    (Tables.nemesis_matrix ~n ~delta
-       (Sweep.nemesis_matrix ~pool ~n ~delta ~horizon:e24_horizon ~seed:61 ()));
+  List.iter
+    (fun (e : Experiment.t) -> List.iter show (e.Experiment.run ~pool (scaled e.Experiment.defaults)))
+    Experiment.all;
 
   (* Engine scaling — the E24 matrix re-timed under dedicated pools of
-     1, 2 and 4 workers, each with a profiler attached (its per-site
-     cost is a few array stores — see the profiler-overhead bechamel
-     pair). Wall time includes pool setup/teardown, which is what a
-     CLI user pays too; the summaries become BENCH_results.json's
-     [engine_profile] section. *)
-  let time_with_jobs jobs =
-    let profile = Dds_profile.Profile.create ~workers:jobs () in
+     1, 2 and 4 workers, first at its table size with a profiler
+     attached (its per-site cost is a few array stores — see the
+     profiler-overhead bechamel pair), then at --horizon 2000, big
+     enough (~seconds sequential) that domain spawn and
+     shared-major-heap fixed costs stop dominating the measurement
+     (ROADMAP item 2). Wall time includes pool setup/teardown, which is
+     what a CLI user pays too; the profiled summaries become
+     BENCH_results.json's [engine_profile] section. *)
+  let nemesis = Result.get_ok (Experiment.find "e24") in
+  let time ~profiled p jobs =
+    let profile = if profiled then Some (Dds_profile.Profile.create ~workers:jobs ()) else None in
     let t0 = Unix.gettimeofday () in
-    Dds_engine.Pool.with_pool ~jobs ~profile (fun pool ->
-        ignore (Sweep.nemesis_matrix ~pool ~n ~delta ~horizon:e24_horizon ~seed:61 ()));
-    (Unix.gettimeofday () -. t0, Dds_profile.Profile.summary profile)
+    Dds_engine.Pool.with_pool ~jobs ?profile (fun pool ->
+        ignore (nemesis.Experiment.run ~pool p));
+    (jobs, Unix.gettimeofday () -. t0, Option.map Dds_profile.Profile.summary profile)
   in
-  let runs = List.map (fun j -> (j, time_with_jobs j)) [ 1; 2; 4 ] in
-  let base = fst (List.assoc 1 runs) in
-  let scaling =
-    List.map
-      (fun (j, (w, _)) ->
-        { Tables.sc_jobs = j; sc_wall_s = w; sc_speedup = (if w > 0. then base /. w else 0.) })
-      runs
+  let scaling ~case ~profiled p =
+    let runs = List.map (time ~profiled p) [ 1; 2; 4 ] in
+    let base = match runs with (_, w, _) :: _ -> w | [] -> 0.0 in
+    let rows =
+      List.map
+        (fun (j, w, _) ->
+          { Tables.sc_jobs = j; sc_wall_s = w; sc_speedup = (if w > 0. then base /. w else 0.) })
+        runs
+    in
+    show (Tables.engine_scaling ~case rows);
+    (rows, List.filter_map (fun (j, w, s) -> Option.map (fun s -> (j, w, s)) s) runs)
   in
-  show (Tables.engine_scaling ~case:"E24 nemesis matrix" scaling);
-  let profile_rows = List.map (fun (j, (w, s)) -> (j, w, s)) runs in
+  let case = "E24 nemesis matrix" in
+  let rows, profile_rows = scaling ~case ~profiled:true (scaled nemesis.Experiment.defaults) in
   List.iter
     (fun (j, _, (s : Dds_profile.Profile.summary)) ->
       Format.printf "  profile jobs=%d: busy %.0f%%, %.3g minor words/job, %s@." j
         (100.0 *. s.Dds_profile.Profile.s_busy_fraction)
         s.Dds_profile.Profile.s_minor_words_per_job s.Dds_profile.Profile.s_dominant)
     profile_rows;
-
-  (* Engine scaling, amortized grain — the same matrix at --horizon
-     2000, big enough (~seconds sequential) that domain spawn and
-     shared-major-heap fixed costs stop dominating the measurement
-     (ROADMAP item 1: E24 at its table size sits below the parallelism
-     floor). *)
-  let big_horizon = scale 2000 in
-  let time_big jobs =
-    let t0 = Unix.gettimeofday () in
-    Dds_engine.Pool.with_pool ~jobs (fun pool ->
-        ignore (Sweep.nemesis_matrix ~pool ~n ~delta ~horizon:big_horizon ~seed:61 ()));
-    Unix.gettimeofday () -. t0
-  in
-  let big_case = Printf.sprintf "E24 nemesis matrix, --horizon %d" big_horizon in
-  let runs_big = List.map (fun j -> (j, time_big j)) [ 1; 2; 4 ] in
-  let base_big = List.assoc 1 runs_big in
-  let scaling_big =
-    List.map
-      (fun (j, w) ->
-        { Tables.sc_jobs = j; sc_wall_s = w; sc_speedup = (if w > 0. then base_big /. w else 0.) })
-      runs_big
-  in
-  show (Tables.engine_scaling ~case:big_case scaling_big);
-
-  (* E25 — sharded key-space scaling. *)
-  let shard_keys = 512 and shard_horizon = scale 600 in
-  let shard_rows =
-    Sweep.shard_scaling ~pool ~protocol:"sync" ~n:10 ~delta:3
-      ~shards:[ 1; 2; 4; 8 ]
-      ~skews:[ 0.0; 1.0 ]
-      ~churns:[ 0.0; 0.02 ]
-      ~keys:shard_keys ~read_rate:1.0 ~write_every:20 ~horizon:shard_horizon ~seed:67 ()
-  in
-  show (Tables.shard_scaling ~protocol:"sync" ~n:10 ~keys:shard_keys ~horizon:shard_horizon shard_rows);
-
-  ( List.rev !acc,
-    [ ("E24 nemesis matrix", scaling); (big_case, scaling_big) ],
-    profile_rows,
-    shard_rows )
+  let big = scaled { nemesis.Experiment.defaults with Experiment.horizon = 2000 } in
+  let big_case = Printf.sprintf "%s, --horizon %d" case big.Experiment.horizon in
+  let rows_big, _ = scaling ~case:big_case ~profiled:false big in
+  (List.rev !acc, [ (case, rows); (big_case, rows_big) ], profile_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Explorer throughput *)
@@ -449,8 +264,8 @@ type runtime_row = {
 }
 
 let run_runtime_loopback () =
-  let module Node = Dds_runtime_unix.Node in
-  let module N_es = Node.Make (Es_register) in
+  let module Store = Dds_runtime_unix.Store in
+  let module S_es = Store.Make (Es_register) in
   let module Loop = Dds_runtime_unix.Loop in
   let module Load = Dds_runtime_unix.Load in
   let n = 3 in
@@ -476,14 +291,14 @@ let run_runtime_loopback () =
              let loop = Loop.create () in
              let cfg =
                {
-                 (Node.default_config ~self:i ~addrs) with
-                 Node.events_enabled = false;
+                 (Store.default_config ~self:i ~addrs) with
+                 Store.events_enabled = false;
                  listen_fd = Some (fst socks.(i));
                }
              in
-             let node = N_es.create ~loop cfg (Es_register.default_params ~n) in
+             let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n) in
              Loop.watch_read loop ctl_r (fun () ->
-                 N_es.shutdown node;
+                 S_es.shutdown node;
                  Loop.stop loop);
              Loop.run loop
            with _ -> ());
@@ -849,12 +664,11 @@ let bench_estimates results =
     results;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
-let write_results_json ~tables ~scaling ~profile_rows ~shard_rows ~checker ~idle ~runtime
-    ~estimates =
+let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~estimates =
   let module J = Dds_sim.Json in
   let json =
     J.Obj
-      [
+      ([
         ("suite", J.String "dds");
         ("quick", J.Bool quick);
         ( "benchmarks",
@@ -876,25 +690,10 @@ let write_results_json ~tables ~scaling ~profile_rows ~shard_rows ~checker ~idle
                        ])
                    rows)
                scaling) );
-        ( "shard_scaling",
-          J.List
-            (List.map
-               (fun (r : Sweep.shard_row) ->
-                 J.Obj
-                   [
-                     ("shards", J.Int r.Sweep.sh_shards);
-                     ("skew", J.Float r.Sweep.sh_skew);
-                     ("churn", J.Float r.Sweep.sh_churn);
-                     ("scheduled", J.Int r.Sweep.sh_scheduled);
-                     ("issued", J.Int r.Sweep.sh_issued);
-                     ("completed", J.Int r.Sweep.sh_completed);
-                     ("ops_per_tick", J.Float r.Sweep.sh_throughput);
-                     ("read_p99_ticks", J.Float (Stats.percentile r.Sweep.sh_read_stats 99.0));
-                     ("write_p99_ticks", J.Float (Stats.percentile r.Sweep.sh_write_stats 99.0));
-                     ("hot_shard_frac", J.Float r.Sweep.sh_hot_frac);
-                     ("regular", J.Bool r.Sweep.sh_regular);
-                   ])
-               shard_rows) );
+      ]
+      (* the typed row copies tables carry themselves (Report.data) *)
+      @ List.filter_map (fun (r : Report.t) -> r.Report.data) tables
+      @ [
         ( "engine_profile",
           J.List
             (List.map
@@ -959,7 +758,7 @@ let write_results_json ~tables ~scaling ~profile_rows ~shard_rows ~checker ~idle
                 ("write_p99_us", J.Float r.rt_write_p99_us);
               ] );
         ("tables", J.List (List.map Report.to_json tables));
-      ]
+      ])
   in
   let oc = open_out "BENCH_results.json" in
   output_string oc (J.to_string json);
@@ -1111,11 +910,11 @@ let () =
      OCaml 5 forbids Unix.fork once other domains exist, and both the
      engine pools and bechamel's measurement loop create them. *)
   let runtime = if not bench_only then Some (run_runtime_loopback ()) else None in
-  let tables, scaling, profile_rows, shard_rows =
+  let tables, scaling, profile_rows =
     if not bench_only then
       let jobs = if jobs <= 0 then Dds_engine.Pool.default_jobs () else jobs in
       Dds_engine.Pool.with_pool ~jobs (fun pool -> run_tables ~pool ())
-    else ([], [], [], [])
+    else ([], [], [])
   in
   let checker = if not bench_only then run_checker_rows () else [] in
   let idle = Some (run_idle_probe ()) in
@@ -1131,7 +930,7 @@ let () =
      BENCH_results.json` (the committed file this run overwrites) must
      compare against the old numbers, not the ones just written. *)
   let baseline_contents = Option.map (fun path -> (path, read_baseline path)) baseline in
-  write_results_json ~tables ~scaling ~profile_rows ~shard_rows ~checker ~idle ~runtime ~estimates;
+  write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~estimates;
   let ok =
     match baseline_contents with
     | None -> true

@@ -4,7 +4,7 @@
      run       simulate one deployment of a register protocol and report
                (or replay a checker schedule with --schedule)
      scenario  replay one of the paper's constructed executions
-     sweep     regenerate one experiment table (E4..E12)
+     sweep     regenerate one experiment's tables (any of E1..E25)
      inspect   summarize a JSONL trace produced by run --trace-out
      explain   causal critical-path analysis of a JSONL trace: per-op
                latency attribution (compute/transit/quorum/timer/retry),
@@ -18,9 +18,11 @@
                small deployment
      list      registered protocols and sweep experiments
 
-   Protocols are never named in code here: every subcommand selects
-   from Protocol.all (lib/core/protocol.ml), the one registry of
-   runnable protocols and their theorem metadata.
+   Protocols and experiments are never named in code here: every
+   subcommand selects from Protocol.all (lib/core/protocol.ml), the one
+   registry of runnable protocols and their theorem metadata, or from
+   Experiment.all (lib/workload/experiment.ml), the one registry of
+   experiment tables and their parameters.
 
    Everything is deterministic in --seed; `check` needs no seed at all. *)
 
@@ -195,6 +197,15 @@ let read_file path =
   let s = really_input_string ic len in
   close_in ic;
   s
+
+(* A JSONL trace's shard-tagged events; a killed run's partial final
+   line is skipped with a warning on stderr. *)
+let events_of_trace path text =
+  Result.map
+    (fun (tagged, warnings) ->
+      List.iter (fun w -> Format.eprintf "warning: %s: %s@." path w) warnings;
+      tagged)
+    (Export.events_of_jsonl text)
 
 (* One code path for [run], generic over the registry entry's packed
    deployment functor. *)
@@ -601,6 +612,31 @@ let common_t =
     $ dot_out_t $ churn_window_t $ liveness_k_t $ nemesis_t $ jobs_t $ minor_heap_t
     $ eprofile_t $ profile_out_t)
 
+(* An experiment's parameters as the command line amends them: a flag
+   the user gives replaces the registered value, a flag left unset
+   never does, whatever its CLI default. *)
+let experiment_override_t =
+  let given t =
+    Term.(const (fun (v, used) -> if used = [] then None else Some v) $ with_used_args t)
+  in
+  let make n delta horizon seed churn keys read_rate write_every (p : Experiment.params) =
+    let ( |? ) o d = Option.value o ~default:d in
+    {
+      p with
+      Experiment.n = n |? p.Experiment.n;
+      delta = delta |? p.Experiment.delta;
+      horizon = horizon |? p.Experiment.horizon;
+      seed = seed |? p.Experiment.seed;
+      churn = churn |? p.Experiment.churn;
+      keys = keys |? p.Experiment.keys;
+      read_rate = read_rate |? p.Experiment.read_rate;
+      write_every = write_every |? p.Experiment.write_every;
+    }
+  in
+  Term.(
+    const make $ given n_t $ given delta_t $ given horizon_t $ given seed_t $ given churn_t
+    $ given keys_t $ given read_rate_t $ given write_every_t)
+
 (* One converter for every subcommand that takes a protocol: parses
    against the registry, so an unknown name is rejected at the CLI
    boundary with the registered names listed. The protocol can be
@@ -749,38 +785,25 @@ let analyze_cmd =
 
 (* scenario *)
 
-let scenario_names = [ "fig3a"; "fig3b"; "inversion"; "async" ]
+(* Experiment ids, E-numbers and aliases all resolve through the
+   registry, for [dds scenario] and [dds sweep] alike. *)
+let experiment_doc =
+  "One of: "
+  ^ String.concat ", " (List.map (fun e -> e.Experiment.id) Experiment.all)
+  ^ " — or an E-number or alias (see $(b,dds list))."
 
+(* An experiment at its registered parameters, run inline. *)
 let run_scenario name =
-  match name with
-  | "fig3a" | "fig3b" ->
-    let with_wait = String.equal name "fig3b" in
-    Report.print
-      (Tables.fig3
-         (Scenario.fig3 ~join_wait:false)
-         (Scenario.fig3 ~join_wait:true));
-    ignore with_wait;
+  match Experiment.find name with
+  | Error e -> `Error (true, e)
+  | Ok e ->
+    List.iter Report.print (e.Experiment.run e.Experiment.defaults);
     `Ok ()
-  | "inversion" ->
-    Report.print (Tables.inversion (Scenario.inversion ()));
-    `Ok ()
-  | "async" ->
-    Report.print
-      (Tables.async_impossibility
-         (Sweep.async_series ~horizons:[ 250; 500; 1000; 2000; 4000 ] ()));
-    `Ok ()
-  | other ->
-    `Error
-      ( true,
-        Printf.sprintf "unknown scenario %S (%s)" other (String.concat "|" scenario_names) )
 
 let scenario_cmd =
   let doc = "Replay one of the paper's constructed executions." in
   let name_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCENARIO" ~doc:"fig3a, fig3b, inversion or async.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:experiment_doc)
   in
   Cmd.v (Cmd.info "scenario" ~doc) Term.(ret (const run_scenario $ name_t))
 
@@ -905,193 +928,16 @@ let print_attribution c =
                (List.map (fun (a : Causal.attribution) -> string_of_int a.Causal.a_span) over))))
     Protocol.all
 
-(* The sweep registry: every experiment table `dds sweep` can
-   regenerate, with the one-line description `dds list` prints. The
-   dispatch below must cover exactly these names. *)
-let sweeps =
-  [
-    ("lemma2", "join latency vs churn ratio c*3delta (Lemma 2's admissible region)");
-    ("safety", "paper-literal sync register: safety vs churn ratio across seeds");
-    ("boundary", "ES liveness/safety at the 1/(3 delta n) churn boundary");
-    ("versus", "ABD on a fixed group vs the dynamic protocols under churn");
-    ("msgs", "message complexity per operation as n grows");
-    ("quorum", "timed-quorum survival probability vs churn");
-    ("threshold", "empirical churn threshold across delta");
-    ("bursty", "bursty (non-uniform) churn vs the uniform assumption");
-    ("loss", "message loss vs the reliable-channel assumption");
-    ("joinopt", "join-wait optimization: one delta vs two");
-    ("broadcast", "broadcast primitive robustness under loss");
-    ("consensus", "repeated-consensus overlay under churn");
-    ("geo", "geo-distributed delays: speed ratio vs latency");
-    ("repair", "read-repair ablation (regular vs atomic reads)");
-    ("calibration", "believed vs actual delta calibration");
-    ("sessions", "session-model churn (exponential vs uniform lifetimes)");
-    ("nemesis", "fault-plan matrix: each nemesis vs each protocol");
-    ("shard", "sharded key-space: throughput/latency vs shard count x churn x skew");
-  ]
-
-(* DESIGN.md experiment numbers as sweep aliases: `dds sweep e24` (or
-   `dds profile sweep e24`) is the E24 nemesis matrix. Only E-numbers
-   backed by a sweep appear; scenarios (E1–E3) and single-run
-   experiments keep their own subcommands. *)
-let sweep_aliases =
-  [
-    ("e4", "lemma2"); ("e5", "safety"); ("e9", "boundary"); ("e10", "versus");
-    ("e11", "msgs"); ("e12", "quorum"); ("e13", "threshold"); ("e14", "bursty");
-    ("e15", "loss"); ("e16", "joinopt"); ("e17", "broadcast"); ("e18", "consensus");
-    ("e19", "geo"); ("e21", "repair"); ("e22", "calibration"); ("e23", "sessions");
-    ("e24", "nemesis"); ("e25", "shard");
-  ]
-
-let run_sweep_tables name c =
-  let name =
-    match List.assoc_opt (String.lowercase_ascii name) sweep_aliases with
-    | Some canonical -> canonical
-    | None -> name
-  in
-  with_engine c @@ fun pool ->
-  match name with
-  | "lemma2" ->
-    Report.print
-      (Tables.lemma2 ~n:c.n ~delta:c.delta
-         (Sweep.lemma2 ~pool ~n:c.n ~delta:c.delta
-            ~ratios:[ 0.25; 0.5; 0.75; 0.9; 1.0; 1.2 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
+(* The experiment's registered parameters, with each flag the user
+   actually passed in place of its field. *)
+let run_sweep name attribution override c =
+  match Experiment.find name with
+  | Error e -> `Error (true, e)
+  | Ok e ->
+    with_engine c (fun pool ->
+        List.iter Report.print (e.Experiment.run ~pool (override e.Experiment.defaults)));
+    if attribution then print_attribution c;
     `Ok ()
-  | "safety" ->
-    let seeds = List.init 10 (fun i -> c.seed + i) in
-    let ratios = [ 0.3; 0.6; 0.9; 1.1; 1.4; 2.0; 3.0 ] in
-    Report.print
-      (Tables.sync_safety ~n:c.n ~delta:c.delta ~variant:"paper-literal: adopt bottom"
-         (Sweep.sync_safety ~on_empty:Sync_register.Adopt_bottom ~pool ~n:c.n ~delta:c.delta
-            ~ratios ~seeds ~horizon:c.horizon ()));
-    `Ok ()
-  | "boundary" ->
-    Report.print
-      (Tables.es_boundary ~n:c.n
-         (Sweep.es_boundary ~pool ~n:c.n
-            ~rates:[ 0.0; 0.005; 0.01; 0.02; 0.04; 0.08; 0.15 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "versus" ->
-    let churn = if c.churn > 0.0 then c.churn else 0.02 in
-    Report.print
-      (Tables.abd_vs_dynamic ~n:c.n ~c:churn ~horizon:c.horizon
-         (Sweep.abd_vs_dynamic ~pool ~n:c.n ~delta:c.delta ~c:churn ~horizon:c.horizon
-            ~seed:c.seed ()));
-    `Ok ()
-  | "msgs" ->
-    Report.print
-      (Tables.msg_complexity
-         (Sweep.msg_complexity ~pool ~ns:[ 10; 20; 40 ] ~delta:c.delta ~seed:c.seed ()));
-    `Ok ()
-  | "quorum" ->
-    Report.print
-      (Tables.timed_quorum ~n:c.n
-         (Sweep.timed_quorum ~pool ~n:c.n
-            ~cs:[ 0.005; 0.01; 0.02; 0.05; 0.1 ]
-            ~lifetime:20 ~trials:400 ~seed:c.seed ()));
-    `Ok ()
-  | "threshold" ->
-    Report.print
-      (Tables.churn_threshold ~n:c.n
-         (Sweep.churn_threshold ~pool ~n:c.n ~deltas:[ 2; 3; 4 ]
-            ~seeds:(List.init 4 (fun i -> c.seed + i))
-            ~horizon:c.horizon ()));
-    `Ok ()
-  | "bursty" ->
-    Report.print
-      (Tables.bursty_churn ~n:c.n ~delta:c.delta
-         (Sweep.bursty_churn ~pool ~n:c.n ~delta:c.delta
-            ~seeds:(List.init 8 (fun i -> c.seed + i))
-            ~horizon:c.horizon ()));
-    `Ok ()
-  | "loss" ->
-    Report.print
-      (Tables.message_loss ~n:c.n
-         (Sweep.message_loss ~pool ~n:c.n ~delta:c.delta
-            ~losses:[ 0.0; 0.01; 0.05; 0.1; 0.2 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "broadcast" ->
-    Report.print
-      (Tables.broadcast_robustness ~n:c.n
-         (Sweep.broadcast_robustness ~pool ~n:c.n
-            ~losses:[ 0.0; 0.05; 0.1; 0.2 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "consensus" ->
-    Report.print
-      (Tables.consensus ~n:c.n ~k:3
-         (Sweep.consensus_under_churn ~pool ~n:c.n ~k:3
-            ~cs:[ 0.0; 0.005; 0.01; 0.02 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "sessions" ->
-    Report.print
-      (Tables.session_models ~n:c.n ~delta:c.delta
-         (Sweep.session_models ~pool ~n:c.n ~delta:c.delta ~mean:15.0 ~horizon:c.horizon
-            ~seed:c.seed ()));
-    `Ok ()
-  | "calibration" ->
-    Report.print
-      (Tables.delta_calibration ~n:c.n ~actual:(Stdlib.max c.delta 4)
-         (Sweep.delta_calibration ~pool ~n:c.n
-            ~actual:(Stdlib.max c.delta 4)
-            ~believed:[ 2; 4; 6; 9; 12 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "repair" ->
-    Report.print
-      (Tables.read_repair ~n:c.n
-         (Sweep.read_repair_ablation ~pool ~n:c.n ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "geo" ->
-    Report.print
-      (Tables.geo_speed ~delta:3
-         (Sweep.geo_speed ~pool
-            ~speeds:[ 0.0; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 ]
-            ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "nemesis" ->
-    Report.print
-      (Tables.nemesis_matrix ~n:c.n ~delta:c.delta
-         (Sweep.nemesis_matrix ~pool ~n:c.n ~delta:c.delta ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "joinopt" ->
-    Report.print
-      (Tables.join_wait_optimization ~n:c.n ~delta:(Stdlib.max c.delta 4)
-         (Sweep.join_wait_optimization ~pool ~n:c.n
-            ~delta:(Stdlib.max c.delta 4)
-            ~p2ps:[ 1; 2 ] ~horizon:c.horizon ~seed:c.seed ()));
-    `Ok ()
-  | "shard" ->
-    (* Smaller per-shard systems than the default n=20: a cell builds
-       shards x n processes, and the matrix is shards x skews x churns
-       cells. Override with --nodes as usual. *)
-    let n = if c.n = 20 then 10 else c.n in
-    let keys = c.keys in
-    Report.print
-      (Tables.shard_scaling ~protocol:"sync" ~n ~keys ~horizon:c.horizon
-         (Sweep.shard_scaling ~pool ~protocol:"sync" ~n ~delta:c.delta
-            ~shards:[ 1; 2; 4; 8 ]
-            ~skews:[ 0.0; 1.0 ]
-            ~churns:[ 0.0; 0.02 ]
-            ~keys ~read_rate:c.read_rate ~write_every:c.write_every ~horizon:c.horizon
-            ~seed:c.seed ()));
-    `Ok ()
-  | other ->
-    `Error
-      ( true,
-        Printf.sprintf "unknown sweep %S (%s)" other
-          (String.concat "|" (List.map fst sweeps)) )
-
-let run_sweep name attribution c =
-  match run_sweep_tables name c with
-  | `Ok () when attribution ->
-    print_attribution c;
-    `Ok ()
-  | r -> r
 
 (* inspect *)
 
@@ -1297,12 +1143,7 @@ let run_inspect path =
   let parsed =
     match parse_result with
     | Ok j when Json.member "traceEvents" j <> None -> Export.events_of_chrome j
-    | Ok _ | Error _ -> (
-      match Export.events_of_jsonl_lenient text with
-      | Ok (evs, warnings) ->
-        List.iter (fun w -> Format.eprintf "warning: %s: %s@." path w) warnings;
-        Ok evs
-      | Error e -> Error e)
+    | Ok _ | Error _ -> Result.map (List.map snd) (events_of_trace path text)
   in
   match parsed with
   | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
@@ -1396,10 +1237,10 @@ let run_explain path op_span top delta bound_k json_out chrome_out =
   match read_file path with
   | exception Sys_error e -> `Error (false, e)
   | text -> (
-    match Export.events_of_jsonl_lenient text with
+    match events_of_trace path text with
     | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
-    | Ok (evs, warnings) ->
-      List.iter (fun w -> Format.eprintf "warning: %s: %s@." path w) warnings;
+    | Ok tagged ->
+      let evs = List.map snd tagged in
       let bound = bound_k * delta in
       let r = Causal.analyze ~bound evs in
       (match json_out with
@@ -1586,20 +1427,14 @@ let audit_sharded (proto : Protocol.t) initial merged_out c path
 
 let run_audit paths (proto : Protocol.t) initial merged_out c =
   (* A shard-tagged line carries its register's index; a plain trace
-     has no tags and parses to all-None. One parse path for both: the
-     tagged lenient reader keeps shard tags AND tolerates the partial
-     final line of a killed live node — falling back to an untagged
-     reader on truncation would silently collapse a multi-shard trace
-     into one register. *)
+     has no tags and parses to all-None. The one reader keeps shard
+     tags AND tolerates the partial final line of a killed live node,
+     so truncation can never collapse a multi-shard trace into one
+     register. *)
   let parse path =
     match read_file path with
     | exception Sys_error e -> Error e
-    | text -> (
-      match Export.tagged_events_of_jsonl_lenient text with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok (tagged, warnings) ->
-        List.iter (fun w -> Format.eprintf "warning: %s: %s@." path w) warnings;
-        Ok tagged)
+    | text -> Result.map_error (Printf.sprintf "%s: %s" path) (events_of_trace path text)
   in
   let rec collect acc = function
     | [] -> Ok (List.rev acc)
@@ -2312,14 +2147,7 @@ let hunt_term ~forced_profile =
 
 let sweep_term ~forced_profile =
   let name_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SWEEP"
-          ~doc:
-            ("One of: "
-            ^ String.concat ", " (List.map fst sweeps)
-            ^ " — or an experiment alias e4..e24 (see $(b,dds list))."))
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"SWEEP" ~doc:experiment_doc)
   in
   let attribution_t =
     Arg.(
@@ -2335,9 +2163,9 @@ let sweep_term ~forced_profile =
   in
   Term.(
     ret
-      (const (fun name attribution c ->
-           run_sweep name attribution (force_profile ~forced_profile c))
-      $ name_t $ attribution_t $ common_t))
+      (const (fun name attribution override c ->
+           run_sweep name attribution override (force_profile ~forced_profile c))
+      $ name_t $ attribution_t $ experiment_override_t $ common_t))
 
 let hunt_cmd =
   let doc =
@@ -2508,7 +2336,7 @@ let check_term ~forced_profile =
 let check_cmd = Cmd.v (Cmd.info "check" ~doc:check_doc) (check_term ~forced_profile:false)
 
 (* profile — the same sweep/hunt/check commands with the engine
-   profiler forced on: `dds profile sweep e24 --jobs 4 --profile-out
+   profiler forced on: `dds profile sweep NAME --jobs 4 --profile-out
    p.json` is the canonical way to see where domain time goes. *)
 
 let profile_cmd =
@@ -2548,14 +2376,12 @@ let run_list () =
     Protocol.all;
   Format.printf "@.sweeps:@.";
   List.iter
-    (fun (name, doc) ->
-      let alias =
-        match List.find_opt (fun (_, s) -> s = name) sweep_aliases with
-        | Some (e, _) -> e
-        | None -> ""
-      in
-      Format.printf "  %-12s %-4s %s@." name alias doc)
-    sweeps;
+    (fun (e : Experiment.t) ->
+      Format.printf "  %-12s %-4s %s%s@." e.Experiment.id e.Experiment.enum e.Experiment.doc
+        (match e.Experiment.aliases with
+        | [] -> ""
+        | l -> Printf.sprintf " (also %s)" (String.concat ", " l)))
+    Experiment.all;
   Format.printf "@.wire protocol (runtime frames; v%d..v%d, negotiated in \
                  Hello/Client_hello):@."
     Dds_net.Wire.v1 Dds_net.Wire.max_version;

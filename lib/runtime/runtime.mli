@@ -12,7 +12,7 @@ open Dds_net
 
     - the {e simulator} ({!of_sim}: {!Dds_sim.Scheduler} +
       {!Dds_net.Network} — deterministic, virtual time), and
-    - the {e wire} ([Dds_runtime_unix.Node]: a select loop + TCP
+    - the {e wire} ([Dds_runtime_unix.Store]: a select loop + TCP
       sockets — real time, one process per node).
 
     The record is deliberately first-order (no functor): a backend is

@@ -5,8 +5,7 @@ open Dds_runtime
 (** A live keyed store node: one process hosting one protocol instance
     per owned shard, all served over a single TCP mesh.
 
-    This is the wire-protocol-v2 redesign of {!Node}: where a v1 node
-    {e is} one register, a store node {e hosts} registers — shard [s]
+    A store node {e hosts} registers rather than being one — shard [s]
     of a [Placement.t] is a full, independent instance of the protocol
     state machine (own event sink, own Lamport clock, own operation
     queue, own membership via the owners of [s]), and every client

@@ -184,28 +184,12 @@ let jsonl_of_events evs =
     evs;
   Buffer.contents buf
 
-let events_of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc rest
-      else begin
-        match Json.parse line with
-        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-        | Ok j -> (
-          match event_of_json j with
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-          | Ok ev -> go (lineno + 1) (ev :: acc) rest)
-      end
-  in
-  go 1 [] lines
-
 (* Shard-tagged JSONL: the same per-line encoding with one extra
    ["shard"] field. [event_of_json] never looks at unknown fields, so
-   tagged traces stay readable by every untagged consumer; the tagged
-   reader below is what [dds audit] uses to split a merged multi-shard
-   trace back into independently checkable registers. *)
+   tagged traces stay readable by every untagged consumer; the tags
+   the reader below returns are what [dds audit] uses to split a
+   merged multi-shard trace back into independently checkable
+   registers. *)
 let tagged_event_to_json shard e =
   match (shard, event_to_json e) with
   | Some s, Json.Obj fields -> Json.Obj (fields @ [ ("shard", Json.Int s) ])
@@ -220,30 +204,12 @@ let jsonl_of_tagged_events evs =
     evs;
   Buffer.contents buf
 
-let tagged_events_of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc rest
-      else begin
-        match Json.parse line with
-        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-        | Ok j -> (
-          match event_of_json j with
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-          | Ok ev ->
-            let shard = Option.bind (Json.member "shard" j) Json.to_int_opt in
-            go (lineno + 1) ((shard, ev) :: acc) rest)
-      end
-  in
-  go 1 [] lines
-
-(* Tolerant variant for killed runs: a malformed *final* line is the
-   signature of a process that died mid-write, so it is skipped with a
-   warning; a malformed line anywhere else still aborts the parse
-   (that is corruption, not truncation). *)
-let events_of_jsonl_lenient text =
+(* The one reader, for plain and shard-tagged traces alike. A
+   malformed *final* line is the signature of a process that died
+   mid-write, so it is skipped with a warning; a malformed line
+   anywhere else still aborts the parse (that is corruption, not
+   truncation). Strict callers reject any warning. *)
+let events_of_jsonl text =
   let lines = String.split_on_char '\n' text in
   let last_nonblank =
     List.fold_left
@@ -259,54 +225,19 @@ let events_of_jsonl_lenient text =
         let parsed =
           match Json.parse line with
           | Error e -> Error e
-          | Ok j -> event_of_json j
+          | Ok j ->
+            Result.map
+              (fun ev -> (Option.bind (Json.member "shard" j) Json.to_int_opt, ev))
+              (event_of_json j)
         in
         match parsed with
-        | Ok ev -> go (lineno + 1) (ev :: acc) warnings rest
+        | Ok tagged -> go (lineno + 1) (tagged :: acc) warnings rest
         | Error e when lineno = last_nonblank ->
           let w =
             Printf.sprintf "line %d: partial final line skipped (truncated run?): %s" lineno e
           in
           go (lineno + 1) acc (w :: warnings) rest
         | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-      end
-  in
-  go 1 [] [] lines
-
-(* The lenient reader for merged multi-shard live traces: keeps each
-   line's shard tag (None when untagged) while still skipping one
-   malformed final line. [dds audit] uses this as its single parse
-   path — the strict/lenient choice must not change whether tags are
-   seen, or a killed node's shards silently collapse into one. *)
-let tagged_events_of_jsonl_lenient text =
-  let lines = String.split_on_char '\n' text in
-  let last_nonblank =
-    List.fold_left
-      (fun (i, last) line -> (i + 1, if String.trim line = "" then last else i))
-      (1, 0) lines
-    |> snd
-  in
-  let rec go lineno acc warnings = function
-    | [] -> Ok (List.rev acc, List.rev warnings)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc warnings rest
-      else begin
-        let parsed =
-          match Json.parse line with
-          | Error e -> Error (e, None)
-          | Ok j -> (
-            match event_of_json j with
-            | Error e -> Error (e, None)
-            | Ok ev -> Ok (Option.bind (Json.member "shard" j) Json.to_int_opt, ev))
-        in
-        match parsed with
-        | Ok tagged -> go (lineno + 1) (tagged :: acc) warnings rest
-        | Error (e, _) when lineno = last_nonblank ->
-          let w =
-            Printf.sprintf "line %d: partial final line skipped (truncated run?): %s" lineno e
-          in
-          go (lineno + 1) acc (w :: warnings) rest
-        | Error (e, _) -> Error (Printf.sprintf "line %d: %s" lineno e)
       end
   in
   go 1 [] [] lines

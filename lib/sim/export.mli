@@ -24,10 +24,6 @@ val jsonl_of_events : Event.stamped list -> string
 (** One event per line, each line a complete JSON object, trailing
     newline included. *)
 
-val events_of_jsonl : string -> (Event.stamped list, string) result
-(** Inverse of {!jsonl_of_events}; blank lines are skipped. Fails on
-    the first malformed line, naming its 1-based number. *)
-
 val tagged_event_to_json : int option -> Event.stamped -> Json.t
 (** One event as the JSONL object {!jsonl_of_tagged_events} would
     write: [Some shard] appends the ["shard"] field, [None] is exactly
@@ -37,29 +33,20 @@ val tagged_event_to_json : int option -> Event.stamped -> Json.t
 val jsonl_of_tagged_events : (int option * Event.stamped) list -> string
 (** Like {!jsonl_of_events} with an extra ["shard"] field on every
     event carrying [Some shard] — how a sharded store exports the
-    merged trace of its independent registers into one file. Untagged
-    consumers ({!events_of_jsonl}, [dds inspect], [dds explain]) read
-    the same file and simply ignore the tag. *)
+    merged trace of its independent registers into one file. Consumers
+    that see one register ([dds inspect], [dds explain]) read the same
+    file and simply drop the tag. *)
 
-val tagged_events_of_jsonl : string -> ((int option * Event.stamped) list, string) result
-(** Inverse of {!jsonl_of_tagged_events}: each event paired with its
-    shard tag ([None] on untagged lines, so plain traces parse too).
-    [dds audit] groups on the tag to check each shard's register
-    independently. *)
-
-val events_of_jsonl_lenient : string -> (Event.stamped list * string list, string) result
-(** Like {!events_of_jsonl} but tolerant of truncation: a malformed
-    {e final} non-blank line — the signature of a run killed mid-write
-    — is skipped and reported as a warning instead of aborting the
-    parse. Malformed lines anywhere else (corruption rather than
-    truncation) still fail. Returns [(events, warnings)]. *)
-
-val tagged_events_of_jsonl_lenient :
+val events_of_jsonl :
   string -> ((int option * Event.stamped) list * string list, string) result
-(** {!tagged_events_of_jsonl} with the truncation tolerance of
-    {!events_of_jsonl_lenient} — the parse path for merged live traces,
-    where a SIGTERM'd node leaves a partial final line but its shard
-    tags must survive. *)
+(** Inverse of {!jsonl_of_events} and {!jsonl_of_tagged_events}: each
+    event paired with its shard tag ([None] on untagged lines), blank
+    lines skipped. Tolerant of truncation: a malformed {e final}
+    non-blank line — the signature of a run killed mid-write — is
+    skipped and reported in the returned warnings. A malformed line
+    anywhere else (corruption rather than truncation) fails the parse,
+    naming its 1-based number. A strict reader accepts only an empty
+    warning list. Returns [(events, warnings)]. *)
 
 (** {1 Spans} *)
 

@@ -3,9 +3,11 @@ type t = {
   headers : string list;
   rows : string list list;
   notes : string list;
+  data : (string * Dds_sim.Json.t) option;
 }
 
-let make ~title ~headers ?(notes = []) rows = { title; headers; rows; notes }
+let make ~title ~headers ?(notes = []) rows = { title; headers; rows; notes; data = None }
+let with_data name json t = { t with data = Some (name, json) }
 let cell_int = string_of_int
 
 let cell_float ?(decimals = 2) x =

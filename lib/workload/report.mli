@@ -9,9 +9,15 @@ type t = {
   headers : string list;
   rows : string list list;
   notes : string list;  (** free-form caption lines printed below *)
+  data : (string * Dds_sim.Json.t) option;
+      (** A typed copy of the rows, which the bench harness writes as
+          this named top-level section of [BENCH_results.json]. *)
 }
 
 val make : title:string -> headers:string list -> ?notes:string list -> string list list -> t
+(** A table without {!field-data}. *)
+
+val with_data : string -> Dds_sim.Json.t -> t -> t
 
 val cell_int : int -> string
 

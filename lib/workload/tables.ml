@@ -603,3 +603,23 @@ let shard_scaling ~protocol ~n ~keys ~horizon rows =
            Report.cell_bool r.Sweep.sh_regular;
          ])
        rows)
+  |> Report.with_data "shard_scaling"
+       (Dds_sim.Json.List
+          (List.map
+             (fun (r : Sweep.shard_row) ->
+               let open Dds_sim.Json in
+               Obj
+                 [
+                   ("shards", Int r.Sweep.sh_shards);
+                   ("skew", Float r.Sweep.sh_skew);
+                   ("churn", Float r.Sweep.sh_churn);
+                   ("scheduled", Int r.Sweep.sh_scheduled);
+                   ("issued", Int r.Sweep.sh_issued);
+                   ("completed", Int r.Sweep.sh_completed);
+                   ("ops_per_tick", Float r.Sweep.sh_throughput);
+                   ("read_p99_ticks", Float (Stats.percentile r.Sweep.sh_read_stats 99.0));
+                   ("write_p99_ticks", Float (Stats.percentile r.Sweep.sh_write_stats 99.0));
+                   ("hot_shard_frac", Float r.Sweep.sh_hot_frac);
+                   ("regular", Bool r.Sweep.sh_regular);
+                 ])
+             rows))

@@ -225,9 +225,10 @@ let test_truncated_jsonl () =
      killed run would leave it. *)
   let cut = String.length s - 9 in
   let truncated = String.sub s 0 cut in
-  match Export.events_of_jsonl_lenient truncated with
+  match Export.events_of_jsonl truncated with
   | Error e -> Alcotest.failf "lenient parse failed outright: %s" e
-  | Ok (evs', warnings) ->
+  | Ok (tagged, warnings) ->
+    let evs' = List.map snd tagged in
     check_int "exactly the final line dropped" (List.length evs - 1) (List.length evs');
     check_bool "truncation warned about" true (warnings <> []);
     (* The analyzer runs on what survived; spans cut open by the

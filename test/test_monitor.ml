@@ -254,7 +254,9 @@ let roundtrip_report ~history ~events =
   let jsonl = Export.jsonl_of_events events in
   match Export.events_of_jsonl jsonl with
   | Error e -> Alcotest.failf "jsonl parse-back failed: %s" e
-  | Ok evs ->
+  | Ok (_, w :: _) -> Alcotest.failf "jsonl parse-back truncated: %s" w
+  | Ok (tagged, []) ->
+    let evs = List.map snd tagged in
     let replayed = Replay.history_of_events ~initial:(History.initial history) evs in
     (in_process, Regularity.check replayed)
 
@@ -354,11 +356,9 @@ let test_truncated_jsonl_lenient () =
   let evs = Event.events (Es_d.events d) in
   let jsonl = Export.jsonl_of_events evs in
   let truncated = String.sub jsonl 0 (String.length jsonl - 15) in
-  (match Export.events_of_jsonl truncated with
-  | Ok _ -> Alcotest.fail "strict parser should reject a truncated trace"
-  | Error _ -> ());
-  match Export.events_of_jsonl_lenient truncated with
-  | Error e -> Alcotest.failf "lenient parser rejected a truncated trace: %s" e
+  match Export.events_of_jsonl truncated with
+  | Error e -> Alcotest.failf "reader rejected a truncated trace: %s" e
+  | Ok (_, []) -> Alcotest.fail "a strict reader would accept a truncated trace"
   | Ok (evs', warnings) ->
     check_int "one warning for the partial final line" 1 (List.length warnings);
     check_int "all whole lines parsed" (List.length evs - 1) (List.length evs');
@@ -368,7 +368,7 @@ let test_truncated_jsonl_lenient () =
       String.concat "\n"
         (List.mapi (fun i l -> if i = List.length lines / 2 then "{broken" else l) lines)
     in
-    (match Export.events_of_jsonl_lenient corrupted with
+    (match Export.events_of_jsonl corrupted with
     | Ok _ -> Alcotest.fail "mid-file corruption must still fail"
     | Error _ -> ())
 

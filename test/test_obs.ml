@@ -53,7 +53,10 @@ let test_jsonl_roundtrip () =
   let evs = Event.events (D.events d) in
   match Export.events_of_jsonl (Export.jsonl_of_events evs) with
   | Error e -> Alcotest.failf "parse-back failed: %s" e
-  | Ok evs' -> check_bool "lossless" true (evs = evs')
+  | Ok (tagged, warnings) ->
+    check_bool "no truncation" true (warnings = []);
+    check_bool "untagged" true (List.for_all (fun (s, _) -> s = None) tagged);
+    check_bool "lossless" true (evs = List.map snd tagged)
 
 let test_spans_match_history () =
   let d = run_small ~events_enabled:true () in

@@ -13,7 +13,6 @@ open Dds_core
 open Dds_workload
 module Loop = Dds_runtime_unix.Loop
 module Frame = Dds_runtime_unix.Frame
-module Node = Dds_runtime_unix.Node
 module Store = Dds_runtime_unix.Store
 module Placement = Dds_runtime_unix.Placement
 module Client = Dds_runtime_unix.Client
@@ -325,7 +324,7 @@ let test_oversized_frame_rejected () =
 (* ------------------------------------------------------------------ *)
 (* Live loopback deployment *)
 
-module N_es = Node.Make (Es_register)
+module S_es = Store.Make (Es_register)
 
 let bind_ephemeral () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -365,8 +364,8 @@ let read_trace path =
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  match Export.events_of_jsonl_lenient text with
-  | Ok (evs, _) -> evs
+  match Export.events_of_jsonl text with
+  | Ok (tagged, _) -> List.map snd tagged
   | Error e -> Alcotest.failf "%s: %s" path e
 
 let test_loopback_deployment () =
@@ -376,7 +375,7 @@ let test_loopback_deployment () =
   let traces =
     Array.init n (fun i -> Filename.temp_file (Printf.sprintf "dds-node%d-" i) ".jsonl")
   in
-  let epoch_ms = Node.default_epoch_ms () in
+  let epoch_ms = Store.default_epoch_ms () in
   let children =
     Array.init n (fun i ->
         let ctl_r, ctl_w = Unix.pipe () in
@@ -389,15 +388,15 @@ let test_loopback_deployment () =
              let loop = Loop.create () in
              let cfg =
                {
-                 (Node.default_config ~self:i ~addrs) with
-                 Node.epoch_ms;
+                 (Store.default_config ~self:i ~addrs) with
+                 Store.epoch_ms;
                  trace_path = Some traces.(i);
                  listen_fd = Some (fst socks.(i));
                }
              in
-             let node = N_es.create ~loop cfg (Es_register.default_params ~n) in
+             let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n) in
              Loop.watch_read loop ctl_r (fun () ->
-                 N_es.shutdown node;
+                 S_es.shutdown node;
                  Loop.stop loop);
              Loop.run loop
            with _ -> ());
@@ -497,14 +496,14 @@ let with_single_node_server f =
        let loop = Loop.create () in
        let cfg =
          {
-           (Node.default_config ~self:0 ~addrs) with
-           Node.events_enabled = false;
+           (Store.default_config ~self:0 ~addrs) with
+           Store.events_enabled = false;
            listen_fd = Some sock;
          }
        in
-       let node = N_es.create ~loop cfg (Es_register.default_params ~n:1) in
+       let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n:1) in
        Loop.watch_read loop ctl_r (fun () ->
-           N_es.shutdown node;
+           S_es.shutdown node;
            Loop.stop loop);
        Loop.run loop
      with _ -> ());
@@ -607,15 +606,13 @@ let test_negotiation_matrix () =
 (* ------------------------------------------------------------------ *)
 (* Live multi-shard deployment *)
 
-module S_es = Store.Make (Es_register)
-
 let read_tagged_trace path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  match Export.tagged_events_of_jsonl_lenient text with
-  | Ok (evs, _) -> evs
+  match Export.events_of_jsonl text with
+  | Ok (tagged, _) -> tagged
   | Error e -> Alcotest.failf "%s: %s" path e
 
 (* The smallest key that lands on [shard] — scripted ops need one key

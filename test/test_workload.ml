@@ -323,6 +323,60 @@ let test_tables_column_consistency () =
     (Tables.session_models ~n:10 ~delta:3
        (Sweep.session_models ~n:10 ~delta:3 ~mean:20.0 ~horizon:200 ~seed:1 ()))
 
+(* ------------------------------------------------------------------ *)
+(* Experiment registry *)
+
+let names (e : Experiment.t) = e.Experiment.id :: e.Experiment.enum :: e.Experiment.aliases
+
+let test_registry_names_unique () =
+  let all = List.concat_map names Experiment.all in
+  List.iter
+    (fun name ->
+      check_int (Printf.sprintf "%S named once" name) 1
+        (List.length (List.filter (String.equal name) all)))
+    all
+
+let test_registry_covers_e_numbers () =
+  for i = 1 to 25 do
+    let e = Printf.sprintf "e%d" i in
+    let owners = List.filter (fun x -> List.mem e (names x)) Experiment.all in
+    check_int (e ^ " has exactly one entry") 1 (List.length owners);
+    match Experiment.find e with
+    | Ok found -> check_bool (e ^ " resolves to its entry") true (found == List.hd owners)
+    | Error msg -> Alcotest.failf "%s: %s" e msg
+  done
+
+let test_registry_find_ignores_case () =
+  List.iter
+    (fun (e : Experiment.t) ->
+      List.iter
+        (fun name ->
+          match Experiment.find name with
+          | Ok found -> check_bool name true (found == e)
+          | Error msg -> Alcotest.failf "%s: %s" name msg)
+        [
+          e.Experiment.id;
+          String.uppercase_ascii e.Experiment.id;
+          String.capitalize_ascii e.Experiment.id;
+          e.Experiment.enum;
+          String.uppercase_ascii e.Experiment.enum;
+        ])
+    Experiment.all
+
+let test_registry_unknown_lists_ids () =
+  match Experiment.find "e99" with
+  | Ok _ -> Alcotest.fail "e99 resolved"
+  | Error msg ->
+    let mentions id =
+      let n = String.length id and l = String.length msg in
+      let rec at i = i + n <= l && (String.sub msg i n = id || at (i + 1)) in
+      at 0
+    in
+    List.iter
+      (fun (e : Experiment.t) ->
+        check_bool (e.Experiment.id ^ " listed") true (mentions e.Experiment.id))
+      Experiment.all
+
 let () =
   Alcotest.run "dds_workload"
     [
@@ -333,6 +387,13 @@ let () =
           Alcotest.test_case "distinct write data" `Quick test_generator_distinct_write_data;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
+      ( "registry",
+        [
+          Alcotest.test_case "names pairwise unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "E1-E25 each resolve once" `Quick test_registry_covers_e_numbers;
+          Alcotest.test_case "find ignores case" `Quick test_registry_find_ignores_case;
+          Alcotest.test_case "unknown name lists every id" `Quick test_registry_unknown_lists_ids;
+        ] );
       ( "tables",
         [ Alcotest.test_case "column consistency" `Slow test_tables_column_consistency ] );
       ( "sweeps",
