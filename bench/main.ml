@@ -1,13 +1,14 @@
-(* Benchmark harness: regenerates every experiment table of DESIGN.md's
-   index (E1-E12 — the paper has no measured evaluation, so these
-   reproduce its figures, lemmas and theorems empirically), then runs
-   Bechamel micro/macro benchmarks of the substrate and protocols.
+(* Benchmark harness: regenerates every experiment table of the
+   registry (lib/workload/experiment.ml, E1-E25 — the paper has no
+   measured evaluation, so these reproduce its figures, lemmas and
+   theorems empirically), then runs Bechamel micro/macro benchmarks of
+   the substrate and protocols.
 
    Usage:
      dune exec bench/main.exe               # tables + bechamel
      dune exec bench/main.exe -- --tables   # experiment tables only
      dune exec bench/main.exe -- --bench    # bechamel only
-     dune exec bench/main.exe -- --quick    # smaller parameters
+     dune exec bench/main.exe -- --quick    # smaller parameters (Experiment.quick)
      dune exec bench/main.exe -- --jobs 4   # engine workers for the tables
      dune exec bench/main.exe -- --baseline OLD.json --max-regress 25
                                             # compare against a previous

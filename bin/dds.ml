@@ -2177,8 +2177,18 @@ let hunt_cmd =
   Cmd.v (Cmd.info "hunt" ~doc) (hunt_term ~forced_profile:false)
 
 let sweep_cmd =
-  let doc = "Regenerate one experiment table (see DESIGN.md's index or $(b,dds list))." in
-  Cmd.v (Cmd.info "sweep" ~doc) (sweep_term ~forced_profile:false)
+  let doc = "Regenerate one experiment's tables (see DESIGN.md's index or $(b,dds list))." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Runs the experiment at the parameters EXPERIMENTS.md quotes. $(b,--nodes), \
+         $(b,--delta), $(b,--horizon), $(b,--seed), $(b,--churn), $(b,--keys), \
+         $(b,--read-rate) and $(b,--write-every) replace the matching parameter only \
+         when given.";
+    ]
+  in
+  Cmd.v (Cmd.info "sweep" ~doc ~man) (sweep_term ~forced_profile:false)
 
 (* check *)
 
