@@ -223,12 +223,10 @@ let events_of_jsonl text =
       if String.trim line = "" then go (lineno + 1) acc warnings rest
       else begin
         let parsed =
-          match Json.parse line with
-          | Error e -> Error e
-          | Ok j ->
-            Result.map
-              (fun ev -> (Option.bind (Json.member "shard" j) Json.to_int_opt, ev))
-              (event_of_json j)
+          Result.bind (Json.parse line) (fun j ->
+              Result.map
+                (fun ev -> (Option.bind (Json.member "shard" j) Json.to_int_opt, ev))
+                (event_of_json j))
         in
         match parsed with
         | Ok tagged -> go (lineno + 1) (tagged :: acc) warnings rest

@@ -19,7 +19,8 @@ type t = {
   run : ?pool:Dds_engine.Pool.t -> params -> Report.t list;
 }
 
-(* What an entry does not set, it does not read. *)
+(* The CLI's own defaults and one repetition; each entry below sets
+   what its quoted table differs in. *)
 let base =
   {
     n = 20;
