@@ -3,7 +3,9 @@ open Dds_net
 (** One buffered, non-blocking TCP connection on a {!Loop}.
 
     Reads feed a {!Wire.deframer} and surface complete payloads
-    through [on_frame]; writes go straight to the socket while it
+    through [on_frame], then call [on_drained] (a no-op unless the
+    owner sets it) once every complete frame of that read has been
+    surfaced; writes go straight to the socket while it
     accepts them and spill into an output buffer (with write-interest
     registered on the loop) when it does not — so a slow peer can
     never deadlock two nodes writing to each other. [on_close] fires
@@ -17,6 +19,7 @@ type t = {
   mutable closed : bool;
   mutable on_frame : t -> string -> unit;
   mutable on_close : t -> unit;
+  mutable on_drained : unit -> unit;
 }
 
 let chunk = Bytes.create 65536
@@ -70,11 +73,23 @@ let on_readable t () =
           match Wire.next_frame t.df with
           | Some payload -> t.on_frame t payload
           | None -> continue := false
-        done)
+        done;
+        t.on_drained ())
   end
 
 let create ~loop ~fd ~on_frame ~on_close =
   Unix.set_nonblock fd;
-  let t = { fd; loop; df = Wire.deframer (); out = Buffer.create 4096; closed = false; on_frame; on_close } in
+  let t =
+    {
+      fd;
+      loop;
+      df = Wire.deframer ();
+      out = Buffer.create 4096;
+      closed = false;
+      on_frame;
+      on_close;
+      on_drained = ignore;
+    }
+  in
   Loop.watch_read loop fd (on_readable t);
   t

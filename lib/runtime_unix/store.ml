@@ -182,21 +182,42 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
      the same guarantee there. *)
   let after_ms_ignore loop d f = ignore (Loop.after_ms loop d f : unit -> unit)
 
+  (* One protocol op per instance at a time. A write is its own round;
+     a read at the head of the queue takes every read queued right
+     behind it into the same round, stopping at the first write so no
+     read overtakes one. Each batched read was invoked before the round
+     started and is answered after it ended, so the round's interval
+     lies inside every batched read's interval and its value is legal
+     for each of them. *)
   let rec pump t inst =
     if (not inst.op_busy) && not (Queue.is_empty inst.queue) then
       match inst.node with
       | Some node when P.is_active node && not (P.busy node) -> (
         let p = Queue.pop inst.queue in
         inst.op_busy <- true;
-        let k value =
+        let k batch value =
           inst.op_busy <- false;
-          Conn.write_frame p.p_conn
-            (Frame.buf_resp ~version:p.p_version ~req:p.p_req ~key:p.p_key value);
+          List.iter
+            (fun p ->
+              Conn.write_frame p.p_conn
+                (Frame.buf_resp ~version:p.p_version ~req:p.p_req ~key:p.p_key value))
+            batch;
           pump t inst
         in
         match p.p_op with
-        | Do_read -> P.read node ~k
-        | Do_write data -> P.write node data ~k)
+        | Do_write data -> P.write node data ~k:(k [ p ])
+        | Do_read ->
+          let rec take rev =
+            match Queue.peek_opt inst.queue with
+            | Some ({ p_op = Do_read; _ } as q) ->
+              ignore (Queue.pop inst.queue : pending);
+              take (q :: rev)
+            | Some { p_op = Do_write _; _ } | None -> List.rev rev
+          in
+          let batch = take [ p ] in
+          let size = List.length batch in
+          if size > 1 then Metrics.add t.metrics "store.reads_coalesced" (size - 1);
+          P.read node ~k:(k batch))
       | Some _ | None -> ()
 
   let deliver_local t inst ~sent_lc msg =
@@ -325,8 +346,14 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
            (String.concat "," (List.map string_of_int (owned_shards t))))
     | Some inst ->
       Queue.push { p_conn = conn; p_version = version; p_req = req; p_key = key; p_op = op }
-        inst.queue;
-      pump t inst
+        inst.queue
+
+  (* Client ops decoded from one socket read are queued first and
+     pumped once the read is drained, so a pipelined burst of reads
+     forms one run even when its instance is idle — a protocol whose
+     read answers synchronously (sync's local read) would otherwise
+     never let a second read queue. *)
+  let pump_all t = Array.iter (function Some inst -> pump t inst | None -> ()) t.instances
 
   (* Each accepted connection tracks the wire version its first
      [Hello]/[Client_hello] negotiated; every later frame is decoded
@@ -431,10 +458,12 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
         | exception Unix.Unix_error _ -> ()
         | client_fd, _ ->
           let version = ref Wire.v1 in
-          ignore
-            (Conn.create ~loop:t.loop ~fd:client_fd
-               ~on_frame:(fun conn payload -> on_incoming_frame t conn version payload)
-               ~on_close:(fun _ -> ())))
+          let conn =
+            Conn.create ~loop:t.loop ~fd:client_fd
+              ~on_frame:(fun conn payload -> on_incoming_frame t conn version payload)
+              ~on_close:(fun _ -> ())
+          in
+          conn.Conn.on_drained <- (fun () -> pump_all t))
 
   (* --- trace streaming --------------------------------------------- *)
 

@@ -527,19 +527,24 @@ let raw_send fd b =
   let s = Wire.frame b in
   ignore (Unix.write_substring fd s 0 (String.length s))
 
-let raw_recv_frame fd =
+(* The next [count] frames on [fd], decoded at v2, in arrival order. *)
+let raw_recv_frames fd count =
   let d = Wire.deframer () in
   let buf = Bytes.create 4096 in
-  let rec go () =
-    match Wire.next_frame d with
-    | Some p -> p
-    | None ->
-      let n = Unix.read fd buf 0 4096 in
-      if n = 0 then Alcotest.fail "server closed without answering";
-      Wire.feed d buf n;
-      go ()
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match Wire.next_frame d with
+      | Some payload -> go (Frame.decode ~version:Wire.v2 payload :: acc) (k - 1)
+      | None ->
+        let n = Unix.read fd buf 0 4096 in
+        if n = 0 then Alcotest.fail "server closed without answering";
+        Wire.feed d buf n;
+        go acc k
   in
-  go ()
+  go [] count
+
+let raw_recv_frame fd = List.hd (raw_recv_frames fd 1)
 
 let test_negotiation_matrix () =
   with_single_node_server (fun port ->
@@ -576,7 +581,7 @@ let test_negotiation_matrix () =
       Wire.put_u8 b 1;
       Wire.put_u8 b 3;
       raw_send fd b;
-      (match Frame.decode ~version:Wire.v2 (raw_recv_frame fd) with
+      (match raw_recv_frame fd with
       | Frame.Hello { pid = 0; version } -> check_int "clamped to v2" Wire.v2 version
       | _ -> Alcotest.fail "v3 client hello not acked with a hello");
       Unix.close fd;
@@ -587,7 +592,7 @@ let test_negotiation_matrix () =
       Wire.put_u8 b 1;
       Wire.put_u8 b 0;
       raw_send fd b;
-      (match Frame.decode ~version:Wire.v2 (raw_recv_frame fd) with
+      (match raw_recv_frame fd with
       | Frame.Err { req; _ } -> check_int "version-0 err is connection-level" Frame.no_req req
       | _ -> Alcotest.fail "version 0 not refused with Err");
       Unix.close fd;
@@ -598,7 +603,7 @@ let test_negotiation_matrix () =
       Wire.put_int b 1;
       Wire.put_u8 b 9;
       raw_send fd b;
-      (match Frame.decode ~version:Wire.v2 (raw_recv_frame fd) with
+      (match raw_recv_frame fd with
       | Frame.Err { req; _ } -> check_int "peer-v9 err is connection-level" Frame.no_req req
       | _ -> Alcotest.fail "peer hello v9 not refused with Err");
       Unix.close fd)
@@ -791,6 +796,173 @@ let test_sharded_loopback () =
         sim_reg wire_reg)
     wire_verdicts
 
+(* ------------------------------------------------------------------ *)
+(* Read coalescing *)
+
+(* The monitors `dds audit --proto <p>` runs, read off the registry
+   entry, with liveness at the default k = 10. *)
+let monitor_config_for (p : Protocol.t) ~n ~delta =
+  {
+    (Dds_monitor.Monitor.default ~n ~delta) with
+    Dds_monitor.Monitor.churn_bound = p.Protocol.churn_bound ~n ~delta;
+    majority = p.Protocol.majority;
+    inversions = p.Protocol.atomic;
+  }
+
+(* Fork a 3-node, 1-shard loopback store running protocol [p] (delta =
+   50 ms, the `dds serve` default), run [f] against its addresses,
+   then shut it down. Returns [f]'s result, whether the merged trace
+   audits clean (monitors and regularity), and the nodes' summed
+   [store.reads_coalesced]. *)
+let with_protocol_store (p : Protocol.t) f =
+  let n = 3 and delta = 50 in
+  let module R = (val p.Protocol.runner : Protocol.RUNNER) in
+  let module S = Store.Make (R.D.Protocol) in
+  let params =
+    match R.params { Protocol.n; delta; quorum = None } with
+    | Ok params -> params
+    | Error e -> Alcotest.fail e
+  in
+  let socks = Array.init n (fun _ -> bind_ephemeral ()) in
+  let addrs = Array.map (fun (_, port) -> ("127.0.0.1", port)) socks in
+  let temp i suffix = Filename.temp_file (Printf.sprintf "dds-%s%d-" p.Protocol.name i) suffix in
+  let traces = Array.init n (fun i -> temp i ".jsonl") in
+  let counts = Array.init n (fun i -> temp i ".count") in
+  let epoch_ms = Store.default_epoch_ms () in
+  let children =
+    Array.init n (fun i ->
+        let ctl_r, ctl_w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+          Unix.close ctl_w;
+          (try
+             let loop = Loop.create () in
+             let cfg =
+               {
+                 (Store.default_config ~self:i ~addrs) with
+                 Store.epoch_ms;
+                 trace_path = Some traces.(i);
+                 listen_fd = Some (fst socks.(i));
+               }
+             in
+             let store = S.create ~loop cfg (fun _shard -> params) in
+             Loop.watch_read loop ctl_r (fun () ->
+                 S.shutdown store;
+                 let oc = open_out counts.(i) in
+                 output_string oc
+                   (string_of_int (Metrics.get (S.metrics store) "store.reads_coalesced"));
+                 close_out oc;
+                 Loop.stop loop);
+             Loop.run loop
+           with _ -> ());
+          Unix._exit 0
+        | pid ->
+          Unix.close ctl_r;
+          (pid, ctl_w))
+  in
+  Array.iter (fun (fd, _) -> Unix.close fd) socks;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun (_, ctl_w) -> ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1)) children;
+        Array.iter
+          (fun (pid, ctl_w) ->
+            ignore (Unix.waitpid [] pid);
+            Unix.close ctl_w)
+          children)
+      (fun () -> f addrs)
+  in
+  let merged =
+    Array.to_list traces
+    |> List.concat_map read_trace
+    |> List.stable_sort (fun (a : Event.stamped) b -> Time.compare a.at b.at)
+  in
+  let coalesced =
+    Array.fold_left
+      (fun acc path ->
+        let ic = open_in path in
+        let c = int_of_string (input_line ic) in
+        close_in ic;
+        acc + c)
+      0 counts
+  in
+  Array.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) (Array.append traces counts);
+  let violations = Dds_monitor.Monitor.run (monitor_config_for p ~n ~delta) merged in
+  let report = Replay.history_of_events ~initial:(Value.initial 0) merged |> Regularity.check in
+  check_bool "audited trace holds reads" true (report.Regularity.checked_reads > 0);
+  (result, violations = [] && Regularity.is_ok report, coalesced)
+
+(* A v2 client connection on a raw socket: negotiate, then send a
+   whole pipeline of frames in a single write and collect replies. *)
+let raw_client port =
+  let fd = raw_dial port in
+  raw_send fd (Frame.buf_client_hello ());
+  (match raw_recv_frame fd with
+  | Frame.Hello _ -> ()
+  | _ -> Alcotest.fail "client hello not acked");
+  fd
+
+let raw_pipeline fd frames =
+  let s = String.concat "" (List.map Wire.frame frames) in
+  check_int "pipeline sent in one write" (String.length s)
+    (Unix.write_substring fd s 0 (String.length s))
+
+let resp_exn = function
+  | Frame.Resp { req; value; key = _ } -> (req, value)
+  | Frame.Err { reason; _ } -> Alcotest.failf "server refused: %s" reason
+  | _ -> Alcotest.fail "expected a Resp"
+
+(* Eight reads pipelined in one write to a non-writer share protocol
+   rounds: every request is answered exactly once, with the value the
+   writer last completed, and the trace still audits clean. *)
+let test_pipelined_reads name () =
+  let p = Protocol.find_exn name in
+  let reqs = List.init 8 (fun i -> i + 1) in
+  let resps, audits_clean, coalesced =
+    with_protocol_store p (fun addrs ->
+        let c0 = Client.connect ~host:"127.0.0.1" ~port:(snd addrs.(0)) () in
+        (match Client.write c0 5 with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "write 5: %s" e);
+        Client.close c0;
+        let fd = raw_client (snd addrs.(1)) in
+        raw_pipeline fd (List.map (fun req -> Frame.buf_read_req ~req ~key:0 ()) reqs);
+        let resps = List.map resp_exn (raw_recv_frames fd (List.length reqs)) in
+        Unix.close fd;
+        resps)
+  in
+  check (Alcotest.list Alcotest.int) "each read answered exactly once" reqs
+    (List.sort compare (List.map fst resps));
+  List.iter (fun (req, v) -> check_int (Printf.sprintf "read %d value" req) 5 v.Value.data) resps;
+  check_bool "some reads coalesced" true (coalesced >= 1);
+  check_bool "merged trace audits clean" true audits_clean
+
+(* R, R, W(77), R pipelined to the writer: the two leading reads may
+   share a round, the last one must wait for the write — responses come
+   back in request order and the last read sees 77 or newer. *)
+let test_no_read_overtakes_write name () =
+  let p = Protocol.find_exn name in
+  let resps, audits_clean, _ =
+    with_protocol_store p (fun addrs ->
+        let fd = raw_client (snd addrs.(0)) in
+        raw_pipeline fd
+          [
+            Frame.buf_read_req ~req:1 ~key:0 ();
+            Frame.buf_read_req ~req:2 ~key:0 ();
+            Frame.buf_write_req ~req:3 ~key:0 ~data:77 ();
+            Frame.buf_read_req ~req:4 ~key:0 ();
+          ];
+        let resps = List.map resp_exn (raw_recv_frames fd 4) in
+        Unix.close fd;
+        resps)
+  in
+  check (Alcotest.list Alcotest.int) "responses in request order" [ 1; 2; 3; 4 ]
+    (List.map fst resps);
+  let written = List.assoc 3 resps and last = List.assoc 4 resps in
+  check_int "write acked 77" 77 written.Value.data;
+  check_bool "last read sees the write or newer" true (last.Value.sn >= written.Value.sn);
+  check_bool "merged trace audits clean" true audits_clean
+
 let () =
   Alcotest.run "runtime"
     [
@@ -813,4 +985,16 @@ let () =
           Alcotest.test_case "2-shard keyed store over TCP audits REGULAR per shard" `Quick
             test_sharded_loopback;
         ] );
+      ( "coalescing",
+        List.concat_map
+          (fun name ->
+            [
+              Alcotest.test_case
+                (Printf.sprintf "%s: pipelined reads share rounds" name)
+                `Quick (test_pipelined_reads name);
+              Alcotest.test_case
+                (Printf.sprintf "%s: no read overtakes a write" name)
+                `Quick (test_no_read_overtakes_write name);
+            ])
+          Protocol.names );
     ]
