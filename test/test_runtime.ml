@@ -985,7 +985,7 @@ let () =
           Alcotest.test_case "2-shard keyed store over TCP audits REGULAR per shard" `Quick
             test_sharded_loopback;
         ] );
-      ( "coalescing",
+      ( "coalesce",
         List.concat_map
           (fun name ->
             [
