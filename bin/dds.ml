@@ -59,7 +59,8 @@ module Summary = struct
       Report.cell_float (Stats.max_value s);
     ]
 
-  let print ~name ~history ~regularity ~staleness ~metrics ~inversions =
+  let print ~name (run : Harness.result) =
+    let history = run.Harness.history in
     Report.print
       (Report.make
          ~title:(Printf.sprintf "run summary — %s" name)
@@ -69,7 +70,7 @@ module Summary = struct
            latency_row (History.completed_reads history) "read";
            latency_row (History.completed_writes history) "write";
          ]);
-    let r : Regularity.report = regularity in
+    let r = run.Harness.regularity in
     Format.printf "safety     : %s (%d reads, %d joins checked; %d violations)@."
       (if Regularity.is_ok r then "REGULAR" else "VIOLATED")
       r.Regularity.checked_reads r.Regularity.checked_joins
@@ -77,14 +78,16 @@ module Summary = struct
     List.iter
       (fun v -> Format.printf "  %a@." Regularity.pp_violation v)
       r.Regularity.violations;
-    Format.printf "atomicity  : %d new/old inversion(s)@." (List.length inversions);
-    let st : Staleness.report = staleness in
-    Format.printf "staleness  : %a@." Staleness.pp_report st;
+    Format.printf "atomicity  : %d new/old inversion(s)@."
+      (List.length (Atomicity.inversions history));
+    Format.printf "staleness  : %a@." Staleness.pp_report run.Harness.staleness;
     Format.printf "pending    : %d op(s) blocked at horizon, %d aborted by departures@."
       (List.length (History.pending history))
       (List.length (History.aborted history));
     Format.printf "@.counters:@.";
-    List.iter (fun (k, v) -> Format.printf "  %-18s %d@." k v) (Metrics.to_list metrics)
+    List.iter
+      (fun (k, v) -> Format.printf "  %-18s %d@." k v)
+      (Metrics.to_list run.Harness.metrics)
 end
 
 type common = {
@@ -163,28 +166,31 @@ let build_config c =
     events_first_span = 0;
   }
 
-(* The monitor configuration a protocol's correctness theorem calls
-   for, read off the registry entry: its churn bound (sync: 1/(3 delta)
-   via Theorem 1/Lemma 2; ES: 1/(3 delta n) via Theorem 4; ABD: none),
-   whether it assumes a standing active majority, and whether liveness
-   clocks start at GST when the delay model has one. The inversion
-   monitor only applies to protocols that promise atomicity: a regular
-   register may legitimately exhibit a new/old inversion between
-   sequential reads concurrent with the same write (the paper's own
-   Section 1 diagram, `dds scenario inversion`), so it is not a
-   violation there — dense workloads hit it routinely. *)
+(* The monitors the protocol's registry entry calls for (see
+   Harness.monitor_config), at this run's window, liveness deadline
+   and delay model. *)
 let monitor_config_for (p : Protocol.t) c =
-  let base = Dds_monitor.Monitor.default ~n:c.n ~delta:c.delta in
-  {
-    base with
-    Dds_monitor.Monitor.churn_window =
-      (match c.churn_window with Some w -> w | None -> 3 * c.delta);
-    liveness_bound = Some (c.liveness_k * c.delta);
-    liveness_from_gst = p.Protocol.gst_liveness && c.gst <> None;
-    churn_bound = p.Protocol.churn_bound ~n:c.n ~delta:c.delta;
-    majority = p.Protocol.majority;
-    inversions = p.Protocol.atomic;
-  }
+  Harness.monitor_config ?churn_window:c.churn_window ~liveness_k:c.liveness_k
+    ~gst:(c.gst <> None) p ~n:c.n ~delta:c.delta
+
+(* Every single-register simulated front end (run, analyze, hunt, sweep
+   --attribution) drives the same Harness run with the same drain, so
+   a hunt's repro line replays the hunter's execution exactly. The
+   runner is deterministic in its seed and plan. *)
+let harness_runner ?monitor ?config (p : Protocol.t) c =
+  let spec =
+    {
+      Harness.horizon = c.horizon;
+      drain = (20 * c.delta) + (4 * c.wild);
+      read_rate = c.read_rate;
+      write_every = c.write_every;
+      monitor;
+    }
+  in
+  let config = Option.value config ~default:(build_config c) in
+  Result.map
+    (fun inst ~seed plan -> Harness.run inst { config with Deployment.seed } spec plan)
+    (Harness.instance p ~n:c.n ~delta:c.delta)
 
 let write_file path contents =
   let oc = open_out path in
@@ -207,107 +213,53 @@ let events_of_trace path text =
       tagged)
     (Export.events_of_jsonl text)
 
-(* One code path for [run], generic over the registry entry's packed
-   deployment functor. *)
-let make_runner (type p) (module D : Deployment.S with type Protocol.params = p) (params : p)
-    ~(proto : Protocol.t) c =
-  let name = proto.Protocol.name in
-  let d = D.create (build_config c) params in
-  let module I = Injector.Make (D) in
-  (* Armed before anything runs, with a stream split from the workload
-     rng — exactly what Harness.run does, so a `dds hunt` repro line
-     replays the identical execution through `dds run`. *)
-  (match c.nemesis with
-  | Some plan -> ignore (I.install ~rng:(Rng.split (D.workload_rng d)) d plan)
-  | None -> ());
-  let module G = Generator.Make (D) in
-  (* Live monitors: observe every event as the sink buffers it and
-     emit each finding back into the same sink, so recorded traces
-     carry the violations they triggered. Monitor.feed ignores
-     Violation events — the observer never reacts to its own output. *)
-  let mon =
-    if not c.monitor then None
-    else begin
-      let cfg = monitor_config_for proto c in
-      let m = Dds_monitor.Monitor.create cfg in
-        let sink = D.events d in
-        (* [D.create] already emitted the founding joins at t=0; catch
-           the monitor up on the buffered prefix or its active-set
-           count starts empty and the first leave looks fatal. *)
-        List.iter
-          (fun st -> ignore (Dds_monitor.Monitor.feed m st))
-          (Event.events sink);
-      Event.on_emit sink (fun st ->
-          List.iter
-            (fun (v : Dds_monitor.Monitor.violation) ->
-              Event.emit sink ~at:v.Dds_monitor.Monitor.at (Dds_monitor.Monitor.to_event v))
-            (Dds_monitor.Monitor.feed m st));
-      Some m
-    end
-  in
-  D.start_churn d ~until:(time c.horizon);
-  G.run d
-    {
-      Generator.read_rate = c.read_rate;
-      write_every = c.write_every;
-      start = time 1;
-      until = time c.horizon;
-    };
-  D.run_until d (time (c.horizon + (20 * c.delta) + (4 * c.wild)));
-  let monitor_violations =
-    match mon with
-    | None -> []
-    | Some m ->
-      let sink = D.events d in
+(* [dds run]: one judged run, rendered. *)
+let run_single (proto : Protocol.t) c =
+  let monitor = if c.monitor then Some (monitor_config_for proto c) else None in
+  match harness_runner ?monitor proto c with
+  | Error e -> `Error (false, e)
+  | Ok go ->
+    let r = go ~seed:c.seed (Option.value c.nemesis ~default:[]) in
+    if c.trace then Trace.pp Format.std_formatter r.Harness.trace;
+    (match c.dump_history with
+    | Some path ->
+      write_file path (History.to_csv r.Harness.history);
+      Format.printf "history written to %s@." path
+    | None -> ());
+    (match c.trace_out with
+    | Some path ->
+      let evs = Event.events r.Harness.events in
+      let contents =
+        match c.trace_format with
+        | "chrome" -> Json.to_string (Export.chrome_of_events evs) ^ "\n"
+        | _ -> Export.jsonl_of_events evs
+      in
+      write_file path contents;
+      Format.printf "trace written to %s (%d events, %s)@." path (List.length evs)
+        c.trace_format
+    | None -> ());
+    (match c.metrics_out with
+    | Some path ->
+      write_file path (Json.to_string (Export.metrics_to_json r.Harness.snapshot) ^ "\n");
+      Format.printf "metrics written to %s@." path
+    | None -> ());
+    (match c.dot_out with
+    | Some path ->
+      write_file path (Export.dot_of_events (Event.events r.Harness.events));
+      Format.printf "causal graph written to %s@." path
+    | None -> ());
+    Summary.print ~name:proto.Protocol.name r;
+    if c.monitor then begin
+      Format.printf "monitors   : %d violation(s)@." (List.length r.Harness.findings);
       List.iter
-        (fun (v : Dds_monitor.Monitor.violation) ->
-          Event.emit sink ~at:v.Dds_monitor.Monitor.at (Dds_monitor.Monitor.to_event v))
-        (Dds_monitor.Monitor.finalize m ~at:(D.now d));
-      Event.clear_observer sink;
-      Dds_monitor.Monitor.violations m
-  in
-  if c.trace then Trace.pp Format.std_formatter (D.trace d);
-  (match c.dump_history with
-  | Some path ->
-    write_file path (History.to_csv (D.history d));
-    Format.printf "history written to %s@." path
-  | None -> ());
-  (match c.trace_out with
-  | Some path ->
-    let evs = Event.events (D.events d) in
-    let contents =
-      match c.trace_format with
-      | "chrome" -> Json.to_string (Export.chrome_of_events evs) ^ "\n"
-      | _ -> Export.jsonl_of_events evs
-    in
-    write_file path contents;
-    Format.printf "trace written to %s (%d events, %s)@." path (List.length evs)
-      c.trace_format
-  | None -> ());
-  (match c.metrics_out with
-  | Some path ->
-    write_file path (Json.to_string (Export.metrics_to_json (D.metrics_snapshot d)) ^ "\n");
-    Format.printf "metrics written to %s@." path
-  | None -> ());
-  (match c.dot_out with
-  | Some path ->
-    write_file path (Export.dot_of_events (Event.events (D.events d)));
-    Format.printf "causal graph written to %s@." path
-  | None -> ());
-  Summary.print ~name ~history:(D.history d) ~regularity:(D.regularity d)
-    ~staleness:(D.staleness d) ~metrics:(D.metrics d)
-    ~inversions:(Atomicity.inversions (D.history d));
-  if c.monitor then begin
-    Format.printf "monitors   : %d violation(s)@." (List.length monitor_violations);
-    List.iter
-      (fun v -> Format.printf "  %a@." Dds_monitor.Monitor.pp_violation v)
-      monitor_violations
-  end;
-  if Regularity.is_ok (D.regularity d) then `Ok ()
-  else begin
-    Format.printf "repro      : %s@." (repro_line ~protocol:name c);
-    `Error (false, "safety violated")
-  end
+        (fun v -> Format.printf "  %a@." Dds_monitor.Monitor.pp_violation v)
+        r.Harness.findings
+    end;
+    if Regularity.is_ok r.Harness.regularity then `Ok ()
+    else begin
+      Format.printf "repro      : %s@." (repro_line ~protocol:proto.Protocol.name c);
+      `Error (false, "safety violated")
+    end
 
 (* The sharded store path (--shards N): the same registry-generic run,
    but through lib/shard — one skewed plan drawn up front, hash-routed
@@ -394,13 +346,7 @@ let run_sharded (p : Protocol.t) c =
       `Error (false, "safety violated")
     end
 
-let run_protocol (p : Protocol.t) c =
-  if c.shards > 0 then run_sharded p c
-  else
-    let module R = (val p.Protocol.runner : Protocol.RUNNER) in
-    match R.params { Protocol.n = c.n; delta = c.delta; quorum = None } with
-    | Error e -> `Error (false, e)
-    | Ok params -> make_runner (module R.D) params ~proto:p c
+let run_protocol (p : Protocol.t) c = if c.shards > 0 then run_sharded p c else run_single p c
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner terms *)
@@ -737,19 +683,10 @@ let run_cmd =
 (* Runs a deployment like [run] does, then writes per-tick series
    (|A(tau)|, present count) as CSV for external plotting. *)
 let run_analyze (proto : Protocol.t) out c =
-  let drive (type p) (module D : Deployment.S with type Protocol.params = p) (params : p) =
-    let d = D.create (build_config c) params in
-    let module G = Generator.Make (D) in
-    D.start_churn d ~until:(time c.horizon);
-    G.run d
-      {
-        Generator.read_rate = c.read_rate;
-        write_every = c.write_every;
-        start = time 1;
-        until = time c.horizon;
-      };
-    D.run_until d (time (c.horizon + (20 * c.delta)));
-    let analysis = D.analysis d in
+  match harness_runner proto c with
+  | Error e -> `Error (false, e)
+  | Ok go ->
+    let analysis = (go ~seed:c.seed []).Harness.analysis in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "tick,active,present\n";
     List.iter
@@ -758,16 +695,9 @@ let run_analyze (proto : Protocol.t) out c =
           (Printf.sprintf "%d,%d,%d\n" (Time.to_int tau) active
              (Analysis.present_at analysis tau)))
       (Analysis.series_active analysis ~from_:Time.zero ~until:(time c.horizon));
-    let oc = open_out out in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
+    write_file out (Buffer.contents buf);
     Format.printf "series written to %s (%d ticks)@." out c.horizon;
     `Ok ()
-  in
-  let module R = (val proto.Protocol.runner : Protocol.RUNNER) in
-  match R.params { Protocol.n = c.n; delta = c.delta; quorum = None } with
-  | Error e -> `Error (false, e)
-  | Ok params -> drive (module R.D) params
 
 let analyze_cmd =
   let doc = "Run a deployment and dump per-tick |A(tau)| / present-count series as CSV." in
@@ -889,24 +819,11 @@ let attribution_table title (r : Causal.report) =
    appends per registered protocol. Sequential and pool-free, so the
    extra output is byte-identical at any --jobs. *)
 let attribution_report (p : Protocol.t) c =
-  let drive (type q) (module D : Deployment.S with type Protocol.params = q) (params : q) =
-    let d = D.create { (build_config c) with Deployment.events_enabled = true } params in
-    let module G = Generator.Make (D) in
-    D.start_churn d ~until:(time c.horizon);
-    G.run d
-      {
-        Generator.read_rate = c.read_rate;
-        write_every = c.write_every;
-        start = time 1;
-        until = time c.horizon;
-      };
-    D.run_until d (time (c.horizon + (20 * c.delta) + (4 * c.wild)));
-    Causal.analyze ~bound:(c.liveness_k * c.delta) (Event.events (D.events d))
-  in
-  let module R = (val p.Protocol.runner : Protocol.RUNNER) in
-  match R.params { Protocol.n = c.n; delta = c.delta; quorum = None } with
-  | Error e -> Error e
-  | Ok params -> Ok (drive (module R.D) params)
+  Result.map
+    (fun go ->
+      Causal.analyze ~bound:(c.liveness_k * c.delta)
+        (Event.events (go ~seed:c.seed []).Harness.events))
+    (harness_runner ~config:{ (build_config c) with Deployment.events_enabled = true } p c)
 
 let print_attribution c =
   List.iter
@@ -2041,19 +1958,10 @@ let load_cmd =
    assumption-breaking plan must be flagged. *)
 let run_hunt (proto : Protocol.t) plans profile no_shrink c =
   let protocol = proto.Protocol.name in
-  let drive (type p) (module D : Deployment.S with type Protocol.params = p) (params : p) =
-    let module H = Harness.Make (D) in
-    let spec =
-      {
-        Harness.horizon = c.horizon;
-        (* Same drain as make_runner, so repro lines replay exactly. *)
-        drain = (20 * c.delta) + (4 * c.wild);
-        read_rate = c.read_rate;
-        write_every = c.write_every;
-        monitor = Some (monitor_config_for proto c);
-      }
-    in
-    let runner ~seed plan = H.run { (build_config c) with Deployment.seed } params spec plan in
+  match harness_runner ~monitor:(monitor_config_for proto c) proto c with
+  | Error e -> `Error (false, e)
+  | Ok go ->
+    let runner ~seed plan = Harness.outcome (go ~seed plan) in
     let gen ~seed =
       match c.nemesis with
       | Some plan -> plan
@@ -2104,11 +2012,6 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c =
       in
       Format.printf "repro      : %s@." (repro_line ~protocol repro_c);
       `Error (false, "hunt found a violating execution")
-  in
-  let module R = (val proto.Protocol.runner : Protocol.RUNNER) in
-  match R.params { Protocol.n = c.n; delta = c.delta; quorum = None } with
-  | Error e -> `Error (false, e)
-  | Ok params -> drive (module R.D) params
 
 (* Shared term builders: the plain subcommands and the [dds profile]
    group reuse the same argument sets; [forced_profile] is the only

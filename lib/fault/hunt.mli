@@ -2,11 +2,11 @@
 
     The hunter is generic over how a run is judged: a {!runner} takes
     a seed and a nemesis plan, drives one full deployment (workload,
-    churn, monitors, regularity check — see {!Harness}) and reports
-    what fired. {!search} sweeps seeds, deriving each seed's plan
-    deterministically, so a hit is reproducible from the seed alone;
-    {!shrink} then delta-debugs the plan — dropping steps one at a
-    time and halving budgets — down to a locally minimal
+    churn, monitors, regularity check — see {!Dds_workload.Harness})
+    and reports what fired. {!search} sweeps seeds, deriving each
+    seed's plan deterministically, so a hit is reproducible from the
+    seed alone; {!shrink} then delta-debugs the plan — dropping steps
+    one at a time and halving budgets — down to a locally minimal
     counterexample whose every remaining fault is necessary. *)
 
 type outcome = {

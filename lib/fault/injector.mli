@@ -24,9 +24,9 @@ open Dds_core
       replacement processes enter.
 
     Victim selection draws from the supplied [rng], a dedicated
-    stream, so arming a plan never perturbs delay, churn or workload
-    draws — a run with an empty plan is tick-for-tick identical to an
-    unarmed one. *)
+    stream, so the faults never perturb delay, churn or workload
+    draws. Splitting that stream off the workload rng is itself a
+    draw, which is why the run harness arms no empty plan. *)
 
 module Make (D : Deployment.S) : sig
   type t

@@ -6,10 +6,8 @@ open Dds_core
 
 module Sync_d = Deployment.Make (Sync_register)
 module Es_d = Deployment.Make (Es_register)
-module Abd_d = Deployment.Make (Abd_register)
 module Sync_gen = Generator.Make (Sync_d)
 module Es_gen = Generator.Make (Es_d)
-module Abd_gen = Generator.Make (Abd_d)
 
 let time = Time.of_int
 
@@ -83,6 +81,11 @@ let is_write (o : History.op) =
 
 let is_join (o : History.op) =
   match o.History.kind with History.Join _ -> true | _ -> false
+
+(* The paper's two dynamic registers, the rows of the sync-vs-es
+   tables (E15, E24); cross-protocol tables over every registered
+   protocol (E10, E11) iterate Protocol.all instead. *)
+let dynamic_protocols = List.map Protocol.find_exn [ "sync"; "es" ]
 
 (* ------------------------------------------------------------------ *)
 (* E4 *)
@@ -350,62 +353,26 @@ let founders_alive membership ~n =
        (Membership.present membership))
 
 let abd_vs_dynamic ?pool ~n ~delta ~c ~horizon ~seed () =
-  let gen_cfg =
-    { Generator.read_rate = 0.5; write_every = 10 * delta; start = time 1;
-      until = time horizon }
-  in
-  let base_cfg =
+  let cfg =
     Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c
   in
-  let run_sync () =
-    let d = Sync_d.create base_cfg (Sync_register.default_params ~delta) in
-    Sync_d.start_churn d ~until:(time horizon);
-    Sync_gen.run d gen_cfg;
-    Sync_d.run_until d (time (horizon + 50));
-    let h = Sync_d.history d in
+  let spec =
+    { (Harness.default_spec ~horizon ~drain:50 ()) with
+      Harness.read_rate = 0.5; write_every = 10 * delta }
+  in
+  let row (p : Protocol.t) =
+    let r = Harness.run (Harness.instance_exn p ~n ~delta) cfg spec [] in
+    let h = r.Harness.history in
     {
-      vs_protocol = "sync";
+      vs_protocol = p.Protocol.name;
       vs_completed = List.length (completed_ops h);
       vs_pending = List.length (History.pending h);
-      vs_violations = List.length (Sync_d.regularity d).Regularity.violations;
+      vs_violations = List.length r.Harness.regularity.Regularity.violations;
       vs_last_completed_at = last_completed_tick h;
-      vs_founders_alive_at_end = founders_alive (Sync_d.membership d) ~n;
+      vs_founders_alive_at_end = founders_alive r.Harness.membership ~n;
     }
   in
-  let run_es () =
-    let d = Es_d.create base_cfg (Es_register.default_params ~n) in
-    Es_d.start_churn d ~until:(time horizon);
-    Es_gen.run d gen_cfg;
-    Es_d.run_until d (time (horizon + 50));
-    let h = Es_d.history d in
-    {
-      vs_protocol = "es";
-      vs_completed = List.length (completed_ops h);
-      vs_pending = List.length (History.pending h);
-      vs_violations = List.length (Es_d.regularity d).Regularity.violations;
-      vs_last_completed_at = last_completed_tick h;
-      vs_founders_alive_at_end = founders_alive (Es_d.membership d) ~n;
-    }
-  in
-  let run_abd () =
-    let d = Abd_d.create base_cfg (Abd_register.default_params ~group_size:n) in
-    Abd_d.start_churn d ~until:(time horizon);
-    Abd_gen.run d gen_cfg;
-    Abd_d.run_until d (time (horizon + 50));
-    let h = Abd_d.history d in
-    {
-      vs_protocol = "abd";
-      vs_completed = List.length (completed_ops h);
-      vs_pending = List.length (History.pending h);
-      vs_violations = List.length (Abd_d.regularity d).Regularity.violations;
-      vs_last_completed_at = last_completed_tick h;
-      vs_founders_alive_at_end = founders_alive (Abd_d.membership d) ~n;
-    }
-  in
-  pmap ?pool
-    ~key:(fun (name, _) -> "versus:" ^ name)
-    (fun (_, f) -> f ())
-    [ ("sync", run_sync); ("es", run_es); ("abd", run_abd) ]
+  pmap ?pool ~key:(fun (p : Protocol.t) -> "versus:" ^ p.Protocol.name) row Protocol.all
 
 (* ------------------------------------------------------------------ *)
 (* E11 *)
@@ -438,64 +405,29 @@ let measure_phase ~metrics ~quiesce ~ops ~issue =
 
 let msg_complexity ?pool ~ns ~delta ~seed () =
   let ops = 10 in
-  let row_for (n, protocol) =
+  let row_for (n, (p : Protocol.t)) =
+    let (module I) = Harness.instance_exn p ~n ~delta in
     let cfg =
       Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
     in
-    match protocol with
-    | "sync" ->
-        let d = Sync_d.create cfg (Sync_register.default_params ~delta) in
-        let metrics = Sync_d.metrics d in
-        let quiesce () = Sync_d.run_to_quiescence d () in
-        let writer = Option.get (Sync_d.writer d) in
-        let per_read =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Sync_d.read d (Pid.of_int 1))
-        in
-        let per_write =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Sync_d.write d writer)
-        in
-        let per_join =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> ignore (Sync_d.spawn d))
-        in
-        { mc_protocol = "sync"; mc_n = n; mc_per_read = per_read; mc_per_write = per_write;
-          mc_per_join = per_join }
-    | "es" ->
-        let d = Es_d.create cfg (Es_register.default_params ~n) in
-        let metrics = Es_d.metrics d in
-        let quiesce () = Es_d.run_to_quiescence d () in
-        let writer = Option.get (Es_d.writer d) in
-        let per_read =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Es_d.read d (Pid.of_int 1))
-        in
-        let per_write =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Es_d.write d writer)
-        in
-        let per_join =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> ignore (Es_d.spawn d))
-        in
-        { mc_protocol = "es"; mc_n = n; mc_per_read = per_read; mc_per_write = per_write;
-          mc_per_join = per_join }
-    | _ ->
-        let d = Abd_d.create cfg (Abd_register.default_params ~group_size:n) in
-        let metrics = Abd_d.metrics d in
-        let quiesce () = Abd_d.run_to_quiescence d () in
-        let writer = Option.get (Abd_d.writer d) in
-        let per_read =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Abd_d.read d (Pid.of_int 1))
-        in
-        let per_write =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> Abd_d.write d writer)
-        in
-        let per_join =
-          measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> ignore (Abd_d.spawn d))
-        in
-        { mc_protocol = "abd"; mc_n = n; mc_per_read = per_read; mc_per_write = per_write;
-          mc_per_join = per_join }
+    let d = I.D.create cfg I.params in
+    let metrics = I.D.metrics d in
+    let quiesce () = I.D.run_to_quiescence d () in
+    let writer = Option.get (I.D.writer d) in
+    let per_read =
+      measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> I.D.read d (Pid.of_int 1))
+    in
+    let per_write = measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> I.D.write d writer) in
+    let per_join =
+      measure_phase ~metrics ~quiesce ~ops ~issue:(fun _ -> ignore (I.D.spawn d))
+    in
+    { mc_protocol = p.Protocol.name; mc_n = n; mc_per_read = per_read;
+      mc_per_write = per_write; mc_per_join = per_join }
   in
-  let cells =
-    List.concat_map (fun n -> List.map (fun p -> (n, p)) [ "sync"; "es"; "abd" ]) ns
-  in
-  pmap ?pool ~key:(fun (n, p) -> Printf.sprintf "msgs:%s:n=%d" p n) row_for cells
+  let cells = List.concat_map (fun n -> List.map (fun p -> (n, p)) Protocol.all) ns in
+  pmap ?pool
+    ~key:(fun (n, (p : Protocol.t)) -> Printf.sprintf "msgs:%s:n=%d" p.Protocol.name n)
+    row_for cells
 
 (* ------------------------------------------------------------------ *)
 (* E12 *)
@@ -742,46 +674,38 @@ let message_loss ?pool ~n ~delta ~losses ~horizon ~seed () =
     { Generator.read_rate = 0.5; write_every = 5 * delta; start = time 1;
       until = time horizon }
   in
-  let row_for (loss, protocol) =
+  (* Each protocol draws its losses from its own stream: seed + 1 for
+     sync, seed + 2 for es. *)
+  let protocols = List.mapi (fun i p -> (p, seed + 1 + i)) dynamic_protocols in
+  let row_for (loss, ((p : Protocol.t), fault_seed)) =
+    let (module I) = Harness.instance_exn p ~n ~delta in
+    let module G = Generator.Make (I.D) in
     let cfg =
       Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta)
         ~churn_rate:0.01
     in
-    let fault rng (_ : Delay.decision) = Rng.float rng 1.0 < loss in
-    match protocol with
-    | "sync" ->
-        let d = Sync_d.create cfg (Sync_register.default_params ~delta) in
-        if loss > 0.0 then
-          Network.set_fault (Sync_d.network d) (fault (Rng.create ~seed:(seed + 1)));
-        Sync_d.start_churn d ~until:(time horizon);
-        Sync_gen.run d gen_cfg;
-        Sync_d.run_until d (time (horizon + (4 * delta)));
-        let h = Sync_d.history d in
-        {
-          ls_protocol = "sync";
-          ls_loss = loss;
-          ls_completed = List.length (completed_ops h);
-          ls_pending = List.length (History.pending h);
-          ls_violations = List.length (Sync_d.regularity d).Regularity.violations;
-        }
-    | _ ->
-        let d = Es_d.create cfg (Es_register.default_params ~n) in
-        if loss > 0.0 then
-          Network.set_fault (Es_d.network d) (fault (Rng.create ~seed:(seed + 2)));
-        Es_d.start_churn d ~until:(time horizon);
-        Es_gen.run d gen_cfg;
-        Es_d.run_until d (time (horizon + (4 * delta)));
-        let h = Es_d.history d in
-        {
-          ls_protocol = "es";
-          ls_loss = loss;
-          ls_completed = List.length (completed_ops h);
-          ls_pending = List.length (History.pending h);
-          ls_violations = List.length (Es_d.regularity d).Regularity.violations;
-        }
+    let d = I.D.create cfg I.params in
+    if loss > 0.0 then begin
+      let rng = Rng.create ~seed:fault_seed in
+      Network.set_fault (I.D.network d) (fun (_ : Delay.decision) -> Rng.float rng 1.0 < loss)
+    end;
+    I.D.start_churn d ~until:(time horizon);
+    G.run d gen_cfg;
+    I.D.run_until d (time (horizon + (4 * delta)));
+    let h = I.D.history d in
+    {
+      ls_protocol = p.Protocol.name;
+      ls_loss = loss;
+      ls_completed = List.length (completed_ops h);
+      ls_pending = List.length (History.pending h);
+      ls_violations = List.length (I.D.regularity d).Regularity.violations;
+    }
   in
-  let cells = List.concat_map (fun loss -> [ (loss, "sync"); (loss, "es") ]) losses in
-  pmap ?pool ~key:(fun (loss, p) -> Printf.sprintf "loss:%s:p=%g" p loss) row_for cells
+  let cells = List.concat_map (fun loss -> List.map (fun p -> (loss, p)) protocols) losses in
+  pmap ?pool
+    ~key:(fun (loss, ((p : Protocol.t), _)) ->
+      Printf.sprintf "loss:%s:p=%g" p.Protocol.name loss)
+    row_for cells
 
 (* ------------------------------------------------------------------ *)
 (* E16 *)
@@ -1198,29 +1122,7 @@ type nemesis_row = {
   nm_flagged : bool;
 }
 
-module Sync_fh = Dds_fault.Harness.Make (Sync_d)
-module Es_fh = Dds_fault.Harness.Make (Es_d)
-
 let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
-  (* The monitor each protocol's theorem calls for; inversions stay
-     off because sync/es only promise regularity. *)
-  let base = Dds_monitor.Monitor.default ~n ~delta in
-  let sync_mon =
-    {
-      base with
-      Dds_monitor.Monitor.churn_bound = Some (1.0 /. (3.0 *. float_of_int delta));
-      inversions = false;
-    }
-  in
-  let es_mon =
-    {
-      base with
-      Dds_monitor.Monitor.churn_bound =
-        Some (1.0 /. (3.0 *. float_of_int delta *. float_of_int n));
-      majority = true;
-      inversions = false;
-    }
-  in
   let open Dds_fault in
   let mid = horizon / 2 and third = horizon / 3 in
   (* One write fires every 20 ticks (the harness default), so windows
@@ -1246,26 +1148,25 @@ let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
   let cfg =
     Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
   in
-  let cell ((profile, plan), protocol) =
-    let row (o : Hunt.outcome) =
-      {
-        nm_plan = Nemesis.to_string plan;
-        nm_profile = profile;
-        nm_protocol = protocol;
-        nm_injected = o.Hunt.injected;
-        nm_findings = List.length o.Hunt.violations;
-        nm_flagged = o.Hunt.violations <> [];
-      }
-    in
-    match protocol with
-    | "sync" ->
-      let spec = Harness.default_spec ~monitor:sync_mon ~horizon ~drain:(20 * delta) () in
-      row (Sync_fh.run cfg (Sync_register.default_params ~delta) spec plan)
-    | _ ->
-      let spec = Harness.default_spec ~monitor:es_mon ~horizon ~drain:(20 * delta) () in
-      row (Es_fh.run cfg (Es_register.default_params ~n) spec plan)
+  let cell ((profile, plan), (p : Protocol.t)) =
+    (* The monitors each protocol's theorem calls for, as dds hunt
+       wires them; inversions stay off because sync/es only promise
+       regularity. *)
+    let monitor = Harness.monitor_config p ~n ~delta in
+    let spec = Harness.default_spec ~monitor ~horizon ~drain:(20 * delta) () in
+    let o = Harness.outcome (Harness.run (Harness.instance_exn p ~n ~delta) cfg spec plan) in
+    {
+      nm_plan = Nemesis.to_string plan;
+      nm_profile = profile;
+      nm_protocol = p.Protocol.name;
+      nm_injected = o.Hunt.injected;
+      nm_findings = List.length o.Hunt.violations;
+      nm_flagged = o.Hunt.violations <> [];
+    }
   in
-  let cells = List.concat_map (fun p -> [ (p, "sync"); (p, "es") ]) plans in
+  let cells =
+    List.concat_map (fun plan -> List.map (fun p -> (plan, p)) dynamic_protocols) plans
+  in
   (* The dup cells are the matrix's one super-linear load: every copy
      of every broadcast over the whole horizon is re-injected, so
      their cost scales with traffic (es at n=10 pays ~200x the crash
@@ -1275,8 +1176,8 @@ let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
     String.length s >= 4 && String.equal (String.sub s 0 4) "dup("
   in
   pmap_partitioned ?pool ~heavy
-    ~key:(fun ((_, plan), protocol) ->
-      Printf.sprintf "nemesis:%s:%s" protocol (Nemesis.to_string plan))
+    ~key:(fun ((_, plan), (p : Protocol.t)) ->
+      Printf.sprintf "nemesis:%s:%s" p.Protocol.name (Nemesis.to_string plan))
     cell cells
 
 (* ------------------------------------------------------------------ *)
@@ -1304,18 +1205,12 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
       shards
   in
   let cell (shard_count, skew, churn) =
-    let p = Protocol.find_exn protocol in
-    let module R = (val p.Protocol.runner : Protocol.RUNNER) in
-    let module Sh = Dds_shard.Shard.Make (R.D) in
-    let params =
-      match R.params { Protocol.n; delta; quorum = None } with
-      | Ok p -> p
-      | Error e -> invalid_arg ("Sweep.shard_scaling: " ^ e)
-    in
+    let (module I) = Harness.instance_exn (Protocol.find_exn protocol) ~n ~delta in
+    let module Sh = Dds_shard.Shard.Make (I.D) in
     let base =
       Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:churn
     in
-    let store = Sh.create { Dds_shard.Shard.shards = shard_count; keys; base } params in
+    let store = Sh.create { Dds_shard.Shard.shards = shard_count; keys; base } I.params in
     (* One plan per (seed, skew): the identical op stream re-partitions
        across every shard count, so rows down a shards column measure
        routing and parallel registers, never a different workload. *)
@@ -1331,7 +1226,7 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
     let reads = Stats.create () and writes = Stats.create () in
     let completed = ref 0 in
     for s = 0 to shard_count - 1 do
-      let h = R.D.history (Sh.deployment store s) in
+      let h = I.D.history (Sh.deployment store s) in
       let cr = History.completed_reads h and cw = History.completed_writes h in
       completed := !completed + List.length cr + List.length cw;
       List.iter

@@ -2,7 +2,7 @@ open Dds_sim
 
 (** Parameter-sweep experiment runners.
 
-    One function per experiment of the DESIGN.md index (E4-E24). Each
+    One function per experiment of the DESIGN.md index (E4–E25). Each
     returns typed rows; {!Tables} renders them, the bench harness
     prints them, and EXPERIMENTS.md quotes them. All runners are
     deterministic in their [seed]/[seeds] arguments.

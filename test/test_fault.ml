@@ -5,6 +5,7 @@
 
 open Dds_sim
 open Dds_net
+open Dds_spec
 open Dds_core
 open Dds_fault
 
@@ -15,51 +16,34 @@ let time = Time.of_int
 let pid = Pid.of_int
 
 module Sync_d = Deployment.Make (Sync_register)
-module Es_d = Deployment.Make (Es_register)
-module Sync_h = Harness.Make (Sync_d)
-module Es_h = Harness.Make (Es_d)
+module Harness = Dds_workload.Harness
+module Generator = Dds_workload.Generator
 
-(* The monitor each protocol's theorem calls for, as dds hunt wires
-   it: inversions stay off because sync/es implement only a regular
-   register (Figure 4's inversion is legitimate there). *)
-let sync_monitor ~n ~delta =
-  {
-    (Dds_monitor.Monitor.default ~n ~delta) with
-    Dds_monitor.Monitor.churn_bound = Some (1.0 /. (3.0 *. float_of_int delta));
-    inversions = false;
-  }
-
-let es_monitor ~n ~delta =
-  {
-    (Dds_monitor.Monitor.default ~n ~delta) with
-    Dds_monitor.Monitor.churn_bound =
-      Some (1.0 /. (3.0 *. float_of_int delta *. float_of_int n));
-    majority = true;
-    inversions = false;
-  }
+let sync = Protocol.find_exn "sync"
+let es = Protocol.find_exn "es"
 
 (* Judged runs: no background churn, so any violation is the plan's
-   doing. [proto_delta] > [delta] opens a slack window between the
-   bound the network enforces and the one the protocol believes. *)
-let run_sync ?(seed = 11) ?(n = 10) ?(delta = 3) ?proto_delta ~horizon plan =
-  let pdelta = Option.value proto_delta ~default:delta in
+   doing, under the monitors each protocol's theorem calls for, as dds
+   hunt wires them. [proto_delta] > [delta] opens a slack window
+   between the bound the network enforces and the one the protocol
+   believes. *)
+let judged (p : Protocol.t) ~seed ~n ~delta ~proto_delta ~horizon plan =
   let cfg =
     Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
   in
   let spec =
-    Harness.default_spec ~monitor:(sync_monitor ~n ~delta:pdelta) ~horizon
-      ~drain:(20 * pdelta) ()
+    Harness.default_spec
+      ~monitor:(Harness.monitor_config p ~n ~delta:proto_delta)
+      ~horizon ~drain:(20 * proto_delta) ()
   in
-  Sync_h.run cfg (Sync_register.default_params ~delta:pdelta) spec plan
+  Harness.outcome (Harness.run (Harness.instance_exn p ~n ~delta:proto_delta) cfg spec plan)
+
+let run_sync ?(seed = 11) ?(n = 10) ?(delta = 3) ?proto_delta ~horizon plan =
+  let proto_delta = Option.value proto_delta ~default:delta in
+  judged sync ~seed ~n ~delta ~proto_delta ~horizon plan
 
 let run_es ?(seed = 11) ?(n = 10) ?(delta = 3) ~horizon plan =
-  let cfg =
-    Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
-  in
-  let spec =
-    Harness.default_spec ~monitor:(es_monitor ~n ~delta) ~horizon ~drain:(20 * delta) ()
-  in
-  Es_h.run cfg (Es_register.default_params ~n) spec plan
+  judged es ~seed ~n ~delta ~proto_delta:delta ~horizon plan
 
 let check_clean name (o : Hunt.outcome) =
   if o.Hunt.violations <> [] then
@@ -257,6 +241,75 @@ let test_hunt_search_and_shrink () =
       check_bool "repro still violates" true (o.Hunt.violations <> []))
 
 (* ------------------------------------------------------------------ *)
+(* One run path: arming splits a stream off the workload rng, so the
+   harness arms no empty plan — a run under [[]] is the execution a
+   hand-driven deployment gives, which is what a hunt's repro line
+   replays through dds run. *)
+
+let churned_config ~seed ~n ~delta ~churn =
+  {
+    (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:churn)
+    with
+    Deployment.events_enabled = true;
+  }
+
+let snapshot_json s = Json.to_string (Export.metrics_to_json s)
+
+let test_empty_plan_is_no_plan () =
+  let n = 20 and delta = 3 and horizon = 300 in
+  let drain = 20 * delta in
+  let cfg = churned_config ~seed:42 ~n ~delta ~churn:0.03 in
+  List.iter
+    (fun name ->
+      let (module I) = Harness.instance_exn (Protocol.find_exn name) ~n ~delta in
+      let r = Harness.run (module I) cfg (Harness.default_spec ~horizon ~drain ()) [] in
+      let module G = Generator.Make (I.D) in
+      let d = I.D.create cfg I.params in
+      I.D.start_churn d ~until:(time horizon);
+      G.run d (Generator.default ~until:(time horizon));
+      I.D.run_until d (time (horizon + drain));
+      check Alcotest.string (name ^ ": same history")
+        (History.to_csv (I.D.history d))
+        (History.to_csv r.Harness.history);
+      check Alcotest.string (name ^ ": same metrics")
+        (snapshot_json (I.D.metrics_snapshot d))
+        (snapshot_json r.Harness.snapshot))
+    Protocol.names
+
+(* `dds hunt es --churn 0.03 --plans 1` at the CLI defaults (seed 42,
+   n 20, delta 3, horizon 500, drain 20 delta + 4 wild): over-bound
+   churn trips the churn monitor with or without faults, so seed 42's
+   plan shrinks to [[]]. The shrunk run must be the one its repro line
+   `dds run es --seed 42 --nodes 20 --delta 3 --churn 0.03 --horizon
+   500 --monitor` replays: 23 writes and 51240 transmissions. *)
+let test_hunt_shrunk_run_is_repro () =
+  let n = 20 and delta = 3 and horizon = 500 in
+  let cfg = churned_config ~seed:42 ~n ~delta ~churn:0.03 in
+  let spec =
+    Harness.default_spec
+      ~monitor:(Harness.monitor_config es ~n ~delta)
+      ~horizon
+      ~drain:((20 * delta) + (4 * 50))
+      ()
+  in
+  let inst = Harness.instance_exn es ~n ~delta in
+  let go ~seed plan = Harness.run inst { cfg with Deployment.seed } spec plan in
+  let runner ~seed plan = Harness.outcome (go ~seed plan) in
+  let plan =
+    match Nemesis.of_string "delay(extra=10)@[51,166]" with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  match Hunt.search ~runner ~gen:(fun ~seed:_ -> plan) [ 42 ] with
+  | None -> Alcotest.fail "over-bound churn not flagged"
+  | Some found ->
+    let shrunk = Hunt.shrink ~runner found in
+    check_bool "shrinks to the empty plan" true (shrunk.Hunt.plan = []);
+    let r = go ~seed:shrunk.Hunt.seed shrunk.Hunt.plan in
+    check_int "writes" 23 (Metrics.get r.Harness.metrics "op.write");
+    check_int "transmissions" 51240 (Metrics.get r.Harness.metrics "net.transmit")
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry: every injected fault shows up as a typed event, the
    Send/transmit pairing survives duplication, and the JSONL exporter
    round-trips the fault events (what dds audit replays). *)
@@ -354,5 +407,10 @@ let () =
         ] );
       ( "telemetry",
         [ Alcotest.test_case "faults in event record" `Quick test_fault_events_in_trace ] );
+      ( "run path",
+        [
+          Alcotest.test_case "empty plan is no plan" `Quick test_empty_plan_is_no_plan;
+          Alcotest.test_case "shrunk hunt run is its repro" `Slow test_hunt_shrunk_run_is_repro;
+        ] );
       qsuite "codec-props" [ prop_codec_roundtrip_random ];
     ]

@@ -799,16 +799,6 @@ let test_sharded_loopback () =
 (* ------------------------------------------------------------------ *)
 (* Read coalescing *)
 
-(* The monitors `dds audit --proto <p>` runs, read off the registry
-   entry, with liveness at the default k = 10. *)
-let monitor_config_for (p : Protocol.t) ~n ~delta =
-  {
-    (Dds_monitor.Monitor.default ~n ~delta) with
-    Dds_monitor.Monitor.churn_bound = p.Protocol.churn_bound ~n ~delta;
-    majority = p.Protocol.majority;
-    inversions = p.Protocol.atomic;
-  }
-
 (* Fork a 3-node, 1-shard loopback store running protocol [p] (delta =
    50 ms, the `dds serve` default), run [f] against its addresses,
    then shut it down. Returns [f]'s result, whether the merged trace
@@ -887,7 +877,7 @@ let with_protocol_store (p : Protocol.t) f =
       0 counts
   in
   Array.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) (Array.append traces counts);
-  let violations = Dds_monitor.Monitor.run (monitor_config_for p ~n ~delta) merged in
+  let violations = Dds_monitor.Monitor.run (Harness.monitor_config p ~n ~delta) merged in
   let report = Replay.history_of_events ~initial:(Value.initial 0) merged |> Regularity.check in
   check_bool "audited trace holds reads" true (report.Regularity.checked_reads > 0);
   (result, violations = [] && Regularity.is_ok report, coalesced)
