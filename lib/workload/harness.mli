@@ -7,10 +7,10 @@ open Dds_fault
 (** One judged run: the single code path that builds and drives a
     simulated register run.
 
-    [dds run], [dds analyze], [dds hunt], [dds sweep --attribution] and
-    the cross-protocol sweeps all call {!run} and render from the
-    {!result} it hands back, so a [dds hunt] repro line replays
-    exactly the execution the hunter judged.
+    [dds run], [dds analyze], [dds hunt], [dds sweep --attribution]
+    and the cross-protocol tables E10 and E24 all call {!run} and
+    render from the {!result} it hands back, so a [dds hunt] repro
+    line replays exactly the execution the hunter judged.
 
     A run, in order: create the deployment from a config (one seed);
     arm the nemesis plan ({!Dds_fault.Injector}) — only when the plan
