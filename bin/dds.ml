@@ -1545,8 +1545,7 @@ let serve_shards_t =
         ~doc:
           "Size of the key space partition: keys route to shard \
            $(b,SplitMix64(key) mod N), each shard an independent register. 1 (the \
-           default) is the classic single-register deployment, served to v1 and v2 \
-           clients alike.")
+           default) is the classic single-register deployment.")
 
 let serve_owned_t =
   Arg.(
@@ -1725,14 +1724,14 @@ let serve_cmd =
         (const run_serve $ proto_pos_t $ id_t $ peers_t $ shards_t $ owned_t $ join_t
        $ initial_t $ delta_ms_t $ epoch_t $ quorum_t $ trace_out_t $ metrics_out_t))
 
-let run_client addr op datum key wire =
+let run_client addr op datum key =
   match parse_peers addr with
   | Error e -> `Error (false, e)
   | Ok addrs when Array.length addrs <> 1 -> `Error (false, "client takes one HOST:PORT")
   | Ok addrs -> (
     let host, port = addrs.(0) in
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    match Runix.Client.connect ~wire ~host ~port () with
+    match Runix.Client.connect ~host ~port () with
     | exception Unix.Unix_error (err, _, _) ->
       `Error (false, Printf.sprintf "%s:%d: %s" host port (Unix.error_message err))
     | exception Failure e -> `Error (false, e)
@@ -1757,8 +1756,8 @@ let client_cmd =
   let doc =
     "One register operation against a live node: $(b,dds client HOST:PORT read) prints \
      the value (as datum#sn), $(b,dds client HOST:PORT write INT) writes and prints \
-     the stored value. $(b,--key) addresses a register of a sharded store (wire v2); \
-     the addressed node must own the key's shard. Writes should go to the shard's \
+     the stored value. $(b,--key) addresses a register of a sharded store; the \
+     addressed node must own the key's shard. Writes should go to the shard's \
      writer — the deployments assume one writer per shard."
   in
   let addr_t =
@@ -1775,21 +1774,11 @@ let client_cmd =
       value & opt int 0
       & info [ "key" ] ~docv:"KEY"
           ~doc:
-            "The 63-bit key the operation addresses (default 0 — the register every v1 \
-             deployment serves). Requires wire v2.")
-  in
-  let wire_t =
-    Arg.(
-      value
-      & opt (enum [ ("v1", Dds_net.Wire.v1); ("v2", Dds_net.Wire.v2) ]) Dds_net.Wire.v2
-      & info [ "wire" ] ~docv:"VERSION"
-          ~doc:
-            "Wire protocol version to speak: $(b,v2) (default; keyed frames, handshake \
-             ack) or $(b,v1) (byte-identical to the pre-keyed protocol, for talking to \
-             old servers — key 0 only).")
+            "The 63-bit key the operation addresses (default 0 — the one register of \
+             a 1-shard deployment).")
   in
   Cmd.v (Cmd.info "client" ~doc)
-    Term.(ret (const run_client $ addr_t $ op_t $ datum_t $ key_t $ wire_t))
+    Term.(ret (const run_client $ addr_t $ op_t $ datum_t $ key_t))
 
 let run_load peers shards owned keys skew clients duration write_ratio route seed
     metrics_out =
@@ -1871,7 +1860,7 @@ let load_cmd =
     "Closed-loop load generator against a live deployment: N concurrent clients each \
      issue read/write, wait, repeat, for the given duration. $(b,--route) picks where \
      ops land: $(b,fixed) funnels writes to node 0 (single-writer regime), \
-     $(b,round-robin) walks the mesh per op, $(b,key-hash) issues real keyed (wire v2) \
+     $(b,round-robin) walks the mesh per op, $(b,key-hash) issues real keyed \
      operations: each op draws a key from a zipfian popularity curve ($(b,--keys), \
      $(b,--skew)) and lands on its shard under the deployment's placement \
      ($(b,--shards)/$(b,--owned), quoted identically to dds serve) — reads on any owner, \
@@ -2295,21 +2284,19 @@ let run_list () =
         | [] -> ""
         | l -> Printf.sprintf " (also %s)" (String.concat ", " l)))
     Experiment.all;
-  Format.printf "@.wire protocol (runtime frames; v%d..v%d, negotiated in \
+  Format.printf "@.wire protocol v%d (runtime frames; the version byte rides in \
                  Hello/Client_hello):@."
-    Dds_net.Wire.v1 Dds_net.Wire.max_version;
-  Format.printf "  %-12s %3s  %-36s %s@." "frame" "tag" "v1 fields" "v2 fields";
+    Dds_net.Wire.v2;
+  Format.printf "  %-12s %3s  %s@." "frame" "tag" "fields";
   List.iter
-    (fun (name, tag, v1_fields, v2_fields) ->
-      Format.printf "  %-12s %3d  %-36s %s@." name tag v1_fields
-        (if v1_fields = v2_fields then "(same)" else v2_fields))
+    (fun (name, tag, fields) -> Format.printf "  %-12s %3d  %s@." name tag fields)
     Runix.Frame.catalog;
   `Ok ()
 
 let list_cmd =
   let doc =
     "List the registered protocols (with their theorem metadata), sweeps, and the \
-     runtime wire-protocol frame catalog (v1/v2 field layouts)."
+     runtime wire-protocol frame catalog (one field layout per frame)."
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(ret (const run_list $ const ()))
 

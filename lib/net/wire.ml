@@ -3,13 +3,9 @@ exception Malformed of string
 
 let max_frame = 16 * 1024 * 1024
 
-(* --- wire protocol versions ----------------------------------------- *)
+(* --- wire protocol version ------------------------------------------ *)
 
-let v1 = 1
 let v2 = 2
-let max_version = v2
-
-let version_supported v = v = v1 || v = v2
 
 (* --- writers -------------------------------------------------------- *)
 

@@ -26,27 +26,17 @@ val max_frame : int
     raises [Malformed] rather than allocating attacker-chosen
     buffers. *)
 
-(** {1 Wire protocol versions}
+(** {1 Wire protocol version}
 
-    The envelope layer ({!Dds_runtime_unix.Frame}) is versioned: v1 is
-    the PR 8 single-register layout, v2 adds a 63-bit key to client
-    operations and a shard id to peer messages. The version is
-    negotiated per connection by the first [Hello]/[Client_hello]
-    frame; these constants name the versions so codec and negotiation
-    code never hard-codes integers. *)
-
-val v1 : int
-(** Original single-register wire protocol (no keys on the wire). *)
+    The envelope layer ({!Dds_runtime_unix.Frame}) has one layout. Its
+    [Hello]/[Client_hello] frames still carry a version byte, so a
+    peer speaking anything else is refused with a typed error instead
+    of being misparsed. *)
 
 val v2 : int
-(** Keyed wire protocol: [Read_req]/[Write_req]/[Resp] carry a key,
-    [Msg] carries a shard id. *)
-
-val max_version : int
-(** Highest version this build understands (= {!v2}). *)
-
-val version_supported : int -> bool
-(** Whether this build can speak the given version. *)
+(** The keyed wire protocol, the only one this build speaks:
+    [Read_req]/[Write_req]/[Resp] carry a key, [Msg] carries a shard
+    id. *)
 
 (** {1 Writers} *)
 
@@ -107,7 +97,10 @@ val feed : deframer -> bytes -> int -> unit
     {!max_frame}. *)
 
 val next_frame : deframer -> string option
-(** The next complete payload, if one is buffered. *)
+(** The next complete payload, if one is buffered.
+    @raise Malformed if the next length prefix exceeds {!max_frame}:
+    [feed] checks only the first buffered prefix, so a hostile one
+    that arrived behind a complete frame surfaces here. *)
 
 val pending_bytes : deframer -> int
 (** Bytes buffered but not yet popped as frames (diagnostic: non-zero

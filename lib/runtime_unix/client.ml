@@ -5,22 +5,11 @@ open Dds_spec
     request frame, wait for the response. Scripting convenience — the
     load generator has its own non-blocking connections.
 
-    Speaks wire v2 by default: the connect handshake sends a versioned
-    [Client_hello] and waits for the server's [Hello] ack naming the
-    agreed version (the server clamps a request above its own maximum,
-    so a future client degrades automatically), and every operation
-    carries a key (default 0). [connect ~wire:Wire.v1] instead emits
-    byte-identical v1 frames and expects no ack — the escape hatch for
-    talking to a pre-v2 server, which can only ever serve key 0. *)
+    The connect handshake sends a [Client_hello] and waits for the
+    server's [Hello] ack before any operation goes out; every
+    operation carries a key (default 0). *)
 
-type t = {
-  fd : Unix.file_descr;
-  df : Wire.deframer;
-  mutable next_req : int;
-  mutable version : int;  (** negotiated wire version for this conn *)
-}
-
-let version t = t.version
+type t = { fd : Unix.file_descr; df : Wire.deframer; mutable next_req : int }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -44,29 +33,23 @@ let rec wait_frame t =
       Wire.feed t.df chunk n;
       wait_frame t)
 
-let connect ?(wire = Wire.v2) ~host ~port () =
+let connect ~host ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  let t = { fd; df = Wire.deframer (); next_req = 0; version = wire } in
-  send_frame t (Frame.buf_client_hello ~version:wire ());
-  (* v1 never had an ack; for v2+ the server answers with the agreed
-     version before we may issue keyed operations (issuing them
-     optimistically against a v1-only server would be misparsed — the
-     key bytes would read as the write's data). *)
-  if wire > Wire.v1 then begin
-    match Frame.decode ~version:wire (wait_frame t) with
-    | Frame.Hello { version = agreed; _ } -> t.version <- Stdlib.min wire agreed
-    | Frame.Err { reason; _ } ->
-      close t;
-      failwith (Printf.sprintf "server refused handshake: %s" reason)
-    | _ ->
-      close t;
-      failwith "server sent a non-handshake frame during negotiation"
-  end;
+  let t = { fd; df = Wire.deframer (); next_req = 0 } in
+  send_frame t (Frame.buf_client_hello ());
+  (match Frame.decode (wait_frame t) with
+  | Frame.Hello { version; _ } when version = Wire.v2 -> ()
+  | Frame.Err { reason; _ } ->
+    close t;
+    failwith (Printf.sprintf "server refused handshake: %s" reason)
+  | _ ->
+    close t;
+    failwith "server did not ack the handshake with a v2 Hello");
   t
 
 let rec wait_resp t req =
-  match Frame.decode ~version:t.version (wait_frame t) with
+  match Frame.decode (wait_frame t) with
   | Frame.Resp { req = r; value; _ } when r = req -> Ok value
   | Frame.Err { req = r; reason } when r = req || r = Frame.no_req -> Error reason
   | _ -> wait_resp t req
@@ -74,14 +57,10 @@ let rec wait_resp t req =
 let request t ~key op =
   let req = t.next_req in
   t.next_req <- req + 1;
-  if t.version = Wire.v1 && key <> 0 then
-    Error "wire v1 cannot address keys (only key 0 exists)"
-  else begin
-    (match op with
-    | `Read -> send_frame t (Frame.buf_read_req ~version:t.version ~req ~key ())
-    | `Write data -> send_frame t (Frame.buf_write_req ~version:t.version ~req ~key ~data ()));
-    wait_resp t req
-  end
+  (match op with
+  | `Read -> send_frame t (Frame.buf_read_req ~req ~key ())
+  | `Write data -> send_frame t (Frame.buf_write_req ~req ~key ~data ()));
+  wait_resp t req
 
 let read ?(key = 0) t : (Value.t, string) result = request t ~key `Read
 let write ?(key = 0) t data : (Value.t, string) result = request t ~key (`Write data)

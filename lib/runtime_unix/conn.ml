@@ -73,6 +73,7 @@ let on_readable t () =
           match Wire.next_frame t.df with
           | Some payload -> t.on_frame t payload
           | None -> continue := false
+          | exception Wire.Malformed _ -> close t
         done;
         t.on_drained ())
   end

@@ -11,16 +11,13 @@ open Dds_spec
     its protocol's [get_msg] (the envelope layer stays
     protocol-agnostic).
 
-    The envelope is versioned (see {!Wire.v1}/{!Wire.v2}). [Hello] and
-    [Client_hello] are self-describing — a trailing version byte marks
-    v2, its absence marks v1 — and negotiate the version for the rest
-    of the connection. Every other frame is decoded at the connection's
-    negotiated version: v2 adds a key to [Read_req]/[Write_req]/[Resp]
-    and a shard id to [Msg]; a v1 frame decodes with key 0 and shard 0,
-    which is exactly what a v1 peer means, so old clients keep working
-    against a 1-shard server. [Err] is identical in both versions
-    ([req = -1] marks a connection-level error such as a version the
-    server refuses to speak). *)
+    The envelope has one layout, wire {!Wire.v2}: [Read_req],
+    [Write_req] and [Resp] carry a key, [Msg] carries a shard id, and
+    [Hello]/[Client_hello] end with a version byte. Every frame,
+    hellos included, is exactly its fields, so a strict prefix of any
+    encoding is rejected ([Msg]'s by its protocol codec). [req = -1]
+    on an [Err] marks a connection-level error such as a version the
+    server refuses to speak. *)
 
 type 'r t =
   | Hello of { pid : int; version : int }
@@ -38,48 +35,48 @@ type 'r t =
    no particular request; clients must fail every pending op on it. *)
 let no_req = -1
 
-let buf_hello ?(version = Wire.v2) pid =
+let buf_hello pid =
   let b = Buffer.create 16 in
   Wire.put_u8 b 0;
   Wire.put_int b pid;
-  if version > Wire.v1 then Wire.put_u8 b version;
+  Wire.put_u8 b Wire.v2;
   b
 
-let buf_client_hello ?(version = Wire.v2) () =
+let buf_client_hello () =
   let b = Buffer.create 4 in
   Wire.put_u8 b 1;
-  if version > Wire.v1 then Wire.put_u8 b version;
+  Wire.put_u8 b Wire.v2;
   b
 
 (* The caller appends the protocol payload with its own [put_msg]. *)
-let buf_msg_header ?(version = Wire.v2) ~src ~lamport ~shard () =
+let buf_msg_header ~src ~lamport ~shard () =
   let b = Buffer.create 64 in
   Wire.put_u8 b 2;
   Wire.put_int b src;
   Wire.put_int b lamport;
-  if version > Wire.v1 then Wire.put_int b shard;
+  Wire.put_int b shard;
   b
 
-let buf_read_req ?(version = Wire.v2) ~req ~key () =
+let buf_read_req ~req ~key () =
   let b = Buffer.create 24 in
   Wire.put_u8 b 3;
   Wire.put_int b req;
-  if version > Wire.v1 then Wire.put_key b key;
+  Wire.put_key b key;
   b
 
-let buf_write_req ?(version = Wire.v2) ~req ~key ~data () =
+let buf_write_req ~req ~key ~data () =
   let b = Buffer.create 32 in
   Wire.put_u8 b 4;
   Wire.put_int b req;
-  if version > Wire.v1 then Wire.put_key b key;
+  Wire.put_key b key;
   Wire.put_int b data;
   b
 
-let buf_resp ?(version = Wire.v2) ~req ~key value =
+let buf_resp ~req ~key value =
   let b = Buffer.create 40 in
   Wire.put_u8 b 5;
   Wire.put_int b req;
-  if version > Wire.v1 then Wire.put_key b key;
+  Wire.put_key b key;
   Value.put b value;
   b
 
@@ -90,18 +87,16 @@ let buf_err ~req reason =
   Wire.put_string b reason;
   b
 
-(* Hello frames pre-date negotiation, so their version marker is
-   positional: v1 ended the payload after the fixed fields, v2 appends
-   one version byte. *)
-let trailing_version r = if Wire.remaining r > 0 then Wire.get_u8 r else Wire.v1
-
 (* Every branch but [Msg] checks [expect_end]: a frame is exactly one
-   message, and with versioned layouts a length mismatch is the first
-   symptom of a negotiation bug — better a typed [Malformed] than a
+   message, so a length mismatch is a typed [Malformed], never a
    silently misread field. [Msg] hands its remainder to the protocol
-   codec, which runs its own [expect_end] after [get_msg]. *)
-let decode ?(version = Wire.v1) payload =
-  let keyed = version > Wire.v1 in
+   codec, which runs its own [expect_end] after [get_msg].
+
+   [?version] stays only because an outside caller (the benchmark's
+   live client) still names [Wire.v2]; any other value is refused. *)
+let decode ?(version = Wire.v2) payload =
+  if version <> Wire.v2 then
+    raise (Wire.Malformed (Printf.sprintf "cannot decode wire version %d" version));
   let r = Wire.reader payload in
   let finish frame =
     Wire.expect_end r;
@@ -110,43 +105,37 @@ let decode ?(version = Wire.v1) payload =
   match Wire.get_u8 r with
   | 0 ->
     let pid = Wire.get_int r in
-    finish (Hello { pid; version = trailing_version r })
-  | 1 -> finish (Client_hello { version = trailing_version r })
+    finish (Hello { pid; version = Wire.get_u8 r })
+  | 1 -> finish (Client_hello { version = Wire.get_u8 r })
   | 2 ->
     let src = Wire.get_int r in
     let lamport = Wire.get_int r in
-    let shard = if keyed then Wire.get_int r else 0 in
+    let shard = Wire.get_int r in
     Msg { src; lamport; shard; rest = r }
   | 3 ->
     let req = Wire.get_int r in
-    finish (Read_req { req; key = (if keyed then Wire.get_key r else 0) })
+    finish (Read_req { req; key = Wire.get_key r })
   | 4 ->
     let req = Wire.get_int r in
-    let key = if keyed then Wire.get_key r else 0 in
+    let key = Wire.get_key r in
     finish (Write_req { req; key; data = Wire.get_int r })
   | 5 ->
     let req = Wire.get_int r in
-    let key = if keyed then Wire.get_key r else 0 in
+    let key = Wire.get_key r in
     finish (Resp { req; key; value = Value.get r })
   | 6 ->
     let req = Wire.get_int r in
     finish (Err { req; reason = Wire.get_string r })
   | t -> raise (Wire.Malformed (Printf.sprintf "envelope tag %d" t))
 
-(* Introspection table for [dds list]: one row per frame kind, with the
-   field layout at each version. Kept next to the codec so the two
-   cannot drift silently without a reviewer noticing. *)
+(* Introspection table for [dds list]: one row per frame kind with its
+   field layout. Kept next to the codec so the two cannot drift
+   silently without a reviewer noticing. *)
 let catalog =
-  [ ("Hello", 0, "pid:int64", "pid:int64 version:u8");
-    ("Client_hello", 1, "(empty)", "version:u8");
-    ( "Msg",
-      2,
-      "src:int64 lamport:int64 payload...",
-      "src:int64 lamport:int64 shard:int64 payload..." );
-    ("Read_req", 3, "req:int64", "req:int64 key:int63");
-    ( "Write_req",
-      4,
-      "req:int64 data:int64",
-      "req:int64 key:int63 data:int64" );
-    ("Resp", 5, "req:int64 value", "req:int64 key:int63 value");
-    ("Err", 6, "req:int64 reason:string", "req:int64 reason:string") ]
+  [ ("Hello", 0, "pid:int64 version:u8");
+    ("Client_hello", 1, "version:u8");
+    ("Msg", 2, "src:int64 lamport:int64 shard:int64 payload...");
+    ("Read_req", 3, "req:int64 key:int63");
+    ("Write_req", 4, "req:int64 key:int63 data:int64");
+    ("Resp", 5, "req:int64 key:int63 value");
+    ("Err", 6, "req:int64 reason:string") ]

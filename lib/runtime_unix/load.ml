@@ -18,13 +18,13 @@ open Dds_sim
       multi-writer path. Every op addresses key 0.
     - [Key_hash]: real keyed traffic against the sharded store. Each
       op draws a key from a zipfian popularity curve ({!Dds_workload.Skew},
-      exponent [skew] over [keys] keys), carries it on the wire
-      (protocol v2), and lands on a node of the key's shard under
-      [placement] — reads on any owner, writes on the shard's
-      designated writer, preserving the per-shard single-writer
-      regime. Latencies are additionally split into hot (top 1% of
-      ranks) and cold key classes, so the report shows what skew does
-      to the head of the popularity curve vs the tail.
+      exponent [skew] over [keys] keys), carries it on the wire, and
+      lands on a node of the key's shard under [placement] — reads on
+      any owner, writes on the shard's designated writer, preserving
+      the per-shard single-writer regime. Latencies are additionally
+      split into hot (top 1% of ranks) and cold key classes, so the
+      report shows what skew does to the head of the popularity curve
+      vs the tail.
 
     Latencies land in microsecond histograms and flow out through the
     same {!Dds_sim.Histogram} / {!Dds_sim.Metrics} pipeline the
@@ -154,7 +154,7 @@ let issue t st =
   end
 
 let on_frame t st payload =
-  match Frame.decode ~version:Dds_net.Wire.v2 payload with
+  match Frame.decode payload with
   | Frame.Resp { req; _ } when req = st.req ->
     let lat_us = (Loop.now_ms () -. st.issued_at) *. 1000. in
     t.ops <- t.ops + 1;
@@ -212,10 +212,10 @@ let connect_client t i =
               count_out t st
             | _ -> ())
       in
-      (* v2 hello: the server acks with its Hello, which [on_frame]
-         skips (it only matches Resp/Err on the op in flight). The
-         pipelined first op is safe — the server fixes the connection's
-         version on the hello before decoding anything later. *)
+      (* The server acks with its Hello, which [on_frame] skips (it
+         only matches Resp/Err on the op in flight). Pipelining the
+         first op behind the hello is safe: a server that refuses the
+         hello answers with a connection-level Err and closes. *)
       Conn.write_frame conn (Frame.buf_client_hello ());
       Some conn
   in

@@ -1,6 +1,6 @@
 (** Static shard placement for a live keyed deployment.
 
-    The wire protocol's v2 keyed operations need one more piece of
+    The wire protocol's keyed operations need one more piece of
     shared configuration beyond the [--peers] list: which node hosts
     which shard. The placement is static (no rebalancing — ROADMAP
     item 3's migration follow-on) and must be quoted identically to
@@ -51,8 +51,8 @@ let of_owned ~shards owned =
   | Some s -> Error (Printf.sprintf "shard %d has no owner (%d node(s))" s nodes)
   | None -> Ok { shards; owned = Array.map (List.sort_uniq compare) owned; owners }
 
-(* Every node owns every shard — the default placement, and the only
-   one a v1 (single-register) deployment can express. *)
+(* Every node owns every shard — the default placement; with one
+   shard it is the classic single-register deployment. *)
 let all ~nodes ~shards =
   let every = List.init shards (fun s -> s) in
   { shards; owned = Array.make nodes every; owners = Array.make shards (List.init nodes (fun n -> n)) }

@@ -23,26 +23,25 @@ open Dds_runtime
     only to the shard's owners, so a heterogeneous placement really
     does confine each register's traffic to its replica set.
 
-    {b Version negotiation.} Every connection starts at wire v1; the
-    first frame — [Hello] from a dialing peer, [Client_hello] from a
-    client — is self-describing (a trailing version byte marks v2) and
-    fixes the version every later frame on that connection is decoded
-    and answered at. A v2+ [Client_hello] is acknowledged with a
-    [Hello] naming the agreed version (the minimum of requested and
-    {!Wire.max_version}); a version below v1 is refused with a typed
-    [Err] ([req = -1]) and a close, never a crash. A v1 client's
-    requests decode as key 0 — against a 1-shard placement that is
-    exactly the old single-register service.
+    {b One wire layout.} Every connection speaks {!Wire.v2}. Its first
+    frame is a hello carrying a version byte: a [Client_hello] naming
+    v2 or higher is acknowledged with a [Hello] naming v2 (a newer
+    client is clamped down); a [Client_hello] below v2, or a peer
+    [Hello] naming anything but v2, is refused with a typed [Err]
+    ([req = -1]) and a close; a frame that does not decode, an
+    unversioned hello included, counts [net.malformed] and closes the
+    connection. Never a crash.
 
     {b Telemetry.} Each instance's span ids start at
     [(self * shards + shard) * 1_000_000] — the shard×10⁶ convention
     of the simulated store composed with the node×10⁶ convention of
-    the v1 runtime (for [shards = 1] it degenerates to exactly the old
-    per-node bases), so spans stay globally unique in a merged trace.
+    the single-register runtime (for [shards = 1] it degenerates to
+    exactly the old per-node bases), so spans stay globally unique in
+    a merged trace.
     With [shards > 1] the trace stream tags every line with its
     ["shard"] index — the PR 9 JSONL field — so [dds audit] groups the
     merged per-node traces back into independently checkable
-    registers; a 1-shard store writes untagged v1-style traces. *)
+    registers; a 1-shard store writes untagged traces. *)
 
 let default_epoch_ms () =
   (* Midnight UTC today: processes of one deployment started the same
@@ -97,7 +96,6 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
 
   type pending = {
     p_conn : Conn.t;
-    p_version : int;  (** the connection's wire version, for the Resp *)
     p_req : int;
     p_key : int;
     p_op : client_op;
@@ -200,7 +198,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
           List.iter
             (fun p ->
               Conn.write_frame p.p_conn
-                (Frame.buf_resp ~version:p.p_version ~req:p.p_req ~key:p.p_key value))
+                (Frame.buf_resp ~req:p.p_req ~key:p.p_key value))
             batch;
           pump t inst
         in
@@ -313,11 +311,14 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
   (* --- incoming frames --------------------------------------------- *)
 
   let on_peer_msg t inst ~src ~lamport rest =
-    match P.get_msg rest with
+    match
+      let msg = P.get_msg rest in
+      Wire.expect_end rest;
+      msg
+    with
     | exception (Wire.Truncated | Wire.Malformed _) ->
       Metrics.incr t.metrics "net.malformed"
     | msg -> (
-      Wire.expect_end rest;
       match inst.handler with
       | Some h when not inst.left ->
         Metrics.incr t.metrics "net.delivered";
@@ -336,7 +337,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     Metrics.incr t.metrics "net.refused";
     Conn.write_frame conn (Frame.buf_err ~req reason)
 
-  let enqueue_client_op t conn ~version ~req ~key op =
+  let enqueue_client_op t conn ~req ~key op =
     let shard = Placement.route t.cfg.placement ~key in
     match instance t shard with
     | None ->
@@ -345,8 +346,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
            (self_i t)
            (String.concat "," (List.map string_of_int (owned_shards t))))
     | Some inst ->
-      Queue.push { p_conn = conn; p_version = version; p_req = req; p_key = key; p_op = op }
-        inst.queue
+      Queue.push { p_conn = conn; p_req = req; p_key = key; p_op = op } inst.queue
 
   (* Client ops decoded from one socket read are queued first and
      pumped once the read is drained, so a pipelined burst of reads
@@ -355,45 +355,28 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
      never let a second read queue. *)
   let pump_all t = Array.iter (function Some inst -> pump t inst | None -> ()) t.instances
 
-  (* Each accepted connection tracks the wire version its first
-     [Hello]/[Client_hello] negotiated; every later frame is decoded
-     and answered at it. *)
-  let on_incoming_frame t conn version payload =
-    match Frame.decode ~version:!version payload with
+  let refuse t conn version =
+    err t conn ~req:Frame.no_req (Printf.sprintf "unsupported wire version %d" version);
+    Conn.close conn
+
+  let on_incoming_frame t conn payload =
+    match Frame.decode payload with
     | exception (Wire.Truncated | Wire.Malformed _) ->
       Metrics.incr t.metrics "net.malformed";
       Conn.close conn
-    | Frame.Hello { pid = _; version = v } ->
-      (* A dialing peer announces the version its Msg frames use; a
-         version this build cannot decode is refused outright. *)
-      if Wire.version_supported v then version := v
-      else begin
-        err t conn ~req:Frame.no_req (Printf.sprintf "unsupported wire version %d" v);
-        Conn.close conn
-      end
-    | Frame.Client_hello { version = v } ->
-      if v < Wire.v1 then begin
-        err t conn ~req:Frame.no_req (Printf.sprintf "unsupported wire version %d" v);
-        Conn.close conn
-      end
-      else begin
-        (* Clamp a futuristic client down to what we speak and say so:
-           the ack names the agreed version, and v2+ clients wait for
-           it before issuing keyed operations. v1 clients never sent a
-           version and expect no ack — stay silent for them. *)
-        let agreed = Stdlib.min v Wire.max_version in
-        version := agreed;
-        if v > Wire.v1 then
-          Conn.write_frame conn (Frame.buf_hello ~version:agreed (self_i t))
-      end
+    | Frame.Hello { pid = _; version } ->
+      (* A dialing peer's Msg frames are only decodable at v2. *)
+      if version <> Wire.v2 then refuse t conn version
+    | Frame.Client_hello { version } ->
+      (* A newer client is clamped down to v2 and told so by the ack. *)
+      if version < Wire.v2 then refuse t conn version
+      else Conn.write_frame conn (Frame.buf_hello (self_i t))
     | Frame.Msg { src; lamport; shard; rest } -> (
       match instance t shard with
       | Some inst -> on_peer_msg t inst ~src ~lamport rest
       | None -> Metrics.incr t.metrics "net.misrouted")
-    | Frame.Read_req { req; key } ->
-      enqueue_client_op t conn ~version:!version ~req ~key Do_read
-    | Frame.Write_req { req; key; data } ->
-      enqueue_client_op t conn ~version:!version ~req ~key (Do_write data)
+    | Frame.Read_req { req; key } -> enqueue_client_op t conn ~req ~key Do_read
+    | Frame.Write_req { req; key; data } -> enqueue_client_op t conn ~req ~key (Do_write data)
     | Frame.Resp _ | Frame.Err _ -> Metrics.incr t.metrics "net.malformed"
 
   (* --- outgoing links ---------------------------------------------- *)
@@ -418,7 +401,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
           in
           link.conn <- Some conn;
           link.dialing <- false;
-          Conn.write_frame conn (Frame.buf_hello ~version:Wire.v2 (self_i t))
+          Conn.write_frame conn (Frame.buf_hello (self_i t))
         end
         else begin
           (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -457,10 +440,9 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
         match Unix.accept fd with
         | exception Unix.Unix_error _ -> ()
         | client_fd, _ ->
-          let version = ref Wire.v1 in
           let conn =
             Conn.create ~loop:t.loop ~fd:client_fd
-              ~on_frame:(fun conn payload -> on_incoming_frame t conn version payload)
+              ~on_frame:(fun conn payload -> on_incoming_frame t conn payload)
               ~on_close:(fun _ -> ())
           in
           conn.Conn.on_drained <- (fun () -> pump_all t))

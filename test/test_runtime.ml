@@ -1,10 +1,11 @@
 (* Tests for the Unix runtime backend: wire-codec round trips for
    every protocol's messages, strict truncation behaviour, deframer
-   chunking, the v2 keyed frame envelope (round trips, strict-prefix
-   rejection, v1/v2 negotiation matrix), and live loopback TCP
-   deployments — a 3-node single register and a 3-node 2-shard keyed
-   store — whose merged traces must audit to the same Regularity
-   verdicts as equivalent simulated runs. *)
+   chunking, the keyed frame envelope (round trips, strict-prefix
+   rejection, byte fuzzing, the hello version checks against a live
+   server), and live loopback TCP deployments — a 3-node single
+   register and a 3-node 2-shard keyed store — whose merged traces
+   must audit to the same Regularity verdicts as equivalent simulated
+   runs. *)
 
 open Dds_sim
 open Dds_net
@@ -125,21 +126,19 @@ let envelope_roundtrips (type m) (module P : Register_intf.PROTOCOL with type ms
     (fun ((src, lamport), (shard, msg)) ->
       let b = Frame.buf_msg_header ~src ~lamport ~shard () in
       P.put_msg b msg;
-      match Frame.decode ~version:Wire.v2 (Buffer.contents b) with
+      match Frame.decode (Buffer.contents b) with
       | Frame.Msg { src = s; lamport = lc; shard = sh; rest } ->
         let back = P.get_msg rest in
         Wire.expect_end rest;
         s = src && lc = lamport && sh = shard && eq msg back
       | _ -> false)
 
-(* The keyed client frames: req and key survive at v2, and a v1 decode
-   of a v1 encoding of the same op means key 0 (the only key v1 can
-   name). *)
+(* The keyed client frames: req, key and payload survive the trip. *)
 let keyed_client_frames_roundtrip =
   QCheck.Test.make ~count:500 ~name:"v2 keyed client frames round-trip"
     (QCheck.make QCheck.Gen.(pair (pair nat key_gen) (pair int value_gen)))
     (fun ((req, key), (data, value)) ->
-      let dec b = Frame.decode ~version:Wire.v2 (Buffer.contents b) in
+      let dec b = Frame.decode (Buffer.contents b) in
       (match dec (Frame.buf_read_req ~req ~key ()) with
       | Frame.Read_req { req = r; key = k } -> r = req && k = key
       | _ -> false)
@@ -151,29 +150,19 @@ let keyed_client_frames_roundtrip =
       | Frame.Resp { req = r; key = k; value = v } -> r = req && k = key && v = value
       | _ -> false)
 
-let keyed_client_frames_v1_mean_key0 =
-  QCheck.Test.make ~count:200 ~name:"v1 client frames decode as key 0"
-    (QCheck.make QCheck.Gen.(pair nat int))
-    (fun (req, data) ->
-      let dec b = Frame.decode ~version:Wire.v1 (Buffer.contents b) in
-      (match dec (Frame.buf_read_req ~version:Wire.v1 ~req ~key:0 ()) with
-      | Frame.Read_req { req = r; key = 0 } -> r = req
-      | _ -> false)
-      &&
-      match dec (Frame.buf_write_req ~version:Wire.v1 ~req ~key:0 ~data ()) with
-      | Frame.Write_req { req = r; key = 0; data = d } -> r = req && d = data
-      | _ -> false)
-
-(* Every strict prefix of a v2 envelope encoding must raise — same
+(* Every strict prefix of an envelope encoding must raise — same
    discipline the protocol codecs already obey, extended to the keyed
-   layouts. Msg needs the protocol codec applied to its remainder (the
-   envelope defers payload decoding by design). *)
+   layouts and to the hellos, whose version byte is not optional. Msg
+   needs the protocol codec applied to its remainder (the envelope
+   defers payload decoding by design). *)
 let envelope_rejects_truncation =
   QCheck.Test.make ~count:100 ~name:"v2 envelope rejects strict prefixes"
     (QCheck.make QCheck.Gen.(pair (pair nat key_gen) (pair int es_msg_gen)))
     (fun ((req, key), (data, msg)) ->
       let cases =
-        [ (Buffer.contents (Frame.buf_read_req ~req ~key ()), false);
+        [ (Buffer.contents (Frame.buf_hello req), false);
+          (Buffer.contents (Frame.buf_client_hello ()), false);
+          (Buffer.contents (Frame.buf_read_req ~req ~key ()), false);
           (Buffer.contents (Frame.buf_write_req ~req ~key ~data ()), false);
           (Buffer.contents (Frame.buf_resp ~req ~key Value.bottom), false);
           (Buffer.contents (Frame.buf_err ~req "refused"), false);
@@ -187,7 +176,7 @@ let envelope_rejects_truncation =
           let ok = ref true in
           for k = 0 to String.length s - 1 do
             let prefix = String.sub s 0 k in
-            match Frame.decode ~version:Wire.v2 prefix with
+            match Frame.decode prefix with
             | Frame.Msg { rest; _ } when is_msg -> (
               (* header may parse; the payload decode must then fail *)
               match Es_register.get_msg rest with
@@ -200,23 +189,6 @@ let envelope_rejects_truncation =
           done;
           !ok)
         cases)
-
-(* The one deliberate prefix relation in the protocol: a v2 Hello minus
-   its trailing version byte IS a valid v1 Hello. That dual decode is
-   how negotiation bootstraps — the hello is self-describing, so it is
-   exempt from the strict-prefix rule above. *)
-let test_hello_dual_decode () =
-  let v2 = Buffer.contents (Frame.buf_hello ~version:Wire.v2 5) in
-  (match Frame.decode v2 with
-  | Frame.Hello { pid = 5; version } -> check_int "v2 hello version" Wire.v2 version
-  | _ -> Alcotest.fail "v2 hello did not decode");
-  let v1 = String.sub v2 0 (String.length v2 - 1) in
-  (match Frame.decode v1 with
-  | Frame.Hello { pid = 5; version } -> check_int "v1 hello version" Wire.v1 version
-  | _ -> Alcotest.fail "v1 hello prefix did not decode");
-  match Frame.decode (Buffer.contents (Frame.buf_client_hello ~version:Wire.v1 ())) with
-  | Frame.Client_hello { version } -> check_int "v1 client hello version" Wire.v1 version
-  | _ -> Alcotest.fail "v1 client hello did not decode"
 
 let test_negative_key_rejected () =
   let b = Buffer.create 8 in
@@ -231,12 +203,155 @@ let envelope_tests =
       envelope_roundtrips (module Es_register) ( = ) es_msg_gen;
       envelope_roundtrips (module Abd_register) ( = ) abd_msg_gen;
       keyed_client_frames_roundtrip;
-      keyed_client_frames_v1_mean_key0;
       envelope_rejects_truncation;
     ]
-  @ [
-      Alcotest.test_case "hello dual-decodes across versions" `Quick test_hello_dual_decode;
-      Alcotest.test_case "negative key rejected at encode" `Quick test_negative_key_rejected;
+  @ [ Alcotest.test_case "negative key rejected at encode" `Quick test_negative_key_rejected ]
+
+(* ------------------------------------------------------------------ *)
+(* Byte fuzzing *)
+
+(* Decode a payload as a live node does: the envelope, then for a Msg
+   the protocol codec over the remainder. A value, [Truncated] and
+   [Malformed] are the only outcomes a node is prepared for; any other
+   exception escapes and fails the property. *)
+let decode_typed (type m) (module P : Register_intf.PROTOCOL with type msg = m) payload =
+  try
+    match Frame.decode payload with
+    | Frame.Msg { rest; _ } ->
+      ignore (P.get_msg rest : m);
+      Wire.expect_end rest
+    | _ -> ()
+  with Wire.Truncated | Wire.Malformed _ -> ()
+
+let decoders =
+  [ decode_typed (module Sync_register);
+    decode_typed (module Es_register);
+    decode_typed (module Abd_register) ]
+
+(* A valid encoding of any frame kind; Msg carries a [P] message. *)
+let frame_gen (type m) (module P : Register_intf.PROTOCOL with type msg = m) msg_gen =
+  QCheck.Gen.(
+    map3
+      (fun (req, key) (data, value) (kind, msg) ->
+        let b =
+          match kind with
+          | 0 -> Frame.buf_hello req
+          | 1 -> Frame.buf_client_hello ()
+          | 2 ->
+            let b = Frame.buf_msg_header ~src:req ~lamport:data ~shard:key () in
+            P.put_msg b msg;
+            b
+          | 3 -> Frame.buf_read_req ~req ~key ()
+          | 4 -> Frame.buf_write_req ~req ~key ~data ()
+          | 5 -> Frame.buf_resp ~req ~key value
+          | _ -> Frame.buf_err ~req "refused"
+        in
+        Buffer.contents b)
+      (pair nat key_gen) (pair int value_gen)
+      (pair (int_bound 6) msg_gen))
+
+(* Arbitrary bytes, half of them led by a valid envelope tag so the
+   field decoders behind the tag see garbage too. *)
+let garbage_gen =
+  QCheck.Gen.(
+    let body = string_size ~gen:char (int_range 0 64) in
+    oneof [ body; map2 (fun tag rest -> String.make 1 (Char.chr tag) ^ rest) (int_bound 6) body ])
+
+(* One byte of [s] replaced, inserted or deleted. *)
+let edit s (kind, pos, byte) =
+  let n = String.length s in
+  let c = String.make 1 (Char.chr byte) in
+  match kind with
+  | 0 ->
+    let i = pos mod n in
+    String.sub s 0 i ^ c ^ String.sub s (i + 1) (n - i - 1)
+  | 1 ->
+    let i = pos mod (n + 1) in
+    String.sub s 0 i ^ c ^ String.sub s i (n - i)
+  | _ ->
+    let i = pos mod n in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+
+let edit_gen = QCheck.Gen.(triple (int_bound 2) nat (int_bound 255))
+
+let fuzz_garbage (type m) (module P : Register_intf.PROTOCOL with type msg = m) =
+  QCheck.Test.make ~count:1000
+    ~name:(Printf.sprintf "%s decode fuzz: arbitrary bytes" P.name)
+    (QCheck.make ~print:String.escaped garbage_gen)
+    (fun s ->
+      decode_typed (module P) s;
+      true)
+
+let fuzz_edits (type m) (module P : Register_intf.PROTOCOL with type msg = m) msg_gen =
+  QCheck.Test.make ~count:1000
+    ~name:(Printf.sprintf "%s decode fuzz: one-byte edits of valid frames" P.name)
+    (QCheck.make
+       ~print:(fun (s, _) -> String.escaped s)
+       QCheck.Gen.(pair (frame_gen (module P) msg_gen) edit_gen))
+    (fun (s, e) ->
+      decode_typed (module P) (edit s e);
+      true)
+
+(* A stream of framed payloads — valid envelopes and garbage alike,
+   with at most one byte edited anywhere, length prefixes included —
+   fed to a deframer in arbitrary chunk sizes. Feeding stops at the
+   first [Malformed] from [feed] or [next_frame], as a connection
+   closes; every popped payload goes through each protocol's
+   decoder. *)
+let fuzz_deframer =
+  QCheck.Test.make ~count:500 ~name:"deframer fuzz: chunked frame streams"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 0 6)
+               (oneof [ frame_gen (module Es_register) es_msg_gen; garbage_gen ]))
+            (option edit_gen)
+            (list_size (int_range 1 40) (int_range 1 17))))
+    (fun (payloads, corruption, chunks) ->
+      let stream =
+        String.concat ""
+          (List.map
+             (fun p ->
+               let b = Buffer.create 64 in
+               Buffer.add_string b p;
+               Wire.frame b)
+             payloads)
+      in
+      let stream =
+        match corruption with Some e when stream <> "" -> edit stream e | _ -> stream
+      in
+      let d = Wire.deframer () in
+      (* Pops every buffered payload; false once the stream is rejected. *)
+      let rec pop () =
+        match Wire.next_frame d with
+        | Some p ->
+          List.iter (fun decode -> decode p) decoders;
+          pop ()
+        | None -> true
+        | exception Wire.Malformed _ -> false
+      in
+      let rec go pos sizes =
+        if pos >= String.length stream then true
+        else
+          let size, sizes = match sizes with s :: rest -> (s, rest @ [ s ]) | [] -> (1, []) in
+          let len = Stdlib.min size (String.length stream - pos) in
+          match Wire.feed d (Bytes.of_string (String.sub stream pos len)) len with
+          | exception Wire.Malformed _ -> true
+          | () -> (not (pop ())) || go (pos + len) sizes
+      in
+      go 0 chunks)
+
+let fuzz_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      fuzz_garbage (module Sync_register);
+      fuzz_garbage (module Es_register);
+      fuzz_garbage (module Abd_register);
+      fuzz_edits (module Sync_register) sync_msg_gen;
+      fuzz_edits (module Es_register) es_msg_gen;
+      fuzz_edits (module Abd_register) abd_msg_gen;
+      fuzz_deframer;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -319,6 +434,28 @@ let test_oversized_frame_rejected () =
   Bytes.set_int32_be b 0 (Int32.of_int (Wire.max_frame + 1));
   match Wire.feed d b 4 with
   | () -> Alcotest.fail "oversized length accepted"
+  | exception Wire.Malformed _ -> ()
+
+(* Regression, found by the deframer fuzz: [feed] checks only the
+   first buffered length prefix, so an oversized one arriving in the
+   same chunk as a complete frame surfaces from [next_frame] once that
+   frame is popped — as a typed [Malformed], which [Conn] must turn
+   into a close rather than let escape the event loop. *)
+let hello_then_oversized_prefix () =
+  let b = Buffer.create 16 in
+  Buffer.add_string b (Wire.frame (Frame.buf_client_hello ()));
+  Buffer.add_int32_be b (Int32.of_int (Wire.max_frame + 1));
+  Buffer.contents b
+
+let test_oversized_prefix_behind_frame () =
+  let s = hello_then_oversized_prefix () in
+  let d = Wire.deframer () in
+  Wire.feed d (Bytes.of_string s) (String.length s);
+  check (Alcotest.option Alcotest.string) "frame ahead of the prefix"
+    (Some (Buffer.contents (Frame.buf_client_hello ())))
+    (Wire.next_frame d);
+  match Wire.next_frame d with
+  | _ -> Alcotest.fail "oversized length behind a frame accepted"
   | exception Wire.Malformed _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -481,7 +618,7 @@ let test_loopback_deployment () =
   check_bool "wire regularity verdict matches sim" sim_regular wire_regular
 
 (* ------------------------------------------------------------------ *)
-(* Version negotiation against a live server *)
+(* Hello version checks against a live server *)
 
 (* Fork a single-node es server and hand its port to [f]; teardown is
    unconditional so a failing probe cannot leak the child. *)
@@ -513,7 +650,8 @@ let with_single_node_server f =
     Unix.close sock;
     Fun.protect
       ~finally:(fun () ->
-        ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1);
+        (* EPIPE here means the server already died; [f] reports why. *)
+        (try ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1) with Unix.Unix_error _ -> ());
         ignore (Unix.waitpid [] pid);
         Unix.close ctl_w)
       (fun () -> f port)
@@ -527,7 +665,7 @@ let raw_send fd b =
   let s = Wire.frame b in
   ignore (Unix.write_substring fd s 0 (String.length s))
 
-(* The next [count] frames on [fd], decoded at v2, in arrival order. *)
+(* The next [count] frames on [fd], decoded, in arrival order. *)
 let raw_recv_frames fd count =
   let d = Wire.deframer () in
   let buf = Bytes.create 4096 in
@@ -535,7 +673,7 @@ let raw_recv_frames fd count =
     if k = 0 then List.rev acc
     else
       match Wire.next_frame d with
-      | Some payload -> go (Frame.decode ~version:Wire.v2 payload :: acc) (k - 1)
+      | Some payload -> go (Frame.decode payload :: acc) (k - 1)
       | None ->
         let n = Unix.read fd buf 0 4096 in
         if n = 0 then Alcotest.fail "server closed without answering";
@@ -546,27 +684,29 @@ let raw_recv_frames fd count =
 
 let raw_recv_frame fd = List.hd (raw_recv_frames fd 1)
 
+(* A raw client hello: tag 1, then the given version byte, if any. *)
+let raw_client_hello fd version =
+  let b = Buffer.create 4 in
+  Wire.put_u8 b 1;
+  Option.iter (Wire.put_u8 b) version;
+  raw_send fd b
+
+(* A hello the server refuses must come back as a typed
+   connection-level Err, not a crash and not silence. *)
+let expect_refused what fd =
+  match raw_recv_frame fd with
+  | Frame.Err { req; _ } -> check_int (what ^ " err is connection-level") Frame.no_req req
+  | _ -> Alcotest.failf "%s not refused with Err" what
+
 let test_negotiation_matrix () =
   with_single_node_server (fun port ->
-      (* v1 client against a v2 server: byte-identical legacy frames,
-         no hello ack, ops address the only register (key 0). *)
-      let c1 = Client.connect ~wire:Wire.v1 ~host:"127.0.0.1" ~port () in
-      check_int "legacy client speaks v1" Wire.v1 (Client.version c1);
-      (match Client.write c1 41 with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "v1 write: %s" e);
-      (match Client.read c1 with
-      | Ok v -> check_int "v1 read sees v1 write" 41 v.Value.data
-      | Error e -> Alcotest.failf "v1 read: %s" e);
-      (match Client.read ~key:7 c1 with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "v1 client accepted a nonzero key");
-      Client.close c1;
-      (* v2 client: negotiates, then addresses keys. On a 1-shard
-         server every key routes to shard 0, so the keyed read must
-         observe the v1 write — the two protocols name one register. *)
+      (* v2 client: handshakes, then addresses keys. On a 1-shard
+         server every key routes to shard 0, so keys 0 and 9000 name
+         one register. *)
       let c2 = Client.connect ~host:"127.0.0.1" ~port () in
-      check_int "client negotiated v2" Wire.v2 (Client.version c2);
+      (match Client.write c2 41 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "v2 write: %s" e);
       (match Client.read ~key:9000 c2 with
       | Ok v -> check_int "keyed read via 1-shard server" 41 v.Value.data
       | Error e -> Alcotest.failf "v2 keyed read: %s" e);
@@ -577,25 +717,19 @@ let test_negotiation_matrix () =
       (* A client from the future (v3) is clamped to what we speak:
          the hello ack names v2, not an error. *)
       let fd = raw_dial port in
-      let b = Buffer.create 4 in
-      Wire.put_u8 b 1;
-      Wire.put_u8 b 3;
-      raw_send fd b;
+      raw_client_hello fd (Some 3);
       (match raw_recv_frame fd with
       | Frame.Hello { pid = 0; version } -> check_int "clamped to v2" Wire.v2 version
       | _ -> Alcotest.fail "v3 client hello not acked with a hello");
       Unix.close fd;
-      (* Version 0 is below anything this protocol ever spoke: a typed
-         connection-level Err, then close — not a crash, not silence. *)
-      let fd = raw_dial port in
-      let b = Buffer.create 4 in
-      Wire.put_u8 b 1;
-      Wire.put_u8 b 0;
-      raw_send fd b;
-      (match raw_recv_frame fd with
-      | Frame.Err { req; _ } -> check_int "version-0 err is connection-level" Frame.no_req req
-      | _ -> Alcotest.fail "version 0 not refused with Err");
-      Unix.close fd;
+      (* Versions 0 and 1 are below the one layout this server speaks. *)
+      List.iter
+        (fun v ->
+          let fd = raw_dial port in
+          raw_client_hello fd (Some v);
+          expect_refused (Printf.sprintf "version-%d" v) fd;
+          Unix.close fd)
+        [ 0; 1 ];
       (* Same for a peer hello announcing a version we cannot decode. *)
       let fd = raw_dial port in
       let b = Buffer.create 8 in
@@ -603,10 +737,57 @@ let test_negotiation_matrix () =
       Wire.put_int b 1;
       Wire.put_u8 b 9;
       raw_send fd b;
+      expect_refused "peer-v9" fd;
+      Unix.close fd;
+      (* A hello without its version byte is a malformed frame: the
+         server closes the connection without sending anything. *)
+      let fd = raw_dial port in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      raw_client_hello fd None;
+      check_int "unversioned hello: closed, no frame" 0 (Unix.read fd (Bytes.create 64) 0 64);
+      Unix.close fd;
+      (* None of that disturbed the server: a v2 client still gets the
+         last write back. *)
+      let c = Client.connect ~host:"127.0.0.1" ~port () in
+      (match Client.read c with
+      | Ok v -> check_int "server still answers a v2 client" 52 v.Value.data
+      | Error e -> Alcotest.failf "read after refusals: %s" e);
+      Client.close c)
+
+(* Regression for two inputs that used to kill a live server with an
+   uncaught [Malformed]: a frame followed, in the same write, by an
+   oversized length prefix; and a [Msg] whose protocol message is
+   followed by a stray byte. The first closes its connection after the
+   ack, the second counts as malformed and leaves its connection open,
+   and the server goes on serving. *)
+let test_hostile_frames () =
+  with_single_node_server (fun port ->
+      let fd = raw_dial port in
+      let s = hello_then_oversized_prefix () in
+      ignore (Unix.write_substring fd s 0 (String.length s));
       (match raw_recv_frame fd with
-      | Frame.Err { req; _ } -> check_int "peer-v9 err is connection-level" Frame.no_req req
-      | _ -> Alcotest.fail "peer hello v9 not refused with Err");
-      Unix.close fd)
+      | Frame.Hello _ -> ()
+      | _ -> Alcotest.fail "client hello not acked");
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      check_int "oversized prefix: closed" 0 (Unix.read fd (Bytes.create 64) 0 64);
+      Unix.close fd;
+      let fd = raw_dial port in
+      raw_send fd (Frame.buf_hello 0);
+      let b = Frame.buf_msg_header ~src:0 ~lamport:1 ~shard:0 () in
+      Es_register.put_msg b (Es_register.Inquiry { r_sn = 5 });
+      Wire.put_u8 b 7;
+      raw_send fd b;
+      (* Same connection, so the ack proves the Msg was handled first. *)
+      raw_send fd (Frame.buf_client_hello ());
+      (match raw_recv_frame fd with
+      | Frame.Hello _ -> ()
+      | _ -> Alcotest.fail "connection dropped after a malformed Msg");
+      Unix.close fd;
+      let c = Client.connect ~host:"127.0.0.1" ~port () in
+      (match Client.write c 8 with
+      | Ok v -> check_int "server still serving" 8 v.Value.data
+      | Error e -> Alcotest.failf "write after hostile frames: %s" e);
+      Client.close c)
 
 (* ------------------------------------------------------------------ *)
 (* Live multi-shard deployment *)
@@ -691,7 +872,6 @@ let test_sharded_loopback () =
   (* Scripted keyed ops through each shard's writer, then cross-checked
      through node 2 (an owner of both shards). *)
   let c0 = Client.connect ~host:"127.0.0.1" ~port:(snd addrs.(0)) () in
-  check_int "scripted client negotiated v2" Wire.v2 (Client.version c0);
   (match Client.write ~key:k0 c0 111 with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "write shard 0: %s" e);
@@ -954,10 +1134,14 @@ let test_no_read_overtakes_write name () =
   check_bool "merged trace audits clean" true audits_clean
 
 let () =
+  (* A server that dies mid-test must fail the test, not kill the
+     runner with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "runtime"
     [
       ("codec", codec_tests);
       ("envelope", envelope_tests);
+      ("fuzz", fuzz_tests);
       ( "wire",
         [
           Alcotest.test_case "int extremes round-trip" `Quick test_int_extremes;
@@ -965,6 +1149,8 @@ let () =
           Alcotest.test_case "expect_end rejects trailing bytes" `Quick test_expect_end;
           QCheck_alcotest.to_alcotest deframer_chunking;
           Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected;
+          Alcotest.test_case "oversized prefix behind a frame rejected" `Quick
+            test_oversized_prefix_behind_frame;
         ] );
       ( "loopback",
         [
@@ -972,6 +1158,8 @@ let () =
             test_loopback_deployment;
           Alcotest.test_case "v1/v2 negotiation matrix against a live server" `Quick
             test_negotiation_matrix;
+          Alcotest.test_case "hostile frames leave a live server serving" `Quick
+            test_hostile_frames;
           Alcotest.test_case "2-shard keyed store over TCP audits REGULAR per shard" `Quick
             test_sharded_loopback;
         ] );
