@@ -47,6 +47,31 @@ let max_regress =
 (* ------------------------------------------------------------------ *)
 (* Experiment tables *)
 
+(* One representative sweep timed at increasing --jobs; the rows land
+   in BENCH_results.json. *)
+type scaling_row = {
+  sc_jobs : int;  (* worker count the sweep ran with *)
+  sc_wall_s : float;
+  sc_speedup : float;  (* wall(jobs=1) / wall(this row) *)
+}
+
+let engine_scaling ~case rows =
+  Report.make
+    ~title:(Printf.sprintf "engine — worker scaling on %s" case)
+    ~headers:[ "jobs"; "wall s"; "speedup" ]
+    ~notes:
+      [
+        "The same sweep submitted through the engine at increasing worker";
+        "counts. Output is byte-identical at every worker count (canonical-";
+        "order aggregation); only the wall clock moves. Speedup is relative";
+        "to jobs=1 and is bounded by the host's cores and the longest cell.";
+      ]
+    (List.map
+       (fun r ->
+         [ Report.cell_int r.sc_jobs; Report.cell_float ~decimals:2 r.sc_wall_s;
+           Report.cell_float r.sc_speedup ])
+       rows)
+
 (* Prints each table as it is produced and returns them all (plus the
    engine-scaling rows), so the run can be serialized to
    BENCH_results.json at the end. Every experiment of the registry runs
@@ -86,10 +111,10 @@ let run_tables ~pool () =
     let rows =
       List.map
         (fun (j, w, _) ->
-          { Tables.sc_jobs = j; sc_wall_s = w; sc_speedup = (if w > 0. then base /. w else 0.) })
+          { sc_jobs = j; sc_wall_s = w; sc_speedup = (if w > 0. then base /. w else 0.) })
         runs
     in
-    show (Tables.engine_scaling ~case rows);
+    show (engine_scaling ~case rows);
     (rows, List.filter_map (fun (j, w, s) -> Option.map (fun s -> (j, w, s)) s) runs)
   in
   let case = "E24 nemesis matrix" in
@@ -685,9 +710,9 @@ let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~e
                      J.Obj
                        [
                          ("case", J.String case);
-                         ("jobs", J.Int r.Tables.sc_jobs);
-                         ("wall_s", J.Float r.Tables.sc_wall_s);
-                         ("speedup", J.Float r.Tables.sc_speedup);
+                         ("jobs", J.Int r.sc_jobs);
+                         ("wall_s", J.Float r.sc_wall_s);
+                         ("speedup", J.Float r.sc_speedup);
                        ])
                    rows)
                scaling) );
@@ -841,23 +866,23 @@ let compare_baseline ~path ~contents ~estimates ~checker ~scaling =
           in
           List.iter
             (fun r ->
-              if r.Tables.sc_jobs > 1 then begin
+              if r.sc_jobs > 1 then begin
                 let matches row =
                   (match Option.bind (J.member "case" row) J.to_string_opt with
                   | Some c -> String.equal c case
                   | None -> false)
                   &&
                   match Option.bind (J.member "jobs" row) J.to_int_opt with
-                  | Some j -> j = r.Tables.sc_jobs
+                  | Some j -> j = r.sc_jobs
                   | None -> false
                 in
-                let name = Printf.sprintf "scaling [%s] jobs=%d" case r.Tables.sc_jobs in
+                let name = Printf.sprintf "scaling [%s] jobs=%d" case r.sc_jobs in
                 match
                   Option.bind (List.find_opt matches base_rows) (fun row ->
                       Option.bind (J.member "speedup" row) J.to_float_opt)
                 with
                 | Some b when b > 0.0 ->
-                  let cur = r.Tables.sc_speedup in
+                  let cur = r.sc_speedup in
                   (* Speedup: lower is worse. *)
                   if gated then
                     judge name ~base_v:b ~cur_v:cur ~regress_pct:(100.0 *. ((b -. cur) /. b))

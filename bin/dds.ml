@@ -3,7 +3,6 @@
    Subcommands:
      run       simulate one deployment of a register protocol and report
                (or replay a checker schedule with --schedule)
-     scenario  replay one of the paper's constructed executions
      sweep     regenerate one experiment's tables (any of E1..E25)
      inspect   summarize a JSONL trace produced by run --trace-out
      explain   causal critical-path analysis of a JSONL trace: per-op
@@ -713,31 +712,14 @@ let analyze_cmd =
         (const (fun pos flag o c -> resolve_protocol pos flag (fun p -> run_analyze p o c))
         $ protocol_pos_t $ protocol_flag_t $ out_t $ common_t))
 
-(* scenario *)
+(* sweep *)
 
 (* Experiment ids, E-numbers and aliases all resolve through the
-   registry, for [dds scenario] and [dds sweep] alike. *)
+   registry. *)
 let experiment_doc =
   "One of: "
   ^ String.concat ", " (List.map (fun e -> e.Experiment.id) Experiment.all)
   ^ " — or an E-number or alias (see $(b,dds list))."
-
-(* An experiment at its registered parameters, run inline. *)
-let run_scenario name =
-  match Experiment.find name with
-  | Error e -> `Error (true, e)
-  | Ok e ->
-    List.iter Report.print (e.Experiment.run e.Experiment.defaults);
-    `Ok ()
-
-let scenario_cmd =
-  let doc = "Replay one of the paper's constructed executions." in
-  let name_t =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:experiment_doc)
-  in
-  Cmd.v (Cmd.info "scenario" ~doc) Term.(ret (const run_scenario $ name_t))
-
-(* sweep *)
 
 (* One engine pool per sweep/hunt/check invocation. The summary (and
    the optional metrics dump notice) goes to stderr: stdout must stay
@@ -2002,12 +1984,13 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c =
       Format.printf "repro      : %s@." (repro_line ~protocol repro_c);
       `Error (false, "hunt found a violating execution")
 
-(* Shared term builders: the plain subcommands and the [dds profile]
-   group reuse the same argument sets; [forced_profile] is the only
-   difference (the group turns the engine profiler on). *)
-let force_profile ~forced_profile c = if forced_profile then { c with eprofile = true } else c
-
-let hunt_term ~forced_profile =
+let hunt_cmd =
+  let doc =
+    "Randomized nemesis search: N seeds each run a seed-derived random fault plan (or the \
+     fixed $(b,--nemesis) plan); the first violating run is shrunk to a minimal \
+     counterexample and echoed as a copy-pasteable $(b,dds run) repro line. Exits \
+     non-zero iff a violation was found."
+  in
   let plans_t =
     Arg.(
       value & opt int 25
@@ -2033,11 +2016,22 @@ let hunt_term ~forced_profile =
   Term.(
     ret
       (const (fun pos flag plans faults no_shrink c ->
-           resolve_protocol pos flag (fun p ->
-               run_hunt p plans faults no_shrink (force_profile ~forced_profile c)))
+           resolve_protocol pos flag (fun p -> run_hunt p plans faults no_shrink c))
       $ protocol_pos_t $ protocol_flag_t $ plans_t $ faults_t $ no_shrink_t $ common_t))
+  |> Cmd.v (Cmd.info "hunt" ~doc)
 
-let sweep_term ~forced_profile =
+let sweep_cmd =
+  let doc = "Regenerate one experiment's tables (see DESIGN.md's index or $(b,dds list))." in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Runs the experiment at the parameters EXPERIMENTS.md quotes. $(b,--nodes), \
+         $(b,--delta), $(b,--horizon), $(b,--seed), $(b,--churn), $(b,--keys), \
+         $(b,--read-rate) and $(b,--write-every) replace the matching parameter only \
+         when given.";
+    ]
+  in
   let name_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SWEEP" ~doc:experiment_doc)
   in
@@ -2053,34 +2047,8 @@ let sweep_term ~forced_profile =
              per op kind), with ops over the k*delta bound listed. The extra run is \
              sequential, so output stays byte-identical at any $(b,--jobs).")
   in
-  Term.(
-    ret
-      (const (fun name attribution override c ->
-           run_sweep name attribution override (force_profile ~forced_profile c))
-      $ name_t $ attribution_t $ experiment_override_t $ common_t))
-
-let hunt_cmd =
-  let doc =
-    "Randomized nemesis search: N seeds each run a seed-derived random fault plan (or the \
-     fixed $(b,--nemesis) plan); the first violating run is shrunk to a minimal \
-     counterexample and echoed as a copy-pasteable $(b,dds run) repro line. Exits \
-     non-zero iff a violation was found."
-  in
-  Cmd.v (Cmd.info "hunt" ~doc) (hunt_term ~forced_profile:false)
-
-let sweep_cmd =
-  let doc = "Regenerate one experiment's tables (see DESIGN.md's index or $(b,dds list))." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs the experiment at the parameters EXPERIMENTS.md quotes. $(b,--nodes), \
-         $(b,--delta), $(b,--horizon), $(b,--seed), $(b,--churn), $(b,--keys), \
-         $(b,--read-rate) and $(b,--write-every) replace the matching parameter only \
-         when given.";
-    ]
-  in
-  Cmd.v (Cmd.info "sweep" ~doc ~man) (sweep_term ~forced_profile:false)
+  Term.(ret (const run_sweep $ name_t $ attribution_t $ experiment_override_t $ common_t))
+  |> Cmd.v (Cmd.info "sweep" ~doc ~man)
 
 (* check *)
 
@@ -2150,7 +2118,7 @@ let check_doc =
    atomicity for protocols that promise it); the first violating schedule is emitted \
    in a replayable format. Exits non-zero iff a violation was found."
 
-let check_term ~forced_profile =
+let check_cmd =
   let nodes_t =
     Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~docv:"INT" ~doc:"Founding system size.")
   in
@@ -2230,37 +2198,11 @@ let check_term ~forced_profile =
                   out naive frontier jobs eprofile profile_out ->
            resolve_protocol pos flag (fun p ->
                run_check p nodes delta writes reads joins quorum drop crash depth preempt
-                 out naive frontier jobs (eprofile || forced_profile) profile_out))
+                 out naive frontier jobs eprofile profile_out))
       $ protocol_pos_t $ protocol_flag_t $ nodes_t $ delta_t $ writes_t $ reads_t
       $ joins_t $ quorum_t $ drop_t $ crash_t $ depth_t $ preempt_t $ schedule_out_t
       $ naive_t $ frontier_t $ jobs_t $ eprofile_t $ profile_out_t))
-
-let check_cmd = Cmd.v (Cmd.info "check" ~doc:check_doc) (check_term ~forced_profile:false)
-
-(* profile — the same sweep/hunt/check commands with the engine
-   profiler forced on: `dds profile sweep NAME --jobs 4 --profile-out
-   p.json` is the canonical way to see where domain time goes. *)
-
-let profile_cmd =
-  let doc =
-    "Run $(b,sweep), $(b,hunt) or $(b,check) with the engine profiler on: per-domain \
-     activity timelines (job/steal/idle/merge spans), per-job GC deltas and simulator \
-     phase timers. The summary goes to stderr; $(b,--profile-out FILE) writes a Chrome \
-     trace_event JSON (one lane per worker domain) with the summary attached. Results \
-     and stdout are identical to the unprofiled commands."
-  in
-  Cmd.group (Cmd.info "profile" ~doc)
-    [
-      Cmd.v
-        (Cmd.info "sweep" ~doc:"Profiled $(b,dds sweep) (same arguments).")
-        (sweep_term ~forced_profile:true);
-      Cmd.v
-        (Cmd.info "hunt" ~doc:"Profiled $(b,dds hunt) (same arguments).")
-        (hunt_term ~forced_profile:true);
-      Cmd.v
-        (Cmd.info "check" ~doc:"Profiled $(b,dds check) (same arguments).")
-        (check_term ~forced_profile:true);
-    ]
+  |> Cmd.v (Cmd.info "check" ~doc:check_doc)
 
 (* list *)
 
@@ -2307,7 +2249,6 @@ let main_cmd =
     [
       run_cmd;
       analyze_cmd;
-      scenario_cmd;
       sweep_cmd;
       inspect_cmd;
       explain_cmd;
@@ -2317,7 +2258,6 @@ let main_cmd =
       load_cmd;
       hunt_cmd;
       check_cmd;
-      profile_cmd;
       list_cmd;
     ]
 

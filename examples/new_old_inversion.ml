@@ -16,7 +16,9 @@ open Dds_workload
 
 let () =
   let o = Scenario.inversion () in
-  Report.print (Tables.inversion o);
+  (* E1's table renders the same constructed execution. *)
+  let e = Result.get_ok (Experiment.find "inversion") in
+  List.iter Report.print (e.Experiment.run e.Experiment.defaults);
   Format.printf "Read values: r1 = %s, r2 = %s@."
     (match o.Scenario.fast_read with
     | Some v -> Format.asprintf "%a" Value.pp v

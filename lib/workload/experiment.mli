@@ -3,10 +3,13 @@
 
     The paper has no measured evaluation, so these tables are the
     reproduction. Each entry names an experiment, carries the
-    parameters EXPERIMENTS.md quotes, and knows how to run it. [dds
-    sweep], [dds scenario], [dds list] and the bench harness all
-    derive from {!all}; nothing else names an experiment or holds its
-    parameters. Adding a table is one entry here.
+    parameters EXPERIMENTS.md quotes, and knows how to run and render
+    it: the entry holds the table's title, headers, notes and the
+    mapping from {!Sweep}'s typed rows to cells. [dds sweep], [dds
+    list] and the bench harness all derive from {!all}; nothing else
+    names an experiment, holds its parameters or renders its table.
+    Adding a table is one entry here, plus a runner in {!Sweep} if no
+    existing one fits.
 
     Only the values the CLI has flags for are parameters. Grid
     constants (ratios, losses, speeds, ...) are fixed inside [run]. *)

@@ -8,9 +8,13 @@ open Dds_fault
     simulated register run.
 
     [dds run], [dds analyze], [dds hunt], [dds sweep --attribution]
-    and the cross-protocol tables E10 and E24 all call {!run} and
-    render from the {!result} it hands back, so a [dds hunt] repro
-    line replays exactly the execution the hunter judged.
+    and the sweep tables E4–E6, E8–E10, E13, E14, E16, E21, E22, E24
+    and E23's constant-rate row all call {!run} and render from the
+    {!result} it hands back, so a [dds hunt] repro line replays exactly
+    the execution the hunter judged. A sweep cell with its own protocol
+    parameters passes its own {!INSTANCE}. E15, E17 and E20 (seeded
+    link loss), E23's session-churn rows and E25 (a sharded store)
+    drive their deployments in {!Sweep} instead.
 
     A run, in order: create the deployment from a config (one seed);
     arm the nemesis plan ({!Dds_fault.Injector}) — only when the plan

@@ -6,64 +6,112 @@ open Dds_core
 
 module Sync_d = Deployment.Make (Sync_register)
 module Es_d = Deployment.Make (Es_register)
-module Sync_gen = Generator.Make (Sync_d)
-module Es_gen = Generator.Make (Es_d)
 
 let time = Time.of_int
 
 (* Engine plumbing: every multi-cell runner submits its independent
    (seed, params) cells through the pool when one is given. Each cell
    builds its own deployment (rng, metrics, history, event sink) from
-   its seed, so cells share nothing; [Pool.map] aggregates in
-   submission order, which keeps every table byte-identical for any
-   worker count. Without a pool the same cells run inline. *)
-let pmap ?pool ~key f xs =
-  match pool with
-  | None -> List.map f xs
-  | Some p -> Dds_engine.Pool.map p ~key ~f xs
+   its seed, so cells share nothing; results come back in submission
+   order, which keeps every table byte-identical for any worker count.
+   Without a pool the same cells run inline.
 
-(* Heavy-first, chunked scheduling for skewed batches.
-
-   [pmap] submits one job per cell; when a few cells are super-linearly
-   heavier than the rest (E24's dup plan duplicates every copy of every
-   broadcast for the whole horizon, so its work scales with traffic,
-   not ticks), the batch's wall clock is set by whichever worker draws
-   a heavy cell last, while the tiny cells pay per-job overhead.
-   [pmap_partitioned ~heavy] submits the predicted-heavy cells first,
-   each as its own job, and folds the light cells into chunks of
-   [chunk] so their fixed costs amortize. Results are spliced back into
-   submission order, so the output is byte-identical to [pmap] at any
-   worker count — jobs stay pure, only the schedule changes. *)
-let pmap_partitioned ?pool ~key ~heavy ?(chunk = 3) f xs =
+   By default every cell is its own job. When a few cells are
+   super-linearly heavier than the rest (E24's dup plan duplicates
+   every copy of every broadcast for the whole horizon, so its work
+   scales with traffic, not ticks), the batch's wall clock is set by
+   whichever worker draws a heavy cell last, while the tiny cells pay
+   per-job overhead. Given [heavy], the predicted-heavy cells go first,
+   each as its own job, and the light cells are folded into chunks of
+   three so their fixed costs amortize. Only the schedule changes: the
+   results are spliced back into submission order. *)
+let pmap ?pool ?(heavy = fun _ -> true) ~key f xs =
   match pool with
   | None -> List.map f xs
   | Some p ->
     let indexed = List.mapi (fun i x -> (i, x)) xs in
     let heavies, lights = List.partition (fun (_, x) -> heavy x) indexed in
     let rec chunks = function
+      | a :: b :: c :: rest -> [ a; b; c ] :: chunks rest
       | [] -> []
-      | l ->
-        let rec take k acc rest =
-          match (k, rest) with
-          | 0, rest | _, ([] as rest) -> (List.rev acc, rest)
-          | k, y :: rest -> take (k - 1) (y :: acc) rest
-        in
-        let c, rest = take chunk [] l in
-        c :: chunks rest
+      | short -> [ short ]
     in
-    let job_of_cells cells =
+    let job cells =
       {
         Dds_engine.Pool.key = String.concat "+" (List.map (fun (_, x) -> key x) cells);
         run = (fun () -> List.map (fun (i, x) -> (i, f x)) cells);
       }
     in
-    let jobs =
-      List.map (fun c -> job_of_cells [ c ]) heavies @ List.map job_of_cells (chunks lights)
-    in
-    Dds_engine.Pool.run p jobs
+    Dds_engine.Pool.run p
+      (List.map (fun c -> job [ c ]) heavies @ List.map job (chunks lights))
     |> List.concat
     |> List.sort (fun (i, _) (j, _) -> Stdlib.compare i j)
     |> List.map snd
+
+(* Runs the (x, seed) grid as one job per cell and hands each [x] back
+   with its seeds' outcomes, in seed order. *)
+let per_seed ?pool ~key ~seeds f xs =
+  let outcomes =
+    pmap ?pool ~key f (List.concat_map (fun x -> List.map (fun s -> (x, s)) seeds) xs)
+  in
+  let k = List.length seeds in
+  List.mapi (fun i x -> (x, List.filteri (fun j _ -> j / k = i) outcomes)) xs
+
+(* A Harness instance running a cell's own protocol params. *)
+let sync_with params : (module Harness.INSTANCE) =
+  (module struct
+    module D = Sync_d
+
+    let params = params
+  end)
+
+let es_with params : (module Harness.INSTANCE) =
+  (module struct
+    module D = Es_d
+
+    let params = params
+  end)
+
+(* Figure 1 as printed: a joiner whose inquiry comes back empty adopts
+   bottom. *)
+let paper_literal ~delta =
+  { (Sync_register.default_params ~delta) with
+    Sync_register.on_empty_inquiry = Sync_register.Adopt_bottom }
+
+(* Synchronous links bounded by [delta] and churn at rate [c];
+   [adversarial] departures take active processes first. *)
+let config ?(adversarial = false) ~seed ~n ~delta c =
+  let cfg = Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c in
+  if adversarial then { cfg with Deployment.churn_policy = Churn.Active_first } else cfg
+
+(* One fault-free, unmonitored Harness run. *)
+let judged inst cfg ~read_rate ~write_every ~horizon ~drain =
+  Harness.run inst cfg { Harness.horizon; drain; read_rate; write_every; monitor = None } []
+
+(* The threshold workload of E5, E13, E14 and E23: a read per tick, a
+   write every 5 delta, 4 delta of drain. *)
+let threshold_run ~delta ~horizon inst cfg =
+  judged inst cfg ~read_rate:1.0 ~write_every:(5 * delta) ~horizon ~drain:(4 * delta)
+
+(* E15, E17 and E20 drop each message with probability [loss], drawn
+   from a stream seeded [fault_seed]. Harness has no network-fault
+   hook, so these runs drive the deployment themselves, in Harness's
+   order. *)
+let lossy_run (module I : Harness.INSTANCE) cfg ~loss ~fault_seed ~read_rate ~write_every
+    ~horizon ~drain =
+  let module G = Generator.Make (I.D) in
+  let d = I.D.create cfg I.params in
+  if loss > 0.0 then begin
+    let rng = Rng.create ~seed:fault_seed in
+    Network.set_fault (I.D.network d) (fun _ -> Rng.float rng 1.0 < loss)
+  end;
+  let until = time horizon in
+  I.D.start_churn d ~until;
+  G.run d { Generator.read_rate; write_every; start = time 1; until };
+  I.D.run_until d (time (horizon + drain));
+  (I.D.history d, I.D.regularity d, I.D.metrics d)
+
+let violations (r : Regularity.report) = List.length r.Regularity.violations
 
 let latency_of (o : History.op) =
   Option.map (fun r -> Time.diff r o.History.invoked) o.History.responded
@@ -81,6 +129,8 @@ let is_write (o : History.op) =
 
 let is_join (o : History.op) =
   match o.History.kind with History.Join _ -> true | _ -> false
+
+let stuck_joins history = List.length (List.filter is_join (History.pending history))
 
 (* The paper's two dynamic registers, the rows of the sync-vs-es
    tables (E15, E24); cross-protocol tables over every registered
@@ -103,18 +153,14 @@ let lemma2 ?pool ~n ~delta ~ratios ~horizon ~seed () =
     ~key:(fun ratio -> Printf.sprintf "lemma2:ratio=%g" ratio)
     (fun ratio ->
       let c = ratio /. (3.0 *. float_of_int delta) in
-      let cfg =
-        {
-          (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta)
-             ~churn_rate:c)
-          with
-          Deployment.churn_policy = Churn.Active_first;
-        }
+      (* Membership only: the workload issues nothing. *)
+      let r =
+        judged
+          (sync_with (Sync_register.default_params ~delta))
+          (config ~adversarial:true ~seed ~n ~delta c)
+          ~read_rate:0.0 ~write_every:0 ~horizon ~drain:(4 * delta)
       in
-      let d = Sync_d.create cfg (Sync_register.default_params ~delta) in
-      Sync_d.start_churn d ~until:(time horizon);
-      Sync_d.run_until d (time (horizon + (4 * delta)));
-      let analysis = Sync_d.analysis d in
+      let analysis = r.Harness.analysis in
       let warmup = 4 * delta in
       let _, window_min =
         Analysis.min_active_window analysis ~window:(3 * delta) ~from_:(time warmup)
@@ -146,66 +192,34 @@ type safety_row = {
 }
 
 let sync_safety ?(on_empty = Sync_register.Retry) ?pool ~n ~delta ~ratios ~seeds ~horizon () =
-  (* The (ratio, seed) grid is the job unit: every run is a pure
-     function of its cell, and the per-ratio totals are folded back in
-     canonical grid order afterwards. *)
+  let inst =
+    sync_with
+      { (Sync_register.default_params ~delta) with Sync_register.on_empty_inquiry = on_empty }
+  in
+  let c_of ratio = ratio /. (3.0 *. float_of_int delta) in
   let run_one (ratio, seed) =
-    let c = ratio /. (3.0 *. float_of_int delta) in
-    let cfg =
-      {
-        (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta)
-           ~churn_rate:c)
-        with
-        Deployment.churn_policy = Churn.Active_first;
-      }
+    let r =
+      threshold_run ~delta ~horizon inst (config ~adversarial:true ~seed ~n ~delta (c_of ratio))
     in
-    let d =
-      Sync_d.create cfg
-        { (Sync_register.default_params ~delta) with Sync_register.on_empty_inquiry = on_empty }
-    in
-    Sync_d.start_churn d ~until:(time horizon);
-    Sync_gen.run d
-      { Generator.read_rate = 1.0; write_every = 5 * delta; start = time 1;
-        until = time horizon };
-    Sync_d.run_until d (time (horizon + (4 * delta)));
-    let report = Sync_d.regularity d in
-    let violations = List.length report.Regularity.violations in
-    let retries = Metrics.get (Sync_d.metrics d) "sync.join.retry" in
-    let pending_joins =
-      List.length (List.filter is_join (History.pending (Sync_d.history d)))
-    in
-    (violations, retries, pending_joins)
+    ( violations r.Harness.regularity,
+      Metrics.get r.Harness.metrics "sync.join.retry",
+      stuck_joins r.Harness.history )
   in
-  let grid = List.concat_map (fun ratio -> List.map (fun seed -> (ratio, seed)) seeds) ratios in
-  let outcomes =
-    pmap ?pool
-      ~key:(fun (ratio, seed) -> Printf.sprintf "safety:ratio=%g:seed=%d" ratio seed)
-      run_one grid
-  in
-  let cells = List.combine grid outcomes in
   List.map
-    (fun ratio ->
-      let v, rwv, jr, pj =
-        List.fold_left
-          (fun (v, rwv, jr, pj) ((r, _), (violations, retries, pending)) ->
-            if r <> ratio then (v, rwv, jr, pj)
-            else
-              ( v + violations,
-                (rwv + if violations > 0 then 1 else 0),
-                jr + retries,
-                pj + pending ))
-          (0, 0, 0, 0) cells
-      in
+    (fun (ratio, outcomes) ->
+      let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
       {
         sf_ratio = ratio;
-        sf_c = ratio /. (3.0 *. float_of_int delta);
+        sf_c = c_of ratio;
         sf_runs = List.length seeds;
-        sf_violations = v;
-        sf_runs_with_violation = rwv;
-        sf_join_retries = jr;
-        sf_incomplete_joins = pj;
+        sf_violations = sum (fun (v, _, _) -> v);
+        sf_runs_with_violation = sum (fun (v, _, _) -> if v > 0 then 1 else 0);
+        sf_join_retries = sum (fun (_, r, _) -> r);
+        sf_incomplete_joins = sum (fun (_, _, p) -> p);
       })
-    ratios
+    (per_seed ?pool
+       ~key:(fun (ratio, seed) -> Printf.sprintf "safety:ratio=%g:seed=%d" ratio seed)
+       ~seeds run_one ratios)
 
 (* ------------------------------------------------------------------ *)
 (* E6 / E8 *)
@@ -233,27 +247,23 @@ let completed_ops history =
     (History.ops history)
 
 let sync_latency ~n ~delta ~c ~horizon ~seed =
-  let cfg =
-    Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c
+  let r =
+    judged
+      (sync_with (Sync_register.default_params ~delta))
+      (config ~seed ~n ~delta c)
+      ~read_rate:1.0 ~write_every:(4 * delta) ~horizon ~drain:(4 * delta)
   in
-  let d = Sync_d.create cfg (Sync_register.default_params ~delta) in
-  Sync_d.start_churn d ~until:(time horizon);
-  Sync_gen.run d
-    { Generator.read_rate = 1.0; write_every = 4 * delta; start = time 1;
-      until = time horizon };
-  Sync_d.run_until d (time (horizon + (4 * delta)));
-  rows_for ~protocol:"sync" ~phase:"synchronous" (completed_ops (Sync_d.history d))
+  rows_for ~protocol:"sync" ~phase:"synchronous" (completed_ops r.Harness.history)
 
 let es_latency ~n ~gst ~delta ~wild ~horizon ~seed =
   let delay = Delay.eventually_synchronous ~gst:(time gst) ~delta ~wild in
-  let cfg = Deployment.default_config ~seed ~n ~delay ~churn_rate:0.005 in
-  let d = Es_d.create cfg (Es_register.default_params ~n) in
-  Es_d.start_churn d ~until:(time horizon);
-  Es_gen.run d
-    { Generator.read_rate = 0.3; write_every = 10 * delta; start = time 1;
-      until = time horizon };
-  Es_d.run_until d (time (horizon + (20 * wild)));
-  let ops = completed_ops (Es_d.history d) in
+  let r =
+    judged
+      (es_with (Es_register.default_params ~n))
+      (Deployment.default_config ~seed ~n ~delay ~churn_rate:0.005)
+      ~read_rate:0.3 ~write_every:(10 * delta) ~horizon ~drain:(20 * wild)
+  in
+  let ops = completed_ops r.Harness.history in
   let pre, post =
     List.partition (fun (o : History.op) -> Time.to_int o.History.invoked < gst) ops
   in
@@ -299,22 +309,16 @@ let es_boundary ?pool ~n ~rates ~horizon ~seed () =
   pmap ?pool
     ~key:(fun c -> Printf.sprintf "boundary:c=%g" c)
     (fun c ->
-      let cfg =
-        {
-          (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta:3)
-             ~churn_rate:c)
-          with
-          Deployment.churn_policy = Churn.Active_first;
-        }
+      let r =
+        judged
+          (es_with (Es_register.default_params ~n))
+          (config ~adversarial:true ~seed ~n ~delta:3 c)
+          ~read_rate:0.5 ~write_every:25 ~horizon ~drain:50
       in
-      let d = Es_d.create cfg (Es_register.default_params ~n) in
-      Es_d.start_churn d ~until:(time horizon);
-      Es_gen.run d
-        { Generator.read_rate = 0.5; write_every = 25; start = time 1; until = time horizon };
-      Es_d.run_until d (time (horizon + 50));
-      let h = Es_d.history d in
-      let analysis = Es_d.analysis d in
-      let _, min_active = Analysis.min_active analysis ~from_:(time 10) ~until:(time horizon) in
+      let h = r.Harness.history in
+      let _, min_active =
+        Analysis.min_active r.Harness.analysis ~from_:(time 10) ~until:(time horizon)
+      in
       {
         bd_c = c;
         bd_completed = List.length (completed_ops h);
@@ -322,7 +326,7 @@ let es_boundary ?pool ~n ~rates ~horizon ~seed () =
         bd_aborted = List.length (History.aborted h);
         bd_min_active = min_active;
         bd_majority = (n / 2) + 1;
-        bd_violations = List.length (Es_d.regularity d).Regularity.violations;
+        bd_violations = violations r.Harness.regularity;
       })
     rates
 
@@ -353,9 +357,7 @@ let founders_alive membership ~n =
        (Membership.present membership))
 
 let abd_vs_dynamic ?pool ~n ~delta ~c ~horizon ~seed () =
-  let cfg =
-    Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c
-  in
+  let cfg = config ~seed ~n ~delta c in
   let spec =
     { (Harness.default_spec ~horizon ~drain:50 ()) with
       Harness.read_rate = 0.5; write_every = 10 * delta }
@@ -367,7 +369,7 @@ let abd_vs_dynamic ?pool ~n ~delta ~c ~horizon ~seed () =
       vs_protocol = p.Protocol.name;
       vs_completed = List.length (completed_ops h);
       vs_pending = List.length (History.pending h);
-      vs_violations = List.length r.Harness.regularity.Regularity.violations;
+      vs_violations = violations r.Harness.regularity;
       vs_last_completed_at = last_completed_tick h;
       vs_founders_alive_at_end = founders_alive r.Harness.membership ~n;
     }
@@ -407,10 +409,7 @@ let msg_complexity ?pool ~ns ~delta ~seed () =
   let ops = 10 in
   let row_for (n, (p : Protocol.t)) =
     let (module I) = Harness.instance_exn p ~n ~delta in
-    let cfg =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
-    in
-    let d = I.D.create cfg I.params in
+    let d = I.D.create (config ~seed ~n ~delta 0.0) I.params in
     let metrics = I.D.metrics d in
     let quiesce () = I.D.run_to_quiescence d () in
     let writer = Option.get (I.D.writer d) in
@@ -515,30 +514,11 @@ type threshold_row = {
 (* One probe run at rate [c]; returns true when the run was clean:
    no safety violation and no join stuck at the horizon. *)
 let sync_probe ~n ~delta ~seed ~horizon c =
-  let cfg =
-    {
-      (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c)
-      with
-      Deployment.churn_policy = Churn.Active_first;
-    }
+  let r =
+    threshold_run ~delta ~horizon (sync_with (paper_literal ~delta))
+      (config ~adversarial:true ~seed ~n ~delta c)
   in
-  let d =
-    Sync_d.create cfg
-      {
-        (Sync_register.default_params ~delta) with
-        Sync_register.on_empty_inquiry = Sync_register.Adopt_bottom;
-      }
-  in
-  Sync_d.start_churn d ~until:(time horizon);
-  Sync_gen.run d
-    { Generator.read_rate = 1.0; write_every = 5 * delta; start = time 1;
-      until = time horizon };
-  Sync_d.run_until d (time (horizon + (4 * delta)));
-  let report = Sync_d.regularity d in
-  let stuck =
-    List.exists is_join (History.pending (Sync_d.history d))
-  in
-  report.Regularity.violations = [] && not stuck
+  r.Harness.regularity.Regularity.violations = [] && stuck_joins r.Harness.history = 0
 
 (* The upward scan inside each cell is adaptive (each probe depends on
    the previous one passing), so the parallel unit is the delta, not
@@ -606,57 +586,27 @@ let bursty_churn ?pool ~n ~delta ~seeds ~horizon () =
        ("peak = 3.2x bound", Churn.Bursty { base; peak; period; burst }, peak));
     ]
   in
-  (* Flattened (profile, seed) grid: the per-profile totals are folded
-     back in canonical order after the cells come home. *)
   let run_one ((_, profile, _), seed) =
     let cfg =
-      {
-        (Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta)
-           ~churn_rate:avg)
-        with
-        Deployment.churn_profile = Some profile;
-        Deployment.churn_policy = Churn.Active_first;
-      }
+      { (config ~adversarial:true ~seed ~n ~delta avg) with
+        Deployment.churn_profile = Some profile }
     in
-    let d =
-      Sync_d.create cfg
-        {
-          (Sync_register.default_params ~delta) with
-          Sync_register.on_empty_inquiry = Sync_register.Adopt_bottom;
-        }
-    in
-    Sync_d.start_churn d ~until:(time horizon);
-    Sync_gen.run d
-      { Generator.read_rate = 1.0; write_every = 5 * delta; start = time 1;
-        until = time horizon };
-    Sync_d.run_until d (time (horizon + (4 * delta)));
-    ( List.length (Sync_d.regularity d).Regularity.violations,
-      List.length (List.filter is_join (History.pending (Sync_d.history d))) )
+    let r = threshold_run ~delta ~horizon (sync_with (paper_literal ~delta)) cfg in
+    (violations r.Harness.regularity, stuck_joins r.Harness.history)
   in
-  let grid = List.concat_map (fun p -> List.map (fun s -> (p, s)) seeds) profiles in
-  let outcomes =
-    pmap ?pool
-      ~key:(fun ((label, _, _), seed) -> Printf.sprintf "burst:%s:seed=%d" label seed)
-      run_one grid
-  in
-  let cells = List.combine grid outcomes in
   List.map
-    (fun (label, _, peak) ->
-      let violations, stuck =
-        List.fold_left
-          (fun (v, s) (((l, _, _), _), (dv, ds)) ->
-            if l <> label then (v, s) else (v + dv, s + ds))
-          (0, 0) cells
-      in
+    (fun ((label, _, peak), outcomes) ->
       {
         br_label = label;
         br_avg_c = avg;
         br_peak_c = peak;
-        br_violations = violations;
-        br_stuck_joins = stuck;
+        br_violations = List.fold_left (fun acc (v, _) -> acc + v) 0 outcomes;
+        br_stuck_joins = List.fold_left (fun acc (_, s) -> acc + s) 0 outcomes;
         br_runs = List.length seeds;
       })
-    profiles
+    (per_seed ?pool
+       ~key:(fun ((label, _, _), seed) -> Printf.sprintf "burst:%s:seed=%d" label seed)
+       ~seeds run_one profiles)
 
 (* ------------------------------------------------------------------ *)
 (* E15 *)
@@ -670,35 +620,20 @@ type loss_row = {
 }
 
 let message_loss ?pool ~n ~delta ~losses ~horizon ~seed () =
-  let gen_cfg =
-    { Generator.read_rate = 0.5; write_every = 5 * delta; start = time 1;
-      until = time horizon }
-  in
   (* Each protocol draws its losses from its own stream: seed + 1 for
      sync, seed + 2 for es. *)
   let protocols = List.mapi (fun i p -> (p, seed + 1 + i)) dynamic_protocols in
   let row_for (loss, ((p : Protocol.t), fault_seed)) =
-    let (module I) = Harness.instance_exn p ~n ~delta in
-    let module G = Generator.Make (I.D) in
-    let cfg =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta)
-        ~churn_rate:0.01
+    let h, regularity, _ =
+      lossy_run (Harness.instance_exn p ~n ~delta) (config ~seed ~n ~delta 0.01) ~loss
+        ~fault_seed ~read_rate:0.5 ~write_every:(5 * delta) ~horizon ~drain:(4 * delta)
     in
-    let d = I.D.create cfg I.params in
-    if loss > 0.0 then begin
-      let rng = Rng.create ~seed:fault_seed in
-      Network.set_fault (I.D.network d) (fun (_ : Delay.decision) -> Rng.float rng 1.0 < loss)
-    end;
-    I.D.start_churn d ~until:(time horizon);
-    G.run d gen_cfg;
-    I.D.run_until d (time (horizon + (4 * delta)));
-    let h = I.D.history d in
     {
       ls_protocol = p.Protocol.name;
       ls_loss = loss;
       ls_completed = List.length (completed_ops h);
       ls_pending = List.length (History.pending h);
-      ls_violations = List.length (I.D.regularity d).Regularity.violations;
+      ls_violations = violations regularity;
     }
   in
   let cells = List.concat_map (fun loss -> List.map (fun p -> (loss, p)) protocols) losses in
@@ -726,21 +661,18 @@ let join_wait_optimization ?pool ~n ~delta ~p2ps ~horizon ~seed () =
         ~delay:(Delay.synchronous_split ~broadcast:delta ~p2p)
         ~churn_rate:0.02
     in
-    let d = Sync_d.create cfg params in
-    Sync_d.start_churn d ~until:(time horizon);
-    Sync_gen.run d
-      { Generator.read_rate = 0.5; write_every = 5 * delta; start = time 1;
-        until = time horizon };
-    Sync_d.run_until d (time (horizon + (4 * delta)));
-    let joins = List.filter is_join (completed_ops (Sync_d.history d)) in
-    let stats = latency_stats joins in
+    let r =
+      judged (sync_with params) cfg ~read_rate:0.5 ~write_every:(5 * delta) ~horizon
+        ~drain:(4 * delta)
+    in
+    let stats = latency_stats (List.filter is_join (completed_ops r.Harness.history)) in
     {
       jo_variant = variant;
       jo_p2p = p2p;
       jo_join_mean = Stats.mean stats;
       jo_join_max = Stats.max_value stats;
       jo_joins = Stats.count stats;
-      jo_violations = List.length (Sync_d.regularity d).Regularity.violations;
+      jo_violations = violations r.Harness.regularity;
     }
   in
   let variants =
@@ -781,22 +713,17 @@ let broadcast_robustness ?pool ~n ~losses ~horizon ~seed () =
         Deployment.broadcast_mode = mode;
       }
     in
-    let d = Sync_d.create cfg (Sync_register.default_params ~delta) in
-    if loss > 0.0 then begin
-      let rng = Rng.create ~seed:(seed + 13) in
-      Network.set_fault (Sync_d.network d) (fun _ -> Rng.float rng 1.0 < loss)
-    end;
-    Sync_d.start_churn d ~until:(time horizon);
-    Sync_gen.run d
-      { Generator.read_rate = 0.5; write_every = 5 * delta; start = time 1;
-        until = time horizon };
-    Sync_d.run_until d (time (horizon + (4 * delta)));
-    let metrics = Sync_d.metrics d in
+    let h, regularity, metrics =
+      lossy_run
+        (sync_with (Sync_register.default_params ~delta))
+        cfg ~loss ~fault_seed:(seed + 13) ~read_rate:0.5 ~write_every:(5 * delta) ~horizon
+        ~drain:(4 * delta)
+    in
     {
       bc_mode = mode_name;
       bc_loss = loss;
-      bc_completed = List.length (completed_ops (Sync_d.history d));
-      bc_violations = List.length (Sync_d.regularity d).Regularity.violations;
+      bc_completed = List.length (completed_ops h);
+      bc_violations = violations regularity;
       bc_transmissions = transmissions metrics;
     }
   in
@@ -915,29 +842,18 @@ let quorum_ablation ?(loss = 0.0) ?pool ~n ~quorums ~c ~horizon ~seed () =
   pmap ?pool
     ~key:(fun quorum -> Printf.sprintf "ablate:q=%d" quorum)
     (fun quorum ->
-      let cfg =
-        Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta:3)
-          ~churn_rate:c
+      let h, regularity, _ =
+        lossy_run
+          (es_with { (Es_register.default_params ~n) with Es_register.quorum_override = Some quorum })
+          (config ~seed ~n ~delta:3 c)
+          ~loss ~fault_seed:(seed + 3) ~read_rate:1.0 ~write_every:20 ~horizon ~drain:60
       in
-      let d =
-        Es_d.create cfg
-          { (Es_register.default_params ~n) with Es_register.quorum_override = Some quorum }
-      in
-      if loss > 0.0 then begin
-        let rng = Rng.create ~seed:(seed + 3) in
-        Network.set_fault (Es_d.network d) (fun _ -> Rng.float rng 1.0 < loss)
-      end;
-      Es_d.start_churn d ~until:(time horizon);
-      Es_gen.run d
-        { Generator.read_rate = 1.0; write_every = 20; start = time 1; until = time horizon };
-      Es_d.run_until d (time (horizon + 60));
-      let h = Es_d.history d in
       {
         qa_quorum = quorum;
         qa_majority = (n / 2) + 1;
         qa_completed = List.length (completed_ops h);
         qa_pending = List.length (History.pending h);
-        qa_violations = List.length (Es_d.regularity d).Regularity.violations;
+        qa_violations = violations regularity;
         qa_inversions = List.length (Atomicity.inversions h);
       })
     quorums
@@ -956,24 +872,19 @@ type repair_row = {
 let read_repair_ablation ?pool ~n ~horizon ~seed () =
   let run read_repair =
     let scenario = Scenario.es_inversion ~read_repair () in
-    let cfg =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta:3)
-        ~churn_rate:0.01
+    let r =
+      judged
+        (es_with { (Es_register.default_params ~n) with Es_register.read_repair })
+        (config ~seed ~n ~delta:3 0.01)
+        ~read_rate:0.5 ~write_every:25 ~horizon ~drain:60
     in
-    let d =
-      Es_d.create cfg { (Es_register.default_params ~n) with Es_register.read_repair }
-    in
-    Es_d.start_churn d ~until:(time horizon);
-    Es_gen.run d
-      { Generator.read_rate = 0.5; write_every = 25; start = time 1; until = time horizon };
-    Es_d.run_until d (time (horizon + 60));
-    let h = Es_d.history d in
+    let h = r.Harness.history in
     {
       rp_variant = (if read_repair then "read-repair (atomic)" else "plain (regular)");
       rp_scenario_inversions = List.length scenario.Scenario.inversions;
       rp_run_inversions = List.length (Atomicity.inversions h);
       rp_read_mean = Stats.mean (latency_stats (List.filter is_read (completed_ops h)));
-      rp_violations = List.length (Es_d.regularity d).Regularity.violations;
+      rp_violations = violations r.Harness.regularity;
     }
   in
   pmap ?pool
@@ -995,22 +906,17 @@ let delta_calibration ?pool ~n ~actual ~believed ~horizon ~seed () =
   pmap ?pool
     ~key:(fun believed_delta -> Printf.sprintf "calib:believed=%d" believed_delta)
     (fun believed_delta ->
-      let cfg =
-        Deployment.default_config ~seed ~n
-          ~delay:(Delay.synchronous ~delta:actual)
-          ~churn_rate:0.02
+      let r =
+        judged
+          (sync_with (Sync_register.default_params ~delta:believed_delta))
+          (config ~seed ~n ~delta:actual 0.02)
+          ~read_rate:1.0 ~write_every:(6 * actual) ~horizon ~drain:(6 * actual)
       in
-      let d = Sync_d.create cfg (Sync_register.default_params ~delta:believed_delta) in
-      Sync_d.start_churn d ~until:(time horizon);
-      Sync_gen.run d
-        { Generator.read_rate = 1.0; write_every = 6 * actual; start = time 1;
-          until = time horizon };
-      Sync_d.run_until d (time (horizon + (6 * actual)));
-      let joins = List.filter is_join (completed_ops (Sync_d.history d)) in
+      let joins = List.filter is_join (completed_ops r.Harness.history) in
       {
         cb_believed = believed_delta;
         cb_actual = actual;
-        cb_violations = List.length (Sync_d.regularity d).Regularity.violations;
+        cb_violations = violations r.Harness.regularity;
         cb_join_mean = Stats.mean (latency_stats joins);
         cb_joins = List.length joins;
       })
@@ -1030,52 +936,32 @@ type session_row = {
 }
 
 let session_models ?pool ~n ~delta ~mean ~horizon ~seed () =
-  let threshold_window d =
-    let analysis = Analysis.of_records (Membership.records (Sync_d.membership d)) in
-    snd
-      (Analysis.min_active_window analysis ~window:(3 * delta) ~from_:(time (4 * delta))
-         ~until:(time (horizon - (3 * delta) - 1)))
-  in
-  let params =
-    {
-      (Sync_register.default_params ~delta) with
-      Sync_register.on_empty_inquiry = Sync_register.Adopt_bottom;
-    }
-  in
-  let workload d =
-    Sync_gen.run d
-      { Generator.read_rate = 1.0; write_every = 5 * delta; start = time 1;
-        until = time horizon }
-  in
-  let finish ~model ~measured d =
-    let report = Sync_d.regularity d in
+  let params = paper_literal ~delta in
+  let row ~model ~measured history regularity analysis =
     {
       ss_model = model;
       ss_mean_session = mean;
       ss_measured_c = measured;
-      ss_checked = report.Regularity.checked_reads + report.Regularity.checked_joins;
-      ss_violations = List.length report.Regularity.violations;
-      ss_stuck_joins =
-        List.length (List.filter is_join (History.pending (Sync_d.history d)));
-      ss_min_window = threshold_window d;
+      ss_checked = regularity.Regularity.checked_reads + regularity.Regularity.checked_joins;
+      ss_violations = violations regularity;
+      ss_stuck_joins = stuck_joins history;
+      ss_min_window =
+        snd
+          (Analysis.min_active_window analysis ~window:(3 * delta) ~from_:(time (4 * delta))
+             ~until:(time (horizon - (3 * delta) - 1)));
     }
   in
   let constant_row () =
     let c = 1.0 /. mean in
-    let cfg =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:c
-    in
-    let d = Sync_d.create cfg params in
-    Sync_d.start_churn d ~until:(time horizon);
-    workload d;
-    Sync_d.run_until d (time (horizon + (4 * delta)));
-    finish ~model:"constant rate (paper)" ~measured:c d
+    let r = threshold_run ~delta ~horizon (sync_with params) (config ~seed ~n ~delta c) in
+    row ~model:"constant rate (paper)" ~measured:c r.Harness.history r.Harness.regularity
+      r.Harness.analysis
   in
+  (* Session churn replaces the constant-rate process, which Harness
+     always starts, so these rows drive the deployment themselves. *)
   let session_row ~model ~distribution =
-    let cfg =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
-    in
-    let d = Sync_d.create cfg params in
+    let module G = Generator.Make (Sync_d) in
+    let d = Sync_d.create (config ~seed ~n ~delta 0.0) params in
     let engine =
       Session_churn.create ~sched:(Sync_d.scheduler d)
         ~rng:(Rng.create ~seed:(seed + 101))
@@ -1085,9 +971,12 @@ let session_models ?pool ~n ~delta ~mean ~horizon ~seed () =
         ()
     in
     Session_churn.start engine ~until:(time horizon);
-    workload d;
+    G.run d
+      { Generator.read_rate = 1.0; write_every = 5 * delta; start = time 1;
+        until = time horizon };
     Sync_d.run_until d (time (horizon + (4 * delta)));
-    finish ~model ~measured:(Session_churn.measured_rate engine ~n) d
+    row ~model ~measured:(Session_churn.measured_rate engine ~n) (Sync_d.history d)
+      (Sync_d.regularity d) (Sync_d.analysis d)
   in
   let variants =
     [
@@ -1145,9 +1034,7 @@ let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
       ("breaking", [ Nemesis.crash ~k:((n / 2) + 1) mid ]);
     ]
   in
-  let cfg =
-    Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:0.0
-  in
+  let cfg = config ~seed ~n ~delta 0.0 in
   let cell ((profile, plan), (p : Protocol.t)) =
     (* The monitors each protocol's theorem calls for, as dds hunt
        wires them; inversions stay off because sync/es only promise
@@ -1175,7 +1062,7 @@ let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
     let s = Nemesis.to_string plan in
     String.length s >= 4 && String.equal (String.sub s 0 4) "dup("
   in
-  pmap_partitioned ?pool ~heavy
+  pmap ?pool ~heavy
     ~key:(fun ((_, plan), (p : Protocol.t)) ->
       Printf.sprintf "nemesis:%s:%s" p.Protocol.name (Nemesis.to_string plan))
     cell cells
@@ -1207,9 +1094,7 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
   let cell (shard_count, skew, churn) =
     let (module I) = Harness.instance_exn (Protocol.find_exn protocol) ~n ~delta in
     let module Sh = Dds_shard.Shard.Make (I.D) in
-    let base =
-      Deployment.default_config ~seed ~n ~delay:(Delay.synchronous ~delta) ~churn_rate:churn
-    in
+    let base = config ~seed ~n ~delta churn in
     let store = Sh.create { Dds_shard.Shard.shards = shard_count; keys; base } I.params in
     (* One plan per (seed, skew): the identical op stream re-partitions
        across every shard count, so rows down a shards column measure

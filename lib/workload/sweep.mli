@@ -3,9 +3,14 @@ open Dds_sim
 (** Parameter-sweep experiment runners.
 
     One function per experiment of the DESIGN.md index (E4–E25). Each
-    returns typed rows; {!Tables} renders them, the bench harness
-    prints them, and EXPERIMENTS.md quotes them. All runners are
-    deterministic in their [seed]/[seeds] arguments.
+    returns typed rows, which the experiment's {!Experiment} entry
+    renders. All runners are deterministic in their [seed]/[seeds]
+    arguments.
+
+    Every simulated register run goes through {!Harness.run}, except
+    where Harness cannot express the run: E15, E17 and E20 install
+    seeded per-message loss on the network, E23's session rows replace
+    the constant-rate churn process, and E25 drives a sharded store.
 
     Every multi-cell runner takes [?pool]: given a
     {!Dds_engine.Pool.t}, its independent (seed, params) cells run as

@@ -177,22 +177,22 @@ let test_find_first_none () =
 (* Determinism property: a rendered sweep table is byte-identical for
    any worker count (satellite 3). *)
 
-let render_lemma2 ~pool ~n ~ratios ~seed =
-  Format.asprintf "%a" Report.pp
-    (Tables.lemma2 ~n ~delta:2 (Sweep.lemma2 ?pool ~n ~delta:2 ~ratios ~horizon:120 ~seed ()))
+(* E4's table, rendered through its registry entry at a small scale. *)
+let render_lemma2 ~pool ~n ~seed =
+  let e = Result.get_ok (Experiment.find "lemma2") in
+  e.Experiment.run ?pool { e.Experiment.defaults with Experiment.n; delta = 2; horizon = 120; seed }
+  |> List.map (Format.asprintf "%a" Report.pp)
+  |> String.concat ""
 
 let prop_tables_jobs_invariant =
   QCheck.Test.make ~count:8 ~name:"sweep tables byte-identical for jobs in {1,2,4,8}"
-    QCheck.(
-      pair (int_range 6 14)
-        (pair (int_range 1 1000) (list_of_size Gen.(int_range 1 4) (float_range 0.2 1.5))))
-    (fun (n, (seed, ratios)) ->
-      let ratios = if ratios = [] then [ 0.5 ] else ratios in
-      let reference = render_lemma2 ~pool:None ~n ~ratios ~seed in
+    QCheck.(pair (int_range 6 14) (int_range 1 1000))
+    (fun (n, seed) ->
+      let reference = render_lemma2 ~pool:None ~n ~seed in
       List.for_all
         (fun jobs ->
           Pool.with_pool ~jobs (fun p ->
-              String.equal reference (render_lemma2 ~pool:(Some p) ~n ~ratios ~seed)))
+              String.equal reference (render_lemma2 ~pool:(Some p) ~n ~seed)))
         [ 1; 2; 4; 8 ])
 
 let () =

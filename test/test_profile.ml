@@ -12,19 +12,22 @@ let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 
-let render_lemma2 ~pool ~n ~ratios ~seed =
-  Format.asprintf "%a" Report.pp
-    (Tables.lemma2 ~n ~delta:2 (Sweep.lemma2 ?pool ~n ~delta:2 ~ratios ~horizon:120 ~seed ()))
+(* E4's table, rendered through its registry entry at a small scale. *)
+let render_lemma2 ~pool ~n ~seed =
+  let e = Result.get_ok (Experiment.find "lemma2") in
+  e.Experiment.run ?pool { e.Experiment.defaults with Experiment.n; delta = 2; horizon = 120; seed }
+  |> List.map (Format.asprintf "%a" Report.pp)
+  |> String.concat ""
 
 (* ------------------------------------------------------------------ *)
 (* Observation only: attaching a recorder changes nothing. *)
 
 let test_off_identical () =
-  let n = 12 and ratios = [ 0.5; 1.0 ] and seed = 3 in
-  let plain = Pool.with_pool ~jobs:2 (fun p -> render_lemma2 ~pool:(Some p) ~n ~ratios ~seed) in
+  let n = 12 and seed = 3 in
+  let plain = Pool.with_pool ~jobs:2 (fun p -> render_lemma2 ~pool:(Some p) ~n ~seed) in
   let profile = Profile.create ~workers:2 () in
   let profiled =
-    Pool.with_pool ~jobs:2 ~profile (fun p -> render_lemma2 ~pool:(Some p) ~n ~ratios ~seed)
+    Pool.with_pool ~jobs:2 ~profile (fun p -> render_lemma2 ~pool:(Some p) ~n ~seed)
   in
   check_bool "table byte-identical with recorder attached" true (String.equal plain profiled);
   check_bool "and the recorder actually saw the jobs" true
@@ -141,7 +144,7 @@ let test_deploy_phases_via_engine () =
   let profile = Profile.create ~workers:2 () in
   ignore
     (Pool.with_pool ~jobs:2 ~profile (fun p ->
-         render_lemma2 ~pool:(Some p) ~n:12 ~ratios:[ 0.5; 1.0 ] ~seed:5));
+         render_lemma2 ~pool:(Some p) ~n:12 ~seed:5));
   let names = List.map (fun (name, _, _) -> name) (Profile.summary profile).Profile.s_phases in
   check_bool "deploy phase timed" true (List.mem "deploy" names);
   check_bool "rng phase timed" true (List.mem "rng" names)

@@ -247,14 +247,20 @@ let test_tagged_export_roundtrip () =
       tagged back
 
 let test_shard_table_columns () =
+  let e = Result.get_ok (Experiment.find "shard") in
+  let t =
+    List.hd
+      (e.Experiment.run
+         { e.Experiment.defaults with Experiment.n = 6; keys = 32; write_every = 10; horizon = 100;
+           seed = 3 })
+  in
+  let w = List.length t.Report.headers in
+  check_bool "rows match header width" true
+    (t.Report.rows <> [] && List.for_all (fun r -> List.length r = w) t.Report.rows);
   let rows =
     Sweep.shard_scaling ~protocol:"sync" ~n:6 ~delta:3 ~shards:[ 1; 2 ] ~skews:[ 1.0 ]
       ~churns:[ 0.0 ] ~keys:32 ~read_rate:1.0 ~write_every:10 ~horizon:100 ~seed:3 ()
   in
-  let t = Tables.shard_scaling ~protocol:"sync" ~n:6 ~keys:32 ~horizon:100 rows in
-  let w = List.length t.Report.headers in
-  check_bool "rows match header width" true
-    (t.Report.rows <> [] && List.for_all (fun r -> List.length r = w) t.Report.rows);
   (* Hashing spreads the plan: with 2 shards nobody owns everything. *)
   match rows with
   | [ one; two ] ->

@@ -261,67 +261,21 @@ let test_join_wait_optimization_shape () =
     check_int "optimized safe" 0 optimized.Sweep.jo_violations
   | _ -> Alcotest.fail "expected two rows"
 
-(* Every table renderer must produce rows whose width matches its
-   header — guards against column drift as experiments evolve. *)
+(* Every registered table, rendered at the bench's --quick scale, must
+   produce rows whose width matches its header — guards against column
+   drift as experiments evolve. *)
 let test_tables_column_consistency () =
-  let consistent (r : Report.t) =
-    let w = List.length r.Report.headers in
-    List.for_all (fun row -> List.length row = w) r.Report.rows
-    && r.Report.rows <> []
-  in
-  let check_table name t = check_bool name true (consistent t) in
-  check_table "inversion" (Tables.inversion (Scenario.inversion ()));
-  check_table "fig3"
-    (Tables.fig3 (Scenario.fig3 ~join_wait:false) (Scenario.fig3 ~join_wait:true));
-  check_table "lemma2"
-    (Tables.lemma2 ~n:20 ~delta:2
-       (Sweep.lemma2 ~n:20 ~delta:2 ~ratios:[ 0.5 ] ~horizon:100 ~seed:1 ()));
-  check_table "sync_safety"
-    (Tables.sync_safety ~n:10 ~delta:3 ~variant:"x"
-       (Sweep.sync_safety ~n:10 ~delta:3 ~ratios:[ 0.5 ] ~seeds:[ 1 ] ~horizon:100 ()));
-  check_table "latency"
-    (Tables.latency ~title:"t" (Sweep.sync_latency ~n:10 ~delta:3 ~c:0.0 ~horizon:100 ~seed:1));
-  check_table "async" (Tables.async_impossibility (Sweep.async_series ~horizons:[ 100 ] ()));
-  check_table "boundary"
-    (Tables.es_boundary ~n:8 (Sweep.es_boundary ~n:8 ~rates:[ 0.0 ] ~horizon:100 ~seed:1 ()));
-  check_table "versus"
-    (Tables.abd_vs_dynamic ~n:8 ~c:0.02 ~horizon:200
-       (Sweep.abd_vs_dynamic ~n:8 ~delta:3 ~c:0.02 ~horizon:200 ~seed:1 ()));
-  check_table "msgs" (Tables.msg_complexity (Sweep.msg_complexity ~ns:[ 8 ] ~delta:3 ~seed:1 ()));
-  check_table "timed quorum"
-    (Tables.timed_quorum ~n:10
-       (Sweep.timed_quorum ~n:10 ~cs:[ 0.02 ] ~lifetime:10 ~trials:20 ~seed:1 ()));
-  check_table "threshold"
-    (Tables.churn_threshold ~n:12
-       (Sweep.churn_threshold ~n:12 ~deltas:[ 2 ] ~seeds:[ 1 ] ~horizon:100 ()));
-  check_table "bursty"
-    (Tables.bursty_churn ~n:12 ~delta:3
-       (Sweep.bursty_churn ~n:12 ~delta:3 ~seeds:[ 1 ] ~horizon:150 ()));
-  check_table "loss"
-    (Tables.message_loss ~n:8
-       (Sweep.message_loss ~n:8 ~delta:3 ~losses:[ 0.0 ] ~horizon:100 ~seed:1 ()));
-  check_table "joinopt"
-    (Tables.join_wait_optimization ~n:8 ~delta:4
-       (Sweep.join_wait_optimization ~n:8 ~delta:4 ~p2ps:[ 1 ] ~horizon:150 ~seed:1 ()));
-  check_table "broadcast"
-    (Tables.broadcast_robustness ~n:8
-       (Sweep.broadcast_robustness ~n:8 ~losses:[ 0.0 ] ~horizon:100 ~seed:1 ()));
-  check_table "consensus"
-    (Tables.consensus ~n:6 ~k:2
-       (Sweep.consensus_under_churn ~n:6 ~k:2 ~cs:[ 0.0 ] ~horizon:200 ~seed:1 ()));
-  check_table "geo"
-    (Tables.geo_speed ~delta:3 (Sweep.geo_speed ~speeds:[ 1.0 ] ~horizon:150 ~seed:1 ()));
-  check_table "quorum ablation"
-    (Tables.quorum_ablation ~n:8 ~c:0.0 ~loss:0.0
-       (Sweep.quorum_ablation ~n:8 ~quorums:[ 5 ] ~c:0.0 ~horizon:150 ~seed:1 ()));
-  check_table "read repair"
-    (Tables.read_repair ~n:8 (Sweep.read_repair_ablation ~n:8 ~horizon:150 ~seed:1 ()));
-  check_table "calibration"
-    (Tables.delta_calibration ~n:8 ~actual:4
-       (Sweep.delta_calibration ~n:8 ~actual:4 ~believed:[ 4 ] ~horizon:150 ~seed:1 ()));
-  check_table "sessions"
-    (Tables.session_models ~n:10 ~delta:3
-       (Sweep.session_models ~n:10 ~delta:3 ~mean:20.0 ~horizon:200 ~seed:1 ()))
+  List.iter
+    (fun (e : Experiment.t) ->
+      let tables = e.Experiment.run (Experiment.quick e.Experiment.defaults) in
+      check_bool (e.Experiment.id ^ " renders a table") true (tables <> []);
+      List.iter
+        (fun (r : Report.t) ->
+          let w = List.length r.Report.headers in
+          check_bool r.Report.title true
+            (r.Report.rows <> [] && List.for_all (fun row -> List.length row = w) r.Report.rows))
+        tables)
+    Experiment.all
 
 (* ------------------------------------------------------------------ *)
 (* Experiment registry *)
