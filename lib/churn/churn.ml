@@ -28,6 +28,13 @@ let rate_at profile now =
     if Time.to_int now mod period < burst then peak else base
   | Profile f -> f now
 
+let mean_rate = function
+  | Constant c -> c
+  | Bursty { base; peak; period; burst } ->
+    ((base *. float_of_int (period - burst)) +. (peak *. float_of_int burst))
+    /. float_of_int period
+  | Profile _ -> nan
+
 type t = {
   sched : Scheduler.t;
   rng : Rng.t;
@@ -126,13 +133,4 @@ let stop t =
 
 let refreshed t = t.refreshed
 
-let expected_per_tick t =
-  match t.profile with
-  | Constant c -> float_of_int t.n *. c
-  | Bursty { base; peak; period; burst } ->
-    let avg =
-      ((base *. float_of_int (period - burst)) +. (peak *. float_of_int burst))
-      /. float_of_int period
-    in
-    float_of_int t.n *. avg
-  | Profile _ -> nan
+let expected_per_tick t = float_of_int t.n *. mean_rate t.profile

@@ -39,6 +39,10 @@ type rate_profile =
 val rate_at : rate_profile -> Time.t -> float
 (** The rate a profile applies at a given tick. *)
 
+val mean_rate : rate_profile -> float
+(** The profile's time-averaged rate; [nan] for an arbitrary
+    [Profile]. *)
+
 val pp_policy : Format.formatter -> leave_policy -> unit
 
 val policy_of_string : string -> (leave_policy, string) result
@@ -79,4 +83,4 @@ val refreshed : t -> int
 (** Total number of leave/join pairs performed so far. *)
 
 val expected_per_tick : t -> float
-(** [n * rate]. *)
+(** [n * mean_rate]. *)

@@ -562,28 +562,25 @@ type burst_row = {
 let bursty_churn ?pool ~n ~delta ~seeds ~horizon () =
   let threshold = 1.0 /. (3.0 *. float_of_int delta) in
   let avg = 0.6 *. threshold in
-  (* Same average rate, increasing peakedness: constant; peak at the
-     threshold; peak well above it. Period 40 ticks, 10-tick bursts. *)
+  (* Aiming at one average rate with increasing peakedness: constant;
+     peak at the threshold; peak well above it. Period 40 ticks, 10-tick
+     bursts. The base rate fills the average up to [avg]; a peak above
+     4x [avg] overshoots it even with base 0, so that profile averages
+     more (the 3.2x row: 0.8x the bound). *)
   let period = 40 and burst = 10 in
-  let mk_peak peak =
-    (* base so that (base*(period-burst) + peak*burst)/period = avg *)
+  let bursty peak =
     let base =
       ((avg *. float_of_int period) -. (peak *. float_of_int burst))
       /. float_of_int (period - burst)
     in
-    (Stdlib.max 0.0 base, peak)
+    Churn.Bursty { base = Stdlib.max 0.0 base; peak; period; burst }
   in
   let profiles =
     [
       ("constant", Churn.Constant avg, avg);
-      (let base, peak = mk_peak threshold in
-       ( "peak = bound",
-         Churn.Bursty { base; peak; period; burst },
-         peak ));
-      (let base, peak = mk_peak (2.0 *. threshold) in
-       ("peak = 2x bound", Churn.Bursty { base; peak; period; burst }, peak));
-      (let base, peak = mk_peak (3.2 *. threshold) in
-       ("peak = 3.2x bound", Churn.Bursty { base; peak; period; burst }, peak));
+      ("peak = bound", bursty threshold, threshold);
+      ("peak = 2x bound", bursty (2.0 *. threshold), 2.0 *. threshold);
+      ("peak = 3.2x bound", bursty (3.2 *. threshold), 3.2 *. threshold);
     ]
   in
   let run_one ((_, profile, _), seed) =
@@ -595,10 +592,10 @@ let bursty_churn ?pool ~n ~delta ~seeds ~horizon () =
     (violations r.Harness.regularity, stuck_joins r.Harness.history)
   in
   List.map
-    (fun ((label, _, peak), outcomes) ->
+    (fun ((label, profile, peak), outcomes) ->
       {
         br_label = label;
-        br_avg_c = avg;
+        br_avg_c = Churn.mean_rate profile;
         br_peak_c = peak;
         br_violations = List.fold_left (fun acc (v, _) -> acc + v) 0 outcomes;
         br_stuck_joins = List.fold_left (fun acc (_, s) -> acc + s) 0 outcomes;

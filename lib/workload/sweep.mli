@@ -203,7 +203,7 @@ val churn_threshold :
 
 type burst_row = {
   br_label : string;
-  br_avg_c : float;  (** time-averaged churn rate *)
+  br_avg_c : float;  (** the profile's time-averaged churn rate ({!Dds_churn.Churn.mean_rate}) *)
   br_peak_c : float;
   br_violations : int;
   br_stuck_joins : int;
@@ -218,10 +218,12 @@ val bursty_churn :
   horizon:int ->
   unit ->
   burst_row list
-(** Profiles with the same average rate but increasing peakedness; the
-    paper's bound constrains the {e constant} rate, and bursts whose
-    peak exceeds the threshold break the protocol even when the
-    average sits well below it. *)
+(** Profiles aiming at one average rate (0.6x the bound) with
+    increasing peakedness; a peak too high to offset with a
+    non-negative base rate averages above that. The paper's bound
+    constrains the {e constant} rate, and bursts whose peak exceeds
+    the threshold break the protocol even when the average sits well
+    below it. *)
 
 (** {1 E15 — message loss (outside the paper's reliable-network model)} *)
 

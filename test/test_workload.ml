@@ -187,6 +187,29 @@ let test_bursty_churn_shape () =
   check_bool "worst burst breaks safety or liveness" true
     (worst.Sweep.br_violations + worst.Sweep.br_stuck_joins > 0)
 
+(* E14 runs 10-tick bursts every 40 ticks, each profile aiming at 0.6x
+   the bound on average. A peak of more than 4x that target cannot be
+   offset by a non-negative base rate, so its profile's base is 0 and
+   its average exceeds the target: each row must report its own
+   profile's time average, not the target. *)
+let test_bursty_avg_is_time_average () =
+  let delta = 3 and period = 40.0 and burst = 10.0 in
+  let target = 0.6 /. (3.0 *. float_of_int delta) in
+  let rows = Sweep.bursty_churn ~n:12 ~delta ~seeds:[ 1 ] ~horizon:150 () in
+  List.iter
+    (fun (r : Sweep.burst_row) ->
+      let peak = r.Sweep.br_peak_c in
+      let expected =
+        if r.Sweep.br_label = "constant" then peak
+        else
+          let base = Float.max 0.0 (((target *. period) -. (peak *. burst)) /. (period -. burst)) in
+          ((base *. (period -. burst)) +. (peak *. burst)) /. period
+      in
+      check (Alcotest.float 1e-12) r.Sweep.br_label expected r.Sweep.br_avg_c)
+    rows;
+  check_bool "the 3.2x burst averages above the target" true
+    (List.exists (fun (r : Sweep.burst_row) -> r.Sweep.br_avg_c > target +. 1e-9) rows)
+
 let test_message_loss_shape () =
   let rows = Sweep.message_loss ~n:10 ~delta:3 ~losses:[ 0.0; 0.25 ] ~horizon:300 ~seed:8 () in
   let get proto loss =
@@ -362,6 +385,8 @@ let () =
           Alcotest.test_case "E12 quorum decay" `Quick test_timed_quorum_decay_shape;
           Alcotest.test_case "E13 threshold sanity" `Slow test_churn_threshold_sanity;
           Alcotest.test_case "E14 bursty shape" `Slow test_bursty_churn_shape;
+          Alcotest.test_case "E14 avg c is each profile's time average" `Quick
+            test_bursty_avg_is_time_average;
           Alcotest.test_case "E15 loss shape" `Quick test_message_loss_shape;
           Alcotest.test_case "E16 join wait" `Quick test_join_wait_optimization_shape;
           Alcotest.test_case "E19 geo speed" `Slow test_geo_speed_shape;
