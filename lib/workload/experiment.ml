@@ -44,7 +44,8 @@ let fval = function Some v -> Format.asprintf "%a" Value.pp v | None -> "-"
 let bound ~delta = 1.0 /. (3.0 *. float_of_int delta)
 
 (* One table row per typed sweep row. *)
-let table ~title ~headers ?notes cells rows = Report.make ~title ~headers ?notes (List.map cells rows)
+let table ~title ~headers ?notes cells rows =
+  Report.make ~title ~headers ?notes (List.map cells rows)
 
 (* Most experiments render one table and have no alias. *)
 let one ~id ~enum ~doc defaults table =

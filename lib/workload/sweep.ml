@@ -841,7 +841,8 @@ let quorum_ablation ?(loss = 0.0) ?pool ~n ~quorums ~c ~horizon ~seed () =
     (fun quorum ->
       let h, regularity, _ =
         lossy_run
-          (es_with { (Es_register.default_params ~n) with Es_register.quorum_override = Some quorum })
+          (es_with
+             { (Es_register.default_params ~n) with Es_register.quorum_override = Some quorum })
           (config ~seed ~n ~delta:3 c)
           ~loss ~fault_seed:(seed + 3) ~read_rate:1.0 ~write_every:20 ~horizon ~drain:60
       in
@@ -948,11 +949,10 @@ let session_models ?pool ~n ~delta ~mean ~horizon ~seed () =
              ~until:(time (horizon - (3 * delta) - 1)));
     }
   in
-  let constant_row () =
+  let constant_row ~model =
     let c = 1.0 /. mean in
     let r = threshold_run ~delta ~horizon (sync_with params) (config ~seed ~n ~delta c) in
-    row ~model:"constant rate (paper)" ~measured:c r.Harness.history r.Harness.regularity
-      r.Harness.analysis
+    row ~model ~measured:c r.Harness.history r.Harness.regularity r.Harness.analysis
   in
   (* Session churn replaces the constant-rate process, which Harness
      always starts, so these rows drive the deployment themselves. *)
@@ -975,26 +975,23 @@ let session_models ?pool ~n ~delta ~mean ~horizon ~seed () =
     row ~model ~measured:(Session_churn.measured_rate engine ~n) (Sync_d.history d)
       (Sync_d.regularity d) (Sync_d.analysis d)
   in
+  let alpha = 1.5 in
   let variants =
     [
-      ("constant rate (paper)", constant_row);
-      ( "fixed sessions (synchronized)",
-        fun () ->
-          session_row ~model:"fixed sessions (synchronized)"
-            ~distribution:(Session_churn.Fixed (int_of_float mean)) );
-      ( "geometric sessions (memoryless)",
-        fun () ->
-          session_row ~model:"geometric sessions (memoryless)"
-            ~distribution:(Session_churn.Geometric mean) );
+      ("constant rate (paper)", None);
+      ("fixed sessions (synchronized)", Some (Session_churn.Fixed (int_of_float mean)));
+      ("geometric sessions (memoryless)", Some (Session_churn.Geometric mean));
       ( "pareto sessions (heavy tail)",
-        fun () ->
-          let alpha = 1.5 in
-          let xmin = mean *. (alpha -. 1.0) /. alpha in
-          session_row ~model:"pareto sessions (heavy tail)"
-            ~distribution:(Session_churn.Pareto { alpha; xmin }) );
+        Some (Session_churn.Pareto { alpha; xmin = mean *. (alpha -. 1.0) /. alpha }) );
     ]
   in
-  pmap ?pool ~key:(fun (name, _) -> "session:" ^ name) (fun (_, f) -> f ()) variants
+  pmap ?pool
+    ~key:(fun (model, _) -> "session:" ^ model)
+    (fun (model, distribution) ->
+      match distribution with
+      | None -> constant_row ~model
+      | Some distribution -> session_row ~model ~distribution)
+    variants
 
 (* ------------------------------------------------------------------ *)
 (* E24 *)
