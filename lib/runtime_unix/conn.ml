@@ -5,10 +5,14 @@ open Dds_net
     Reads feed a {!Wire.deframer} and surface complete payloads
     through [on_frame], then call [on_drained] (a no-op unless the
     owner sets it) once every complete frame of that read has been
-    surfaced; writes go straight to the socket while it
-    accepts them and spill into an output buffer (with write-interest
-    registered on the loop) when it does not — so a slow peer can
-    never deadlock two nodes writing to each other. [on_close] fires
+    surfaced. Writes only append to an output buffer: the first write
+    of a reactor turn registers one flush with {!Loop.defer}, so every
+    frame the connection gets in a turn leaves in one [write(2)] at the
+    turn's end. What the socket does not accept stays buffered with
+    write-interest registered on the loop — so a slow peer can never
+    deadlock two nodes writing to each other. {!close} tries one
+    non-blocking write of what is still buffered before it closes the
+    fd, so a frame written just before it is not lost. [on_close] fires
     exactly once, for EOF, error, or {!close}. *)
 
 type t = {
@@ -16,6 +20,7 @@ type t = {
   loop : Loop.t;
   df : Wire.deframer;
   out : Buffer.t;
+  mutable deferred : bool;  (** a flush is registered for this turn *)
   mutable closed : bool;
   mutable on_frame : t -> string -> unit;
   mutable on_close : t -> unit;
@@ -26,6 +31,9 @@ let chunk = Bytes.create 65536
 
 let close t =
   if not t.closed then begin
+    (if Buffer.length t.out > 0 then
+       try ignore (Unix.write_substring t.fd (Buffer.contents t.out) 0 (Buffer.length t.out))
+       with Unix.Unix_error _ -> ());
     t.closed <- true;
     Loop.unwatch_read t.loop t.fd;
     Loop.unwatch_write t.loop t.fd;
@@ -34,7 +42,8 @@ let close t =
   end
 
 let rec flush_out t =
-  if (not t.closed) && Buffer.length t.out > 0 then begin
+  if t.closed then ()
+  else if Buffer.length t.out > 0 then begin
     let data = Buffer.to_bytes t.out in
     match Unix.write t.fd data 0 (Bytes.length data) with
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
@@ -53,7 +62,12 @@ let rec flush_out t =
 let write t s =
   if not t.closed then begin
     Buffer.add_string t.out s;
-    flush_out t
+    if not t.deferred then begin
+      t.deferred <- true;
+      Loop.defer t.loop (fun () ->
+          t.deferred <- false;
+          flush_out t)
+    end
   end
 
 let write_frame t b = write t (Wire.frame b)
@@ -86,6 +100,7 @@ let create ~loop ~fd ~on_frame ~on_close =
       loop;
       df = Wire.deframer ();
       out = Buffer.create 4096;
+      deferred = false;
       closed = false;
       on_frame;
       on_close;

@@ -12,8 +12,9 @@ type t = {
   mutable heap : timer array;
   mutable heap_size : int;
   mutable next_seq : int;
-  mutable readers : (Unix.file_descr * (unit -> unit)) list;
-  mutable writers : (Unix.file_descr * (unit -> unit)) list;
+  fds : (Unix.file_descr, (unit -> unit) option * (unit -> unit) option) Hashtbl.t;
+      (** fd -> (read callback, write callback); never (None, None) *)
+  deferred : (unit -> unit) Queue.t;
   mutable stop : bool;
 }
 
@@ -26,8 +27,8 @@ let create () =
     heap = Array.make 64 dummy;
     heap_size = 0;
     next_seq = 0;
-    readers = [];
-    writers = [];
+    fds = Hashtbl.create 64;
+    deferred = Queue.create ();
     stop = false;
   }
 
@@ -79,10 +80,21 @@ let after_ms t d f =
   push t tm;
   fun () -> tm.alive <- false
 
-let watch_read t fd cb = t.readers <- (fd, cb) :: List.remove_assoc fd t.readers
-let watch_write t fd cb = t.writers <- (fd, cb) :: List.remove_assoc fd t.writers
-let unwatch_read t fd = t.readers <- List.remove_assoc fd t.readers
-let unwatch_write t fd = t.writers <- List.remove_assoc fd t.writers
+(* Neither look-up nor a no-op unwatch allocates: [Conn] unwatches
+   write-interest after every flush. *)
+let get t fd = match Hashtbl.find t.fds fd with w -> w | exception Not_found -> (None, None)
+let set t fd = function None, None -> Hashtbl.remove t.fds fd | w -> Hashtbl.replace t.fds fd w
+let watch_read t fd cb = set t fd (Some cb, snd (get t fd))
+let watch_write t fd cb = set t fd (fst (get t fd), Some cb)
+let unwatch_read t fd = match get t fd with Some _, w -> set t fd (None, w) | None, _ -> ()
+let unwatch_write t fd = match get t fd with r, Some _ -> set t fd (r, None) | _, None -> ()
+
+let defer t f = Queue.push f t.deferred
+
+let run_deferred t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
 
 let stop t = t.stop <- true
 let stopped t = t.stop
@@ -112,24 +124,24 @@ let next_deadline t =
 
 let iterate t =
   fire_due t;
+  run_deferred t;
   if not t.stop then begin
     let timeout =
       match next_deadline t with
       | Some d -> Stdlib.min 0.25 (Stdlib.max 0. ((d -. now_ms ()) /. 1000.))
       | None -> 0.25
     in
-    let rfds = List.map fst t.readers and wfds = List.map fst t.writers in
-    match Unix.select rfds wfds [] timeout with
+    let interested pick =
+      Hashtbl.fold (fun fd w fds -> if Option.is_some (pick w) then fd :: fds else fds) t.fds []
+    in
+    (match Unix.select (interested fst) (interested snd) [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready_r, ready_w, _ ->
       (* Look the callback up at fire time: an earlier callback in the
          same batch may have closed and unwatched a later fd. *)
-      List.iter
-        (fun fd -> match List.assoc_opt fd t.readers with Some cb -> cb () | None -> ())
-        ready_r;
-      List.iter
-        (fun fd -> match List.assoc_opt fd t.writers with Some cb -> cb () | None -> ())
-        ready_w
+      List.iter (fun fd -> Option.iter (fun cb -> cb ()) (fst (get t fd))) ready_r;
+      List.iter (fun fd -> Option.iter (fun cb -> cb ()) (snd (get t fd))) ready_w);
+    run_deferred t
   end
 
 let run t =

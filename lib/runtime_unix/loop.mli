@@ -12,7 +12,13 @@
     would be preferable and the abstraction confines the substitution
     to {!now_ms} if one becomes available. Timer deadlines are
     absolute ms; firing order is (deadline, creation seq), matching
-    the simulator scheduler's FIFO tie-break. *)
+    the simulator scheduler's FIFO tie-break.
+
+    {b One turn} of the loop runs, in order: the due timers, the
+    deferred thunks ({!defer}), one [select] on the watched fds, their
+    ready callbacks, and the deferred thunks again. Work deferred
+    anywhere in a turn — or before {!run}, outside any turn — therefore
+    runs before the loop next blocks in [select]. *)
 
 type t
 
@@ -32,6 +38,13 @@ val watch_write : t -> Unix.file_descr -> (unit -> unit) -> unit
 val unwatch_read : t -> Unix.file_descr -> unit
 val unwatch_write : t -> Unix.file_descr -> unit
 
+val defer : t -> (unit -> unit) -> unit
+(** [defer t f] runs [f] once at the next deferred point of the
+    current turn (after the timers, or after the ready callbacks),
+    in registration order; thunks deferred by a deferred thunk run at
+    the same point. {!Conn} defers one output flush per connection per
+    turn, which makes the turn the unit of output. *)
+
 val after_ms : t -> int -> (unit -> unit) -> unit -> unit
 (** [after_ms t d f] schedules [f] in [d] ms (clamped to [>= 0]) and
     returns its cancel thunk (idempotent). *)
@@ -42,10 +55,10 @@ val stop : t -> unit
 val stopped : t -> bool
 
 val run : t -> unit
-(** Dispatches until {!stop}: fires due timers, then selects on the
-    watched fds with a timeout bounded by the next deadline (250 ms
-    cap so [stop] from a signal handler is honoured promptly).
-    [EINTR] retries. *)
+(** Dispatches turns until {!stop}; a turn's [select] waits at most
+    until the next deadline (250 ms cap so [stop] from a signal handler
+    is honoured promptly), and [EINTR] retries. A [stop] from a timer
+    skips that turn's [select], but its deferred thunks still run. *)
 
 val run_while : t -> (unit -> bool) -> unit
 (** Like {!run} but also returns once the predicate turns false —

@@ -2,10 +2,11 @@
    every protocol's messages, strict truncation behaviour, deframer
    chunking, the keyed frame envelope (round trips, strict-prefix
    rejection, byte fuzzing, the hello version checks against a live
-   server), and live loopback TCP deployments — a 3-node single
-   register and a 3-node 2-shard keyed store — whose merged traces
-   must audit to the same Regularity verdicts as equivalent simulated
-   runs. *)
+   server), a connection's output leaving once per loop turn (and
+   before EOF on close), and live loopback TCP deployments — a 3-node
+   single register and a 3-node 2-shard keyed store — whose merged
+   traces must audit to the same Regularity verdicts as equivalent
+   simulated runs. *)
 
 open Dds_sim
 open Dds_net
@@ -13,6 +14,7 @@ open Dds_spec
 open Dds_core
 open Dds_workload
 module Loop = Dds_runtime_unix.Loop
+module Conn = Dds_runtime_unix.Conn
 module Frame = Dds_runtime_unix.Frame
 module Store = Dds_runtime_unix.Store
 module Placement = Dds_runtime_unix.Placement
@@ -457,6 +459,98 @@ let test_oversized_prefix_behind_frame () =
   match Wire.next_frame d with
   | _ -> Alcotest.fail "oversized length behind a frame accepted"
   | exception Wire.Malformed _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Corking: a connection's output leaves once per loop turn *)
+
+(* A [Conn] on one end of a socketpair; the test reads the other end
+   directly. *)
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let loop = Loop.create () in
+  let closed = ref 0 in
+  let conn =
+    Conn.create ~loop ~fd:a ~on_frame:(fun _ _ -> ()) ~on_close:(fun _ -> incr closed)
+  in
+  Unix.set_nonblock b;
+  Fun.protect
+    ~finally:(fun () ->
+      Conn.close conn;
+      Unix.close b)
+    (fun () -> f loop conn b closed)
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ :: _, _, _ -> true
+
+(* Everything the peer can read right now: the frames, and whether EOF
+   followed them. *)
+let drain_peer fd =
+  let d = Wire.deframer () and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+    | 0 -> true
+    | n ->
+      Wire.feed d chunk n;
+      go ()
+  in
+  let eof = go () in
+  let rec frames acc =
+    match Wire.next_frame d with Some p -> frames (p :: acc) | None -> List.rev acc
+  in
+  (frames [], eof)
+
+let cork_frames = List.map (fun req -> Frame.buf_read_req ~req ~key:req ()) [ 1; 2; 3 ]
+let cork_payloads = List.map Buffer.contents cork_frames
+
+let test_cork_holds_until_turn_end () =
+  with_socketpair (fun loop conn peer _ ->
+      let early = ref true in
+      ignore
+        (Loop.after_ms loop 0 (fun () ->
+             List.iter (Conn.write_frame conn) cork_frames;
+             early := readable peer;
+             Loop.stop loop)
+          : unit -> unit);
+      Loop.run loop;
+      check_bool "nothing at the peer during the turn" false !early;
+      let frames, eof = drain_peer peer in
+      check (Alcotest.list Alcotest.string) "every frame after the turn" cork_payloads frames;
+      check_bool "connection still open" false eof)
+
+(* [Load.run] and the benchmark's generator write their first requests
+   before the loop runs; those must leave on the first turn, or a
+   closed-loop client waits forever for answers to requests it never
+   sent. *)
+let test_cork_outside_turn_flushes_first () =
+  with_socketpair (fun loop conn peer _ ->
+      List.iter (Conn.write_frame conn) cork_frames;
+      check_bool "nothing at the peer before the loop runs" false (readable peer);
+      (* Bound the first turn's select. *)
+      ignore (Loop.after_ms loop 5 ignore : unit -> unit);
+      let turns = ref 0 in
+      Loop.run_while loop (fun () ->
+          incr turns;
+          !turns <= 1);
+      let frames, _ = drain_peer peer in
+      check (Alcotest.list Alcotest.string) "every frame after one turn" cork_payloads frames)
+
+(* A server answers a refused hello with an [Err] frame and closes in
+   the same turn: [close] must send what is buffered before EOF. *)
+let test_cork_close_drains () =
+  with_socketpair (fun loop conn peer closed ->
+      ignore
+        (Loop.after_ms loop 0 (fun () ->
+             Conn.write_frame conn (List.hd cork_frames);
+             Conn.close conn;
+             Loop.stop loop)
+          : unit -> unit);
+      Loop.run loop;
+      check_int "on_close fired once" 1 !closed;
+      let frames, eof = drain_peer peer in
+      check (Alcotest.list Alcotest.string) "the frame written before close"
+        [ List.hd cork_payloads ] frames;
+      check_bool "then EOF" true eof)
 
 (* ------------------------------------------------------------------ *)
 (* Live loopback deployment *)
@@ -1151,6 +1245,15 @@ let () =
           Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected;
           Alcotest.test_case "oversized prefix behind a frame rejected" `Quick
             test_oversized_prefix_behind_frame;
+        ] );
+      ( "cork",
+        [
+          Alcotest.test_case "frames written in a turn wait for its end" `Quick
+            test_cork_holds_until_turn_end;
+          Alcotest.test_case "writes before the loop leave on its first turn" `Quick
+            test_cork_outside_turn_flushes_first;
+          Alcotest.test_case "close sends buffered frames before EOF" `Quick
+            test_cork_close_drains;
         ] );
       ( "loopback",
         [
