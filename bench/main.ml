@@ -270,101 +270,6 @@ let run_idle_probe () =
       { ip_jobs = jobs; ip_wall_s = wall; ip_cpu_s = cpu; ip_cpu_per_idle = per_idle })
 
 (* ------------------------------------------------------------------ *)
-(* Runtime loopback throughput *)
-
-(* The Unix backend, priced: a live 3-node ES deployment on loopback
-   TCP (forked node processes, exactly what `dds serve` runs) driven
-   by the closed-loop generator for a couple of seconds. Sustained
-   ops/s and tail latency land in BENCH_results.json's
-   [runtime_loopback] section; like the other wall-clock sections it
-   is recorded, not gated — loopback throughput on a shared runner is
-   far too noisy to fail a build on. *)
-type runtime_row = {
-  rt_clients : int;
-  rt_ops : int;
-  rt_errors : int;
-  rt_ops_per_s : float;
-  rt_read_p50_us : float;
-  rt_read_p99_us : float;
-  rt_write_p99_us : float;
-}
-
-let run_runtime_loopback () =
-  let module Store = Dds_runtime_unix.Store in
-  let module S_es = Store.Make (Es_register) in
-  let module Loop = Dds_runtime_unix.Loop in
-  let module Load = Dds_runtime_unix.Load in
-  let n = 3 in
-  let socks =
-    Array.init n (fun _ ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        Unix.listen fd 128;
-        let port =
-          match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
-        in
-        (fd, port))
-  in
-  let addrs = Array.map (fun (_, port) -> ("127.0.0.1", port)) socks in
-  let children =
-    Array.init n (fun i ->
-        let ctl_r, ctl_w = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          Unix.close ctl_w;
-          (try
-             let loop = Loop.create () in
-             let cfg =
-               {
-                 (Store.default_config ~self:i ~addrs) with
-                 Store.events_enabled = false;
-                 listen_fd = Some (fst socks.(i));
-               }
-             in
-             let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n) in
-             Loop.watch_read loop ctl_r (fun () ->
-                 S_es.shutdown node;
-                 Loop.stop loop);
-             Loop.run loop
-           with _ -> ());
-          Unix._exit 0
-        | pid ->
-          Unix.close ctl_r;
-          (pid, ctl_w))
-  in
-  Array.iter (fun (fd, _) -> Unix.close fd) socks;
-  let duration_s = if quick then 1.0 else 2.0 in
-  let clients = 8 in
-  let r = Load.run ~addrs ~clients ~duration_s ~write_ratio:0.1 ~route:Load.Fixed ~seed:17 () in
-  Array.iter (fun (_, ctl_w) -> ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1)) children;
-  Array.iter
-    (fun (pid, ctl_w) ->
-      ignore (Unix.waitpid [] pid);
-      Unix.close ctl_w)
-    children;
-  let row =
-    {
-      rt_clients = clients;
-      rt_ops = r.Load.ops;
-      rt_errors = r.Load.errors;
-      rt_ops_per_s = Load.ops_per_s r;
-      rt_read_p50_us = Histogram.percentile r.Load.read_lat_us 50.0;
-      rt_read_p99_us = Histogram.percentile r.Load.read_lat_us 99.0;
-      rt_write_p99_us = Histogram.percentile r.Load.write_lat_us 99.0;
-    }
-  in
-  Format.printf "@.#### Runtime loopback (3-node es over TCP, %d closed-loop clients) ####@.@."
-    clients;
-  Format.printf
-    "  %d op(s) in %.1fs = %.0f op/s; read p50 %.0f us p99 %.0f us; write p99 %.0f us; %d \
-     error(s)@."
-    row.rt_ops duration_s row.rt_ops_per_s row.rt_read_p50_us row.rt_read_p99_us
-    row.rt_write_p99_us row.rt_errors;
-  if row.rt_errors > 0 then failwith "runtime loopback: load saw errors";
-  row
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel benchmarks *)
 
 module Sim_time = Dds_sim.Time
@@ -690,7 +595,7 @@ let bench_estimates results =
     results;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
-let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~estimates =
+let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~estimates =
   let module J = Dds_sim.Json in
   let json =
     J.Obj
@@ -766,22 +671,6 @@ let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~e
                 ("wall_s", J.Float r.ip_wall_s);
                 ("cpu_s", J.Float r.ip_cpu_s);
                 ("cpu_per_idle_worker", J.Float r.ip_cpu_per_idle);
-              ] );
-        ( "runtime_loopback",
-          match runtime with
-          | None -> J.Null
-          | Some r ->
-            J.Obj
-              [
-                ("nodes", J.Int 3);
-                ("proto", J.String "es");
-                ("clients", J.Int r.rt_clients);
-                ("ops", J.Int r.rt_ops);
-                ("errors", J.Int r.rt_errors);
-                ("ops_per_s", J.Float r.rt_ops_per_s);
-                ("read_p50_us", J.Float r.rt_read_p50_us);
-                ("read_p99_us", J.Float r.rt_read_p99_us);
-                ("write_p99_us", J.Float r.rt_write_p99_us);
               ] );
         ("tables", J.List (List.map Report.to_json tables));
       ])
@@ -932,10 +821,6 @@ let compare_baseline ~path ~contents ~estimates ~checker ~scaling =
     end
 
 let () =
-  (* Fork the loopback node processes before anything spawns a domain:
-     OCaml 5 forbids Unix.fork once other domains exist, and both the
-     engine pools and bechamel's measurement loop create them. *)
-  let runtime = if not bench_only then Some (run_runtime_loopback ()) else None in
   let tables, scaling, profile_rows =
     if not bench_only then
       let jobs = if jobs <= 0 then Dds_engine.Pool.default_jobs () else jobs in
@@ -956,7 +841,7 @@ let () =
      BENCH_results.json` (the committed file this run overwrites) must
      compare against the old numbers, not the ones just written. *)
   let baseline_contents = Option.map (fun path -> (path, read_baseline path)) baseline in
-  write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~runtime ~estimates;
+  write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~estimates;
   let ok =
     match baseline_contents with
     | None -> true

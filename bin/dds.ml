@@ -1762,30 +1762,17 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(ret (const run_client $ addr_t $ op_t $ datum_t $ key_t))
 
-let run_load peers shards owned keys skew clients duration write_ratio route seed
-    metrics_out =
+let run_load peers shards owned keys skew clients duration write_ratio seed metrics_out =
   match parse_peers peers with
   | Error e -> `Error (false, e)
   | Ok addrs -> (
-    let nodes = Array.length addrs in
-    (* --shards/--owned quote the servers' placement; without them the
-       generator falls back to Load's historical per-node spread. *)
-    let placement =
-      match (shards, owned) with
-      | None, None -> Ok None
-      | shards, owned ->
-        Result.map Option.some
-          (Runix.Placement.make ~nodes
-             ~shards:(Option.value shards ~default:nodes)
-             ~spec:owned)
-    in
-    match placement with
+    match Runix.Placement.make ~nodes:(Array.length addrs) ~shards ~spec:owned with
     | Error e -> `Error (false, e)
     | Ok placement -> (
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       match
-        Runix.Load.run ?placement ~keys ~skew ~addrs ~clients ~duration_s:duration
-          ~write_ratio ~route ~seed ()
+        Runix.Load.run ~placement ~keys ~skew ~addrs ~clients ~duration_s:duration
+          ~write_ratio ~seed ()
       with
       | exception Failure e -> `Error (false, e)
       | r ->
@@ -1798,41 +1785,29 @@ let run_load peers shards owned keys skew clients duration write_ratio route see
             Report.cell_float (Histogram.max_value h);
           ]
         in
-        (* Under key-hash the same latencies are re-cut by key class:
-           the hot head of the zipf curve vs the cold tail. *)
-        let class_rows =
-          if r.Runix.Load.hot_keys = 0 then []
-          else
-            [
-              row
-                (Printf.sprintf "hot (top %d key(s))" r.Runix.Load.hot_keys)
-                r.Runix.Load.hot_lat_us;
-              row "cold" r.Runix.Load.cold_lat_us;
-            ]
-        in
+        (* The same latencies are re-cut by key class: the hot head of
+           the zipf curve vs the cold tail. *)
         Report.print
           (Report.make ~title:"load summary"
              ~headers:[ "op"; "n"; "p50 (us)"; "p99 (us)"; "max (us)" ]
-             ([ row "read" r.Runix.Load.read_lat_us; row "write" r.Runix.Load.write_lat_us ]
-             @ class_rows));
-        Format.printf "throughput : %d op(s) in %.2f s = %.0f op/s (%d read / %d write, \
-                       %s routing)@."
+             [
+               row "read" r.Runix.Load.read_lat_us;
+               row "write" r.Runix.Load.write_lat_us;
+               row
+                 (Printf.sprintf "hot (top %d key(s))" r.Runix.Load.hot_keys)
+                 r.Runix.Load.hot_lat_us;
+               row "cold" r.Runix.Load.cold_lat_us;
+             ]);
+        Format.printf "throughput : %d op(s) in %.2f s = %.0f op/s (%d read / %d write)@."
           r.Runix.Load.ops r.Runix.Load.elapsed_s (Runix.Load.ops_per_s r)
-          r.Runix.Load.reads r.Runix.Load.writes
-          (Runix.Load.route_to_string route);
-        if route = Runix.Load.Key_hash then
-          Format.printf "key space  : %d key(s), zipf s = %.2f%s@." keys skew
-            (match placement with
-            | Some p ->
-              Printf.sprintf ", %d shard(s), placement %s" (Runix.Placement.shards p)
-                (Runix.Placement.to_string p)
-            | None -> Printf.sprintf ", default placement (%d shards)" nodes);
+          r.Runix.Load.reads r.Runix.Load.writes;
+        Format.printf "key space  : %d key(s), zipf s = %.2f, %d shard(s), placement %s@."
+          keys skew (Runix.Placement.shards placement) (Runix.Placement.to_string placement);
         Format.printf "errors     : %d@." r.Runix.Load.errors;
         (match metrics_out with
         | Some out ->
           write_file out
-            (Json.to_string
-               (Export.metrics_to_json (Metrics.snapshot (Runix.Load.metrics_of_report r)))
+            (Json.to_string (Export.metrics_to_json (Metrics.snapshot r.Runix.Load.metrics))
             ^ "\n")
         | None -> ());
         if r.Runix.Load.errors = 0 then `Ok () else `Error (false, "load saw errors")))
@@ -1840,30 +1815,17 @@ let run_load peers shards owned keys skew clients duration write_ratio route see
 let load_cmd =
   let doc =
     "Closed-loop load generator against a live deployment: N concurrent clients each \
-     issue read/write, wait, repeat, for the given duration. $(b,--route) picks where \
-     ops land: $(b,fixed) funnels writes to node 0 (single-writer regime), \
-     $(b,round-robin) walks the mesh per op, $(b,key-hash) issues real keyed \
-     operations: each op draws a key from a zipfian popularity curve ($(b,--keys), \
-     $(b,--skew)) and lands on its shard under the deployment's placement \
-     ($(b,--shards)/$(b,--owned), quoted identically to dds serve) — reads on any owner, \
-     writes on the shard's writer. The report then splits latency into hot and cold key \
-     classes. Latency lands in the same histogram / metrics pipeline as the simulator's \
-     tables."
+     issue read/write, wait, repeat, for the given duration. Each op draws a key from a \
+     zipfian popularity curve ($(b,--keys), $(b,--skew)) and lands on the key's shard \
+     under the deployment's placement ($(b,--shards)/$(b,--owned), quoted identically \
+     to dds serve): a read on a random reachable owner, a write on the shard's writer, \
+     so each shard keeps one writer. It refuses to start when a shard has no reachable \
+     owner, or, with writes, when a shard's writer is unreachable. The report splits \
+     latency by op kind and into hot and cold key classes; exits non-zero if any op \
+     came back as an error."
   in
-  let shards_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "The served deployment's shard count (quote dds serve's value). Default: one \
-             shard per node, the historical key-hash spread.")
-  in
-  let owned_t = serve_owned_t in
   let keys_t =
-    Arg.(
-      value & opt int 4096
-      & info [ "keys" ] ~docv:"N" ~doc:"Key-space size for $(b,--route key-hash).")
+    Arg.(value & opt int 4096 & info [ "keys" ] ~docv:"N" ~doc:"Key-space size.")
   in
   let skew_t =
     Arg.(
@@ -1886,37 +1848,19 @@ let load_cmd =
       value & opt float 0.1
       & info [ "write-ratio" ] ~docv:"R" ~doc:"Fraction of operations that write.")
   in
-  let route_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("fixed", Runix.Load.Fixed);
-               ("round-robin", Runix.Load.Round_robin);
-               ("key-hash", Runix.Load.Key_hash);
-             ])
-          Runix.Load.Fixed
-      & info [ "route" ] ~docv:"POLICY"
-          ~doc:
-            "Operation routing: $(b,fixed) (writes to node 0, reads on the client's \
-             assigned node — the single-writer regime), $(b,round-robin) (op k to node \
-             k mod n), or $(b,key-hash) (each op draws a synthetic key; its node is the \
-             sharded store's placement hash).")
-  in
   let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Rng seed.") in
   let metrics_out_t =
     Arg.(
       value
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write ops/latency counters + histograms as JSON.")
+          ~doc:"Write ops counters, the ops/s gauge and the latency histograms as JSON.")
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
       ret
-        (const run_load $ peers_t $ shards_t $ owned_t $ keys_t $ skew_t $ clients_t
-       $ duration_t $ write_ratio_t $ route_t $ seed_t $ metrics_out_t))
+        (const run_load $ peers_t $ serve_shards_t $ serve_owned_t $ keys_t $ skew_t
+       $ clients_t $ duration_t $ write_ratio_t $ seed_t $ metrics_out_t))
 
 (* hunt *)
 

@@ -656,19 +656,24 @@ let test_loopback_deployment () =
   | Error e -> Alcotest.failf "read node 1: %s" e);
   Client.close c0;
   Client.close c1;
-  (* A short burst of closed-loop load: every op must complete. *)
-  let report = Load.run ~addrs ~clients:6 ~duration_s:0.6 ~write_ratio:0.2 ~route:Load.Fixed ~seed:7 () in
+  (* A burst of keyed closed-loop load over the one-shard placement the
+     nodes serve: every write goes to shard 0's writer, node 0, so the
+     single-register audit below covers them, and every op completes. *)
+  let report =
+    Load.run ~placement:(Placement.all ~nodes:n ~shards:1) ~addrs ~clients:6 ~duration_s:0.6
+      ~write_ratio:0.2 ~seed:7 ()
+  in
   check_bool "load did work" true (report.Load.ops > 50);
   check_int "load errors" 0 report.Load.errors;
   check_bool "load wrote" true (report.Load.writes > 0);
-  (* Key-hash routing spreads ops over the whole mesh through the
-     sharded store's placement hash; everything must still complete.
-     Read-only: this trace is audited against the single-writer regime
-     below, and key-hash writes land on every node by design. *)
-  let kh = Load.run ~addrs ~clients:6 ~duration_s:0.4 ~write_ratio:0.0 ~route:Load.Key_hash ~seed:7 () in
-  check_bool "key-hash load did work" true (kh.Load.ops > 50);
-  check_int "key-hash load errors" 0 kh.Load.errors;
-  check_int "key-hash load read-only" kh.Load.ops kh.Load.reads;
+  (* The metrics snapshot behind --metrics-out carries the recorded
+     extremes, not bucket edges. *)
+  let snap = Metrics.snapshot report.Load.metrics in
+  let read_snap = List.assoc "latency.read_us" snap.Metrics.histogram_values in
+  check (Alcotest.float 0.) "metrics read max is the recorded max"
+    (Histogram.max_value report.Load.read_lat_us)
+    read_snap.Metrics.max;
+  check_int "metrics ops counter" report.Load.ops (Metrics.get report.Load.metrics "load.ops");
   (* Tear the mesh down and collect the traces. *)
   Array.iter (fun (_, ctl_w) -> ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1)) children;
   Array.iter
@@ -992,7 +997,7 @@ let test_sharded_loopback () =
      shard's writer, reads spread over its owners, every op lands. *)
   let report =
     Load.run ~placement ~keys:64 ~skew:1.1 ~addrs ~clients:6 ~duration_s:0.6
-      ~write_ratio:0.2 ~route:Load.Key_hash ~seed:9 ()
+      ~write_ratio:0.2 ~seed:9 ()
   in
   check_bool "keyed load did work" true (report.Load.ops > 50);
   check_int "keyed load errors" 0 report.Load.errors;
@@ -1069,6 +1074,87 @@ let test_sharded_loopback () =
         (Printf.sprintf "shard %d regularity verdict matches sim" shard)
         sim_reg wire_reg)
     wire_verdicts
+
+(* Three addresses under the placement "0;0,1;0,1" (shard 0 on every
+   node, writer node 0; shard 1 on nodes 1 and 2, writer node 1), where
+   node 2's address has no listener. Sync reads are local and its
+   writes wait out delta, so both shards still serve on nodes 0 and 1.
+   The load must send shard 1's reads to node 1 — never to node 0,
+   which would answer each with a typed Err — and finish clean. A
+   placement the live nodes cannot serve fails at start, naming the
+   shard. *)
+let test_load_skips_unreachable_node () =
+  let module S_sync = Store.Make (Sync_register) in
+  let placement spec =
+    match Placement.make ~nodes:3 ~shards:2 ~spec:(Some spec) with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let served = placement "0;0,1;0,1" in
+  let socks = Array.init 2 (fun _ -> bind_ephemeral ()) in
+  (* Bound but not listening: a connect is refused. *)
+  let dead = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind dead (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let dead_port =
+    match Unix.getsockname dead with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let addrs =
+    Array.append (Array.map (fun (_, port) -> ("127.0.0.1", port)) socks) [| ("127.0.0.1", dead_port) |]
+  in
+  let children =
+    Array.init 2 (fun i ->
+        let ctl_r, ctl_w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+          Unix.close ctl_w;
+          (try
+             let loop = Loop.create () in
+             let cfg =
+               {
+                 (Store.default_config ~self:i ~addrs) with
+                 Store.placement = served;
+                 events_enabled = false;
+                 listen_fd = Some (fst socks.(i));
+               }
+             in
+             let store = S_sync.create ~loop cfg (fun _shard -> Sync_register.default_params ~delta:5) in
+             Loop.watch_read loop ctl_r (fun () ->
+                 S_sync.shutdown store;
+                 Loop.stop loop);
+             Loop.run loop
+           with _ -> ());
+          Unix._exit 0
+        | pid ->
+          Unix.close ctl_r;
+          (pid, ctl_w))
+  in
+  Array.iter (fun (fd, _) -> Unix.close fd) socks;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close dead;
+      Array.iter (fun (_, ctl_w) -> ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1)) children;
+      Array.iter
+        (fun (pid, ctl_w) ->
+          ignore (Unix.waitpid [] pid);
+          Unix.close ctl_w)
+        children)
+    (fun () ->
+      let load ?(addrs = addrs) ~write_ratio placement =
+        Load.run ~placement ~keys:64 ~addrs ~clients:4 ~duration_s:0.4 ~write_ratio ~seed:3 ()
+      in
+      let report = load ~write_ratio:0.2 served in
+      check_bool "load did work" true (report.Load.ops > 50);
+      check_int "no op reached a non-owner" 0 report.Load.errors;
+      check_bool "load wrote" true (report.Load.writes > 0);
+      Alcotest.check_raises "a shard with no reachable owner"
+        (Failure "load: shard 1 has no reachable owner") (fun () ->
+          ignore (load ~write_ratio:0.0 (placement "0;0;0,1")));
+      (* With the dead address first, it is node 0: the writer of
+         both shards under an everyone-owns-everything placement. *)
+      let dead_first = [| addrs.(2); addrs.(0); addrs.(1) |] in
+      Alcotest.check_raises "an unreachable writer"
+        (Failure "load: shard 0's writer, node 0, is unreachable") (fun () ->
+          ignore (load ~addrs:dead_first ~write_ratio:0.2 (placement "0,1"))))
 
 (* ------------------------------------------------------------------ *)
 (* Read coalescing *)
@@ -1265,6 +1351,8 @@ let () =
             test_hostile_frames;
           Alcotest.test_case "2-shard keyed store over TCP audits REGULAR per shard" `Quick
             test_sharded_loopback;
+          Alcotest.test_case "load routes around an unreachable node" `Quick
+            test_load_skips_unreachable_node;
         ] );
       ( "coalesce",
         List.concat_map
