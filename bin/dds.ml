@@ -1738,9 +1738,11 @@ let client_cmd =
   let doc =
     "One register operation against a live node: $(b,dds client HOST:PORT read) prints \
      the value (as datum#sn), $(b,dds client HOST:PORT write INT) writes and prints \
-     the stored value. $(b,--key) addresses a register of a sharded store; the \
-     addressed node must own the key's shard. Writes should go to the shard's \
-     writer — the deployments assume one writer per shard."
+     the value the register holds after the write: INT with the sequence number the \
+     protocol gave it, or, when the node folded this write into one round with \
+     writes queued behind it, the last of those. $(b,--key) addresses a register of \
+     a sharded store; the addressed node must own the key's shard. Writes should go \
+     to the shard's writer — the deployments assume one writer per shard."
   in
   let addr_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"HOST:PORT" ~doc:"Node address.")
@@ -1822,7 +1824,8 @@ let load_cmd =
      so each shard keeps one writer. It refuses to start when a shard has no reachable \
      owner, or, with writes, when a shard's writer is unreachable. The report splits \
      latency by op kind and into hot and cold key classes; exits non-zero if any op \
-     came back as an error."
+     came back as an error or was still unanswered a second after the duration ran \
+     out."
   in
   let keys_t =
     Arg.(value & opt int 4096 & info [ "keys" ] ~docv:"N" ~doc:"Key-space size.")

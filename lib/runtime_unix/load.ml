@@ -11,7 +11,10 @@ open Dds_sim
     owner, a write on the shard's designated writer, preserving the
     per-shard single-writer regime. [run] refuses to start when some
     shard has no reachable owner, or, with writes, when some shard's
-    writer is unreachable.
+    writer is unreachable. An op still unanswered {!straggler_ms} past
+    the deadline counts as an error and its client is closed, so a
+    shard that cannot reach its quorum ends the run instead of hanging
+    it.
 
     Latencies are recorded in microseconds straight into histograms
     registered in one {!Dds_sim.Metrics.t} — [latency.read_us] and
@@ -43,6 +46,12 @@ let lat_edges = Array.init 15 (fun i -> 50. *. (2. ** float_of_int i))
 (* The default synthetic key space; overridable with ~keys. Any span
    well above the shard count spreads fine. *)
 let default_keys = 4096
+
+(* How long past the deadline an op in flight may still be answered.
+   A reachable owner of a shard with fewer live owners than its quorum
+   never answers. A healthy mesh answers within milliseconds, so the
+   grace only cuts off ops that were not going to finish. *)
+let straggler_ms = 1000.
 
 type client = {
   conns : Conn.t option array;  (** index = node; [None] iff unreachable *)
@@ -77,13 +86,14 @@ let count_out t st =
     if t.live = 0 then Loop.stop t.loop
   end
 
+(* Mark dead before closing: each close fires on_close, which must not
+   count this client out a second time. *)
+let retire t st =
+  count_out t st;
+  Array.iter (Option.iter Conn.close) st.conns
+
 let issue t st =
-  if Loop.now_ms () >= t.deadline_ms then begin
-    (* Mark dead before closing: each close fires on_close, which must
-       not count this client out a second time. *)
-    count_out t st;
-    Array.iter (Option.iter Conn.close) st.conns
-  end
+  if Loop.now_ms () >= t.deadline_ms then retire t st
   else begin
     st.req <- st.req + 1;
     st.issued_at <- Loop.now_ms ();
@@ -228,7 +238,20 @@ let run ~placement ?(keys = default_keys) ?(skew = 0.0) ~addrs ~clients ~duratio
       cold_lat = hist "latency.cold_us";
     }
   in
-  Array.iter (fun fds -> issue t (connect_client t fds)) fds;
+  let clients = Array.map (connect_client t) fds in
+  Array.iter (issue t) clients;
+  ignore
+    (Loop.after_ms loop
+       (int_of_float (t.deadline_ms +. straggler_ms -. Loop.now_ms ()))
+       (fun () ->
+         Array.iter
+           (fun st ->
+             if not st.dead then begin
+               t.errors <- t.errors + 1;
+               retire t st
+             end)
+           clients)
+      : unit -> unit);
   Loop.run loop;
   let reads = Histogram.count t.read_lat and writes = Histogram.count t.write_lat in
   let r =

@@ -180,20 +180,42 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
      the same guarantee there. *)
   let after_ms_ignore loop d f = ignore (Loop.after_ms loop d f : unit -> unit)
 
-  (* One protocol op per instance at a time. A write is its own round;
-     a read at the head of the queue takes every read queued right
-     behind it into the same round, stopping at the first write so no
-     read overtakes one. Each batched read was invoked before the round
-     started and is answered after it ended, so the round's interval
-     lies inside every batched read's interval and its value is legal
-     for each of them. *)
+  (* One protocol op per instance at a time, answered in arrival order.
+     The op at the head of the queue takes every op of its own kind
+     queued right behind it into the same round, stopping at the first
+     op of the other kind, so no read overtakes a write and no write
+     overtakes a read. Every op of a run was invoked before the round
+     started and is answered after it ended. A run of reads shares one
+     read round: the round's interval lies inside every batched read's
+     interval, so its value is legal for each of them. A run of writes
+     shares one write round of its last datum: the earlier writes take
+     the round's linearization point in queue order, each overwritten
+     at once, and since their data are never sent no read can return
+     them. Every write of a run is answered with the round's value —
+     the last datum and the sn the protocol gave it, which is what the
+     register holds; an absorbed datum never had an sn of its own. *)
   let rec pump t inst =
     if (not inst.op_busy) && not (Queue.is_empty inst.queue) then
       match inst.node with
       | Some node when P.is_active node && not (P.busy node) -> (
-        let p = Queue.pop inst.queue in
+        let head = Queue.pop inst.queue in
+        let same_kind q =
+          match (head.p_op, q.p_op) with
+          | Do_read, Do_read | Do_write _, Do_write _ -> true
+          | Do_read, Do_write _ | Do_write _, Do_read -> false
+        in
+        let rec take rev =
+          match Queue.peek_opt inst.queue with
+          | Some q when same_kind q ->
+            ignore (Queue.pop inst.queue : pending);
+            take (q :: rev)
+          | Some _ | None -> rev
+        in
+        let newest_first = take [ head ] in
+        let batch = List.rev newest_first in
+        let absorbed = List.length batch - 1 in
         inst.op_busy <- true;
-        let k batch value =
+        let k value =
           inst.op_busy <- false;
           List.iter
             (fun p ->
@@ -202,20 +224,13 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
             batch;
           pump t inst
         in
-        match p.p_op with
-        | Do_write data -> P.write node data ~k:(k [ p ])
+        match (List.hd newest_first).p_op with
+        | Do_write data ->
+          if absorbed > 0 then Metrics.add t.metrics "store.writes_coalesced" absorbed;
+          P.write node data ~k
         | Do_read ->
-          let rec take rev =
-            match Queue.peek_opt inst.queue with
-            | Some ({ p_op = Do_read; _ } as q) ->
-              ignore (Queue.pop inst.queue : pending);
-              take (q :: rev)
-            | Some { p_op = Do_write _; _ } | None -> List.rev rev
-          in
-          let batch = take [ p ] in
-          let size = List.length batch in
-          if size > 1 then Metrics.add t.metrics "store.reads_coalesced" (size - 1);
-          P.read node ~k:(k batch))
+          if absorbed > 0 then Metrics.add t.metrics "store.reads_coalesced" absorbed;
+          P.read node ~k)
       | Some _ | None -> ()
 
   let deliver_local t inst ~sent_lc msg =
@@ -349,8 +364,8 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
       Queue.push { p_conn = conn; p_req = req; p_key = key; p_op = op } inst.queue
 
   (* Client ops decoded from one socket read are queued first and
-     pumped once the read is drained, so a pipelined burst of reads
-     forms one run even when its instance is idle — a protocol whose
+     pumped once the read is drained, so a pipelined burst forms one
+     run even when its instance is idle — a protocol whose
      read answers synchronously (sync's local read) would otherwise
      never let a second read queue. *)
   let pump_all t = Array.iter (function Some inst -> pump t inst | None -> ()) t.instances

@@ -1156,14 +1156,73 @@ let test_load_skips_unreachable_node () =
         (Failure "load: shard 0's writer, node 0, is unreachable") (fun () ->
           ignore (load ~addrs:dead_first ~write_ratio:0.2 (placement "0,1"))))
 
+(* One es founder serving a shard whose other two owners have no
+   listener: node 0 is reachable and owns the shard, so [Load.run]
+   starts, but no op can gather a quorum of two. The run must still
+   return, counting every op left in flight as an error. *)
+let test_load_deadline_without_quorum () =
+  let listen, port = bind_ephemeral () in
+  (* Bound but not listening: a connect is refused. *)
+  let dead =
+    Array.init 2 (fun _ ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        fd)
+  in
+  let port_of fd =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let addrs =
+    Array.append [| ("127.0.0.1", port) |] (Array.map (fun fd -> ("127.0.0.1", port_of fd)) dead)
+  in
+  let ctl_r, ctl_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close ctl_w;
+    (try
+       let loop = Loop.create () in
+       let cfg =
+         {
+           (Store.default_config ~self:0 ~addrs) with
+           Store.events_enabled = false;
+           listen_fd = Some listen;
+         }
+       in
+       let store = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n:3) in
+       Loop.watch_read loop ctl_r (fun () ->
+           S_es.shutdown store;
+           Loop.stop loop);
+       Loop.run loop
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close ctl_r;
+    Unix.close listen;
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Unix.write ctl_w (Bytes.make 1 'q') 0 1);
+        ignore (Unix.waitpid [] pid);
+        Unix.close ctl_w;
+        Array.iter Unix.close dead)
+      (fun () ->
+        let report =
+          Load.run ~placement:(Placement.all ~nodes:3 ~shards:1) ~addrs ~clients:2
+            ~duration_s:0.2 ~write_ratio:0.5 ~seed:3 ()
+        in
+        check_int "no op answered" 0 report.Load.ops;
+        check_int "every op in flight counted as an error" 2 report.Load.errors;
+        check_int "errors counter" 2 (Metrics.get report.Load.metrics "load.errors"))
+
 (* ------------------------------------------------------------------ *)
-(* Read coalescing *)
+(* Coalescing *)
+
+type coalesced = { reads : int; writes : int }
 
 (* Fork a 3-node, 1-shard loopback store running protocol [p] (delta =
    50 ms, the `dds serve` default), run [f] against its addresses,
    then shut it down. Returns [f]'s result, whether the merged trace
    audits clean (monitors and regularity), and the nodes' summed
-   [store.reads_coalesced]. *)
+   [store.reads_coalesced] and [store.writes_coalesced]. *)
 let with_protocol_store (p : Protocol.t) f =
   let n = 3 and delta = 50 in
   let module R = (val p.Protocol.runner : Protocol.RUNNER) in
@@ -1199,8 +1258,9 @@ let with_protocol_store (p : Protocol.t) f =
              Loop.watch_read loop ctl_r (fun () ->
                  S.shutdown store;
                  let oc = open_out counts.(i) in
-                 output_string oc
-                   (string_of_int (Metrics.get (S.metrics store) "store.reads_coalesced"));
+                 let count name = Metrics.get (S.metrics store) name in
+                 Printf.fprintf oc "%d %d" (count "store.reads_coalesced")
+                   (count "store.writes_coalesced");
                  close_out oc;
                  Loop.stop loop);
              Loop.run loop
@@ -1231,10 +1291,10 @@ let with_protocol_store (p : Protocol.t) f =
     Array.fold_left
       (fun acc path ->
         let ic = open_in path in
-        let c = int_of_string (input_line ic) in
+        let reads, writes = Scanf.sscanf (input_line ic) "%d %d" (fun r w -> (r, w)) in
         close_in ic;
-        acc + c)
-      0 counts
+        { reads = acc.reads + reads; writes = acc.writes + writes })
+      { reads = 0; writes = 0 } counts
   in
   Array.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) (Array.append traces counts);
   let violations = Dds_monitor.Monitor.run (Harness.monitor_config p ~n ~delta) merged in
@@ -1284,7 +1344,7 @@ let test_pipelined_reads name () =
   check (Alcotest.list Alcotest.int) "each read answered exactly once" reqs
     (List.sort compare (List.map fst resps));
   List.iter (fun (req, v) -> check_int (Printf.sprintf "read %d value" req) 5 v.Value.data) resps;
-  check_bool "some reads coalesced" true (coalesced >= 1);
+  check_bool "some reads coalesced" true (coalesced.reads >= 1);
   check_bool "merged trace audits clean" true audits_clean
 
 (* R, R, W(77), R pipelined to the writer: the two leading reads may
@@ -1311,6 +1371,67 @@ let test_no_read_overtakes_write name () =
   let written = List.assoc 3 resps and last = List.assoc 4 resps in
   check_int "write acked 77" 77 written.Value.data;
   check_bool "last read sees the write or newer" true (last.Value.sn >= written.Value.sn);
+  check_bool "merged trace audits clean" true audits_clean
+
+let write_req req data = Frame.buf_write_req ~req ~key:0 ~data ()
+
+(* W(1), W(2), W(3), R pipelined to the writer: the three writes share
+   one round of the last datum, so every write is answered with the
+   value the register holds after it — 3 and the sn the protocol gave
+   it, never an absorbed 1 or 2, which got no sn of their own — and the
+   read that follows returns exactly that value. *)
+let test_pipelined_writes name () =
+  let p = Protocol.find_exn name in
+  let resps, audits_clean, coalesced =
+    with_protocol_store p (fun addrs ->
+        let fd = raw_client (snd addrs.(0)) in
+        raw_pipeline fd
+          [ write_req 1 1; write_req 2 2; write_req 3 3; Frame.buf_read_req ~req:4 ~key:0 () ];
+        let resps = List.map resp_exn (raw_recv_frames fd 4) in
+        Unix.close fd;
+        resps)
+  in
+  check (Alcotest.list Alcotest.int) "each op answered once, in request order" [ 1; 2; 3; 4 ]
+    (List.map fst resps);
+  let last = List.assoc 3 resps in
+  check_int "last write acked 3" 3 last.Value.data;
+  List.iter
+    (fun req ->
+      let v = List.assoc req resps in
+      check_int (Printf.sprintf "write %d answered with the round's datum" req) 3 v.Value.data;
+      check_int (Printf.sprintf "write %d answered with the round's sn" req) last.Value.sn
+        v.Value.sn)
+    [ 1; 2 ];
+  let read = List.assoc 4 resps in
+  check_int "read returns the last write" 3 read.Value.data;
+  check_int "read returns the round's sn" last.Value.sn read.Value.sn;
+  check_bool "some writes coalesced" true (coalesced.writes >= 1);
+  check_bool "merged trace audits clean" true audits_clean
+
+(* W(1), W(2), R, W(4) pipelined to the writer: the write run stops at
+   the read, which sees the second write or newer, and the last write
+   runs its own round. *)
+let test_write_run_stops_at_read name () =
+  let p = Protocol.find_exn name in
+  let resps, audits_clean, coalesced =
+    with_protocol_store p (fun addrs ->
+        let fd = raw_client (snd addrs.(0)) in
+        raw_pipeline fd
+          [ write_req 1 1; write_req 2 2; Frame.buf_read_req ~req:3 ~key:0 (); write_req 4 4 ];
+        let resps = List.map resp_exn (raw_recv_frames fd 4) in
+        Unix.close fd;
+        resps)
+  in
+  check (Alcotest.list Alcotest.int) "responses in request order" [ 1; 2; 3; 4 ]
+    (List.map fst resps);
+  let second = List.assoc 2 resps and read = List.assoc 3 resps and fourth = List.assoc 4 resps in
+  check_int "second write acked 2" 2 second.Value.data;
+  check_bool "first write answered with the run's value" true
+    (Value.equal second (List.assoc 1 resps));
+  check_bool "read sees the second write or newer" true (read.Value.sn >= second.Value.sn);
+  check_int "last write acked with its own datum" 4 fourth.Value.data;
+  check_bool "last write got a newer sn" true (fourth.Value.sn > second.Value.sn);
+  check_int "only the run before the read coalesced" 1 coalesced.writes;
   check_bool "merged trace audits clean" true audits_clean
 
 let () =
@@ -1353,6 +1474,8 @@ let () =
             test_sharded_loopback;
           Alcotest.test_case "load routes around an unreachable node" `Quick
             test_load_skips_unreachable_node;
+          Alcotest.test_case "load ends when a shard cannot reach its quorum" `Quick
+            test_load_deadline_without_quorum;
         ] );
       ( "coalesce",
         List.concat_map
@@ -1364,6 +1487,12 @@ let () =
               Alcotest.test_case
                 (Printf.sprintf "%s: no read overtakes a write" name)
                 `Quick (test_no_read_overtakes_write name);
+              Alcotest.test_case
+                (Printf.sprintf "%s: pipelined writes share one round" name)
+                `Quick (test_pipelined_writes name);
+              Alcotest.test_case
+                (Printf.sprintf "%s: a write run stops at a read" name)
+                `Quick (test_write_run_stops_at_read name);
             ])
           Protocol.names );
     ]
