@@ -240,7 +240,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
             | Some (_, Event.Join) -> 1
             | Some (_, Event.Read) -> 2
             | Some (_, Event.Write) -> 3))
-      (List.sort Pid.compare (Network.attached (D.network d)));
+      (Network.attached (D.network d));
     List.iter
       (fun cand ->
         let tag = Scheduler.candidate_tag cand in

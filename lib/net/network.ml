@@ -33,6 +33,7 @@ type 'a t = {
   key_buf : Buffer.t;  (** reused for every delivery key; one per network *)
   mode : broadcast_mode;
   handlers : 'a handler Pid.Table.t;
+  mutable present : Pid.t list;  (** the handlers' pids, sorted; kept by attach/detach *)
   mutable fault : fault_plan option;
   mutable injected : int;
   mutable flying : int;
@@ -63,6 +64,7 @@ let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
     key_buf = Buffer.create 64;
     mode = broadcast_mode;
     handlers = Pid.Table.create nodes;
+    present = [];
     fault;
     injected = 0;
     flying = 0;
@@ -112,12 +114,15 @@ let tick_recv t pid ~sent =
 let attach t pid handler =
   if Pid.Table.mem t.handlers pid then
     invalid_arg (Format.asprintf "Network.attach: %a already attached" Pid.pp pid);
-  Pid.Table.replace t.handlers pid handler
+  Pid.Table.replace t.handlers pid handler;
+  t.present <- List.merge Pid.compare [ pid ] t.present
 
-let detach t pid = Pid.Table.remove t.handlers pid
+let detach t pid =
+  Pid.Table.remove t.handlers pid;
+  t.present <- List.filter (fun y -> not (Pid.equal y pid)) t.present
+
 let is_attached t pid = Pid.Table.mem t.handlers pid
-let attached t = Pid.Table.fold (fun pid _ acc -> pid :: acc) t.handlers []
-let attached_sorted t = List.sort Pid.compare (attached t)
+let attached t = t.present
 let set_fault_plan t plan = t.fault <- Some plan
 
 let set_fault t pred =
@@ -301,12 +306,13 @@ let rec flood_hop t ~origin ~id ~ttl ~src ~dst msg =
       Hashtbl.replace t.flood_seen key ();
       handler ~src:origin msg;
       if ttl > 0 then begin
-        let next = List.filter (fun y -> not (Pid.equal y dst)) (attached_sorted t) in
         List.iter
           (fun y ->
-            bump t "net.relayed";
-            flood_hop t ~origin ~id ~ttl:(ttl - 1) ~src:dst ~dst:y msg)
-          next
+            if not (Pid.equal y dst) then begin
+              bump t "net.relayed";
+              flood_hop t ~origin ~id ~ttl:(ttl - 1) ~src:dst ~dst:y msg
+            end)
+          t.present
       end
     end
   in
@@ -321,10 +327,10 @@ let broadcast t ~src msg =
        that delay draws happen in a reproducible order. *)
     List.iter
       (fun dst -> transmit t ~kind:Delay.Broadcast ~src ~dst msg)
-      (attached_sorted t)
+      t.present
   | Flooding { relay_depth } ->
     let id = t.broadcast_counter in
     t.broadcast_counter <- t.broadcast_counter + 1;
     List.iter
       (fun dst -> flood_hop t ~origin:src ~id ~ttl:(relay_depth - 1) ~src ~dst msg)
-      (attached_sorted t)
+      t.present

@@ -155,7 +155,8 @@ val detach : 'a t -> Pid.t -> unit
 val is_attached : 'a t -> Pid.t -> bool
 
 val attached : 'a t -> Pid.t list
-(** Processes currently in the system, in unspecified order. *)
+(** Processes currently in the system, in increasing pid order. The
+    list is kept by {!attach} and {!detach}, so the call is free. *)
 
 val send : 'a t -> src:Pid.t -> dst:Pid.t -> 'a -> unit
 (** Point-to-point send. Delivery is scheduled even if [dst] is not

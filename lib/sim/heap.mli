@@ -1,9 +1,9 @@
 (** Imperative binary min-heap.
 
-    The simulator's event queue needs [insert], [pop_min] and [peek] in
-    O(log n) with stable behaviour under millions of operations. The
-    heap is polymorphic in its elements and takes the ordering at
-    creation time. *)
+    {!Scheduler} keeps its far events here — those beyond its per-tick
+    wheel — and needs [insert], [pop] and [top] in O(log n) with stable
+    behaviour under millions of operations. The heap is polymorphic in
+    its elements and takes the ordering at creation time. *)
 
 type 'a t
 (** A mutable min-heap of ['a] values. *)
@@ -25,7 +25,8 @@ val top : 'a t -> 'a
 
 val pop : 'a t -> 'a
 (** Removes and returns the minimum element. O(log n). Allocates
-    nothing, so the scheduler's per-event pop is garbage-free.
+    nothing, so moving far events into the scheduler's wheel is
+    garbage-free.
     @raise Invalid_argument if the heap is empty. *)
 
 val clear : 'a t -> unit

@@ -10,14 +10,25 @@
     time (they fire later in the same tick). Scheduling in the past is
     an error: the model's causality must be respected by construction.
 
+    {b Queue.} Messages arrive within a few ticks, so nearly every
+    pending event is due soon. The queue is a timing wheel: a fixed ring
+    of 16 per-tick slots covers the ticks from the clock on, each slot an
+    array of its tick's events in seq order. Scheduling into the wheel
+    appends (amortised O(1)); firing takes a slot's head, found by
+    scanning at most 16 slots, and allocates nothing. Events further ahead
+    wait in a {!Heap} (O(log f) for the f far events) and move into
+    their slot when the clock, or {!run_until}'s final clock move,
+    brings their tick within reach.
+
     {b Choice points.} The model checker ({!Dds_check.Check}) needs to
     explore {e every} order in which same-time events could fire, not
     just the FIFO one. Installing a chooser with {!set_chooser} turns
     each tick with two or more ready events into an explicit choice
-    point: the scheduler gathers all non-cancelled events at the
+    point: the scheduler offers all non-cancelled events at the
     minimal queued time (in seq order — a canonical, replay-stable
-    enumeration) and asks the chooser which fires next; the rest are
-    re-queued and offered again. Without a chooser the behaviour is
+    enumeration) and asks the chooser which fires next. The pick is
+    removed from its slot in place; the rest stay where they are, in
+    order, and are offered again. Without a chooser the behaviour is
     exactly the historical FIFO order, so ordinary simulations are
     untouched. *)
 
@@ -71,8 +82,9 @@ val pending : t -> int
 val set_chooser : t -> (candidate array -> int) option -> unit
 (** [set_chooser s (Some f)] routes every subsequent tick with two or
     more ready events through [f]: it receives the candidates in seq
-    order and returns the index to fire; the others are re-queued.
-    [set_chooser s None] restores FIFO order.
+    order and returns the index to fire; the others stay queued. [f]
+    runs before the clock moves to the candidates' time and must not
+    schedule events. [set_chooser s None] restores FIFO order.
     A chooser returning an out-of-range index raises
     [Invalid_argument] at the next {!step}. *)
 
@@ -85,8 +97,10 @@ val candidate_tag : candidate -> tag
 val candidate_seq : candidate -> int
 
 val pending_candidates : t -> candidate list
-(** All non-cancelled queued events in (time, seq) order. O(n log n);
-    used by the checker to fingerprint scheduler state, and by tests. *)
+(** All non-cancelled queued events in (time, seq) order, leaving out
+    the candidates offered to a running chooser. O(n + f log f) for n
+    queued and f far events; used by the checker to fingerprint
+    scheduler state, and by tests. *)
 
 val step : t -> bool
 (** Fires the single next event, advancing the clock to its time.

@@ -200,6 +200,16 @@ let test_attach_twice_rejected () =
   Network.detach w.net (Pid.of_int 0);
   attach w (Pid.of_int 0)
 
+let test_attached_sorted () =
+  let w = make_world () in
+  let present () = List.map Pid.to_int (Network.attached w.net) in
+  List.iter (fun i -> attach w (Pid.of_int i)) [ 5; 1; 9; 3 ];
+  Alcotest.(check (list int)) "increasing pids" [ 1; 3; 5; 9 ] (present ());
+  Network.detach w.net (Pid.of_int 5);
+  Network.detach w.net (Pid.of_int 5);
+  attach w (Pid.of_int 7);
+  Alcotest.(check (list int)) "after detach and attach" [ 1; 3; 7; 9 ] (present ())
+
 let test_fault_injection () =
   let w = make_world () in
   let a = Pid.of_int 0 and b = Pid.of_int 1 in
@@ -388,6 +398,7 @@ let () =
           Alcotest.test_case "broadcast present set" `Quick test_broadcast_present_set;
           Alcotest.test_case "broadcast leaver misses" `Quick test_broadcast_leaver_misses;
           Alcotest.test_case "attach twice rejected" `Quick test_attach_twice_rejected;
+          Alcotest.test_case "attached in pid order" `Quick test_attached_sorted;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
         ] );
       ( "flooding",

@@ -222,6 +222,215 @@ let test_scheduler_max_events () =
   check_int "bounded" 25 !count;
   check_int "events_fired" 25 (Scheduler.events_fired s)
 
+(* A far event queued before the clock reaches its tick must still fire
+   before an event scheduled at that tick later: [run_until]'s final
+   clock move has to bring it into the near set first. *)
+let test_scheduler_far_before_near () =
+  let s = Scheduler.create () in
+  let log = ref [] in
+  let t = 100 in
+  ignore (Scheduler.schedule_at s (Time.of_int t) (fun () -> log := "far" :: !log));
+  Scheduler.run_until s (Time.of_int (t - 1));
+  ignore (Scheduler.schedule_at s (Time.of_int t) (fun () -> log := "near" :: !log));
+  Scheduler.run s ();
+  Alcotest.(check (list string)) "(time, seq) order" [ "far"; "near" ] (List.rev !log)
+
+(* Reference model of the scheduler: a plain list, searched for the
+   minimal (time, seq) on every step. *)
+module Model = struct
+  type ev = { time : int; seq : int; fn : unit -> unit; mutable cancelled : bool }
+
+  type t = {
+    mutable clock : int;
+    mutable next_seq : int;
+    mutable fired : int;
+    mutable queue : ev list;
+    mutable offered : ev list;
+    mutable chooser : ((int * int) array -> int) option;
+  }
+
+  let create () =
+    { clock = 0; next_seq = 0; fired = 0; queue = []; offered = []; chooser = None }
+
+  let schedule m time fn =
+    let ev = { time; seq = m.next_seq; fn; cancelled = false } in
+    m.next_seq <- m.next_seq + 1;
+    m.queue <- ev :: m.queue;
+    ev
+
+  let live m =
+    List.sort
+      (fun a b -> compare (a.time, a.seq) (b.time, b.seq))
+      (List.filter (fun e -> not e.cancelled) m.queue)
+
+  let pending m =
+    List.filter_map
+      (fun e -> if List.memq e m.offered then None else Some (e.time, e.seq))
+      (live m)
+
+  let step m =
+    match live m with
+    | [] -> false
+    | first :: _ as l ->
+      let ready = List.filter (fun e -> e.time = first.time) l in
+      let ev =
+        match (m.chooser, ready) with
+        | Some choose, _ :: _ :: _ ->
+          m.offered <- ready;
+          let i = choose (Array.of_list (List.map (fun e -> (e.time, e.seq)) ready)) in
+          m.offered <- [];
+          List.nth ready i
+        | _ -> first
+      in
+      m.queue <- List.filter (fun e -> e != ev) m.queue;
+      m.clock <- ev.time;
+      m.fired <- m.fired + 1;
+      ev.fn ();
+      true
+
+  let rec run_until m h =
+    match live m with
+    | e :: _ when e.time <= h ->
+      ignore (step m);
+      run_until m h
+    | _ -> if h > m.clock then m.clock <- h
+
+  let rec run m = if step m then run m
+end
+
+(* The operations a schedule drives, over either implementation. Times
+   are plain ints; events are named by their (time, seq). *)
+type driven = {
+  now : unit -> int;
+  schedule : int -> (unit -> unit) -> unit -> unit;  (** returns the cancel *)
+  step : unit -> bool;
+  run_until : int -> unit;
+  run : unit -> unit;
+  fired : unit -> int;
+  pending : unit -> (int * int) list;
+  set_chooser : ((int * int) array -> int) -> unit;
+}
+
+let driven_scheduler () =
+  let s = Scheduler.create () in
+  let pair c = (Time.to_int (Scheduler.candidate_time c), Scheduler.candidate_seq c) in
+  {
+    now = (fun () -> Time.to_int (Scheduler.now s));
+    schedule =
+      (fun t f ->
+        let tok = Scheduler.schedule_at s (Time.of_int t) f in
+        fun () -> Scheduler.cancel s tok);
+    step = (fun () -> Scheduler.step s);
+    run_until = (fun h -> Scheduler.run_until s (Time.of_int h));
+    run = (fun () -> Scheduler.run s ());
+    fired = (fun () -> Scheduler.events_fired s);
+    pending = (fun () -> List.map pair (Scheduler.pending_candidates s));
+    set_chooser =
+      (fun choose -> Scheduler.set_chooser s (Some (fun cs -> choose (Array.map pair cs))));
+  }
+
+let driven_model () =
+  let m = Model.create () in
+  {
+    now = (fun () -> m.Model.clock);
+    schedule =
+      (fun t f ->
+        let ev = Model.schedule m t f in
+        fun () -> ev.Model.cancelled <- true);
+    step = (fun () -> Model.step m);
+    run_until = (fun h -> Model.run_until m h);
+    run = (fun () -> Model.run m);
+    fired = (fun () -> m.Model.fired);
+    pending = (fun () -> Model.pending m);
+    set_chooser = (fun choose -> m.Model.chooser <- Some choose);
+  }
+
+type op =
+  | Schedule of int * int list  (** delay, and the delays its callback schedules *)
+  | Cancel of int  (** the n-th event scheduled so far, modulo *)
+  | Run_until of int  (** horizon, ahead of the clock *)
+  | Step
+
+(* Runs [ops] then drains the queue, and returns everything observable:
+   each firing, each chooser offer with the pending set it coexists
+   with, and the clock, fired count and pending set after every op. *)
+let drive make ~choose ops picks =
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+  let pairs l = String.concat "," (List.map (fun (t, q) -> Printf.sprintf "%d.%d" t q) l) in
+  let s = make () in
+  let picks = ref picks in
+  if choose then
+    s.set_chooser (fun cands ->
+        let pick =
+          match !picks with
+          | p :: rest ->
+            picks := rest;
+            p mod Array.length cands
+          | [] -> 0
+        in
+        note "offer %s at %d pending %s pick %d" (pairs (Array.to_list cands)) (s.now ())
+          (pairs (s.pending ())) pick;
+        pick);
+  let cancels = ref [] in
+  let rec schedule delay children =
+    let name = List.length !cancels in
+    let at = s.now () + delay in
+    let cancel =
+      s.schedule at (fun () ->
+          note "fire %d at %d" name (s.now ());
+          List.iter (fun c -> schedule c []) children)
+    in
+    cancels := !cancels @ [ cancel ]
+  in
+  let apply = function
+    | Schedule (delay, children) -> schedule delay children
+    | Cancel k -> if !cancels <> [] then (List.nth !cancels (k mod List.length !cancels)) ()
+    | Run_until h -> s.run_until (s.now () + h)
+    | Step -> note "step %b" (s.step ())
+  in
+  List.iter
+    (fun op ->
+      apply op;
+      note "now %d fired %d pending %s" (s.now ()) (s.fired ()) (pairs (s.pending ())))
+    ops;
+  s.run ();
+  note "end now %d fired %d" (s.now ()) (s.fired ());
+  List.rev !log
+
+let prop_scheduler_model =
+  let open QCheck2.Gen in
+  (* Delays cluster on the same few ticks, so ready sets of several
+     events are common, and reach well past the near set. *)
+  let delay = frequency [ (4, int_range 0 3); (2, int_range 12 20); (1, int_range 0 70) ] in
+  let op =
+    frequency
+      [
+        (5, map2 (fun d cs -> Schedule (d, cs)) delay
+              (list_size (int_range 0 2) (frequency [ (3, pure 0); (1, delay) ])));
+        (1, map (fun k -> Cancel k) nat);
+        (2, map (fun h -> Run_until h) delay);
+        (1, pure Step);
+      ]
+  in
+  let print (choose, ops, _) =
+    Printf.sprintf "chooser %b: %s" choose
+      (String.concat "; "
+         (List.map
+            (function
+              | Schedule (d, cs) ->
+                Printf.sprintf "schedule +%d [%s]" d
+                  (String.concat "," (List.map string_of_int cs))
+              | Cancel k -> Printf.sprintf "cancel %d" k
+              | Run_until h -> Printf.sprintf "run_until +%d" h
+              | Step -> "step")
+            ops))
+  in
+  QCheck2.Test.make ~name:"scheduler fires like a sorted-list model" ~count:500 ~print
+    (triple bool (list_size (int_range 0 60) op) (list_size (pure 40) nat))
+    (fun (choose, ops, picks) ->
+      drive driven_scheduler ~choose ops picks = drive driven_model ~choose ops picks)
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -505,7 +714,9 @@ let () =
           Alcotest.test_case "run_until cancelled head" `Quick
             test_scheduler_run_until_cancelled_head;
           Alcotest.test_case "max events" `Quick test_scheduler_max_events;
+          Alcotest.test_case "far event before near" `Quick test_scheduler_far_before_near;
         ] );
+      qsuite "scheduler-props" [ prop_scheduler_model ];
       ( "stats",
         [
           Alcotest.test_case "basics" `Quick test_stats_basics;
