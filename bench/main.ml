@@ -222,15 +222,15 @@ let run_checker_rows () =
 (* ------------------------------------------------------------------ *)
 (* Idle-path CPU probe *)
 
-(* One straggler job sleeps ~50ms on worker 0 while the other workers'
-   deques are already drained, so they sit in the steal-scan idle loop
-   the whole time. With the exponential backoff in Pool.work the
-   process CPU over the batch stays near zero (everyone is sleeping);
-   the old fixed-cadence relax/sleep loop burned most of a core per
+(* One straggler job sleeps ~50ms on worker 0 while the other workers
+   have already passed the end of the batch's job cursor, so they wait
+   for it the whole time. They sleep on the pool's condition variable
+   until the last job finishes, so the process CPU over the batch stays
+   near zero; a busy-waiting idle path would burn most of a core per
    idle worker, i.e. ~(jobs-1) * wall of CPU. Sys.time is ISO C
    clock(): processor time across every domain of the process, exactly
    the number busy-waiting inflates. The run also re-checks the
-   determinism contract the backoff must not disturb: the merged
+   determinism contract the idle path must not disturb: the merged
    output equals the jobs=1 run of the same batch. *)
 type idle_row = {
   ip_jobs : int;
@@ -260,13 +260,13 @@ let run_idle_probe () =
       Format.printf "@.#### Pool idle probe (1 straggler, %d workers) ####@.@." jobs;
       Format.printf "  wall %.3fs, process cpu %.3fs (%.2f of the %d idle workers' budget)@."
         wall cpu per_idle (jobs - 1);
-      (* Generous bound: busy-waiting scores ~1.0 here, the backoff
-         well under 0.1 — flag anything past half a burned core per
-         idle worker without being brittle on loaded CI runners. *)
+      (* Generous bound: busy-waiting scores ~1.0 here, sleeping
+         workers well under 0.1 — flag anything past half a burned core
+         per idle worker without being brittle on loaded CI runners. *)
       if per_idle > 0.5 then
         failwith
           (Printf.sprintf
-             "pool idle probe: %.2f of idle-worker CPU burned (backoff regression?)" per_idle);
+             "pool idle probe: %.2f of idle-worker CPU burned (busy-waiting?)" per_idle);
       { ip_jobs = jobs; ip_wall_s = wall; ip_cpu_s = cpu; ip_cpu_per_idle = per_idle })
 
 (* ------------------------------------------------------------------ *)
@@ -634,10 +634,6 @@ let write_results_json ~tables ~scaling ~profile_rows ~checker ~idle ~estimates 
                      ("jobs", J.Int j);
                      ("wall_s", J.Float wall);
                      ("busy_fraction", J.Float s.Dds_profile.Profile.s_busy_fraction);
-                     ("steal_attempts", J.Int s.Dds_profile.Profile.s_steal_attempts);
-                     ("steals", J.Int s.Dds_profile.Profile.s_steals);
-                     ( "steal_success_rate",
-                       J.Float s.Dds_profile.Profile.s_steal_success_rate );
                      ("minor_words", J.Float s.Dds_profile.Profile.s_minor_words);
                      ( "minor_words_per_job",
                        J.Float s.Dds_profile.Profile.s_minor_words_per_job );

@@ -523,11 +523,10 @@ let eprofile_t =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Profile the experiment engine: per-domain activity spans (job / steal / idle / \
-           merge), per-job GC deltas and simulator phase timers are recorded and a \
-           summary (busy fraction, steal success rate, alloc/job, dominant cost) is \
-           printed to stderr. Off by default and free when off; never changes results \
-           or stdout.")
+          "Profile the experiment engine: per-domain activity spans (job / idle / merge), \
+           per-job GC deltas and simulator phase timers are recorded and a summary \
+           (busy fraction, alloc/job, dominant cost) is printed to stderr. Off by default \
+           and free when off; never changes results or stdout.")
 
 let profile_out_t =
   Arg.(
@@ -737,9 +736,8 @@ let with_engine' ?(profile = false) ?profile_out ?(minor_heap_words = 0) ~jobs ~
       let r = f pool in
       let stats = Dds_engine.Pool.stats pool in
       let cells = List.fold_left (fun a s -> a + s.Dds_engine.Pool.ws_jobs) 0 stats in
-      let steals = List.fold_left (fun a s -> a + s.Dds_engine.Pool.ws_steals) 0 stats in
-      Format.eprintf "engine     : %d worker(s), %d job(s), %d steal(s), %.2fs wall@."
-        (Dds_engine.Pool.jobs pool) cells steals (Dds_engine.Pool.wall_s pool);
+      Format.eprintf "engine     : %d worker(s), %d job(s), %.2fs wall@."
+        (Dds_engine.Pool.jobs pool) cells (Dds_engine.Pool.wall_s pool);
       (match metrics_out with
       | Some path ->
         write_file path
@@ -940,14 +938,13 @@ let inspect_metrics path j =
     in
     Report.print
       (Report.make ~title:"engine workers"
-         ~headers:[ "worker"; "jobs"; "steals"; "busy_s" ]
+         ~headers:[ "worker"; "jobs"; "busy_s" ]
          (List.map
             (fun w ->
               let row = Hashtbl.find per_worker w in
               [
                 string_of_int w;
                 cell row "jobs" (fun v -> Report.cell_int (int_of_float v));
-                cell row "steals" (fun v -> Report.cell_int (int_of_float v));
                 cell row "busy_s" Report.cell_float;
               ])
             workers))
@@ -991,10 +988,6 @@ let inspect_engine_profile path j =
     | Some w, Some jobs, Some busy ->
       Format.printf "profile    : %d job(s), %.3fs wall, %.0f%% busy@." jobs w (100.0 *. busy)
     | _ -> ());
-    (match (int "steal_attempts", int "steals") with
-    | Some att, Some st when att > 0 ->
-      Format.printf "steals     : %d/%d attempt(s) succeeded@." st att
-    | _ -> ());
     (match (num "minor_words_per_job", num "minor_words") with
     | Some per, Some total ->
       Format.printf "alloc      : %.3g minor words/job (%.3g total)@." per total
@@ -1003,7 +996,7 @@ let inspect_engine_profile path j =
     | Some (Json.List ws) ->
       Report.print
         (Report.make ~title:"engine workers"
-           ~headers:[ "worker"; "jobs"; "busy_s"; "idle_s"; "busy%"; "steals" ]
+           ~headers:[ "worker"; "jobs"; "busy_s"; "idle_s"; "busy%" ]
            (List.map
               (fun w ->
                 let wint name = Option.bind (Json.member name w) Json.to_int_opt in
@@ -1015,7 +1008,7 @@ let inspect_engine_profile path j =
                   | Some v -> Printf.sprintf "%.0f" (100.0 *. v)
                   | None -> "-"
                 in
-                [ i "id"; i "jobs"; f "busy_s"; f "idle_s"; pct "busy_fraction"; i "steals" ])
+                [ i "id"; i "jobs"; f "busy_s"; f "idle_s"; pct "busy_fraction" ])
               ws))
     | _ -> ());
     (match str "dominant" with

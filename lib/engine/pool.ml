@@ -7,17 +7,19 @@ exception Job_failed of { key : string; exn : exn }
 (* A submitted job, erased to unit: the wrapper writes its result into
    the batch's slot array, so aggregation is by submission index and
    the merged output is independent of which worker ran what. *)
-type packed = { index : int; pkey : string; prun : unit -> unit }
+type packed = { pkey : string; prun : unit -> unit }
 
 type batch = {
-  deques : packed Deque.t array;
+  jobs : packed array;
+  next : int Atomic.t;  (** cursor: the next job index to claim *)
   remaining : int Atomic.t;  (** jobs not yet finished (run or skipped) *)
   failed : (int * string * exn) option Atomic.t;
-      (** first failure recorded; once set, unstarted jobs are skipped *)
-  drained : int Atomic.t;
-      (** spawned workers that have left [work]; the submitter waits
-          for all of them before releasing the batch, so per-worker
-          stats and profile buffers are quiescent when [run] returns *)
+      (** lowest-index failure recorded so far; jobs after it are skipped *)
+  mutable drained : int;
+      (** spawned workers that have left [work], under the pool lock;
+          the submitter waits for all of them before releasing the
+          batch, so per-worker stats and profile buffers are quiescent
+          when [run] returns *)
 }
 
 type state = Idle | Running of batch | Stopped
@@ -27,11 +29,12 @@ type t = {
   mutable domains : unit Domain.t list;
   lock : Mutex.t;
   cond : Condition.t;
+      (* one condition for every wait on the pool: a new batch, its
+         last job finishing, a worker draining, shutdown *)
   mutable state : state;
   mutable generation : int;  (* bumped per batch so workers re-arm *)
   (* Per-worker stats: slot [w] is written only by worker [w]. *)
   stat_jobs : int array;
-  stat_steals : int array;
   stat_busy : float array;
   mutable batch_count : int;
   mutable wall_total : float;
@@ -53,12 +56,23 @@ let record_failure batch index key exn =
   in
   go ()
 
-let run_job t w batch (j : packed) =
-  if Atomic.get batch.failed = None then begin
+let broadcast t =
+  Mutex.lock t.lock;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.lock
+
+let run_job t w batch index =
+  let j = batch.jobs.(index) in
+  (* Skip only jobs after a known failure: every job before the lowest
+     failing one always runs, so which failure is reported does not
+     depend on the worker count. *)
+  (match Atomic.get batch.failed with
+  | Some (i, _, _) when i < index -> ()
+  | _ ->
     let t0 = Unix.gettimeofday () in
     (match t.profile with
     | None ->
-      (try j.prun () with exn -> record_failure batch j.index j.pkey exn);
+      (try j.prun () with exn -> record_failure batch index j.pkey exn);
       t.stat_busy.(w) <- t.stat_busy.(w) +. (Unix.gettimeofday () -. t0)
     | Some p ->
       let g0 = Gc.quick_stat () in
@@ -68,7 +82,7 @@ let run_job t w batch (j : packed) =
          Both are domain-local, which is exactly what a per-job delta
          on the running domain needs. *)
       let m0 = Gc.minor_words () in
-      (try j.prun () with exn -> record_failure batch j.index j.pkey exn);
+      (try j.prun () with exn -> record_failure batch index j.pkey exn);
       let t1 = Unix.gettimeofday () in
       let g1 = Gc.quick_stat () in
       Profile.record_job p ~worker:w ~label:j.pkey ~t0 ~t1
@@ -78,90 +92,35 @@ let run_job t w batch (j : packed) =
         ~minor_cols:(g1.Gc.minor_collections - g0.Gc.minor_collections)
         ~major_cols:(g1.Gc.major_collections - g0.Gc.major_collections);
       t.stat_busy.(w) <- t.stat_busy.(w) +. (t1 -. t0));
-    t.stat_jobs.(w) <- t.stat_jobs.(w) + 1
-  end;
-  ignore (Atomic.fetch_and_add batch.remaining (-1))
+    t.stat_jobs.(w) <- t.stat_jobs.(w) + 1);
+  (* The worker that finishes the batch's last job wakes the others. *)
+  if Atomic.fetch_and_add batch.remaining (-1) = 1 then broadcast t
 
-(* Worker [w] drains the batch: own deque first, then steal round
-   robin from the others; returns when every job has finished. The
-   idle path spins briefly then sleeps, so a tail of long jobs on
-   fewer cores than workers doesn't melt into busy-waiting. *)
+(* Worker [w] claims jobs off the shared cursor, in submission order,
+   until it passes the end; then it sleeps until the batch's last job
+   finishes. That sleep is the worker's Idle span. Alone, worker 0
+   runs the whole batch in order: that is the sequential run. *)
 let work t w batch =
-  let n = Array.length batch.deques in
-  let idle = ref 0 in
-  (* With a recorder attached, stretches of not-finding-work coalesce
-     into one Idle span [idle_since, end); nan means "not idle". *)
-  let idle_since = ref Float.nan in
-  let flush_idle t1 =
-    if not (Float.is_nan !idle_since) then begin
-      (match t.profile with
-      | Some p when t1 > !idle_since ->
-        Profile.record p ~worker:w ~kind:Profile.Idle ~label:"" ~t0:!idle_since ~t1
-      | _ -> ());
-      idle_since := Float.nan
+  let n = Array.length batch.jobs in
+  let rec claim () =
+    let i = Atomic.fetch_and_add batch.next 1 in
+    if i < n then begin
+      run_job t w batch i;
+      claim ()
     end
   in
-  let rec loop () =
-    match Deque.pop batch.deques.(w) with
-    | Some j ->
-      flush_idle (if t.profile = None then 0.0 else Unix.gettimeofday ());
-      idle := 0;
-      run_job t w batch j;
-      loop ()
-    | None ->
-      let scan_t0 =
-        match t.profile with
-        | None -> 0.0
-        | Some _ ->
-          let now = Unix.gettimeofday () in
-          if Float.is_nan !idle_since then idle_since := now;
-          now
-      in
-      let stolen = ref None in
-      let v = ref 1 in
-      while !stolen = None && !v < n do
-        (match Deque.steal batch.deques.((w + !v) mod n) with
-        | Some j -> stolen := Some j
-        | None -> ());
-        incr v
-      done;
-      (match t.profile with
-      | Some p when n > 1 -> Profile.steal_attempt p ~worker:w ~success:(!stolen <> None)
-      | _ -> ());
-      (match !stolen with
-      | Some j ->
-        (* Close the idle stretch at the scan start so the Steal span
-           [scan_t0, now) stays disjoint from it. *)
-        flush_idle scan_t0;
-        (match t.profile with
-        | Some p ->
-          Profile.record p ~worker:w ~kind:Profile.Steal ~label:"" ~t0:scan_t0
-            ~t1:(Unix.gettimeofday ())
-        | None -> ());
-        idle := 0;
-        t.stat_steals.(w) <- t.stat_steals.(w) + 1;
-        run_job t w batch j;
-        loop ()
-      | None ->
-        if Atomic.get batch.remaining > 0 then begin
-          incr idle;
-          (* Exponential backoff. Steal scans almost never succeed once
-             the deques have drained (~0.001% measured on sweep-shaped
-             batches), so a fixed-cadence sleep still burns most of a
-             core per idle worker re-scanning. Spin only for the first
-             few scans (the window where a push is actually likely),
-             then sleep with doubling duration up to a 1.6ms cap. The
-             backoff only delays *when* an idle worker re-scans — job
-             results land in the slot array by submission index — so
-             merged output stays byte-identical. [idle] resets to 0 on
-             every pop or successful steal. *)
-          if !idle <= 32 then Domain.cpu_relax ()
-          else Unix.sleepf (5e-5 *. float_of_int (1 lsl Stdlib.min (!idle - 33) 5));
-          loop ()
-        end
-        else flush_idle (if t.profile = None then 0.0 else Unix.gettimeofday ()))
-  in
-  loop ()
+  claim ();
+  let t0 = match t.profile with None -> 0.0 | Some _ -> Unix.gettimeofday () in
+  Mutex.lock t.lock;
+  while Atomic.get batch.remaining > 0 do
+    Condition.wait t.cond t.lock
+  done;
+  Mutex.unlock t.lock;
+  match t.profile with
+  | Some p ->
+    let t1 = Unix.gettimeofday () in
+    if t1 > t0 then Profile.record p ~worker:w ~kind:Profile.Idle ~label:"" ~t0 ~t1
+  | None -> ()
 
 let worker_loop t w =
   (* Bind this domain to its span buffer once: Probe phases raised by
@@ -184,13 +143,22 @@ let worker_loop t w =
     | None -> ()
     | Some (gen, batch) ->
       work t w batch;
-      ignore (Atomic.fetch_and_add batch.drained 1);
+      Mutex.lock t.lock;
+      batch.drained <- batch.drained + 1;
+      if batch.drained = t.workers - 1 then Condition.broadcast t.cond;
+      Mutex.unlock t.lock;
       wait gen
   in
   wait 0
 
 let create ?jobs ?minor_heap_words ?profile () =
   let workers = Stdlib.max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+  (match profile with
+  | Some p when Profile.workers p < workers ->
+    invalid_arg
+      (Printf.sprintf "Pool.create: profile records %d worker(s), pool has %d"
+         (Profile.workers p) workers)
+  | _ -> ());
   (* Apply the requested minor-heap size on the submitting domain now
      and inside each spawned domain below: [Gc.set] is domain-local in
      OCaml 5, so setting it here alone would leave workers 1.. on the
@@ -216,7 +184,6 @@ let create ?jobs ?minor_heap_words ?profile () =
       state = Idle;
       generation = 0;
       stat_jobs = Array.make workers 0;
-      stat_steals = Array.make workers 0;
       stat_busy = Array.make workers 0.0;
       batch_count = 0;
       wall_total = 0.0;
@@ -253,7 +220,6 @@ let with_pool ?jobs ?minor_heap_words ?profile f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let run_batch t packed =
-  let njobs = List.length packed in
   (match t.state with
   | Idle -> ()
   | Running _ -> invalid_arg "Pool.run: pool is already running a batch"
@@ -273,57 +239,35 @@ let run_batch t packed =
     ~finally:(fun () -> match saved with Some prev -> Profile.restore prev | None -> ())
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let failed =
-    if t.workers = 1 || njobs <= 1 then begin
-      let batch =
-        {
-          deques = [||];
-          remaining = Atomic.make njobs;
-          failed = Atomic.make None;
-          drained = Atomic.make 0;
-        }
-      in
-      List.iter (fun j -> run_job t 0 batch j) packed;
-      Atomic.get batch.failed
-    end
-    else begin
-      let deques = Array.init t.workers (fun _ -> Deque.create ()) in
-      (* Round-robin pre-distribution: worker 0 gets indices 0, w, 2w,
-         ... — the stealing protocol rebalances whatever this gets
-         wrong, and the slot array makes placement invisible. *)
-      List.iteri (fun i j -> Deque.push deques.(i mod t.workers) j) packed;
-      let batch =
-        {
-          deques;
-          remaining = Atomic.make njobs;
-          failed = Atomic.make None;
-          drained = Atomic.make 0;
-        }
-      in
-      Mutex.lock t.lock;
-      t.state <- Running batch;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      work t 0 batch;
-      (* Drain barrier: the batch stays [Running] until here, so every
-         spawned worker is guaranteed to enter [work] for this
-         generation and acknowledge leaving it. Once all have, their
-         final idle spans are flushed and no per-worker slot is being
-         written — [stats] / profile reads after [run] see a settled
-         batch. The wait is one last failed scan per worker, µs-scale. *)
-      while Atomic.get batch.drained < t.workers - 1 do
-        Domain.cpu_relax ()
-      done;
-      Mutex.lock t.lock;
-      t.state <- Idle;
-      Mutex.unlock t.lock;
-      Atomic.get batch.failed
-    end
+  let batch =
+    {
+      jobs = Array.of_list packed;
+      next = Atomic.make 0;
+      remaining = Atomic.make (List.length packed);
+      failed = Atomic.make None;
+      drained = 0;
+    }
   in
+  Mutex.lock t.lock;
+  t.state <- Running batch;
+  t.generation <- t.generation + 1;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.lock;
+  work t 0 batch;
+  (* Drain barrier: the batch stays [Running] until here, so every
+     spawned worker is guaranteed to enter [work] for this generation
+     and acknowledge leaving it. Once all have, their idle spans are
+     recorded and no per-worker slot is being written — [stats] /
+     profile reads after [run] see a settled batch. *)
+  Mutex.lock t.lock;
+  while batch.drained < t.workers - 1 do
+    Condition.wait t.cond t.lock
+  done;
+  t.state <- Idle;
+  Mutex.unlock t.lock;
   t.batch_count <- t.batch_count + 1;
   t.wall_total <- t.wall_total +. (Unix.gettimeofday () -. t0);
-  match failed with
+  match Atomic.get batch.failed with
   | Some (_, key, exn) -> raise (Job_failed { key; exn })
   | None -> ()
 
@@ -333,7 +277,7 @@ let run t (jobs : 'r job list) : 'r list =
   let packed =
     List.mapi
       (fun i (j : 'r job) ->
-        { index = i; pkey = j.key; prun = (fun () -> out.(i) <- Some (j.run ())) })
+        { pkey = j.key; prun = (fun () -> out.(i) <- Some (j.run ())) })
       jobs
   in
   run_batch t packed;
@@ -408,11 +352,10 @@ let expand_frontier t ~key ~children ?(max_levels = 64) ~target roots =
   in
   loop 0 (List.map Either.left roots)
 
-type worker_stat = { ws_jobs : int; ws_steals : int; ws_busy_s : float }
+type worker_stat = { ws_jobs : int; ws_busy_s : float }
 
 let stats t =
-  List.init t.workers (fun w ->
-      { ws_jobs = t.stat_jobs.(w); ws_steals = t.stat_steals.(w); ws_busy_s = t.stat_busy.(w) })
+  List.init t.workers (fun w -> { ws_jobs = t.stat_jobs.(w); ws_busy_s = t.stat_busy.(w) })
 
 let batches t = t.batch_count
 let wall_s t = t.wall_total
@@ -420,19 +363,14 @@ let wall_s t = t.wall_total
 let metrics t =
   let m = Dds_sim.Metrics.create () in
   let total_jobs = Array.fold_left ( + ) 0 t.stat_jobs in
-  let total_steals = Array.fold_left ( + ) 0 t.stat_steals in
   let total_busy = Array.fold_left ( +. ) 0.0 t.stat_busy in
   Dds_sim.Metrics.add m "engine.jobs" total_jobs;
-  Dds_sim.Metrics.add m "engine.steals" total_steals;
   Dds_sim.Metrics.add m "engine.batches" t.batch_count;
   Dds_sim.Metrics.add m "engine.workers" t.workers;
   Dds_sim.Metrics.set_gauge m "engine.wall_s" t.wall_total;
   Dds_sim.Metrics.set_gauge m "engine.busy_s" total_busy;
   for w = 0 to t.workers - 1 do
     Dds_sim.Metrics.set_gauge m (Printf.sprintf "engine.w%d.jobs" w) (float_of_int t.stat_jobs.(w));
-    Dds_sim.Metrics.set_gauge m
-      (Printf.sprintf "engine.w%d.steals" w)
-      (float_of_int t.stat_steals.(w));
     Dds_sim.Metrics.set_gauge m (Printf.sprintf "engine.w%d.busy_s" w) t.stat_busy.(w)
   done;
   m

@@ -1,11 +1,14 @@
 (** Deterministic multicore job runner.
 
     A pool owns [jobs - 1] worker domains (the submitting domain is
-    worker 0) and runs batches of independent jobs over per-worker
-    {!Deque}s with work stealing. Results are aggregated in
-    {e canonical order} — the order the jobs were submitted in — so
-    the merged output of a batch is byte-identical for any worker
-    count: determinism is the contract, parallelism is invisible.
+    worker 0) and runs batches of independent jobs. Every worker claims
+    the next job off one shared cursor over the batch, in submission
+    order, and sleeps on the pool's condition variable once the cursor
+    has passed the end, until the batch's last job finishes. Results
+    are aggregated in {e canonical order} — the order the jobs were
+    submitted in — so the merged output of a batch is byte-identical
+    for any worker count: determinism is the contract, parallelism is
+    invisible.
 
     The contract this requires from jobs: each [run] must be a pure
     function of its closure (typically a seeded simulation that builds
@@ -14,10 +17,10 @@
     [stdout]/[stderr]. Every simulation in this repository already has
     that shape — a whole run is a function of its seed.
 
-    A pool created with [jobs = 1] spawns no domains and runs batches
-    inline in submission order, so sequential behaviour (including
-    which job's exception wins) is the [jobs = 1] special case of the
-    same code path. *)
+    A pool created with [jobs = 1] spawns no domains: worker 0 drains
+    the cursor alone, in submission order, so sequential behaviour
+    (including which job's exception wins) is the [jobs = 1] case of
+    the same code path. *)
 
 type t
 
@@ -27,8 +30,10 @@ type 'r job = { key : string; run : unit -> 'r }
 
 exception Job_failed of { key : string; exn : exn }
 (** Raised by {!run} / {!map} / {!find_first} when a job raised:
-    the whole campaign fails, carrying the job's key. Remaining
-    not-yet-started jobs are skipped once a failure is recorded. *)
+    the whole campaign fails, carrying the key of the {e lowest-index}
+    job that raised, at any worker count. Jobs after a recorded
+    failure are skipped if they have not started; every job before
+    the lowest failing one runs. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs] defaults
@@ -37,6 +42,9 @@ val default_jobs : unit -> int
 val create : ?jobs:int -> ?minor_heap_words:int -> ?profile:Dds_profile.Profile.t -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains (clamped to at
     least 1 total worker; default {!default_jobs}).
+
+    @raise Invalid_argument before spawning anything when [profile]
+    was created with fewer [~workers] than the pool has.
 
     When [minor_heap_words] is given, [Gc.set] applies it as the
     minor-heap size (clamped to at least 4096 words) on the submitting
@@ -50,11 +58,12 @@ val create : ?jobs:int -> ?minor_heap_words:int -> ?profile:Dds_profile.Profile.
 
     When [profile] is given, the pool records per-domain activity
     spans into it — one [Job] span (with [Gc.quick_stat] deltas) per
-    job, [Steal] spans for successful steal scans, coalesced [Idle]
-    spans, a [Merge] span around result collection — and binds each
-    worker domain so {!Dds_sim.Probe.span} phases inside job bodies
-    land in the right lane. The recorder must have been created with
-    [~workers] at least the pool's worker count. Without [profile]
+    job, one [Idle] span per worker per batch (the wait from an
+    exhausted cursor to the batch's last job finishing), a [Merge]
+    span around result collection — and binds each worker domain so
+    {!Dds_sim.Probe.span} phases inside job bodies land in the right
+    lane. The recorder must have been created with [~workers] at
+    least the pool's worker count. Without [profile]
     every instrumented site is a single [option] branch. Profiling
     never changes results: span recording is observation only. *)
 
@@ -116,7 +125,6 @@ val expand_frontier :
 
 type worker_stat = {
   ws_jobs : int;  (** jobs this worker ran *)
-  ws_steals : int;  (** jobs it took from another worker's deque *)
   ws_busy_s : float;  (** wall seconds spent inside job bodies *)
 }
 
@@ -130,7 +138,7 @@ val wall_s : t -> float
 
 val metrics : t -> Dds_sim.Metrics.t
 (** The same numbers as a {!Dds_sim.Metrics.t} — counters
-    [engine.jobs], [engine.steals], [engine.batches] and per-worker
+    [engine.jobs], [engine.batches] and per-worker
     [engine.w<i>.*] gauges plus [engine.wall_s] / [engine.busy_s] —
     so engine telemetry flows through the existing
     {!Dds_sim.Export.metrics_to_json} path. *)

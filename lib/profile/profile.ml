@@ -1,14 +1,13 @@
-type kind = Job | Steal | Idle | Merge | Phase
+type kind = Job | Idle | Merge | Phase
 
 let kind_to_string = function
   | Job -> "job"
-  | Steal -> "steal"
   | Idle -> "idle"
   | Merge -> "merge"
   | Phase -> "phase"
 
-let kind_tag = function Job -> 0 | Steal -> 1 | Idle -> 2 | Merge -> 3 | Phase -> 4
-let kind_of_tag = function 0 -> Job | 1 -> Steal | 2 -> Idle | 3 -> Merge | _ -> Phase
+let kind_tag = function Job -> 0 | Idle -> 1 | Merge -> 2 | Phase -> 3
+let kind_of_tag = function 0 -> Job | 1 -> Idle | 2 -> Merge | _ -> Phase
 
 (* One buffer per worker, written only by its owner: parallel arrays
    grown by doubling up to [max_spans], so a record is bounds check +
@@ -25,8 +24,6 @@ type buf = {
   mutable minor_cols : int array;
   mutable major_cols : int array;
   mutable dropped : int;
-  mutable steal_attempts : int;
-  mutable steal_successes : int;
   (* Open Probe phases on this worker, innermost first: name, start
      time, minor words at entry. *)
   mutable stack : (string * float * float) list;
@@ -45,8 +42,6 @@ let new_buf cap =
     minor_cols = Array.make cap 0;
     major_cols = Array.make cap 0;
     dropped = 0;
-    steal_attempts = 0;
-    steal_successes = 0;
     stack = [];
   }
 
@@ -107,11 +102,6 @@ let record t ~worker ~kind ~label ~t0 ~t1 =
 let record_job t ~worker ~label ~t0 ~t1 ~minor ~promoted ~major ~minor_cols ~major_cols =
   push t t.bufs.(worker) ~kind:Job ~label ~t0 ~t1 ~minor ~promoted ~major ~mc:minor_cols
     ~jc:major_cols
-
-let steal_attempt t ~worker ~success =
-  let b = t.bufs.(worker) in
-  b.steal_attempts <- b.steal_attempts + 1;
-  if success then b.steal_successes <- b.steal_successes + 1
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain recorder binding and the Probe handler. The handler
@@ -209,8 +199,6 @@ type worker_summary = {
   w_jobs : int;
   w_busy_s : float;
   w_idle_s : float;
-  w_steal_attempts : int;
-  w_steals : int;
   w_busy_fraction : float;
 }
 
@@ -219,9 +207,6 @@ type summary = {
   s_wall_s : float;
   s_jobs : int;
   s_busy_fraction : float;
-  s_steal_attempts : int;
-  s_steals : int;
-  s_steal_success_rate : float;
   s_minor_words : float;
   s_promoted_words : float;
   s_major_words : float;
@@ -272,27 +257,20 @@ let summary ?(top = 5) t =
                | None ->
                  Hashtbl.add phase_tbl b.labels.(i) (ref (1, dur));
                  phase_order := b.labels.(i) :: !phase_order)
-             | Steal | Merge -> ())
+             | Merge -> ())
            done;
-           ( w,
-             !njobs,
-             !busy,
-             !idle,
-             b.steal_attempts,
-             b.steal_successes )))
+           (w, !njobs, !busy, !idle)))
   in
   let wall = if !wall_hi > !wall_lo then !wall_hi -. !wall_lo else 0.0 in
   let frac x = if wall > 0.0 then x /. wall else 0.0 in
   let wsums =
     List.map
-      (fun (w, j, busy, idle, sa, ss) ->
+      (fun (w, j, busy, idle) ->
         {
           w_id = w;
           w_jobs = j;
           w_busy_s = busy;
           w_idle_s = idle;
-          w_steal_attempts = sa;
-          w_steals = ss;
           w_busy_fraction = frac busy;
         })
       per_worker
@@ -302,8 +280,6 @@ let summary ?(top = 5) t =
   let busy_total = total (fun w -> w.w_busy_s) in
   let idle_total = total (fun w -> w.w_idle_s) in
   let jobs_total = totali (fun w -> w.w_jobs) in
-  let attempts = totali (fun w -> w.w_steal_attempts) in
-  let steals = totali (fun w -> w.w_steals) in
   let phases =
     List.rev_map
       (fun name ->
@@ -347,10 +323,6 @@ let summary ?(top = 5) t =
     s_wall_s = wall;
     s_jobs = jobs_total;
     s_busy_fraction = (if denom > 0.0 then busy_total /. denom else 0.0);
-    s_steal_attempts = attempts;
-    s_steals = steals;
-    s_steal_success_rate =
-      (if attempts > 0 then float_of_int steals /. float_of_int attempts else 0.0);
     s_minor_words = !minor;
     s_promoted_words = !promoted;
     s_major_words = !major;
@@ -368,9 +340,6 @@ let summary ?(top = 5) t =
 let pp_summary ppf s =
   Format.fprintf ppf "profile    : %d job(s), wall %.3fs, busy fraction %.2f@." s.s_jobs
     s.s_wall_s s.s_busy_fraction;
-  Format.fprintf ppf "  steals   : %d/%d scan(s) succeeded (%.0f%%)@." s.s_steals
-    s.s_steal_attempts
-    (100.0 *. s.s_steal_success_rate);
   Format.fprintf ppf
     "  alloc    : %.3g minor words (%.3g/job), %.3g promoted, %d minor / %d major GCs@."
     s.s_minor_words s.s_minor_words_per_job s.s_promoted_words s.s_minor_cols s.s_major_cols;
@@ -385,8 +354,8 @@ let pp_summary ppf s =
   List.iter
     (fun w ->
       Format.fprintf ppf
-        "  domain %d : %5d job(s) busy %6.3fs (%.2f) idle %6.3fs steals %d/%d@." w.w_id
-        w.w_jobs w.w_busy_s w.w_busy_fraction w.w_idle_s w.w_steals w.w_steal_attempts)
+        "  domain %d : %5d job(s) busy %6.3fs (%.2f) idle %6.3fs@." w.w_id w.w_jobs
+        w.w_busy_s w.w_busy_fraction w.w_idle_s)
     s.s_workers;
   List.iter
     (fun (key, secs, minor) ->
@@ -444,7 +413,7 @@ let to_chrome t =
               ("major_collections", J.Int s.sp_major_cols);
             ]
           | Phase -> [ ("minor_words", J.Float s.sp_minor) ]
-          | Steal | Idle | Merge -> []
+          | Idle | Merge -> []
         in
         J.Obj
           [
@@ -468,9 +437,6 @@ let summary_json s =
       ("wall_s", J.Float s.s_wall_s);
       ("jobs", J.Int s.s_jobs);
       ("busy_fraction", J.Float s.s_busy_fraction);
-      ("steal_attempts", J.Int s.s_steal_attempts);
-      ("steals", J.Int s.s_steals);
-      ("steal_success_rate", J.Float s.s_steal_success_rate);
       ("minor_words", J.Float s.s_minor_words);
       ("promoted_words", J.Float s.s_promoted_words);
       ("major_words", J.Float s.s_major_words);
@@ -491,8 +457,6 @@ let summary_json s =
                    ("busy_s", J.Float w.w_busy_s);
                    ("idle_s", J.Float w.w_idle_s);
                    ("busy_fraction", J.Float w.w_busy_fraction);
-                   ("steal_attempts", J.Int w.w_steal_attempts);
-                   ("steals", J.Int w.w_steals);
                  ])
              s.s_workers) );
       ( "phases",

@@ -13,9 +13,8 @@
       carrying the {!Gc.quick_stat} deltas of the job body (minor /
       promoted / major words, minor / major collections) — the
       allocation telemetry ROADMAP Open item 1 asks for;
-    - [Steal] spans: each successful steal scan;
-    - [Idle] spans: coalesced stretches where a worker found no runnable
-      job (failed scans are counted as steal attempts);
+    - [Idle] spans: one per worker per batch, from when the worker
+      found no job left to claim until the batch's last job finished;
     - [Merge] spans: the canonical-order result copy on worker 0;
     - [Phase] spans: simulator-side sections bracketed by
       {!Dds_sim.Probe.span} (deployment construction, rng seeding),
@@ -33,7 +32,7 @@
 
 type t
 
-type kind = Job | Steal | Idle | Merge | Phase
+type kind = Job | Idle | Merge | Phase
 
 val kind_to_string : kind -> string
 
@@ -77,9 +76,6 @@ val record_job :
   unit
 (** Record one [Job] span with its [Gc.quick_stat] deltas. Owner-only. *)
 
-val steal_attempt : t -> worker:int -> success:bool -> unit
-(** Count one steal scan (over every victim deque) by [worker]. *)
-
 val set_gc_params : t -> (string * int) list -> unit
 (** Note the GC settings active in the engine's domains (e.g.
     [("minor_heap_words", 262144)]) — {!Dds_engine.Pool.create} calls
@@ -114,8 +110,6 @@ type worker_summary = {
   w_jobs : int;
   w_busy_s : float;  (** total Job span seconds *)
   w_idle_s : float;
-  w_steal_attempts : int;
-  w_steals : int;
   w_busy_fraction : float;  (** busy / recorder wall span *)
 }
 
@@ -124,9 +118,6 @@ type summary = {
   s_wall_s : float;  (** latest span end minus earliest span start; 0 with no spans *)
   s_jobs : int;
   s_busy_fraction : float;  (** total busy / (wall * workers) *)
-  s_steal_attempts : int;
-  s_steals : int;
-  s_steal_success_rate : float;  (** steals / attempts; 0 with no attempts *)
   s_minor_words : float;
   s_promoted_words : float;
   s_major_words : float;

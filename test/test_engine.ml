@@ -1,7 +1,8 @@
-(* Tests for the experiment engine: the work-stealing deque under
-   contention, the domain pool's determinism contract (canonical-order
-   results, lowest-index find_first, byte-identical tables at any
-   worker count), failure propagation, and shutdown hygiene. *)
+(* Tests for the experiment engine: the domain pool's determinism
+   contract (canonical-order results, lowest-index find_first and
+   failures, byte-identical tables at any worker count), the job
+   cursor and drain barrier under back-to-back batches, failure
+   propagation, recorder sizing, and shutdown hygiene. *)
 
 open Dds_engine
 open Dds_workload
@@ -9,94 +10,6 @@ open Dds_workload
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
-
-(* ------------------------------------------------------------------ *)
-(* Deque *)
-
-let test_deque_lifo_owner () =
-  let d = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push d i
-  done;
-  check_int "size" 10 (Deque.size d);
-  (* Owner pops newest-first. *)
-  for i = 10 downto 1 do
-    match Deque.pop d with
-    | Some v -> check_int "pop order" i v
-    | None -> Alcotest.fail "premature empty"
-  done;
-  check_bool "empty" true (Deque.pop d = None)
-
-let test_deque_fifo_thief () =
-  let d = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push d i
-  done;
-  (* A thief steals oldest-first, from the opposite end. *)
-  for i = 1 to 10 do
-    match Deque.steal d with
-    | Some v -> check_int "steal order" i v
-    | None -> Alcotest.fail "premature empty"
-  done;
-  check_bool "empty" true (Deque.steal d = None)
-
-let test_deque_growth () =
-  let d = Deque.create ~capacity:2 () in
-  for i = 1 to 1000 do
-    Deque.push d i
-  done;
-  check_int "all retained across growth" 1000 (Deque.size d);
-  let sum = ref 0 in
-  let rec drain () =
-    match Deque.pop d with
-    | Some v ->
-      sum := !sum + v;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check_int "no element lost or duplicated" (1000 * 1001 / 2) !sum
-
-(* One owner pushing and popping, several thieves stealing: every value
-   must surface exactly once across all parties. *)
-let test_deque_contention () =
-  let d = Deque.create () in
-  let total = 20_000 in
-  let stolen = Array.make 4 0 in
-  let stop = Atomic.make false in
-  let thieves =
-    List.init 4 (fun t ->
-        Domain.spawn (fun () ->
-            let acc = ref 0 in
-            while not (Atomic.get stop) do
-              match Deque.steal d with
-              | Some v -> acc := !acc + v
-              | None -> Domain.cpu_relax ()
-            done;
-            (* Drain what is left after the owner signalled stop. *)
-            let rec drain () =
-              match Deque.steal d with
-              | Some v ->
-                acc := !acc + v;
-                drain ()
-              | None -> ()
-            in
-            drain ();
-            stolen.(t) <- !acc))
-  in
-  let owner_sum = ref 0 in
-  for i = 1 to total do
-    Deque.push d i;
-    (* Interleave pops so the owner races the thieves at the bottom. *)
-    if i mod 3 = 0 then
-      match Deque.pop d with
-      | Some v -> owner_sum := !owner_sum + v
-      | None -> ()
-  done;
-  Atomic.set stop true;
-  List.iter Domain.join thieves;
-  let grand = Array.fold_left ( + ) !owner_sum stolen in
-  check_int "every value surfaced exactly once" (total * (total + 1) / 2) grand
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -136,6 +49,80 @@ let test_pool_failure_carries_key () =
       | exception Pool.Job_failed { key; exn } ->
         check Alcotest.string "failing job named" "job:7" key;
         check_bool "original exception kept" true (exn = Failure "boom"))
+
+(* Jobs 5 and 11 fail; job 5 sleeps first, so at jobs > 1 job 11's
+   failure is usually recorded before it. The lowest index must still
+   be the one reported, and a sequential run must stop at it. *)
+let test_pool_lowest_failure_wins () =
+  List.iter
+    (fun jobs ->
+      let ran = Array.init 16 (fun _ -> Atomic.make false) in
+      Pool.with_pool ~jobs (fun p ->
+          match
+            Pool.map p
+              ~key:(Printf.sprintf "job:%d")
+              ~f:(fun x ->
+                Atomic.set ran.(x) true;
+                if x = 5 then begin
+                  Unix.sleepf 0.005;
+                  failwith "five"
+                end;
+                if x = 11 then failwith "eleven";
+                x)
+              (List.init 16 Fun.id)
+          with
+          | _ -> Alcotest.fail "expected Job_failed"
+          | exception Pool.Job_failed { key; exn } ->
+            check Alcotest.string (Printf.sprintf "jobs %d: lowest failure named" jobs) "job:5"
+              key;
+            check_bool "its exception kept" true (exn = Failure "five"));
+      if jobs = 1 then
+        for i = 6 to 15 do
+          check_bool (Printf.sprintf "job %d skipped after the failure" i) false
+            (Atomic.get ran.(i))
+        done)
+    [ 1; 2; 4 ]
+
+(* Back-to-back batches of 0 to 9 jobs, some sleeping: every batch
+   returns List.map's result, every job runs exactly once, and the
+   per-worker job counts add up. A lost wakeup on the cursor's end or
+   the drain barrier shows as a hang. *)
+let test_pool_back_to_back_batches () =
+  List.iter
+    (fun jobs ->
+      let rng = Random.State.make [| jobs |] in
+      Pool.with_pool ~jobs (fun p ->
+          let submitted = ref 0 in
+          for _ = 1 to 300 do
+            let n = Random.State.int rng 10 in
+            let sleepy = Random.State.int rng (n + 1) in
+            let runs = Array.init n (fun _ -> Atomic.make 0) in
+            let xs = List.init n Fun.id in
+            let ys =
+              Pool.map p ~key:(Printf.sprintf "b:%d")
+                ~f:(fun x ->
+                  Atomic.incr runs.(x);
+                  if x < sleepy && x mod 3 = 0 then Unix.sleepf 0.001;
+                  x * 7)
+                xs
+            in
+            check_bool "results equal List.map" true (ys = List.map (fun x -> x * 7) xs);
+            Array.iteri
+              (fun i r -> check_int (Printf.sprintf "job %d ran once" i) 1 (Atomic.get r))
+              runs;
+            submitted := !submitted + n
+          done;
+          let ran = List.fold_left (fun a s -> a + s.Pool.ws_jobs) 0 (Pool.stats p) in
+          check_int (Printf.sprintf "jobs %d: ws_jobs sum" jobs) !submitted ran))
+    [ 2; 4; 8 ]
+
+let test_pool_profile_too_small () =
+  let profile = Dds_profile.Profile.create ~workers:2 () in
+  match Pool.create ~jobs:4 ~profile () with
+  | p ->
+    Pool.shutdown p;
+    Alcotest.fail "a recorder with fewer workers than the pool must be refused"
+  | exception Invalid_argument _ -> ()
 
 let test_pool_shutdown () =
   let p = Pool.create ~jobs:3 () in
@@ -198,18 +185,14 @@ let prop_tables_jobs_invariant =
 let () =
   Alcotest.run "dds-engine"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO" `Quick test_deque_lifo_owner;
-          Alcotest.test_case "thief FIFO" `Quick test_deque_fifo_thief;
-          Alcotest.test_case "growth" `Quick test_deque_growth;
-          Alcotest.test_case "contention" `Slow test_deque_contention;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "map canonical order" `Quick test_pool_map_order;
           Alcotest.test_case "concurrent == sequential" `Slow test_pool_matches_sequential;
           Alcotest.test_case "failure carries key" `Quick test_pool_failure_carries_key;
+          Alcotest.test_case "lowest failure wins" `Quick test_pool_lowest_failure_wins;
+          Alcotest.test_case "back-to-back batches" `Quick test_pool_back_to_back_batches;
+          Alcotest.test_case "profile smaller than pool" `Quick test_pool_profile_too_small;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "find_first lowest" `Quick test_find_first_lowest;
           Alcotest.test_case "find_first none" `Quick test_find_first_none;

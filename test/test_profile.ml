@@ -78,8 +78,8 @@ let test_job_spans_and_gc () =
   check_bool "dominant cost named" true (String.length s.Profile.s_dominant > 0)
 
 (* Per domain, spans must be well-nested: any two are disjoint or one
-   contains the other (phases sit inside their job; job, steal, idle
-   and merge spans never overlap on one worker). *)
+   contains the other (phases sit inside their job; job, idle and
+   merge spans never overlap on one worker). *)
 let test_spans_well_nested () =
   let profile, _ = profiled_batch ~jobs:4 ~njobs:24 in
   let spans = Profile.spans profile in
