@@ -20,11 +20,32 @@ let fault_action_name = function
   | Delay_by _ -> "delay"
   | Corrupt_tag -> "corrupt"
 
+(* The counters every simulated copy bumps, resolved once at [create]
+   so the per-message path hashes no counter name. *)
+type hot = {
+  transmit : Metrics.counter;
+  sent : Metrics.counter;
+  broadcast : Metrics.counter;
+  delivered : Metrics.counter;
+  dropped : Metrics.counter;
+}
+
+let hot_counters m =
+  let c = Metrics.counter m in
+  {
+    transmit = c "net.transmit";
+    sent = c "net.sent";
+    broadcast = c "net.broadcast";
+    delivered = c "net.delivered";
+    dropped = c "net.dropped";
+  }
+
 type 'a t = {
   sched : Scheduler.t;
   rng : Rng.t;
   delay : Delay.t;
   metrics : Metrics.t option;
+  hot : hot option;  (** [Some] iff [metrics] is *)
   trace : Trace.t option;
   events : Event.sink option;
   pp_msg : (Format.formatter -> 'a -> unit) option;
@@ -56,6 +77,7 @@ let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
     rng;
     delay;
     metrics;
+    hot = Option.map hot_counters metrics;
     trace;
     events;
     pp_msg;
@@ -75,6 +97,7 @@ let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
   }
 
 let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
+let count t pick = match t.hot with Some h -> Metrics.bump (pick h) | None -> ()
 let now t = Scheduler.now t.sched
 
 (* Telemetry. Call sites test [events_live]/[trace_live] first and
@@ -172,7 +195,7 @@ let tag_label ~get_msg ~msg_kind ~pp_msg kind =
    duplicate is one more copy, with its own Send. Returns the sender's
    Lamport stamp (0 without an enabled event sink). *)
 let announce t ~kind ~src ~dst msg =
-  bump t "net.transmit";
+  count t (fun h -> h.transmit);
   if not (events_live t) then 0
   else begin
     let lamport = tick_send t src in
@@ -195,7 +218,7 @@ let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
   t.flying <- t.flying - 1;
   match Pid.Table.find t.handlers dst with
   | handler -> (
-    bump t "net.delivered";
+    count t (fun h -> h.delivered);
     if events_live t then begin
       let lamport = tick_recv t dst ~sent:sent_lc in
       emit t
@@ -213,7 +236,7 @@ let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
     match on_arrival with Some f -> f handler | None -> handler ~src:as_src msg)
   | exception Not_found ->
     (* Destination left the system before delivery. *)
-    bump t "net.dropped";
+    count t (fun h -> h.dropped);
     if events_live t then
       emit t
         (Event.Drop
@@ -289,10 +312,10 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
 
 let send t ~src ~dst msg =
   if Pid.Table.mem t.handlers dst then begin
-    bump t "net.sent";
+    count t (fun h -> h.sent);
     transmit t ~kind:Delay.Point_to_point ~src ~dst msg
   end
-  else bump t "net.dropped"
+  else count t (fun h -> h.dropped)
 
 (* One flooding hop: deliver-once at [dst], then relay to everyone the
    relayer currently sees while hops remain. The per-destination seen
@@ -319,7 +342,7 @@ let rec flood_hop t ~origin ~id ~ttl ~src ~dst msg =
   transmit t ~kind:Delay.Broadcast ~src ~dst ~on_arrival msg
 
 let broadcast t ~src msg =
-  bump t "net.broadcast";
+  count t (fun h -> h.broadcast);
   match t.mode with
   | Primitive ->
     (* Snapshot the present set: only processes in the system at

@@ -17,7 +17,10 @@ let of_int x =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+(* Pids are non-negative ([of_int] and [fresh] see to it) and issued in
+   sequence, so the int itself spreads them evenly over a power-of-two
+   table without the generic C hash. *)
+let hash (t : t) = t
 let pp ppf t = Format.fprintf ppf "p%d" t
 let to_string t = "p" ^ string_of_int t
 

@@ -33,6 +33,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
+(** The identifier itself: pids are non-negative and issued in
+    sequence, so {!Table} spreads them evenly without hashing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [p<i>]. *)

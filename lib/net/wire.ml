@@ -80,32 +80,43 @@ let frame b =
   Buffer.add_buffer out b;
   Buffer.contents out
 
-type deframer = { acc : Buffer.t }
+(* Unread bytes are [buf.[start .. stop - 1]]. Popping a frame only
+   advances [start]; [feed] moves the unread tail to the front once per
+   chunk, so a chunk of many small frames is deframed in linear time. *)
+type deframer = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
-let deframer () = { acc = Buffer.create 4096 }
+let deframer () = { buf = Bytes.create 4096; start = 0; stop = 0 }
 
 let peek_len d =
-  if Buffer.length d.acc < 4 then None
+  if d.stop - d.start < 4 then None
   else begin
-    let len = Int32.to_int (String.get_int32_be (Buffer.sub d.acc 0 4) 0) in
+    let len = Int32.to_int (Bytes.get_int32_be d.buf d.start) in
     if len < 0 || len > max_frame then raise (Malformed (Printf.sprintf "frame length %d" len));
     Some len
   end
 
 let feed d chunk len =
-  Buffer.add_subbytes d.acc chunk 0 len;
+  let unread = d.stop - d.start in
+  let need = unread + len in
+  let dst =
+    if need > Bytes.length d.buf then Bytes.create (Stdlib.max need (2 * Bytes.length d.buf))
+    else d.buf
+  in
+  Bytes.blit d.buf d.start dst 0 unread;
+  Bytes.blit chunk 0 dst unread len;
+  d.buf <- dst;
+  d.start <- 0;
+  d.stop <- need;
   (* Validate the prefix eagerly so a hostile length kills the
      connection before it makes us buffer toward it. *)
   ignore (peek_len d)
 
 let next_frame d =
   match peek_len d with
-  | Some len when Buffer.length d.acc >= 4 + len ->
-    let payload = Buffer.sub d.acc 4 len in
-    let rest = Buffer.sub d.acc (4 + len) (Buffer.length d.acc - 4 - len) in
-    Buffer.clear d.acc;
-    Buffer.add_string d.acc rest;
+  | Some len when d.stop - d.start >= 4 + len ->
+    let payload = Bytes.sub_string d.buf (d.start + 4) len in
+    d.start <- d.start + 4 + len;
     Some payload
   | Some _ | None -> None
 
-let pending_bytes d = Buffer.length d.acc
+let pending_bytes d = d.stop - d.start

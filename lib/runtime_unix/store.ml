@@ -112,10 +112,35 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     mutable op_busy : bool;
   }
 
+  (* The counters every message or op batch bumps, resolved once at
+     [create] so the live path hashes no counter name per message. *)
+  type counters = {
+    c_transmit : Metrics.counter;
+    c_sent : Metrics.counter;
+    c_broadcast : Metrics.counter;
+    c_delivered : Metrics.counter;
+    c_dropped : Metrics.counter;
+    c_reads_coalesced : Metrics.counter;
+    c_writes_coalesced : Metrics.counter;
+  }
+
+  let counters m =
+    let c = Metrics.counter m in
+    {
+      c_transmit = c "net.transmit";
+      c_sent = c "net.sent";
+      c_broadcast = c "net.broadcast";
+      c_delivered = c "net.delivered";
+      c_dropped = c "net.dropped";
+      c_reads_coalesced = c "store.reads_coalesced";
+      c_writes_coalesced = c "store.writes_coalesced";
+    }
+
   type t = {
     cfg : config;
     loop : Loop.t;
     metrics : Metrics.t;
+    ctr : counters;
     links : link array;  (** outgoing, index = peer pid; [self] unused *)
     mutable listen : Unix.file_descr option;
     instances : instance option array;  (** index = shard; [Some] iff owned *)
@@ -166,7 +191,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
   (* --- transport --------------------------------------------------- *)
 
   let announce t inst ~bcast ~dst msg =
-    Metrics.incr t.metrics "net.transmit";
+    Metrics.bump t.ctr.c_transmit;
     let lc = if Event.enabled inst.sink then tick_send inst else 0 in
     emit t inst
       (Event.Send
@@ -226,10 +251,10 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
         in
         match (List.hd newest_first).p_op with
         | Do_write data ->
-          if absorbed > 0 then Metrics.add t.metrics "store.writes_coalesced" absorbed;
+          if absorbed > 0 then Metrics.bump_by t.ctr.c_writes_coalesced absorbed;
           P.write node data ~k
         | Do_read ->
-          if absorbed > 0 then Metrics.add t.metrics "store.reads_coalesced" absorbed;
+          if absorbed > 0 then Metrics.bump_by t.ctr.c_reads_coalesced absorbed;
           P.read node ~k)
       | Some _ | None -> ()
 
@@ -237,7 +262,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     after_ms_ignore t.loop 0 (fun () ->
         match inst.handler with
         | Some h when not inst.left ->
-          Metrics.incr t.metrics "net.delivered";
+          Metrics.bump t.ctr.c_delivered;
           let recv_lc =
             if Event.enabled inst.sink then tick_recv inst ~sent:sent_lc else 0
           in
@@ -252,7 +277,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
                });
           h ~src:(pid t) msg
         | Some _ | None ->
-          Metrics.incr t.metrics "net.dropped";
+          Metrics.bump t.ctr.c_dropped;
           emit t inst
             (Event.Drop
                { src = self_i t; dst = self_i t; kind = P.msg_kind msg; reason = Event.Departed }))
@@ -273,7 +298,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
         let b = Frame.buf_msg_header ~src:(self_i t) ~lamport:lc ~shard:inst.shard () in
         P.put_msg b msg;
         Conn.write_frame conn b
-      | Some _ | None -> Metrics.incr t.metrics "net.dropped"
+      | Some _ | None -> Metrics.bump t.ctr.c_dropped
 
   (* A shard's messages are confined to its owners: a send to a
      non-owner is a protocol bug surfaced as a dropped message, not a
@@ -286,13 +311,13 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
       && ((dst = self_i t && inst.handler <> None) || link_ready t dst)
     in
     if attached then begin
-      Metrics.incr t.metrics "net.sent";
+      Metrics.bump t.ctr.c_sent;
       transmit t inst ~bcast:false dst msg
     end
-    else Metrics.incr t.metrics "net.dropped"
+    else Metrics.bump t.ctr.c_dropped
 
   let rt_broadcast t inst ~src:_ msg =
-    Metrics.incr t.metrics "net.broadcast";
+    Metrics.bump t.ctr.c_broadcast;
     (* Present set = ourselves plus every owner of this shard our
        outgoing link reaches, in pid order — the wire analogue of the
        simulator's sorted attached snapshot, restricted to the shard's
@@ -336,7 +361,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     | msg -> (
       match inst.handler with
       | Some h when not inst.left ->
-        Metrics.incr t.metrics "net.delivered";
+        Metrics.bump t.ctr.c_delivered;
         let recv_lc = if Event.enabled inst.sink then tick_recv inst ~sent:lamport else 0 in
         emit t inst
           (Event.Deliver
@@ -344,7 +369,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
         h ~src:(Pid.of_int src) msg;
         pump t inst
       | Some _ | None ->
-        Metrics.incr t.metrics "net.dropped";
+        Metrics.bump t.ctr.c_dropped;
         emit t inst
           (Event.Drop { src; dst = self_i t; kind = P.msg_kind msg; reason = Event.Departed }))
 
@@ -550,11 +575,13 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
               }
           else None)
     in
+    let metrics = Metrics.create () in
     let t =
       {
         cfg;
         loop;
-        metrics = Metrics.create ();
+        metrics;
+        ctr = counters metrics;
         links =
           Array.init (Array.length cfg.addrs) (fun peer ->
               { peer; conn = None; dialing = false });

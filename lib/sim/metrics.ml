@@ -2,13 +2,19 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauge_tbl : (string, float ref) Hashtbl.t;
   hist_tbl : (string, Histogram.t) Hashtbl.t;
+  mutable generation : int;  (** bumped by [reset]; handles resolved earlier are stale *)
 }
 
 let create () =
-  { counters = Hashtbl.create 32; gauge_tbl = Hashtbl.create 8; hist_tbl = Hashtbl.create 8 }
+  {
+    counters = Hashtbl.create 32;
+    gauge_tbl = Hashtbl.create 8;
+    hist_tbl = Hashtbl.create 8;
+    generation = 0;
+  }
 
-(* One lookup per tick, and no [Some] box: counters are bumped on
-   every simulated transmission. *)
+(* One lookup, and no [Some] box: [incr] and every handle's first bump
+   resolve their cell here. *)
 let cell t name =
   match Hashtbl.find t.counters name with
   | r -> r
@@ -22,6 +28,25 @@ let add t name v =
   r := !r + v
 
 let incr t name = add t name 1
+
+(* A handle keeps the cell it resolved and the registry generation it
+   resolved it in; [-1] means not resolved yet, so an unbumped handle
+   registers nothing. Unresolved handles share [unresolved], which is
+   never written: the first bump replaces it. *)
+type counter = { reg : t; name : string; mutable cell : int ref; mutable gen : int }
+
+let unresolved = ref 0
+let counter t name = { reg = t; name; cell = unresolved; gen = -1 }
+
+let bump_by c v =
+  if c.gen <> c.reg.generation then begin
+    c.cell <- cell c.reg c.name;
+    c.gen <- c.reg.generation
+  end;
+  c.cell := !(c.cell) + v
+
+let bump c = bump_by c 1
+
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let sorted_bindings fold extract tbl =
@@ -82,6 +107,7 @@ let snapshot t =
   }
 
 let reset (t : t) =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauge_tbl;
   Hashtbl.reset t.hist_tbl

@@ -33,6 +33,31 @@ val get : t -> string -> int
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
 
+(** {2 Counter handles}
+
+    {!incr} hashes the counter's name on every call. A per-message
+    counter is bumped through a handle instead: {!counter} names it
+    once, and each {!bump} is a generation check and an increment.
+
+    A handle registers its counter lazily, on its first bump, so a
+    handle that is never bumped leaves {!to_list}, {!snapshot} and
+    every export unchanged. A handle and {!incr} on the same name
+    share one count. After {!reset} a handle re-resolves on its next
+    bump: it never adds to a cell the registry has forgotten, so its
+    count restarts at 0 like any other counter's. *)
+
+type counter
+(** A named counter of one registry, resolved on first use. *)
+
+val counter : t -> string -> counter
+(** A handle on the named counter. Registers nothing by itself. *)
+
+val bump : counter -> unit
+(** Adds 1, like {!incr} on the handle's name. *)
+
+val bump_by : counter -> int -> unit
+(** Adds an arbitrary amount, like {!add}. *)
+
 (** {1 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
@@ -79,6 +104,7 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val reset : t -> unit
-(** Forgets every counter, gauge and histogram. *)
+(** Forgets every counter, gauge and histogram. Outstanding counter
+    handles stay usable: each starts over from 0 on its next bump. *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,6 +29,18 @@ let test_pid_collections () =
   let map = Pid.Map.(empty |> add a "x" |> add b "y") in
   check Alcotest.string "map" "x" (Pid.Map.find a map)
 
+(* [Pid.hash] is the identifier itself, so sequential pids fill a
+   power-of-two table evenly: no bucket holds more than the table's
+   load factor. *)
+let test_pid_table_spread () =
+  let tbl = Pid.Table.create 16 in
+  for i = 0 to 999 do
+    Pid.Table.replace tbl (Pid.of_int i) i
+  done;
+  let st = Pid.Table.stats tbl in
+  check_int "bindings" 1000 st.Hashtbl.num_bindings;
+  check_bool "max bucket <= 2" true (st.Hashtbl.max_bucket_length <= 2)
+
 (* ------------------------------------------------------------------ *)
 (* Delay *)
 
@@ -380,6 +392,7 @@ let () =
         [
           Alcotest.test_case "generator" `Quick test_pid_generator;
           Alcotest.test_case "collections" `Quick test_pid_collections;
+          Alcotest.test_case "table spread" `Quick test_pid_table_spread;
         ] );
       ( "delay",
         [

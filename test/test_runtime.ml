@@ -430,6 +430,25 @@ let deframer_chunking =
       done;
       Wire.pending_bytes d = 0 && List.rev !out = payloads)
 
+(* Thousands of small frames arriving in one read come back whole and
+   in order: popping a frame must not copy the unread remainder. *)
+let test_deframer_many_frames_one_chunk () =
+  let payloads = List.init 2500 (fun i -> string_of_int i) in
+  let stream =
+    String.concat ""
+      (List.map
+         (fun p ->
+           let b = Buffer.create 8 in
+           Buffer.add_string b p;
+           Wire.frame b)
+         payloads)
+  in
+  let d = Wire.deframer () in
+  Wire.feed d (Bytes.of_string stream) (String.length stream);
+  let rec drain acc = match Wire.next_frame d with Some p -> drain (p :: acc) | None -> acc in
+  check (Alcotest.list Alcotest.string) "every frame, in order" payloads (List.rev (drain []));
+  check Alcotest.int "nothing pending" 0 (Wire.pending_bytes d)
+
 let test_oversized_frame_rejected () =
   let d = Wire.deframer () in
   let b = Bytes.create 4 in
@@ -1449,6 +1468,8 @@ let () =
           Alcotest.test_case "bottom value round-trips" `Quick test_bottom_value_roundtrip;
           Alcotest.test_case "expect_end rejects trailing bytes" `Quick test_expect_end;
           QCheck_alcotest.to_alcotest deframer_chunking;
+          Alcotest.test_case "many frames in one chunk" `Quick
+            test_deframer_many_frames_one_chunk;
           Alcotest.test_case "oversized frame rejected" `Quick test_oversized_frame_rejected;
           Alcotest.test_case "oversized prefix behind a frame rejected" `Quick
             test_oversized_prefix_behind_frame;

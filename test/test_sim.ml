@@ -527,6 +527,75 @@ let test_metrics () =
   Metrics.reset m;
   check_int "reset" 0 (Metrics.get m "a")
 
+let counters = Alcotest.(list (pair string int))
+
+let test_metrics_handle_shares_count () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "a" in
+  Metrics.bump c;
+  Metrics.incr m "a";
+  Metrics.bump_by c 3;
+  Metrics.add m "a" 2;
+  check_int "one count" 7 (Metrics.get m "a");
+  check counters "one entry" [ ("a", 7) ] (Metrics.to_list m)
+
+let test_metrics_handle_lazy () =
+  let m = Metrics.create () in
+  Metrics.incr m "a";
+  let before_list = Metrics.to_list m and before_snap = Metrics.snapshot m in
+  let _unbumped = Metrics.counter m "b" in
+  check counters "to_list unchanged" before_list (Metrics.to_list m);
+  check counters "snapshot unchanged" before_snap.Metrics.counters
+    (Metrics.snapshot m).Metrics.counters;
+  check_int "absent" 0 (Metrics.get m "b")
+
+let test_metrics_handle_after_reset () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "a" in
+  for _ = 1 to 5 do
+    Metrics.bump c
+  done;
+  Metrics.reset m;
+  check counters "reset forgets" [] (Metrics.to_list m);
+  Metrics.bump c;
+  check_int "restarts from 0" 1 (Metrics.get m "a");
+  Metrics.incr m "a";
+  check_int "shares the new cell" 2 (Metrics.get m "a")
+
+(* A network without a registry resolves no handles: it delivers
+   exactly what a metered one does, and a metered one registers only
+   the counters its traffic bumped. *)
+let test_metrics_handle_unmetered_network () =
+  let open Dds_net in
+  let run metrics =
+    let sched = Scheduler.create () in
+    let net =
+      Network.create ~sched ~rng:(Rng.create ~seed:7) ~delay:(Delay.synchronous ~delta:3)
+        ?metrics ()
+    in
+    let inbox = ref [] in
+    List.iter
+      (fun i ->
+        let p = Pid.of_int i in
+        Network.attach net p (fun ~src msg -> inbox := (i, Pid.to_int src, msg) :: !inbox))
+      [ 0; 1; 2 ];
+    Network.send net ~src:(Pid.of_int 0) ~dst:(Pid.of_int 1) "p2p";
+    Network.send net ~src:(Pid.of_int 0) ~dst:(Pid.of_int 9) "lost";
+    Scheduler.run sched ();
+    (Network.metrics net = None, List.rev !inbox)
+  in
+  let m = Metrics.create () in
+  let unmetered, got_none = run None in
+  let metered, got_some = run (Some m) in
+  check_bool "no registry" true unmetered;
+  check_bool "registry" false metered;
+  check
+    Alcotest.(list (triple int int string))
+    "same deliveries" got_some got_none;
+  check counters "only bumped counters"
+    [ ("net.delivered", 1); ("net.dropped", 1); ("net.sent", 1); ("net.transmit", 1) ]
+    (Metrics.to_list m)
+
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
 
@@ -732,6 +801,13 @@ let () =
           Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "gauges and histograms" `Quick test_metrics_gauges_histograms;
+          Alcotest.test_case "handle shares the named count" `Quick
+            test_metrics_handle_shares_count;
+          Alcotest.test_case "unbumped handle registers nothing" `Quick
+            test_metrics_handle_lazy;
+          Alcotest.test_case "handle after reset" `Quick test_metrics_handle_after_reset;
+          Alcotest.test_case "handle on an unmetered network" `Quick
+            test_metrics_handle_unmetered_network;
         ] );
       ( "histogram",
         [
