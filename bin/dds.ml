@@ -172,19 +172,16 @@ let monitor_config_for (p : Protocol.t) c =
   Harness.monitor_config ?churn_window:c.churn_window ~liveness_k:c.liveness_k
     ~gst:(c.gst <> None) p ~n:c.n ~delta:c.delta
 
-(* Every single-register simulated front end (run, analyze, hunt, sweep
-   --attribution) drives the same Harness run with the same drain, so
-   a hunt's repro line replays the hunter's execution exactly. The
-   runner is deterministic in its seed and plan. *)
+(* Every simulated front end (run with or without --shards, analyze,
+   hunt, sweep --attribution) drives Harness with the same drain, so a
+   hunt's repro line replays the hunter's execution exactly. *)
+let spec_for ?monitor c workload =
+  { Harness.horizon = c.horizon; drain = (20 * c.delta) + (4 * c.wild); workload; monitor }
+
+(* The single-register runner, deterministic in its seed and plan. *)
 let harness_runner ?monitor ?config (p : Protocol.t) c =
   let spec =
-    {
-      Harness.horizon = c.horizon;
-      drain = (20 * c.delta) + (4 * c.wild);
-      read_rate = c.read_rate;
-      write_every = c.write_every;
-      monitor;
-    }
+    spec_for ?monitor c (Harness.Rate { read_rate = c.read_rate; write_every = c.write_every })
   in
   let config = Option.value config ~default:(build_config c) in
   Result.map
@@ -260,27 +257,17 @@ let run_single (proto : Protocol.t) c =
       `Error (false, "safety violated")
     end
 
-(* The sharded store path (--shards N): the same registry-generic run,
-   but through lib/shard — one skewed plan drawn up front, hash-routed
-   across N independent deployments, per-shard verdicts, one tagged
-   trace file. The classic path above is untouched when --shards is
-   absent. *)
+(* The sharded store path (--shards N): one skewed plan drawn up front
+   and hash-routed across N independent registers, each judged by its
+   own Harness run with the same monitors and nemesis plan; per-shard
+   verdicts, one shard-tagged trace file. *)
 let run_sharded (p : Protocol.t) c =
   let name = p.Protocol.name in
-  let module R = (val p.Protocol.runner : Protocol.RUNNER) in
-  match R.params { Protocol.n = c.n; delta = c.delta; quorum = None } with
+  match Harness.instance p ~n:c.n ~delta:c.delta with
   | Error e -> `Error (false, e)
-  | Ok params ->
-    if c.monitor || c.dot_out <> None || c.dump_history <> None || c.nemesis <> None then
-      Format.eprintf
-        "note: --monitor/--dot-out/--dump-history/--nemesis apply to single-register \
-         runs and are ignored with --shards@.";
-    let module Sh = Dds_shard.Shard.Make (R.D) in
-    let store =
-      Sh.create
-        { Dds_shard.Shard.shards = c.shards; keys = c.keys; base = build_config c }
-        params
-    in
+  | Ok _ when c.dump_history <> None || c.dot_out <> None ->
+    `Error (true, "--dump-history and --dot-out write one register's file: not with --shards")
+  | Ok inst ->
     (* The plan rng is dedicated (never shared with any shard's streams,
        which derive from Shard.seed_for), so the identical plan
        re-partitions across any --shards value. *)
@@ -290,33 +277,38 @@ let run_sharded (p : Protocol.t) c =
           Skew.read_rate = c.read_rate;
           write_every = c.write_every }
     in
-    Sh.start_churn store ~until:(time c.horizon);
-    Sh.load store plan;
-    Sh.run_until store (time (c.horizon + (20 * c.delta) + (4 * c.wild)));
+    let monitor = if c.monitor then Some (monitor_config_for p c) else None in
+    let shards =
+      Harness.run_shards inst (build_config c) ~shards:c.shards
+        (spec_for ?monitor c (Harness.Plan plan))
+        (Option.value c.nemesis ~default:[])
+    in
+    let issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 shards in
     Format.printf "protocol   : %s, sharded store: %d shard(s) x n=%d, %d keys, zipf s=%g@."
       name c.shards c.n c.keys c.skew;
     Format.printf "plan       : %d op(s) — %d issued, %d skipped (no idle process)@."
-      (Sh.scheduled store) (Sh.issued store) (Sh.skipped store);
-    let all_ok = ref true in
-    List.iter
-      (fun (r : Dds_shard.Shard.shard_report) ->
-        let h = R.D.history (Sh.deployment store r.Dds_shard.Shard.sr_shard) in
-        let reg = r.Dds_shard.Shard.sr_regularity in
-        let ok = Regularity.is_ok reg in
-        if not ok then all_ok := false;
+      (List.length plan) issued (List.length plan - issued);
+    List.iteri
+      (fun s (routed, (r : Harness.result)) ->
+        let h = r.Harness.history and reg = r.Harness.regularity in
         Format.printf
           "  shard %2d : %6d routed %6d issued %5d skipped | %5d reads %4d writes done | %s@."
-          r.Dds_shard.Shard.sr_shard r.Dds_shard.Shard.sr_scheduled
-          r.Dds_shard.Shard.sr_issued r.Dds_shard.Shard.sr_skipped
+          s routed (Harness.issued r) (routed - Harness.issued r)
           (List.length (History.completed_reads h))
           (List.length (History.completed_writes h))
-          (if ok then "REGULAR" else "VIOLATED");
+          (if Regularity.is_ok reg then "REGULAR" else "VIOLATED");
         List.iter (fun v -> Format.printf "    %a@." Regularity.pp_violation v)
-          reg.Regularity.violations)
-      (Sh.reports store);
+          reg.Regularity.violations;
+        List.iter
+          (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
+          r.Harness.findings)
+      shards;
+    if c.monitor then
+      Format.printf "monitors   : %d violation(s)@."
+        (List.fold_left (fun acc (_, r) -> acc + List.length r.Harness.findings) 0 shards);
     (match c.trace_out with
     | Some path ->
-      let tagged = Sh.tagged_events store in
+      let tagged = Harness.tagged_events shards in
       if c.trace_format = "chrome" then
         Format.eprintf "note: sharded traces are always jsonl (shard-tagged lines)@.";
       write_file path (Export.jsonl_of_tagged_events tagged);
@@ -326,20 +318,20 @@ let run_sharded (p : Protocol.t) c =
     (match c.metrics_out with
     | Some path ->
       let per_shard =
-        List.init c.shards (fun s ->
+        List.mapi
+          (fun s (_, r) ->
             Json.Obj
-              [
-                ("shard", Json.Int s);
-                ("metrics", Export.metrics_to_json (R.D.metrics_snapshot (Sh.deployment store s)));
-              ])
+              [ ("shard", Json.Int s); ("metrics", Export.metrics_to_json r.Harness.snapshot) ])
+          shards
       in
       write_file path (Json.to_string (Json.List per_shard) ^ "\n");
       Format.printf "metrics written to %s (one object per shard)@." path
     | None -> ());
+    let all_ok = List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) shards in
     Format.printf "regularity : %s (%d shard(s))@."
-      (if !all_ok then "REGULAR" else "VIOLATED")
+      (if all_ok then "REGULAR" else "VIOLATED")
       c.shards;
-    if !all_ok then `Ok ()
+    if all_ok then `Ok ()
     else begin
       Format.printf "repro      : %s@." (repro_line ~protocol:name c);
       `Error (false, "safety violated")
@@ -387,24 +379,42 @@ let write_every_t =
     value & opt int 20
     & info [ "write-every" ] ~docv:"TICKS" ~doc:"One write every this many ticks (0: never).")
 
+(* A numeric flag narrower than its type: an out-of-range value is a
+   usage error at the CLI boundary, never an exception deep in a run. *)
+let checked conv ~ok ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~ok:(fun k -> k > 0) ~what:"must be positive"
+let nonneg_int = checked Arg.int ~ok:(fun k -> k >= 0) ~what:"must not be negative"
+let nonneg_float = checked Arg.float ~ok:(fun x -> x >= 0.0) ~what:"must not be negative"
+
 let shards_t =
   Arg.(
-    value & opt int 0
+    value & opt nonneg_int 0
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Shard the key-space across N independent register instances (each a full \
-           n-node deployment with its own membership, churn and event stream) and drive \
-           them with a zipfian multi-key workload ($(b,--keys), $(b,--skew)). 0 (the \
-           default) is the classic single-register run.")
+           n-node deployment with its own membership, churn and event stream, judged \
+           like a single-register run: $(b,--monitor) and $(b,--nemesis) apply to every \
+           shard) and drive them with a zipfian multi-key workload ($(b,--keys), \
+           $(b,--skew)). The trace is always shard-tagged JSONL; $(b,--dump-history) \
+           and $(b,--dot-out) do not apply. 0 (the default) is the classic \
+           single-register run.")
 
 let keys_t =
   Arg.(
-    value & opt int 1024
+    value & opt positive_int 1024
     & info [ "keys" ] ~docv:"K" ~doc:"Key-space size for the sharded workload.")
 
 let skew_t =
   Arg.(
-    value & opt float 1.0
+    value & opt nonneg_float 1.0
     & info [ "skew" ] ~docv:"S"
         ~doc:
           "Zipf exponent of the sharded workload's key popularity: 0 is uniform, ~1 the \
@@ -1259,10 +1269,6 @@ let explain_cmd =
 
 (* audit *)
 
-(* Replays an exported JSONL trace through the streaming monitors and
-   the regularity checker, offline: everything the in-process checkers
-   see is reconstructed from the trace alone (span payloads, Lamport
-   stamps, membership events). Exits non-zero when anything fired. *)
 (* The per-shard audit of a tagged trace: each shard is an independent
    register, so monitors and the regularity checker run once per tag —
    auditing the mixed timeline as one register would interleave
@@ -1279,44 +1285,38 @@ let audit_sharded (proto : Protocol.t) initial merged_out c path
     write_file out (Export.jsonl_of_tagged_events tagged);
     Format.printf "merged     : shard-tagged trace -> %s@." out
   | None -> ());
-  let all_ok = ref true in
-  List.iter
-    (fun tag ->
-      let evs =
-        List.filter_map
-          (fun (s, ev) -> if Option.value s ~default:(-1) = tag then Some ev else None)
-          tagged
-      in
-      let cfg = monitor_config_for proto c in
-      let m = Dds_monitor.Monitor.create cfg in
-      List.iter (fun st -> ignore (Dds_monitor.Monitor.feed m st)) evs;
-      let last_at =
-        List.fold_left (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at) Time.zero evs
-      in
-      ignore (Dds_monitor.Monitor.finalize m ~at:last_at);
-      let violations = Dds_monitor.Monitor.violations m in
-      let history = Replay.history_of_events ~initial:(Value.initial initial) evs in
-      let report = Regularity.check history in
-      let ok = violations = [] && Regularity.is_ok report in
-      if not ok then all_ok := false;
-      Format.printf "  shard %s : %s (%d events; %d reads, %d joins checked; %d monitor \
-                     violation(s))@."
-        (if tag < 0 then "?" else string_of_int tag)
-        (if Regularity.is_ok report then "REGULAR" else "VIOLATED")
-        (List.length evs) report.Regularity.checked_reads report.Regularity.checked_joins
-        (List.length violations);
-      List.iter
-        (fun v -> Format.printf "    %a@." Regularity.pp_violation v)
-        report.Regularity.violations;
-      List.iter
-        (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
-        violations)
-    tags;
+  let verdict tag =
+    let evs =
+      List.filter_map
+        (fun (s, ev) -> if Option.value s ~default:(-1) = tag then Some ev else None)
+        tagged
+    in
+    let a = Harness.audit (monitor_config_for proto c) ~initial evs in
+    let report = a.Harness.regularity in
+    Format.printf "  shard %s : %s (%d events; %d reads, %d joins checked; %d monitor \
+                   violation(s))@."
+      (if tag < 0 then "?" else string_of_int tag)
+      (if Regularity.is_ok report then "REGULAR" else "VIOLATED")
+      (List.length evs) report.Regularity.checked_reads report.Regularity.checked_joins
+      (List.length a.Harness.findings);
+    List.iter
+      (fun v -> Format.printf "    %a@." Regularity.pp_violation v)
+      report.Regularity.violations;
+    List.iter
+      (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
+      a.Harness.findings;
+    a.Harness.findings = [] && Regularity.is_ok report
+  in
+  let all_ok = List.for_all Fun.id (List.map verdict tags) in
   Format.printf "regularity : %s (%d shard(s))@."
-    (if !all_ok then "REGULAR" else "VIOLATED")
+    (if all_ok then "REGULAR" else "VIOLATED")
     (List.length tags);
-  if !all_ok then `Ok () else `Error (false, "audit found violations")
+  if all_ok then `Ok () else `Error (false, "audit found violations")
 
+(* Replays exported JSONL traces through the streaming monitors and the
+   regularity checker, offline: everything the in-process checkers see
+   is reconstructed from the trace alone (span payloads, Lamport
+   stamps, membership events). Exits non-zero when anything fired. *)
 let run_audit paths (proto : Protocol.t) initial merged_out c =
   (* A shard-tagged line carries its register's index; a plain trace
      has no tags and parses to all-None. The one reader keeps shard
@@ -1340,33 +1340,15 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
        the shared timestamp reconstructs the single trace the simulator
        would have produced (span ids are globally unique already — each
        node offsets its own by pid * 1_000_000). *)
-    let tagged_evs =
-      match per_file with
-      | [ evs ] -> evs
-      | many ->
-        List.stable_sort
-          (fun ((_, a) : _ * Event.stamped) (_, b) -> Time.compare a.Event.at b.Event.at)
-          (List.concat many)
-    in
+    let tagged_evs = Export.merge_tagged per_file in
     let path = String.concat "+" paths in
     if List.exists (fun (s, _) -> s <> None) tagged_evs then
       audit_sharded proto initial merged_out c path tagged_evs
-    else (
-    let evs = List.map snd tagged_evs in
-    (
+    else begin
+      let evs = List.map snd tagged_evs in
       let cfg = monitor_config_for proto c in
-      (* Run the monitors by hand (rather than Monitor.run) to keep
-         the instance: overdue_spans is the structural witness hook
-         the causal section below cross-references. *)
-      let m = Dds_monitor.Monitor.create cfg in
-      List.iter (fun st -> ignore (Dds_monitor.Monitor.feed m st)) evs;
-      let last_at =
-        List.fold_left
-          (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at)
-          Time.zero evs
-      in
-      ignore (Dds_monitor.Monitor.finalize m ~at:last_at);
-      let violations = Dds_monitor.Monitor.violations m in
+      let a = Harness.audit cfg ~initial evs in
+      let violations = a.Harness.findings and report = a.Harness.regularity in
       Format.printf "%s: %d events audited (%s monitors, n=%d, delta=%d)@." path
         (List.length evs) proto.Protocol.name c.n c.delta;
       (match merged_out with
@@ -1389,8 +1371,6 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
         Format.printf "unclosed   : %d span(s) still open at end of trace: %s@."
           (List.length orphans)
           (String.concat ", " (List.map string_of_int orphans));
-      let history = Replay.history_of_events ~initial:(Value.initial initial) evs in
-      let report = Regularity.check history in
       Format.printf "regularity : %s (%d reads, %d joins checked; %d violations)@."
         (if Regularity.is_ok report then "REGULAR" else "VIOLATED")
         report.Regularity.checked_reads report.Regularity.checked_joins
@@ -1414,14 +1394,15 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
             Format.printf "liveness witness (span %d):@.%a" span Causal.pp_attribution a
           | None ->
             Format.printf "liveness witness (span %d): op still open at end of trace@." span)
-        (Dds_monitor.Monitor.overdue_spans m);
+        a.Harness.overdue;
       (match c.dot_out with
       | Some out ->
         write_file out (Export.dot_of_events evs);
         Format.printf "causal graph written to %s@." out
       | None -> ());
       if violations = [] && Regularity.is_ok report then `Ok ()
-      else `Error (false, "audit found violations")))
+      else `Error (false, "audit found violations")
+    end
 
 let audit_cmd =
   let doc =
@@ -1821,11 +1802,11 @@ let load_cmd =
      out."
   in
   let keys_t =
-    Arg.(value & opt int 4096 & info [ "keys" ] ~docv:"N" ~doc:"Key-space size.")
+    Arg.(value & opt positive_int 4096 & info [ "keys" ] ~docv:"N" ~doc:"Key-space size.")
   in
   let skew_t =
     Arg.(
-      value & opt float 0.0
+      value & opt nonneg_float 0.0
       & info [ "skew" ] ~docv:"S"
           ~doc:
             "Zipf exponent of the key popularity curve: 0 (default) uniform, ~1 classic \

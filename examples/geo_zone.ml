@@ -14,7 +14,7 @@
    speed, and past the paper's c < 1/(3*delta) bound the zone teems
    with vehicles yet none stays long enough to join.
 
-   Part 2 scales the example up with lib/shard: a city does not track
+   Part 2 scales the example up to a sharded store: a city does not track
    one datum, it tracks hundreds — road incidents, parking counts,
    rally points — so the measured *emergent* churn of each speed is
    fed into a sharded store: 4 radio zones, each an independent
@@ -29,7 +29,6 @@ open Dds_net
 open Dds_core
 open Dds_geo
 open Dds_workload
-module Sh = Dds_shard.Shard.Make (Deployment.Make (Sync_register))
 
 let time = Time.of_int
 let delta = 3
@@ -67,10 +66,6 @@ let citywide speed churn =
     Deployment.default_config ~seed:5 ~n:10 ~delay:(Delay.synchronous ~delta)
       ~churn_rate:churn
   in
-  let store =
-    Sh.create { Dds_shard.Shard.shards = zones; keys; base }
-      (Sync_register.default_params ~delta)
-  in
   (* Zipfian key popularity plus a rush-hour storm on the hottest key
      (the famous junction) in the middle third of the run. *)
   let plan =
@@ -87,19 +82,22 @@ let citywide speed churn =
             };
       }
   in
-  Sh.start_churn store ~until:(time horizon);
-  Sh.load store plan;
-  Sh.run_until store (time (horizon + (20 * delta)));
+  let city =
+    Harness.run_shards
+      (Harness.instance_exn (Protocol.find_exn "sync") ~n:10 ~delta)
+      base ~shards:zones
+      { Harness.horizon; drain = 20 * delta; workload = Harness.Plan plan; monitor = None }
+      []
+  in
+  let regular (r : Harness.result) = Dds_spec.Regularity.is_ok r.Harness.regularity in
   Format.printf "           | citywide store at that churn:";
-  List.iter
-    (fun (r : Dds_shard.Shard.shard_report) ->
-      Format.printf " z%d %d/%d %s" r.Dds_shard.Shard.sr_shard r.Dds_shard.Shard.sr_issued
-        r.Dds_shard.Shard.sr_scheduled
-        (if Dds_spec.Regularity.is_ok r.Dds_shard.Shard.sr_regularity then "ok"
-         else "VIOLATED"))
-    (Sh.reports store);
+  List.iteri
+    (fun z (routed, r) ->
+      Format.printf " z%d %d/%d %s" z (Harness.issued r) routed
+        (if regular r then "ok" else "VIOLATED"))
+    city;
   Format.printf "@.           | %s@.@."
-    (if Sh.regular store then
+    (if List.for_all (fun (_, r) -> regular r) city then
        Printf.sprintf "all %d zones regular at speed %g" zones speed
      else "a zone went irregular — churn past the bound in every zone at once")
 

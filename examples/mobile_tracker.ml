@@ -9,7 +9,7 @@
    original demo tracked one convoy's rally point in one regular
    register; a dispatch center tracks dozens. Here 24 convoys each own
    one key — their current rally point — in a sharded store of 3 radio
-   channels (lib/shard), every channel an independent 12-vehicle
+   channels (Harness.run_shards), every channel an independent 12-vehicle
    synchronous register deployment (known delay bound delta, as in the
    MANET register protocols of Section 6) with oldest-first churn:
    vehicles cross coverage in arrival order.
@@ -27,8 +27,6 @@ open Dds_net
 open Dds_spec
 open Dds_core
 open Dds_workload
-module D = Deployment.Make (Sync_register)
-module Sh = Dds_shard.Shard.Make (D)
 
 let time = Time.of_int
 let delta = 4 (* radio round bound, in ticks *)
@@ -46,11 +44,6 @@ let () =
       (* vehicles cross the zone in arrival order *);
     }
   in
-  let store =
-    Sh.create
-      { Dds_shard.Shard.shards = channels; keys = convoys; base }
-      (Sync_register.default_params ~delta)
-  in
   (* The dispatch board: zipfian attention over the convoys, one
      rally-point update every 12 ticks somewhere in the fleet, and the
      hot convoy drifting every 100 ticks. *)
@@ -63,14 +56,20 @@ let () =
         rotate_every = 100;
       }
   in
-  Sh.start_churn store ~until:(time horizon);
-  Sh.load store plan;
-  Sh.run_until store (time (horizon + (20 * delta)));
+  let fleet =
+    Harness.run_shards
+      (Harness.instance_exn (Protocol.find_exn "sync") ~n:12 ~delta)
+      base ~shards:channels
+      { Harness.horizon; drain = 20 * delta; workload = Harness.Plan plan; monitor = None }
+      []
+  in
+  let issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 fleet in
+  let regular (r : Harness.result) = Regularity.is_ok r.Harness.regularity in
 
   Format.printf "fleet      : %d convoys on %d radio channels (n=12 each, delta=%d)@."
     convoys channels delta;
   Format.printf "dispatch   : %d op(s) planned, %d issued, %d skipped (nobody in range)@."
-    (Sh.scheduled store) (Sh.issued store) (Sh.skipped store);
+    (List.length plan) issued (List.length plan - issued);
 
   (* Who ended up hot? The top of the key histogram is the convoy the
      dispatcher could not stop watching. *)
@@ -79,14 +78,12 @@ let () =
   Array.iteri (fun k n -> if n > hist.(!hot) then hot := k) hist;
   Format.printf "hot convoy : #%d with %d of %d ops (channel %d)@." !hot hist.(!hot)
     (List.length plan)
-    (Sh.route_key store !hot);
+    (Dds_shard.Shard.route ~shards:channels ~key:!hot);
 
   (* Per-channel: joins, Figure-3 fast-path joins, verdict. *)
-  List.iter
-    (fun (r : Dds_shard.Shard.shard_report) ->
-      let s = r.Dds_shard.Shard.sr_shard in
-      let h = D.history (Sh.deployment store s) in
-      let joins = History.completed_joins h in
+  List.iteri
+    (fun s (_, (r : Harness.result)) ->
+      let joins = History.completed_joins r.Harness.history in
       let fast =
         List.length
           (List.filter
@@ -101,10 +98,10 @@ let () =
          timing; %d needed the full inquiry), %s@."
         s (List.length joins) fast
         (List.length joins - fast)
-        (if Regularity.is_ok r.Dds_shard.Shard.sr_regularity then "regular" else "VIOLATED"))
-    (Sh.reports store);
+        (if regular r then "regular" else "VIOLATED"))
+    fleet;
   Format.printf "fleet-wide : %s@."
-    (if Sh.regular store then
+    (if List.for_all (fun (_, r) -> regular r) fleet then
        "regular — nobody ever drove to a stale rally point, on any channel"
      else "VIOLATED");
   Format.printf

@@ -1,6 +1,4 @@
 open Dds_sim
-open Dds_core
-open Dds_spec
 
 (* SplitMix64 finalizer (same constants as Rng.mix): the route must be
    a pure function of the key alone — reseeding a run moves the
@@ -28,147 +26,5 @@ let seed_for ~seed ~shard =
 
 let span_base shard = shard * 1_000_000
 
-type config = { shards : int; keys : int; base : Deployment.config }
 type op_kind = Read | Write of int
 type op = { at : Time.t; key : int; kind : op_kind }
-
-type shard_report = {
-  sr_shard : int;
-  sr_scheduled : int;
-  sr_issued : int;
-  sr_skipped : int;
-  sr_regularity : Regularity.report;
-}
-
-module type S = sig
-  module D : Deployment.S
-
-  type t
-
-  val create : config -> D.Protocol.params -> t
-  val config : t -> config
-  val shards : t -> int
-  val deployment : t -> int -> D.t
-  val route_key : t -> int -> int
-  val read : t -> key:int -> bool
-  val write : t -> key:int -> value:int -> bool
-  val load : t -> op list -> unit
-  val start_churn : t -> until:Time.t -> unit
-  val run_until : t -> Time.t -> unit
-  val scheduled : t -> int
-  val issued : t -> int
-  val skipped : t -> int
-  val reports : t -> shard_report list
-  val regular : t -> bool
-  val tagged_events : t -> (int option * Event.stamped) list
-end
-
-module Make (D : Deployment.S) = struct
-  module D = D
-
-  type t = {
-    cfg : config;
-    deployments : D.t array;
-    scheduled : int array;
-    issued : int array;
-    skipped : int array;
-  }
-
-  let create cfg params =
-    if cfg.shards <= 0 then invalid_arg "Shard.create: shards must be positive";
-    if cfg.keys <= 0 then invalid_arg "Shard.create: keys must be positive";
-    let deployments =
-      Array.init cfg.shards (fun s ->
-          D.create
-            {
-              cfg.base with
-              Deployment.seed = seed_for ~seed:cfg.base.Deployment.seed ~shard:s;
-              events_first_span = span_base s;
-            }
-            params)
-    in
-    {
-      cfg;
-      deployments;
-      scheduled = Array.make cfg.shards 0;
-      issued = Array.make cfg.shards 0;
-      skipped = Array.make cfg.shards 0;
-    }
-
-  let config t = t.cfg
-  let shards t = t.cfg.shards
-  let deployment t s = t.deployments.(s)
-  let route_key t key = route ~shards:t.cfg.shards ~key
-
-  (* Issue-time paths mirror the workload generator: reads land on a
-     random idle active process, writes re-elect the shard's designated
-     writer on the fly. A shard mid-churn may have nobody able to take
-     the op this tick; the caller's plan accounting (skipped) keeps the
-     conservation invariant checkable: scheduled = issued + skipped. *)
-  let read_on t s =
-    let d = t.deployments.(s) in
-    match D.random_idle_active d with
-    | Some pid ->
-      D.read d pid;
-      true
-    | None -> false
-
-  let write_on t s value =
-    let d = t.deployments.(s) in
-    match D.elect_writer d with
-    | Some w -> (
-      match D.node d w with
-      | Some node when D.Protocol.is_active node && not (D.Protocol.busy node) ->
-        D.write_value d w value;
-        true
-      | Some _ | None -> false)
-    | None -> false
-
-  let read t ~key = read_on t (route_key t key)
-  let write t ~key ~value = write_on t (route_key t key) value
-
-  let issue t s kind =
-    let ok = match kind with Read -> read_on t s | Write v -> write_on t s v in
-    if ok then t.issued.(s) <- t.issued.(s) + 1 else t.skipped.(s) <- t.skipped.(s) + 1
-
-  let load t ops =
-    List.iter
-      (fun op ->
-        let s = route_key t op.key in
-        t.scheduled.(s) <- t.scheduled.(s) + 1;
-        let d = t.deployments.(s) in
-        let sched = D.scheduler d in
-        if Time.(op.at <= Scheduler.now sched) then t.skipped.(s) <- t.skipped.(s) + 1
-        else ignore (Scheduler.schedule_at sched op.at (fun () -> issue t s op.kind)))
-      ops
-
-  let start_churn t ~until = Array.iter (fun d -> D.start_churn d ~until) t.deployments
-  let run_until t horizon = Array.iter (fun d -> D.run_until d horizon) t.deployments
-  let sum a = Array.fold_left ( + ) 0 a
-  let scheduled t = sum t.scheduled
-  let issued t = sum t.issued
-  let skipped t = sum t.skipped
-
-  let reports t =
-    List.init t.cfg.shards (fun s ->
-        {
-          sr_shard = s;
-          sr_scheduled = t.scheduled.(s);
-          sr_issued = t.issued.(s);
-          sr_skipped = t.skipped.(s);
-          sr_regularity = D.regularity t.deployments.(s);
-        })
-
-  let regular t =
-    Array.for_all (fun d -> Regularity.is_ok (D.regularity d)) t.deployments
-
-  let tagged_events t =
-    let all =
-      List.concat
-        (List.init t.cfg.shards (fun s ->
-             List.map (fun ev -> (Some s, ev)) (Event.events (D.events t.deployments.(s)))))
-    in
-    List.stable_sort
-      (fun ((_, a) : _ * Event.stamped) (_, b) -> Time.compare a.Event.at b.Event.at)
-      all
-end

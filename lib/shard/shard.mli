@@ -1,24 +1,12 @@
 open Dds_sim
-open Dds_core
-open Dds_spec
 
-(** A sharded multi-register key-space.
-
-    The paper implements one register; a store serves millions of
-    keys. This layer hash-partitions a key-space across [shards]
-    independent register instances — each a full {!Deployment} with
-    its own scheduler, network, membership table, churn process,
-    metrics registry and event sink — behind a single
-    [read k] / [write k v] facade. Shards share nothing: key [k]
-    always lives on shard [route ~shards ~key:k], every per-shard
-    stream of operations is a pure function of that shard's derived
-    seed, and the per-shard safety verdicts are exactly the paper's
-    single-register regularity checks run [shards] times.
-
-    The layer is registry-aware by construction: {!Make} takes any
-    {!Deployment.S}, so every protocol in {!Protocol.all} (and any
-    future registry entry) shards the same way — unpack the entry's
-    packed {!Protocol.RUNNER} and apply {!Make} to its [D]. *)
+(** Placement arithmetic for a sharded key-space: which of [shards]
+    independent registers owns a key, and each shard's derived seed and
+    span-id base. Shards share nothing, so the per-shard verdicts are
+    the paper's single-register checks run [shards] times. A simulated
+    sharded run is one judged run per shard
+    ([Dds_workload.Harness.run_shards]); the live store
+    ([Dds_runtime_unix.Placement]) routes with the same {!route}. *)
 
 val route : shards:int -> key:int -> int
 (** The owning shard of [key]: a SplitMix64-finalizer hash of the key
@@ -35,99 +23,12 @@ val seed_for : seed:int -> shard:int -> int
 
 val span_base : int -> int
 (** [shard * 1_000_000]: the shard's span-id base
-    ({!Deployment.config.events_first_span}), mirroring the live
-    runtime's per-node offsets, so span ids stay unique when the
+    ({!Dds_core.Deployment.config.events_first_span}), mirroring the
+    live runtime's per-node offsets, so span ids stay unique when the
     per-shard traces are merged into one tagged file. *)
-
-type config = {
-  shards : int;  (** independent register instances *)
-  keys : int;  (** key-space size; keys are [0 .. keys-1] *)
-  base : Deployment.config;
-      (** per-shard deployment template: shard [s] runs it with
-          [seed = seed_for ~seed:base.seed ~shard:s] and
-          [events_first_span = span_base s], everything else as
-          given. [n] is the per-shard system size. *)
-}
 
 type op_kind = Read | Write of int  (** the datum a write stores *)
 
 type op = { at : Time.t; key : int; kind : op_kind }
 (** One keyed operation of a pre-drawn workload plan (see
     [Dds_workload.Skew]). *)
-
-type shard_report = {
-  sr_shard : int;
-  sr_scheduled : int;  (** plan ops routed to this shard *)
-  sr_issued : int;  (** ops actually started on an idle node *)
-  sr_skipped : int;  (** ops dropped: no process could take them *)
-  sr_regularity : Regularity.report;
-}
-
-module type S = sig
-  module D : Deployment.S
-
-  type t
-
-  val create : config -> D.Protocol.params -> t
-  (** Builds all [shards] deployments at time 0.
-      @raise Invalid_argument when [shards <= 0] or [keys <= 0]. *)
-
-  val config : t -> config
-  val shards : t -> int
-
-  val deployment : t -> int -> D.t
-  (** Direct access to one shard's deployment (metrics, history,
-      events, membership — everything {!Deployment.S} exposes). *)
-
-  val route_key : t -> int -> int
-  (** [route ~shards] for this store. *)
-
-  (** {1 The facade} *)
-
-  val read : t -> key:int -> bool
-  (** Issues a read of [key] on a random idle active process of its
-      owning shard, at that shard's current time. [false] when no
-      process could take it this instant (nobody idle). *)
-
-  val write : t -> key:int -> value:int -> bool
-  (** Issues a write through the owning shard's designated writer
-      (re-electing one if the previous writer churned out — the
-      single-writer regime holds {e per shard}). [false] when no
-      writer is available or it is busy. *)
-
-  (** {1 Driving a plan} *)
-
-  val load : t -> op list -> unit
-  (** Schedules every op on its owning shard's scheduler at [op.at]
-      (issued through the facade when the clock gets there). Ops in
-      the past of a shard's clock are counted skipped. *)
-
-  val start_churn : t -> until:Time.t -> unit
-  (** Starts every shard's own churn process. *)
-
-  val run_until : t -> Time.t -> unit
-  (** Advances every shard to the horizon, in shard order. Shards
-      share no state, so the order is invisible in the results; it is
-      fixed anyway so wall-clock observations are stable too. *)
-
-  (** {1 Verdicts and telemetry} *)
-
-  val scheduled : t -> int
-  val issued : t -> int
-  val skipped : t -> int
-
-  val reports : t -> shard_report list
-  (** One per shard, ascending: scheduled/issued/skipped counts plus
-      the shard's own regularity verdict. *)
-
-  val regular : t -> bool
-  (** Every shard's register is regular. *)
-
-  val tagged_events : t -> (int option * Event.stamped) list
-  (** All shards' typed events, each tagged with its shard index,
-      stable-merged on the shared timeline — feed to
-      {!Export.jsonl_of_tagged_events} for a single auditable trace
-      file. *)
-end
-
-module Make (D : Deployment.S) : S with module D = D

@@ -175,14 +175,10 @@ let event_of_json j =
     Ok { at; ev }
   end
 
-let jsonl_of_events evs =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Json.to_buffer buf (event_to_json e);
-      Buffer.add_char buf '\n')
-    evs;
-  Buffer.contents buf
+let merge_tagged streams =
+  List.stable_sort
+    (fun ((_, a) : _ * Event.stamped) (_, b) -> Time.compare a.at b.at)
+    (List.concat streams)
 
 (* Shard-tagged JSONL: the same per-line encoding with one extra
    ["shard"] field. [event_of_json] never looks at unknown fields, so
@@ -203,6 +199,8 @@ let jsonl_of_tagged_events evs =
       Buffer.add_char buf '\n')
     evs;
   Buffer.contents buf
+
+let jsonl_of_events evs = jsonl_of_tagged_events (List.map (fun e -> (None, e)) evs)
 
 (* The one reader, for plain and shard-tagged traces alike. A
    malformed *final* line is the signature of a process that died

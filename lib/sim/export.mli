@@ -37,6 +37,11 @@ val jsonl_of_tagged_events : (int option * Event.stamped) list -> string
     that see one register ([dds inspect], [dds explain]) read the same
     file and simply drop the tag. *)
 
+val merge_tagged :
+  (int option * Event.stamped) list list -> (int option * Event.stamped) list
+(** Stable merge on the shared timeline (ties keep stream, then
+    emission order): per-shard streams or per-node traces as one. *)
+
 val events_of_jsonl :
   string -> ((int option * Event.stamped) list * string list, string) result
 (** Inverse of {!jsonl_of_events} and {!jsonl_of_tagged_events}: each

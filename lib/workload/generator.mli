@@ -1,5 +1,6 @@
 open Dds_sim
 open Dds_core
+open Dds_shard
 
 (** Randomized read/write workloads over a deployment.
 
@@ -32,4 +33,11 @@ module Make (D : Deployment.S) : sig
       (the caller still runs it). Ticks where no idle active process
       exists are skipped silently — under extreme churn there may be
       nobody to issue from, which is itself a measurable outcome. *)
+
+  val run_plan : D.t -> Shard.op list -> unit
+  (** Schedules a pre-drawn keyed plan ({!Skew.plan}), each op at its
+      tick: reads and writes (of the op's datum) are issued as {!run}
+      issues them. An op at or before the current tick, or one that
+      finds nobody to take it, is skipped; the [op.read] and [op.write]
+      counters count the ops issued. *)
 end

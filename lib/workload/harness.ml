@@ -3,18 +3,22 @@ open Dds_churn
 open Dds_spec
 open Dds_core
 open Dds_fault
+open Dds_shard
 module Monitor = Dds_monitor.Monitor
+
+type workload =
+  | Rate of { read_rate : float; write_every : int }
+  | Plan of Shard.op list
 
 type spec = {
   horizon : int;
   drain : int;
-  read_rate : float;
-  write_every : int;
+  workload : workload;
   monitor : Monitor.config option;
 }
 
 let default_spec ?monitor ~horizon ~drain () =
-  { horizon; drain; read_rate = 1.0; write_every = 20; monitor }
+  { horizon; drain; workload = Rate { read_rate = 1.0; write_every = 20 }; monitor }
 
 module type INSTANCE = sig
   module D : Deployment.S
@@ -45,6 +49,25 @@ let monitor_config ?churn_window ?(liveness_k = 10) ?(gst = false) (p : Protocol
     churn_bound = p.Protocol.churn_bound ~n ~delta;
     majority = p.Protocol.majority;
     inversions = p.Protocol.atomic;
+  }
+
+type audit = {
+  findings : Monitor.violation list;
+  regularity : Regularity.report;
+  overdue : int list;
+}
+
+let audit cfg ~initial evs =
+  let m = Monitor.create cfg in
+  List.iter (fun st -> ignore (Monitor.feed m st)) evs;
+  let last =
+    List.fold_left (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at) Time.zero evs
+  in
+  ignore (Monitor.finalize m ~at:last);
+  {
+    findings = Monitor.violations m;
+    regularity = Regularity.check (Replay.history_of_events ~initial:(Value.initial initial) evs);
+    overdue = Monitor.overdue_spans m;
   }
 
 type result = {
@@ -98,9 +121,10 @@ let run (module I : INSTANCE) (cfg : Deployment.config) spec plan =
   let mon = Option.map (attach (D.events d)) spec.monitor in
   let until = Time.of_int spec.horizon in
   D.start_churn d ~until;
-  G.run d
-    { Generator.read_rate = spec.read_rate; write_every = spec.write_every;
-      start = Time.of_int 1; until };
+  (match spec.workload with
+  | Rate { read_rate; write_every } ->
+    G.run d { Generator.read_rate; write_every; start = Time.of_int 1; until }
+  | Plan ops -> G.run_plan d ops);
   D.run_until d (Time.of_int (spec.horizon + spec.drain));
   let findings = match mon with None -> [] | Some m -> detach (D.events d) m ~at:(D.now d) in
   {
@@ -116,6 +140,33 @@ let run (module I : INSTANCE) (cfg : Deployment.config) spec plan =
     findings;
     injected = (match armed with None -> 0 | Some i -> Inj.total_injected i);
   }
+
+let run_shards inst (cfg : Deployment.config) ~shards spec plan =
+  if shards <= 0 then invalid_arg "Harness.run_shards: shards must be positive";
+  let ops =
+    match spec.workload with
+    | Plan ops -> ops
+    | Rate _ -> invalid_arg "Harness.run_shards: the workload must be a keyed plan"
+  in
+  let slices = Array.make shards [] in
+  List.iter
+    (fun (op : Shard.op) ->
+      let s = Shard.route ~shards ~key:op.Shard.key in
+      slices.(s) <- op :: slices.(s))
+    ops;
+  List.init shards (fun s ->
+      let slice = List.rev slices.(s) in
+      let seed = Shard.seed_for ~seed:cfg.Deployment.seed ~shard:s in
+      let cfg = { cfg with Deployment.seed; events_first_span = Shard.span_base s } in
+      (List.length slice, run inst cfg { spec with workload = Plan slice } plan))
+
+let issued r = Metrics.get r.metrics "op.read" + Metrics.get r.metrics "op.write"
+
+let tagged_events shards =
+  Export.merge_tagged
+    (List.mapi
+       (fun s (_, r) -> List.map (fun ev -> (Some s, ev)) (Event.events r.events))
+       shards)
 
 let outcome r =
   {

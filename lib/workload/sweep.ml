@@ -86,7 +86,9 @@ let config ?(adversarial = false) ~seed ~n ~delta c =
 
 (* One fault-free, unmonitored Harness run. *)
 let judged inst cfg ~read_rate ~write_every ~horizon ~drain =
-  Harness.run inst cfg { Harness.horizon; drain; read_rate; write_every; monitor = None } []
+  Harness.run inst cfg
+    { Harness.horizon; drain; workload = Harness.Rate { read_rate; write_every }; monitor = None }
+    []
 
 (* The threshold workload of E5, E13, E14 and E23: a read per tick, a
    write every 5 delta, 4 delta of drain. *)
@@ -360,7 +362,7 @@ let abd_vs_dynamic ?pool ~n ~delta ~c ~horizon ~seed () =
   let cfg = config ~seed ~n ~delta c in
   let spec =
     { (Harness.default_spec ~horizon ~drain:50 ()) with
-      Harness.read_rate = 0.5; write_every = 10 * delta }
+      Harness.workload = Harness.Rate { read_rate = 0.5; write_every = 10 * delta } }
   in
   let row (p : Protocol.t) =
     let r = Harness.run (Harness.instance_exn p ~n ~delta) cfg spec [] in
@@ -1085,11 +1087,8 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
       (fun sh -> List.concat_map (fun sk -> List.map (fun c -> (sh, sk, c)) churns) skews)
       shards
   in
+  let inst = Harness.instance_exn (Protocol.find_exn protocol) ~n ~delta in
   let cell (shard_count, skew, churn) =
-    let (module I) = Harness.instance_exn (Protocol.find_exn protocol) ~n ~delta in
-    let module Sh = Dds_shard.Shard.Make (I.D) in
-    let base = config ~seed ~n ~delta churn in
-    let store = Sh.create { Dds_shard.Shard.shards = shard_count; keys; base } I.params in
     (* One plan per (seed, skew): the identical op stream re-partitions
        across every shard count, so rows down a shards column measure
        routing and parallel registers, never a different workload. *)
@@ -1099,38 +1098,32 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
         { (Skew.default ~keys ~s:skew ~until:(time horizon)) with
           Skew.read_rate; write_every }
     in
-    Sh.start_churn store ~until:(time horizon);
-    Sh.load store plan;
-    Sh.run_until store (time (horizon + (20 * delta)));
-    let reads = Stats.create () and writes = Stats.create () in
-    let completed = ref 0 in
-    for s = 0 to shard_count - 1 do
-      let h = I.D.history (Sh.deployment store s) in
-      let cr = History.completed_reads h and cw = History.completed_writes h in
-      completed := !completed + List.length cr + List.length cw;
-      List.iter
-        (fun o -> match latency_of o with Some l -> Stats.add_int reads l | None -> ())
-        cr;
-      List.iter
-        (fun o -> match latency_of o with Some l -> Stats.add_int writes l | None -> ())
-        cw
-    done;
-    let per_shard = List.map (fun r -> r.Dds_shard.Shard.sr_scheduled) (Sh.reports store) in
-    let total_sched = Sh.scheduled store in
+    let shards =
+      Harness.run_shards inst (config ~seed ~n ~delta churn) ~shards:shard_count
+        { Harness.horizon; drain = 20 * delta; workload = Harness.Plan plan; monitor = None }
+        []
+    in
+    let all f = List.concat_map (fun (_, r) -> f r.Harness.history) shards in
+    let cr = all History.completed_reads and cw = all History.completed_writes in
+    let completed = List.length cr + List.length cw in
+    let total_sched = List.length plan in
     {
       sh_shards = shard_count;
       sh_skew = skew;
       sh_churn = churn;
       sh_scheduled = total_sched;
-      sh_issued = Sh.issued store;
-      sh_completed = !completed;
-      sh_throughput = float_of_int !completed /. float_of_int horizon;
-      sh_read_stats = reads;
-      sh_write_stats = writes;
+      sh_issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 shards;
+      sh_completed = completed;
+      sh_throughput = float_of_int completed /. float_of_int horizon;
+      sh_read_stats = latency_stats cr;
+      sh_write_stats = latency_stats cw;
       sh_hot_frac =
         (if total_sched = 0 then 0.0
-         else float_of_int (List.fold_left Stdlib.max 0 per_shard) /. float_of_int total_sched);
-      sh_regular = Sh.regular store;
+         else
+           float_of_int (List.fold_left (fun acc (routed, _) -> Stdlib.max acc routed) 0 shards)
+           /. float_of_int total_sched);
+      sh_regular =
+        List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) shards;
     }
   in
   pmap ?pool

@@ -7,10 +7,11 @@ open Dds_sim
     renders. All runners are deterministic in their [seed]/[seeds]
     arguments.
 
-    Every simulated register run goes through {!Harness.run}, except
-    where Harness cannot express the run: E15, E17 and E20 install
-    seeded per-message loss on the network, E23's session rows replace
-    the constant-rate churn process, and E25 drives a sharded store.
+    Every simulated register run goes through {!Harness.run} (E25's
+    sharded store through {!Harness.run_shards}), except where Harness
+    cannot express the run: E15, E17 and E20 install seeded
+    per-message loss on the network, and E23's session rows replace
+    the constant-rate churn process.
 
     Every multi-cell runner takes [?pool]: given a
     {!Dds_engine.Pool.t}, its independent (seed, params) cells run as
@@ -513,7 +514,7 @@ val shard_scaling :
     protocol: each cell draws one zipfian plan ({!Skew.plan}, the same
     per seed+skew regardless of shard count), hash-routes it across
     [shards] independent per-shard deployments of [n] processes each
-    ([Dds_shard.Shard]), runs them under per-shard churn, and reports
+    ({!Harness.run_shards}), runs them under per-shard churn, and reports
     store-wide throughput, latency and the conjunction of the
     per-shard regularity verdicts.
     @raise Invalid_argument on an unknown protocol name. *)

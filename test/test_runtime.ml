@@ -586,37 +586,27 @@ let bind_ephemeral () =
   in
   (fd, port)
 
-(* The monitor configuration `dds audit --proto es` would build: the
-   ES churn bound and standing-majority assumption, liveness at the
-   default k = 10. delta is in the trace's tick unit — simulator ticks
-   for a simulated trace, milliseconds for a wire trace. *)
-let es_monitor_config ~n ~delta =
-  let base = Dds_monitor.Monitor.default ~n ~delta in
-  {
-    base with
-    Dds_monitor.Monitor.liveness_bound = Some (10 * delta);
-    churn_bound = Some (1.0 /. (3.0 *. float_of_int delta *. float_of_int n));
-    majority = true;
-  }
-
+(* The verdict `dds audit --proto es` reaches on [evs]: clean monitors
+   (ES churn bound, standing majority, liveness at the default k = 10)
+   and a REGULAR history. delta is in the trace's tick unit — simulator
+   ticks for a simulated trace, milliseconds for a wire trace. *)
 let audit_verdict ~n ~delta evs =
-  let m = Dds_monitor.Monitor.create (es_monitor_config ~n ~delta) in
-  List.iter (fun st -> ignore (Dds_monitor.Monitor.feed m st)) evs;
-  let last_at =
-    List.fold_left (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at) Time.zero evs
+  let a =
+    Harness.audit (Harness.monitor_config (Protocol.find_exn "es") ~n ~delta) ~initial:0 evs
   in
-  ignore (Dds_monitor.Monitor.finalize m ~at:last_at);
-  let report = Replay.history_of_events ~initial:(Value.initial 0) evs |> Regularity.check in
-  (Dds_monitor.Monitor.violations m = [], Regularity.is_ok report)
+  (a.Harness.findings = [], Regularity.is_ok a.Harness.regularity)
 
-let read_trace path =
+let read_tagged_trace path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
   match Export.events_of_jsonl text with
-  | Ok (tagged, _) -> List.map snd tagged
+  | Ok (tagged, _) -> tagged
   | Error e -> Alcotest.failf "%s: %s" path e
+
+(* Every node's trace merged on the shared timeline, tags dropped. *)
+let merged_trace paths = List.map snd (Export.merge_tagged (List.map read_tagged_trace paths))
 
 let test_loopback_deployment () =
   let n = 3 in
@@ -700,11 +690,7 @@ let test_loopback_deployment () =
       ignore (Unix.waitpid [] pid);
       Unix.close ctl_w)
     children;
-  let merged =
-    Array.to_list traces
-    |> List.concat_map read_trace
-    |> List.stable_sort (fun (a : Event.stamped) b -> Time.compare a.at b.at)
-  in
+  let merged = merged_trace (Array.to_list traces) in
   Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) traces;
   check_bool "merged trace non-trivial" true (List.length merged > 100);
   (* The wire trace must audit exactly like a simulated deployment:
@@ -910,15 +896,6 @@ let test_hostile_frames () =
 (* ------------------------------------------------------------------ *)
 (* Live multi-shard deployment *)
 
-let read_tagged_trace path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  match Export.events_of_jsonl text with
-  | Ok (tagged, _) -> tagged
-  | Error e -> Alcotest.failf "%s: %s" path e
-
 (* The smallest key that lands on [shard] — scripted ops need one key
    per shard, and the placement hash is a pure function so searching
    the low key space is deterministic. *)
@@ -1031,15 +1008,15 @@ let test_sharded_loopback () =
       ignore (Unix.waitpid [] pid);
       Unix.close ctl_w)
     children;
-  let merged = Array.to_list traces |> List.concat_map read_tagged_trace in
+  let merged = Export.merge_tagged (List.map read_tagged_trace (Array.to_list traces)) in
   Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) traces;
   let tags = List.sort_uniq compare (List.filter_map fst merged) in
   check (Alcotest.list Alcotest.int) "both shards tagged in the merged trace" [ 0; 1 ] tags;
+  let slice tagged shard =
+    List.filter_map (fun (tag, ev) -> if tag = Some shard then Some ev else None) tagged
+  in
   let shard_verdict shard =
-    let evs =
-      List.filter_map (fun (tag, ev) -> if tag = Some shard then Some ev else None) merged
-      |> List.stable_sort (fun (a : Event.stamped) b -> Time.compare a.at b.at)
-    in
+    let evs = slice merged shard in
     check_bool
       (Printf.sprintf "shard %d trace non-trivial" shard)
       true
@@ -1047,40 +1024,36 @@ let test_sharded_loopback () =
     audit_verdict ~n:(List.length (Placement.owners placement shard)) ~delta:30 evs
   in
   let wire_verdicts = List.map shard_verdict [ 0; 1 ] in
-  (* The simulated twin: same shard count, key space and skew, run
-     through the simulator's sharded facade. Its per-shard verdicts
-     are the reference the live ones must match. *)
-  let module Es_d = Deployment.Make (Es_register) in
-  let module Sh_es = Shard.Make (Es_d) in
+  (* The simulated twin: same shard count, key space and skew, one
+     judged run per shard. Its per-shard verdicts are the reference the
+     live ones must match. *)
   let sim =
-    Sh_es.create
+    Harness.run_shards
+      (Harness.instance_exn (Protocol.find_exn "es") ~n ~delta:3)
       {
-        Shard.shards;
-        keys = 64;
-        base =
-          {
-            (Deployment.default_config ~seed:9 ~n ~delay:(Delay.synchronous ~delta:3)
-               ~churn_rate:0.0)
-            with
-            Deployment.events_enabled = true;
-          };
+        (Deployment.default_config ~seed:9 ~n ~delay:(Delay.synchronous ~delta:3)
+           ~churn_rate:0.0)
+        with
+        Deployment.events_enabled = true;
       }
-      (Es_register.default_params ~n)
+      ~shards
+      {
+        Harness.horizon = 300;
+        drain = 100;
+        workload =
+          Harness.Plan
+            (Skew.plan ~rng:(Rng.create ~seed:9)
+               { (Skew.default ~keys:64 ~s:1.1 ~until:(Time.of_int 300)) with
+                 Skew.read_rate = 0.5;
+                 write_every = 10 });
+        monitor = None;
+      }
+      []
   in
-  Sh_es.load sim
-    (Skew.plan ~rng:(Rng.create ~seed:9)
-       { (Skew.default ~keys:64 ~s:1.1 ~until:(Time.of_int 300)) with
-         Skew.read_rate = 0.5;
-         write_every = 10 });
-  Sh_es.run_until sim (Time.of_int 400);
-  check_bool "sim sharded store regular" true (Sh_es.regular sim);
-  let sim_tagged = Sh_es.tagged_events sim in
-  let sim_verdict shard =
-    let evs =
-      List.filter_map (fun (tag, ev) -> if tag = Some shard then Some ev else None) sim_tagged
-    in
-    audit_verdict ~n ~delta:3 evs
-  in
+  check_bool "sim sharded store regular" true
+    (List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) sim);
+  let sim_tagged = Harness.tagged_events sim in
+  let sim_verdict shard = audit_verdict ~n ~delta:3 (slice sim_tagged shard) in
   List.iteri
     (fun shard (wire_mon, wire_reg) ->
       let sim_mon, sim_reg = sim_verdict shard in
@@ -1301,11 +1274,7 @@ let with_protocol_store (p : Protocol.t) f =
           children)
       (fun () -> f addrs)
   in
-  let merged =
-    Array.to_list traces
-    |> List.concat_map read_trace
-    |> List.stable_sort (fun (a : Event.stamped) b -> Time.compare a.at b.at)
-  in
+  let merged = merged_trace (Array.to_list traces) in
   let coalesced =
     Array.fold_left
       (fun acc path ->
@@ -1316,10 +1285,10 @@ let with_protocol_store (p : Protocol.t) f =
       { reads = 0; writes = 0 } counts
   in
   Array.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) (Array.append traces counts);
-  let violations = Dds_monitor.Monitor.run (Harness.monitor_config p ~n ~delta) merged in
-  let report = Replay.history_of_events ~initial:(Value.initial 0) merged |> Regularity.check in
+  let a = Harness.audit (Harness.monitor_config p ~n ~delta) ~initial:0 merged in
+  let report = a.Harness.regularity in
   check_bool "audited trace holds reads" true (report.Regularity.checked_reads > 0);
-  (result, violations = [] && Regularity.is_ok report, coalesced)
+  (result, a.Harness.findings = [] && Regularity.is_ok report, coalesced)
 
 (* A v2 client connection on a raw socket: negotiate, then send a
    whole pipeline of frames in a single write and collect replies. *)

@@ -1,9 +1,11 @@
-(* Tests for the sharded multi-register key-space (lib/shard) and the
-   skewed workload generator (Dds_workload.Skew): routing conservation
+(* Tests for the sharded multi-register key-space: placement
+   (lib/shard), the skewed workload generator (Dds_workload.Skew) and
+   sharded runs through Harness.run_shards — routing conservation
    (every key owns exactly one shard and the per-shard op counts sum to
-   the plan), determinism under reseeding (placement never moves, only
-   traffic), span-id disjointness, tagged trace round-trips, and a
-   small end-to-end store that must audit REGULAR per shard. *)
+   the plan), issue accounting under churn, determinism under reseeding
+   (placement never moves, only traffic), span-id disjointness, tagged
+   trace round-trips, per-shard REGULAR verdicts, and the offline audit
+   agreeing with each shard's in-run monitors. *)
 
 open Dds_sim
 open Dds_net
@@ -11,13 +13,13 @@ open Dds_spec
 open Dds_core
 open Dds_workload
 module Shard = Dds_shard.Shard
-module D = Deployment.Make (Sync_register)
-module Sh = Shard.Make (D)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let time = Time.of_int
+let sync = Protocol.find_exn "sync"
+let sync_8 = Harness.instance_exn sync ~n:8 ~delta:3
 
 let base_config ?(seed = 7) ?(churn = 0.0) ?(events = false) () =
   {
@@ -27,16 +29,22 @@ let base_config ?(seed = 7) ?(churn = 0.0) ?(events = false) () =
     Deployment.events_enabled = events;
   }
 
-let make_store ?(shards = 4) ?(keys = 64) ?seed ?churn ?events () =
-  Sh.create
-    { Shard.shards; keys; base = base_config ?seed ?churn ?events () }
-    (Sync_register.default_params ~delta:3)
-
 let plan ?(keys = 64) ?(s = 1.0) ?(seed = 11) ?(until = 300) ?(read_rate = 1.0)
     ?(write_every = 10) ?storm ?(rotate_every = 0) () =
   Skew.plan ~rng:(Rng.create ~seed)
     { (Skew.default ~keys ~s ~until:(time until)) with
       Skew.read_rate; write_every; storm; rotate_every }
+
+(* A sharded sync store, n = 8 per shard, driven by [ops] up to
+   [horizon], drained 60 ticks. *)
+let run_store ?(shards = 4) ?seed ?churn ?events ?monitor ?(horizon = 300) ops =
+  Harness.run_shards sync_8
+    (base_config ?seed ?churn ?events ())
+    ~shards
+    { Harness.horizon; drain = 60; workload = Harness.Plan ops; monitor }
+    []
+
+let routed shards = List.fold_left (fun acc (n, _) -> acc + n) 0 shards
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties: routing *)
@@ -58,43 +66,43 @@ let prop_route_deterministic =
     (fun (shards, key, _seed) ->
       Shard.route ~shards ~key = Shard.route ~shards ~key)
 
-(* Conservation through a store: the per-shard scheduled counts sum to
+(* Conservation through a store: the per-shard routed counts sum to
    the generator's total, i.e. hashing partitions the plan, never
-   duplicating or dropping an op. *)
+   duplicating or dropping an op, and every shard gets exactly the ops
+   whose keys route to it. *)
 let prop_counts_conserve =
   QCheck2.Test.make ~name:"per-shard op counts sum to the plan total" ~count:25
     QCheck2.Gen.(triple (int_range 1 8) (int_range 1 128) (int_range 0 10_000))
     (fun (shards, keys, seed) ->
       let ops = plan ~keys ~seed ~until:120 () in
-      let store =
-        Sh.create
-          { Shard.shards; keys; base = base_config ~seed () }
-          (Sync_register.default_params ~delta:3)
-      in
-      Sh.load store ops;
-      let per_shard = List.map (fun r -> r.Shard.sr_scheduled) (Sh.reports store) in
-      List.fold_left ( + ) 0 per_shard = List.length ops
-      && Sh.scheduled store = List.length ops)
+      let store = run_store ~shards ~seed ~horizon:120 ops in
+      let owned s = List.filter (fun (o : Shard.op) -> Shard.route ~shards ~key:o.Shard.key = s) ops in
+      routed store = List.length ops
+      && List.for_all Fun.id (List.mapi (fun s (n, _) -> n = List.length (owned s)) store))
 
-(* The issue-time invariant: scheduled = issued + skipped, per shard
-   and in total, even under churn. *)
+(* The issue-time invariant under churn, per shard: every issued op
+   (the op.read + op.write counters) is an op of the shard's history,
+   and the skipped ones (routed - issued) are never negative. *)
 let prop_issue_conserves =
   QCheck2.Test.make ~name:"scheduled = issued + skipped under churn" ~count:10
     QCheck2.Gen.(pair (int_range 1 6) (int_range 0 10_000))
     (fun (shards, seed) ->
       let ops = plan ~seed ~until:200 () in
-      let store =
-        Sh.create
-          { Shard.shards; keys = 64; base = base_config ~seed ~churn:0.03 () }
-          (Sync_register.default_params ~delta:3)
-      in
-      Sh.start_churn store ~until:(time 200);
-      Sh.load store ops;
-      Sh.run_until store (time 260);
-      List.for_all
-        (fun r -> r.Shard.sr_scheduled = r.Shard.sr_issued + r.Shard.sr_skipped)
-        (Sh.reports store)
-      && Sh.scheduled store = Sh.issued store + Sh.skipped store)
+      let store = run_store ~shards ~seed ~churn:0.03 ~horizon:200 ops in
+      routed store = List.length ops
+      && List.for_all
+           (fun (n, (r : Harness.result)) ->
+             let in_history =
+               List.length
+                 (List.filter
+                    (fun (o : History.op) ->
+                      match o.History.kind with
+                      | History.Read _ | History.Write _ -> true
+                      | History.Join _ -> false)
+                    (History.ops r.Harness.history))
+             in
+             Harness.issued r = in_history && Harness.issued r <= n)
+           store)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties: the skewed generator *)
@@ -171,51 +179,30 @@ let test_rotation_moves_hot_key () =
 (* ------------------------------------------------------------------ *)
 (* Unit: the store end to end *)
 
+let regular (r : Harness.result) = Regularity.is_ok r.Harness.regularity
+
 let test_store_regular_per_shard () =
-  let store = make_store ~shards:4 ~churn:0.02 () in
-  Sh.start_churn store ~until:(time 300);
-  Sh.load store (plan ());
-  Sh.run_until store (time 360);
-  check_int "4 shard reports" 4 (List.length (Sh.reports store));
-  List.iter
-    (fun r ->
-      check_bool
-        (Printf.sprintf "shard %d regular" r.Shard.sr_shard)
-        true
-        (Regularity.is_ok r.Shard.sr_regularity))
-    (Sh.reports store);
-  check_bool "store regular" true (Sh.regular store);
-  check_bool "work was issued" true (Sh.issued store > 0)
+  let store = run_store ~shards:4 ~churn:0.02 (plan ()) in
+  check_int "4 shard results" 4 (List.length store);
+  List.iteri
+    (fun s (_, r) -> check_bool (Printf.sprintf "shard %d regular" s) true (regular r))
+    store;
+  check_bool "work was issued" true
+    (List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 store > 0)
 
 let test_store_same_plan_any_shard_count () =
   (* The identical plan re-partitions across shard counts: total
-     scheduled is invariant. *)
-  let ops = plan () in
-  let totals =
-    List.map
-      (fun shards ->
-        let store = make_store ~shards () in
-        Sh.load store ops;
-        Sh.scheduled store)
-      [ 1; 2; 4; 8 ]
-  in
-  List.iter (fun t -> check_int "total invariant" (List.length ops) t) totals
-
-let test_facade_routes () =
-  let store = make_store ~shards:4 ~keys:64 () in
-  (* The facade must agree with the pure router for every key. *)
-  for key = 0 to 63 do
-    check_int
-      (Printf.sprintf "facade route key %d" key)
-      (Shard.route ~shards:4 ~key) (Sh.route_key store key)
-  done
+     routed is invariant. *)
+  let ops = plan ~until:100 () in
+  List.iter
+    (fun shards ->
+      check_int "total invariant" (List.length ops)
+        (routed (run_store ~shards ~horizon:100 ops)))
+    [ 1; 2; 4; 8 ]
 
 let test_span_bases_disjoint () =
-  let store = make_store ~shards:3 ~events:true () in
-  Sh.load store (plan ~until:100 ());
-  Sh.run_until store (time 160);
+  let tagged = Harness.tagged_events (run_store ~shards:3 ~events:true (plan ~until:100 ())) in
   (* Span ids from different shards must live in disjoint 1M bands. *)
-  let tagged = Sh.tagged_events store in
   check_bool "events recorded" true (tagged <> []);
   List.iter
     (fun ((shard, ev) : int option * Event.stamped) ->
@@ -229,22 +216,44 @@ let test_span_bases_disjoint () =
       | _ -> ())
     tagged
 
-let test_tagged_export_roundtrip () =
-  let store = make_store ~shards:3 ~events:true () in
-  Sh.load store (plan ~until:100 ());
-  Sh.run_until store (time 160);
-  let tagged = Sh.tagged_events store in
-  let text = Export.jsonl_of_tagged_events tagged in
+let parse_tagged text =
   match Export.events_of_jsonl text with
   | Error e -> Alcotest.failf "tagged parse: %s" e
   | Ok (_, w :: _) -> Alcotest.failf "tagged parse truncated: %s" w
-  | Ok (back, []) ->
-    check_int "round-trip count" (List.length tagged) (List.length back);
-    List.iter2
-      (fun (s1, (e1 : Event.stamped)) (s2, (e2 : Event.stamped)) ->
-        check_bool "tag preserved" true (s1 = s2);
-        check_bool "timestamp preserved" true (Time.compare e1.Event.at e2.Event.at = 0))
-      tagged back
+  | Ok (back, []) -> back
+
+let test_tagged_export_roundtrip () =
+  let tagged = Harness.tagged_events (run_store ~shards:3 ~events:true (plan ~until:100 ())) in
+  let back = parse_tagged (Export.jsonl_of_tagged_events tagged) in
+  check_int "round-trip count" (List.length tagged) (List.length back);
+  List.iter2
+    (fun (s1, (e1 : Event.stamped)) (s2, (e2 : Event.stamped)) ->
+      check_bool "tag preserved" true (s1 = s2);
+      check_bool "timestamp preserved" true (Time.compare e1.Event.at e2.Event.at = 0))
+    tagged back
+
+(* Differential: each shard's in-run verdict (Harness's live monitors
+   and regularity check) equals the offline audit of that shard's
+   slice of the exported tagged trace. Churn 0.15 is past sync's bound
+   1/(3 delta) = 0.111, so the churn monitor has findings to agree on. *)
+let test_audit_matches_run () =
+  let monitor = Harness.monitor_config sync ~n:8 ~delta:3 in
+  let store = run_store ~shards:3 ~churn:0.15 ~monitor (plan ~until:200 ()) ~horizon:200 in
+  let back = parse_tagged (Export.jsonl_of_tagged_events (Harness.tagged_events store)) in
+  check_bool "the run is past the churn bound" true
+    (List.exists (fun (_, r) -> r.Harness.findings <> []) store);
+  List.iteri
+    (fun s (_, (r : Harness.result)) ->
+      let slice = List.filter_map (fun (t, ev) -> if t = Some s then Some ev else None) back in
+      let a = Harness.audit monitor ~initial:0 slice in
+      check
+        (Alcotest.list Alcotest.string)
+        (Printf.sprintf "shard %d findings" s)
+        (List.map (Format.asprintf "%a" Dds_monitor.Monitor.pp_violation) r.Harness.findings)
+        (List.map (Format.asprintf "%a" Dds_monitor.Monitor.pp_violation) a.Harness.findings);
+      check_bool (Printf.sprintf "shard %d regularity" s) true
+        (r.Harness.regularity = a.Harness.regularity))
+    store
 
 let test_shard_table_columns () =
   let e = Result.get_ok (Experiment.find "shard") in
@@ -290,9 +299,10 @@ let () =
             test_store_regular_per_shard;
           Alcotest.test_case "plan invariant across shard counts" `Quick
             test_store_same_plan_any_shard_count;
-          Alcotest.test_case "facade agrees with the router" `Quick test_facade_routes;
           Alcotest.test_case "span bases disjoint" `Quick test_span_bases_disjoint;
           Alcotest.test_case "tagged export round-trip" `Quick test_tagged_export_roundtrip;
+          Alcotest.test_case "audit agrees with each shard's run" `Quick
+            test_audit_matches_run;
           Alcotest.test_case "E25 table columns" `Quick test_shard_table_columns;
         ] );
     ]
