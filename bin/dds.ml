@@ -151,18 +151,10 @@ let build_delay c =
 
 let build_config c =
   {
-    Deployment.seed = c.seed;
-    n = c.n;
-    delay = build_delay c;
-    churn_rate = c.churn;
-    churn_profile = None;
-    churn_policy = c.policy;
-    protect_writer = true;
-    initial_value = 0;
-    broadcast_mode = Network.Primitive;
-    trace_enabled = c.trace;
-    events_enabled = c.trace_out <> None || c.monitor || c.dot_out <> None;
-    events_first_span = 0;
+    (Deployment.default_config ~seed:c.seed ~n:c.n ~delay:(build_delay c) ~churn_rate:c.churn)
+    with
+    Deployment.churn_policy = c.policy;
+    events_enabled = c.trace || c.trace_out <> None || c.monitor || c.dot_out <> None;
   }
 
 (* The monitors the protocol's registry entry calls for (see
@@ -209,6 +201,16 @@ let events_of_trace path text =
       tagged)
     (Export.events_of_jsonl text)
 
+(* [--trace]: one line per typed event, in the order [--trace-out]
+   writes them; a sharded run's lines name their shard. *)
+let print_events tagged =
+  List.iter
+    (fun (shard, (st : Event.stamped)) ->
+      Format.printf "[t=%d] %s%a@." (Time.to_int st.Event.at)
+        (match shard with Some s -> Printf.sprintf "s%d " s | None -> "")
+        Event.pp st.Event.ev)
+    tagged
+
 (* [dds run]: one judged run, rendered. *)
 let run_single (proto : Protocol.t) c =
   let monitor = if c.monitor then Some (monitor_config_for proto c) else None in
@@ -216,7 +218,8 @@ let run_single (proto : Protocol.t) c =
   | Error e -> `Error (false, e)
   | Ok go ->
     let r = go ~seed:c.seed (Option.value c.nemesis ~default:[]) in
-    if c.trace then Trace.pp Format.std_formatter r.Harness.trace;
+    if c.trace then
+      print_events (List.map (fun ev -> (None, ev)) (Event.events r.Harness.events));
     (match c.dump_history with
     | Some path ->
       write_file path (History.to_csv r.Harness.history);
@@ -267,6 +270,8 @@ let run_sharded (p : Protocol.t) c =
   | Error e -> `Error (false, e)
   | Ok _ when c.dump_history <> None || c.dot_out <> None ->
     `Error (true, "--dump-history and --dot-out write one register's file: not with --shards")
+  | Ok _ when c.trace_format = "chrome" ->
+    `Error (true, "--trace-format chrome: a sharded trace is shard-tagged jsonl")
   | Ok inst ->
     (* The plan rng is dedicated (never shared with any shard's streams,
        which derive from Shard.seed_for), so the identical plan
@@ -283,6 +288,8 @@ let run_sharded (p : Protocol.t) c =
         (spec_for ?monitor c (Harness.Plan plan))
         (Option.value c.nemesis ~default:[])
     in
+    let tagged = Harness.tagged_events shards in
+    if c.trace then print_events tagged;
     let issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 shards in
     Format.printf "protocol   : %s, sharded store: %d shard(s) x n=%d, %d keys, zipf s=%g@."
       name c.shards c.n c.keys c.skew;
@@ -308,9 +315,6 @@ let run_sharded (p : Protocol.t) c =
         (List.fold_left (fun acc (_, r) -> acc + List.length r.Harness.findings) 0 shards);
     (match c.trace_out with
     | Some path ->
-      let tagged = Harness.tagged_events shards in
-      if c.trace_format = "chrome" then
-        Format.eprintf "note: sharded traces are always jsonl (shard-tagged lines)@.";
       write_file path (Export.jsonl_of_tagged_events tagged);
       Format.printf "trace written to %s (%d events, jsonl, shard-tagged)@." path
         (List.length tagged)
@@ -342,16 +346,31 @@ let run_protocol (p : Protocol.t) c = if c.shards > 0 then run_sharded p c else 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner terms *)
 
+(* A numeric flag narrower than its type: an out-of-range value is a
+   usage error at the CLI boundary, never an exception deep in a run. *)
+let checked conv ~ok ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~ok:(fun k -> k > 0) ~what:"must be positive"
+let nonneg_int = checked Arg.int ~ok:(fun k -> k >= 0) ~what:"must not be negative"
+let nonneg_float = checked Arg.float ~ok:(fun x -> x >= 0.0) ~what:"must not be negative"
+
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc:"Deterministic run seed.")
 
 let n_t =
   Arg.(
-    value & opt int 20
+    value & opt positive_int 20
     & info [ "n"; "nodes" ] ~docv:"INT" ~doc:"Constant system size.")
 
 let delta_t =
-  Arg.(value & opt int 3 & info [ "delta" ] ~docv:"TICKS" ~doc:"Message delay bound.")
+  Arg.(value & opt positive_int 3 & info [ "delta" ] ~docv:"TICKS" ~doc:"Message delay bound.")
 
 let churn_t =
   Arg.(
@@ -379,21 +398,6 @@ let write_every_t =
     value & opt int 20
     & info [ "write-every" ] ~docv:"TICKS" ~doc:"One write every this many ticks (0: never).")
 
-(* A numeric flag narrower than its type: an out-of-range value is a
-   usage error at the CLI boundary, never an exception deep in a run. *)
-let checked conv ~ok ~what =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S: %s" s what))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let positive_int = checked Arg.int ~ok:(fun k -> k > 0) ~what:"must be positive"
-let nonneg_int = checked Arg.int ~ok:(fun k -> k >= 0) ~what:"must not be negative"
-let nonneg_float = checked Arg.float ~ok:(fun x -> x >= 0.0) ~what:"must not be negative"
-
 let shards_t =
   Arg.(
     value & opt nonneg_int 0
@@ -403,9 +407,9 @@ let shards_t =
            n-node deployment with its own membership, churn and event stream, judged \
            like a single-register run: $(b,--monitor) and $(b,--nemesis) apply to every \
            shard) and drive them with a zipfian multi-key workload ($(b,--keys), \
-           $(b,--skew)). The trace is always shard-tagged JSONL; $(b,--dump-history) \
-           and $(b,--dot-out) do not apply. 0 (the default) is the classic \
-           single-register run.")
+           $(b,--skew)). The trace is always shard-tagged JSONL; $(b,--trace-format) \
+           $(b,chrome), $(b,--dump-history) and $(b,--dot-out) do not apply. 0 (the \
+           default) is the classic single-register run.")
 
 let keys_t =
   Arg.(
@@ -432,7 +436,14 @@ let wild_t =
     value & opt int 50
     & info [ "wild" ] ~docv:"TICKS" ~doc:"Pre-GST delay cap (with $(b,--gst)).")
 
-let trace_t = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the full event trace.")
+let trace_t =
+  Arg.(
+    value & flag
+    & info [ "trace" ]
+        ~doc:
+          "Print the run's typed events on stdout, one $(b,[t=TICK] EVENT) line each, the \
+           same events in the same order as $(b,--trace-out) writes; a sharded run's \
+           lines read $(b,[t=TICK] sSHARD EVENT).")
 
 let dump_history_t =
   Arg.(
@@ -484,13 +495,13 @@ let dot_out_t =
 let churn_window_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "churn-window" ] ~docv:"TICKS"
         ~doc:"Churn monitor's trailing window (default 3*delta).")
 
 let liveness_k_t =
   Arg.(
-    value & opt int 10
+    value & opt positive_int 10
     & info [ "liveness-k" ] ~docv:"K"
         ~doc:"Liveness monitor flags operations open longer than K*delta ticks.")
 

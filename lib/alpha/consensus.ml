@@ -54,7 +54,6 @@ let create arr ?(retry_every = 25) () =
         Network.create ~sched:(Register_array.scheduler arr)
           ~rng:(Rng.split (Register_array.rng arr))
           ~delay:(Delay.synchronous ~delta:3)
-          ~pp_msg:(fun ppf v -> Format.fprintf ppf "DECIDE(%d)" v)
           ();
       attached = Pid.Set.empty;
       attempts = Array.make (Register_array.k arr) 0;

@@ -98,7 +98,7 @@ let create ~seed ~n ~k ~delay ~churn_rate ?(churn_policy = Churn.Uniform)
   let membership = Membership.create () in
   let nets =
     Array.init k (fun _ ->
-        Network.create ~sched ~rng:(Rng.split net_rng) ~delay ~pp_msg:Es_register.pp_msg ())
+        Network.create ~sched ~rng:(Rng.split net_rng) ~delay ())
   in
   let initial_value = Value.initial (Codec.pack Codec.bottom) in
   let histories = Array.init k (fun _ -> History.create ~initial:initial_value) in

@@ -1,6 +1,5 @@
 open Dds_sim
 open Dds_net
-open Dds_churn
 open Dds_spec
 open Dds_core
 open Dds_fault
@@ -179,20 +178,9 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
     ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~sleep0 ~preempts0 ~fresh_limit
     ~por ~(cache : cache option) () : run_result =
   let dconfig =
-    {
-      Deployment.seed = 0;
-      n = cfg.nodes;
-      delay = Delay.adversarial (fun _ -> cfg.delta);
-      churn_rate = 0.0;
-      churn_profile = None;
-      churn_policy = Churn.Uniform;
-      protect_writer = true;
-      initial_value = 0;
-      broadcast_mode = Network.Primitive;
-      trace_enabled = false;
-      events_enabled = false;
-      events_first_span = 0;
-    }
+    Deployment.default_config ~seed:0 ~n:cfg.nodes
+      ~delay:(Delay.adversarial (fun _ -> cfg.delta))
+      ~churn_rate:0.0
   in
   let d = D.create dconfig params in
   let sched = D.scheduler d in

@@ -14,7 +14,6 @@ type config = {
   protect_writer : bool;
   initial_value : int;
   broadcast_mode : Network.broadcast_mode;
-  trace_enabled : bool;
   events_enabled : bool;
   events_first_span : int;
 }
@@ -30,7 +29,6 @@ let default_config ~seed ~n ~delay ~churn_rate =
     protect_writer = true;
     initial_value = 0;
     broadcast_mode = Network.Primitive;
-    trace_enabled = false;
     events_enabled = false;
     events_first_span = 0;
   }
@@ -53,7 +51,6 @@ module type S = sig
   val metrics : t -> Metrics.t
   val metrics_snapshot : t -> Metrics.snapshot
   val events : t -> Event.sink
-  val trace : t -> Trace.t
   val workload_rng : t -> Rng.t
   val now : t -> Time.t
   val writer : t -> Pid.t option
@@ -87,7 +84,6 @@ module Make (P : Register_intf.PROTOCOL) = struct
     history : History.t;
     metrics : Metrics.t;
     events : Event.sink;
-    trace : Trace.t;
     churn_rng : Rng.t;
     workload_rng : Rng.t;
     pid_gen : Pid.gen;
@@ -106,7 +102,6 @@ module Make (P : Register_intf.PROTOCOL) = struct
   let history t = t.history
   let metrics t = t.metrics
   let events t = t.events
-  let trace t = t.trace
   let workload_rng t = t.workload_rng
   let now t = Scheduler.now t.sched
 
@@ -159,21 +154,18 @@ module Make (P : Register_intf.PROTOCOL) = struct
         History.end_join t.history op_id ~now:(now t) value;
         untrack_op t pid op_id;
         Metrics.observe t.metrics "latency.join" ~edges:latency_edges
-          (float_of_int (Time.diff (now t) entered));
-        Trace.recordf t.trace ~time:(now t) ~topic:"join" "%a active with %a" Pid.pp pid
-          Value.pp value
+          (float_of_int (Time.diff (now t) entered))
       end
     in
     let node = P.create ~rt:t.rt ~params:t.params ~pid ~initial:None ~on_active in
     Pid.Table.replace t.nodes pid node;
-    Trace.recordf t.trace ~time:(now t) ~topic:"join" "%a enters" Pid.pp pid;
     pid
 
   (* A crash-stop and a graceful leave are mechanically the same
      departure — the model equates them (a crash is an unannounced
      leave, and [P.leave] is already silent in every protocol) — so
      they share one path and differ only in bookkeeping: the membership
-     record, the emitted event and the trace topic say which it was. *)
+     record and the emitted event say which it was. *)
   let depart t ~crashed ~who pid =
     match Pid.Table.find_opt t.nodes pid with
     | None -> invalid_arg (Format.asprintf "Deployment.%s: unknown %a" who Pid.pp pid)
@@ -189,11 +181,7 @@ module Make (P : Register_intf.PROTOCOL) = struct
       abort_pending t pid;
       Membership.remove t.membership ~crashed pid ~now:(now t);
       Pid.Table.remove t.nodes pid;
-      if t.writer = Some pid then t.writer <- None;
-      Trace.recordf t.trace ~time:(now t)
-        ~topic:(if crashed then "crash" else "leave")
-        "%a %s" Pid.pp pid
-        (if crashed then "crash-stops" else "leaves")
+      if t.writer = Some pid then t.writer <- None
 
   let retire t pid = depart t ~crashed:false ~who:"retire" pid
   let crash t pid = depart t ~crashed:true ~who:"crash" pid
@@ -213,10 +201,9 @@ module Make (P : Register_intf.PROTOCOL) = struct
     let sched = Scheduler.create () in
     let metrics = Metrics.create () in
     let events = Event.create ~first_span:cfg.events_first_span ~enabled:cfg.events_enabled () in
-    let trace = Trace.create ~enabled:cfg.trace_enabled () in
     let net =
-      Network.create ~sched ~rng:net_rng ~delay:cfg.delay ~metrics ~trace ~events
-        ~pp_msg:P.pp_msg ~msg_kind:P.msg_kind ~put_msg:P.put_msg
+      Network.create ~sched ~rng:net_rng ~delay:cfg.delay ~metrics ~events
+        ~msg_kind:P.msg_kind ~put_msg:P.put_msg
         ~broadcast_mode:cfg.broadcast_mode ~nodes:cfg.n ()
     in
     let membership = Membership.create ~metrics ~events ~nodes:cfg.n () in
@@ -243,7 +230,6 @@ module Make (P : Register_intf.PROTOCOL) = struct
         history;
         metrics;
         events;
-        trace;
         churn_rng;
         workload_rng;
         pid_gen = Pid.generator ();
@@ -363,7 +349,6 @@ module Make (P : Register_intf.PROTOCOL) = struct
       match random_idle_active t with
       | Some pid ->
         t.writer <- Some pid;
-        Trace.recordf t.trace ~time:(now t) ~topic:"writer" "%a elected writer" Pid.pp pid;
         t.writer
       | None -> None)
 

@@ -30,7 +30,6 @@ type config = {
       (** the postulated primitive, or the flooding implementation of
           it (remember to scale the protocol's delta to
           [relay_depth * hop bound]) *)
-  trace_enabled : bool;
   events_enabled : bool;
       (** record typed telemetry ({!Event.t}) for the whole run: every
           message copy, membership change, and operation span. Off by
@@ -45,8 +44,8 @@ type config = {
 }
 
 val default_config : seed:int -> n:int -> delay:Delay.t -> churn_rate:float -> config
-(** Uniform churn policy, protected writer, initial value 0, no trace,
-    no typed events. *)
+(** Uniform churn policy, protected writer, initial value 0, primitive
+    broadcast, no typed events. *)
 
 (** The interface a deployment presents, abstracted over its protocol
     so generic drivers (workload generators, sweep runners) can be
@@ -82,7 +81,6 @@ module type S = sig
       in-flight span with an [Aborted] {!Event.Op_end}, so every
       [Op_start] in the record is matched. *)
 
-  val trace : t -> Trace.t
   val workload_rng : t -> Rng.t
   (** A dedicated stream for workload decisions, so adding workload
       randomness never perturbs delay or churn draws. *)

@@ -120,7 +120,7 @@ let create cfg =
   let net =
     Network.create ~sched ~rng:net_rng
       ~delay:(Delay.synchronous ~delta:cfg.delta)
-      ~metrics ~pp_msg:Sync_register.pp_msg ()
+      ~metrics ()
   in
   let t =
     {

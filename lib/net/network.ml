@@ -46,9 +46,7 @@ type 'a t = {
   delay : Delay.t;
   metrics : Metrics.t option;
   hot : hot option;  (** [Some] iff [metrics] is *)
-  trace : Trace.t option;
   events : Event.sink option;
-  pp_msg : (Format.formatter -> 'a -> unit) option;
   msg_kind : ('a -> string) option;
   put_msg : (Buffer.t -> 'a -> unit) option;
   key_buf : Buffer.t;  (** reused for every delivery key; one per network *)
@@ -66,7 +64,7 @@ type 'a t = {
           event sink is wired (the stamps are observable nowhere else) *)
 }
 
-let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
+let create ~sched ~rng ~delay ?metrics ?events ?msg_kind ?put_msg
     ?(broadcast_mode = Primitive) ?fault ?(nodes = 64) () =
   (match broadcast_mode with
   | Flooding { relay_depth } when relay_depth < 1 ->
@@ -78,9 +76,7 @@ let create ~sched ~rng ~delay ?metrics ?trace ?events ?pp_msg ?msg_kind ?put_msg
     delay;
     metrics;
     hot = Option.map hot_counters metrics;
-    trace;
     events;
-    pp_msg;
     msg_kind;
     put_msg;
     key_buf = Buffer.create 64;
@@ -100,21 +96,11 @@ let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> (
 let count t pick = match t.hot with Some h -> Metrics.bump (pick h) | None -> ()
 let now t = Scheduler.now t.sched
 
-(* Telemetry. Call sites test [events_live]/[trace_live] first and
-   build their event or trace arguments only inside the test, so
-   disabled telemetry allocates nothing: no closure, no event, no
-   rendered payload. *)
+(* Telemetry. Call sites test [events_live] first and build their
+   event only inside the test, so disabled telemetry allocates
+   nothing: no closure, no event. *)
 let events_live t = match t.events with Some s -> Event.enabled s | None -> false
-let trace_live t = match t.trace with Some tr -> Trace.enabled tr | None -> false
 let emit t ev = match t.events with Some s -> Event.emit s ~at:(now t) ev | None -> ()
-
-let tracef t ~topic fmt =
-  match t.trace with
-  | Some tr -> Trace.recordf tr ~time:(now t) ~topic fmt
-  | None -> Format.ikfprintf ignore Format.str_formatter fmt
-
-let pp_payload t ppf msg =
-  match t.pp_msg with Some pp -> pp ppf msg | None -> Format.pp_print_string ppf "<msg>"
 
 let kind_of t msg = match t.msg_kind with Some f -> f msg | None -> "msg"
 
@@ -231,8 +217,6 @@ let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
              sent = sent_lc;
            })
     end;
-    if trace_live t then
-      tracef t ~topic:"net" "deliver %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg;
     match on_arrival with Some f -> f handler | None -> handler ~src:as_src msg)
   | exception Not_found ->
     (* Destination left the system before delivery. *)
@@ -240,9 +224,7 @@ let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
     if events_live t then
       emit t
         (Event.Drop
-           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Departed });
-    if trace_live t then
-      tracef t ~topic:"net" "drop(left) %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg
+           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Departed })
 
 (* Schedules one copy. [as_src] is the sender identity the protocol
    handler observes — forged by an injected Corrupt_tag; the
@@ -284,10 +266,7 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
              src = Pid.to_int src;
              dst = Pid.to_int dst;
              kind = kind_of t msg;
-           });
-    if trace_live t then
-      tracef t ~topic:"fault" "inject %s %a->%a: %a" (fault_action_name faulted) Pid.pp src
-        Pid.pp dst (pp_payload t) msg);
+           }));
   match action with
   | Pass -> copy t ~kind ~src ~dst ~as_src:src ~extra:0 ~on_arrival decision msg
   | Drop_msg ->
@@ -296,9 +275,7 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
     if events_live t then
       emit t
         (Event.Drop
-           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Faulted });
-    if trace_live t then
-      tracef t ~topic:"net" "fault-drop %a->%a: %a" Pid.pp src Pid.pp dst (pp_payload t) msg
+           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Faulted })
   | Delay_by { extra } ->
     copy t ~kind ~src ~dst ~as_src:src ~extra:(Stdlib.max 0 extra) ~on_arrival decision msg
   | Corrupt_tag ->

@@ -82,9 +82,7 @@ val create :
   rng:Rng.t ->
   delay:Delay.t ->
   ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
   ?events:Event.sink ->
-  ?pp_msg:(Format.formatter -> 'a -> unit) ->
   ?msg_kind:('a -> string) ->
   ?put_msg:(Buffer.t -> 'a -> unit) ->
   ?broadcast_mode:broadcast_mode ->
@@ -95,13 +93,13 @@ val create :
 (** A network with no attached processes. [metrics] (counters
     [net.sent], [net.broadcast], [net.transmit], [net.delivered],
     [net.dropped], [net.faulted], [net.injected], [net.relayed],
-    [net.duplicate]) and [trace] are optional observability sinks;
+    [net.duplicate]) is an optional observability sink;
     [events] receives typed [Send]/[Deliver]/[Drop] telemetry, one
     [Send] per point-to-point copy (a broadcast fans out into one per
     present destination, an injected duplicate adds one more), so a
     trace's [Send] count always equals the [net.transmit] counter.
-    [pp_msg] renders payloads in string traces; [msg_kind] names each
-    payload's wire kind (e.g. ["INQUIRY"]) in typed events.
+    [msg_kind] names each payload's wire kind (e.g. ["INQUIRY"]) in
+    typed events; payloads themselves never appear in telemetry.
     [put_msg] is the payload's binary codec; it is required only while
     the scheduler has a chooser installed, where every delivery is
     tagged with a key built from it (see {!tag_label}) — delivering

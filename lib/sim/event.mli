@@ -1,12 +1,12 @@
 (** Typed telemetry events.
 
-    Where {!Trace} records free-form strings for human eyes, an
-    {!Event.t} is a structured fact about the run — a membership
-    change, one message transmission, one operation phase — that
-    exporters ({!Export}), tests and the [dds inspect] summarizer can
-    all consume without parsing prose. Node identities are carried as
-    raw integers (the underlying value of a [Pid.t]) so the event
-    model lives below the network layer.
+    An {!Event.t} is a structured fact about the run — a membership
+    change, one message transmission, one operation phase. It is the
+    run's only record: exporters ({!Export}), the monitors, tests, the
+    [dds inspect] summarizer and [dds run --trace]'s one-line-per-event
+    listing ({!pp}) all consume the same stream without parsing prose.
+    Node identities are carried as raw integers (the underlying value
+    of a [Pid.t]) so the event model lives below the network layer.
 
     Operations are described by {e spans}: a span id is allocated when
     an operation starts ({!fresh_span}), marks its progress with
@@ -109,8 +109,8 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Sinks}
 
-    A sink buffers stamped events in emission order. Like {!Trace}, a
-    sink created disabled drops everything without allocating, so the
+    A sink buffers stamped events in emission order. A sink created
+    disabled drops everything without allocating, so the
     hot path of a million-operation sweep pays one branch per
     potential event. *)
 

@@ -77,7 +77,6 @@ type result = {
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;
   events : Event.sink;
-  trace : Trace.t;
   analysis : Analysis.t;
   membership : Membership.t;
   findings : Monitor.violation list;
@@ -134,7 +133,6 @@ let run (module I : INSTANCE) (cfg : Deployment.config) spec plan =
     metrics = D.metrics d;
     snapshot = D.metrics_snapshot d;
     events = D.events d;
-    trace = D.trace d;
     analysis = D.analysis d;
     membership = D.membership d;
     findings;

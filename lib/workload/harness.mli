@@ -99,7 +99,6 @@ type result = {
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;  (** taken after the run, gauges included *)
   events : Event.sink;  (** typed events, monitor findings included *)
-  trace : Trace.t;
   analysis : Analysis.t;
   membership : Membership.t;
   findings : Dds_monitor.Monitor.violation list;

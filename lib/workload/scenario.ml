@@ -50,20 +50,8 @@ let fig3_delay (dec : Delay.decision) =
 
 let fig3 ~join_wait =
   let cfg =
-    {
-      Deployment.seed = 1;
-      n = 3;
-      delay = Delay.adversarial fig3_delay;
-      churn_rate = 0.0;
-      churn_profile = None;
-      churn_policy = Dds_churn.Churn.Uniform;
-      protect_writer = true;
-      initial_value = 0;
-      broadcast_mode = Network.Primitive;
-      trace_enabled = false;
-      events_enabled = false;
-      events_first_span = 0;
-    }
+    Deployment.default_config ~seed:1 ~n:3
+      ~delay:(Delay.adversarial fig3_delay) ~churn_rate:0.0
   in
   let d =
     Sync_d.create cfg
@@ -118,20 +106,8 @@ let inversion_delay (dec : Delay.decision) =
 
 let inversion () =
   let cfg =
-    {
-      Deployment.seed = 2;
-      n = 3;
-      delay = Delay.adversarial inversion_delay;
-      churn_rate = 0.0;
-      churn_profile = None;
-      churn_policy = Dds_churn.Churn.Uniform;
-      protect_writer = true;
-      initial_value = 0;
-      broadcast_mode = Network.Primitive;
-      trace_enabled = false;
-      events_enabled = false;
-      events_first_span = 0;
-    }
+    Deployment.default_config ~seed:2 ~n:3
+      ~delay:(Delay.adversarial inversion_delay) ~churn_rate:0.0
   in
   let d = Sync_d.create cfg (Sync_register.default_params ~delta:5) in
   let sched = Sync_d.scheduler d in
@@ -180,20 +156,8 @@ let async_staleness ~horizon =
     if Pid.equal dec.src (pid 0) && not (Pid.equal dec.dst (pid 0)) then huge else 1
   in
   let cfg =
-    {
-      Deployment.seed = 3;
-      n = 4;
-      delay = Delay.adversarial delay;
-      churn_rate = 0.0;
-      churn_profile = None;
-      churn_policy = Dds_churn.Churn.Uniform;
-      protect_writer = true;
-      initial_value = 0;
-      broadcast_mode = Network.Primitive;
-      trace_enabled = false;
-      events_enabled = false;
-      events_first_span = 0;
-    }
+    Deployment.default_config ~seed:3 ~n:4
+      ~delay:(Delay.adversarial delay) ~churn_rate:0.0
   in
   let d = Sync_d.create cfg (Sync_register.default_params ~delta:5) in
   let sched = Sync_d.scheduler d in
@@ -259,20 +223,8 @@ let es_inversion_delay (dec : Delay.decision) =
 
 let es_inversion ~read_repair () =
   let cfg =
-    {
-      Deployment.seed = 4;
-      n = 5;
-      delay = Delay.adversarial es_inversion_delay;
-      churn_rate = 0.0;
-      churn_profile = None;
-      churn_policy = Dds_churn.Churn.Uniform;
-      protect_writer = true;
-      initial_value = 0;
-      broadcast_mode = Network.Primitive;
-      trace_enabled = false;
-      events_enabled = false;
-      events_first_span = 0;
-    }
+    Deployment.default_config ~seed:4 ~n:5
+      ~delay:(Delay.adversarial es_inversion_delay) ~churn_rate:0.0
   in
   let d =
     Es_d.create cfg { (Es_register.default_params ~n:5) with Es_register.read_repair }

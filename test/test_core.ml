@@ -696,14 +696,18 @@ let test_deployment_writer_rotation () =
   check_bool "sns strictly increase across writers" true (strictly_increasing sns)
 
 let test_deployment_trace_records_lifecycle () =
-  let cfg = { (sync_cfg ~churn:0.05 ()) with Deployment.trace_enabled = true } in
+  let cfg = { (sync_cfg ~churn:0.05 ()) with Deployment.events_enabled = true } in
   let d = Sync_d.create cfg (sync_params ()) in
   Sync_d.start_churn d ~until:(time 60);
   Sync_d.run_until d (time 80);
-  let tr = Sync_d.trace d in
-  check_bool "join entries" true (Trace.find tr ~topic:"join" <> []);
-  check_bool "leave entries" true (Trace.find tr ~topic:"leave" <> []);
-  check_bool "net entries" true (Trace.find tr ~topic:"net" <> [])
+  let has p =
+    List.exists (fun (st : Event.stamped) -> p st.Event.at st.Event.ev)
+      (Event.events (Sync_d.events d))
+  in
+  check_bool "churn joins" true
+    (has (fun at -> function Event.Node_join _ -> Time.to_int at > 0 | _ -> false));
+  check_bool "leaves" true (has (fun _ -> function Event.Node_leave _ -> true | _ -> false));
+  check_bool "deliveries" true (has (fun _ -> function Event.Deliver _ -> true | _ -> false))
 
 let test_history_csv_export () =
   let d = Sync_d.create (sync_cfg ()) (sync_params ()) in

@@ -1,5 +1,5 @@
 (* Unit and property tests for the simulation substrate: Time, Rng,
-   Heap, Scheduler, Stats, Trace, Metrics. *)
+   Heap, Scheduler, Stats, Metrics. *)
 
 open Dds_sim
 
@@ -492,27 +492,7 @@ let prop_stats_mean_bounds =
       m >= Stats.min_value s -. 1e-9 && m <= Stats.max_value s +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Trace / Metrics *)
-
-let test_trace_roundtrip () =
-  let tr = Trace.create ~enabled:true () in
-  Trace.record tr ~time:(Time.of_int 1) ~topic:"a" "one";
-  Trace.recordf tr ~time:(Time.of_int 2) ~topic:"b" "two=%d" 2;
-  check_int "length" 2 (Trace.length tr);
-  (match Trace.entries tr with
-  | [ e1; e2 ] ->
-    check Alcotest.string "topic order" "a" e1.Trace.topic;
-    check Alcotest.string "formatted" "two=2" e2.Trace.detail
-  | _ -> Alcotest.fail "expected two entries");
-  check_int "find" 1 (List.length (Trace.find tr ~topic:"a"));
-  Trace.clear tr;
-  check_int "cleared" 0 (Trace.length tr)
-
-let test_trace_disabled () =
-  let tr = Trace.create ~enabled:false () in
-  Trace.record tr ~time:Time.zero ~topic:"x" "dropped";
-  Trace.recordf tr ~time:Time.zero ~topic:"x" "dropped %d" 1;
-  check_int "nothing recorded" 0 (Trace.length tr)
+(* Metrics *)
 
 let test_metrics () =
   let m = Metrics.create () in
@@ -797,8 +777,6 @@ let () =
       qsuite "stats-props" [ prop_stats_mean_bounds ];
       ( "trace-metrics",
         [
-          Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "gauges and histograms" `Quick test_metrics_gauges_histograms;
           Alcotest.test_case "handle shares the named count" `Quick
