@@ -79,7 +79,7 @@ module Summary = struct
       r.Regularity.violations;
     Format.printf "atomicity  : %d new/old inversion(s)@."
       (List.length (Atomicity.inversions history));
-    Format.printf "staleness  : %a@." Staleness.pp_report run.Harness.staleness;
+    Format.printf "staleness  : %a@." Staleness.pp_report (Staleness.measure history);
     Format.printf "pending    : %d op(s) blocked at horizon, %d aborted by departures@."
       (List.length (History.pending history))
       (List.length (History.aborted history));
@@ -89,7 +89,9 @@ module Summary = struct
       (Metrics.to_list run.Harness.metrics)
 end
 
-type common = {
+(* One run of the paper's model: n processes, delay bound delta, churn
+   rate c, and the workload up to the horizon. *)
+type sim = {
   seed : int;
   n : int;
   delta : int;
@@ -98,30 +100,42 @@ type common = {
   horizon : int;
   read_rate : float;
   write_every : int;
-  shards : int;  (** 0 = classic single-register run; >0 = sharded store *)
-  keys : int;  (** key-space size for the sharded workload *)
-  skew : float;  (** zipf exponent of the sharded workload *)
   gst : int option;  (** Some -> eventually synchronous delays *)
   wild : int;
-  trace : bool;
-  dump_history : string option;
-  trace_out : string option;
-  trace_format : string;  (** "jsonl" or "chrome" *)
-  metrics_out : string option;
-  monitor : bool;  (** run the online monitors against the live sink *)
-  dot_out : string option;  (** causal message graph as Graphviz DOT *)
-  churn_window : int option;  (** monitor window; default 3 * delta *)
-  liveness_k : int;  (** liveness deadline = k * delta ticks *)
-  nemesis : Nemesis.plan option;  (** fault schedule to arm before running *)
-  jobs : int;  (** engine workers for sweep/hunt; 0 = auto *)
+}
+
+(* How the monitors judge a run or a recorded trace. *)
+type judge = { churn_window : int option; liveness_k : int }
+
+(* The experiment engine behind sweep, hunt and check. *)
+type engine = {
+  jobs : int;  (** worker domains; 0 = auto *)
   minor_heap_words : int;  (** minor heap per engine domain; 0 = runtime default *)
   eprofile : bool;  (** profile the engine; summary to stderr *)
   profile_out : string option;  (** Chrome trace + summary JSON (implies eprofile) *)
+  metrics_out : string option;  (** the pool's metrics snapshot *)
 }
 
-(* A copy-pasteable repro of this run's configuration — echoed on
-   every failure path, so a red run is one paste away from replaying. *)
-let repro_line ~protocol c =
+(* [dds run --shards]; [shards = 0] is the classic single-register run. *)
+type sharding = { shards : int; keys : int; skew : float }
+
+(* Everything [dds run] takes besides the protocol. *)
+type run = {
+  sim : sim;
+  sharding : sharding;
+  monitor : judge option;  (** [Some] with --monitor: judge the run online *)
+  nemesis : Nemesis.plan option;  (** fault schedule to arm before running *)
+  trace : bool;
+  trace_out : string option;
+  trace_format : string;  (** "jsonl" or "chrome" *)
+  dump_history : string option;
+  metrics_out : string option;
+  dot_out : string option;  (** causal message graph as Graphviz DOT *)
+}
+
+(* A copy-pasteable repro of a run — echoed on every failure path, so a
+   red run is one paste away from replaying. *)
+let repro_line ~protocol ?sharding ?monitor ?nemesis c =
   let b = Buffer.create 96 in
   let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   addf "dds run %s --seed %d --nodes %d --delta %d" protocol c.seed c.n c.delta;
@@ -132,16 +146,22 @@ let repro_line ~protocol c =
   addf " --horizon %d" c.horizon;
   if c.read_rate <> 1.0 then addf " --read-rate %g" c.read_rate;
   if c.write_every <> 20 then addf " --write-every %d" c.write_every;
-  if c.shards > 0 then addf " --shards %d --keys %d --skew %g" c.shards c.keys c.skew;
+  (match sharding with
+  | Some { shards; keys; skew } when shards > 0 ->
+    addf " --shards %d --keys %d --skew %g" shards keys skew
+  | _ -> ());
   (match c.gst with
   | Some g ->
     addf " --gst %d" g;
     if c.wild <> 50 then addf " --wild %d" c.wild
   | None -> ());
-  if c.monitor then addf " --monitor";
-  (match c.nemesis with
-  | Some plan -> addf " --nemesis '%s'" (Nemesis.to_string plan)
+  (match monitor with
+  | Some j ->
+    addf " --monitor";
+    Option.iter (addf " --churn-window %d") j.churn_window;
+    if j.liveness_k <> 10 then addf " --liveness-k %d" j.liveness_k
   | None -> ());
+  Option.iter (fun plan -> addf " --nemesis '%s'" (Nemesis.to_string plan)) nemesis;
   Buffer.contents b
 
 let build_delay c =
@@ -149,20 +169,20 @@ let build_delay c =
   | Some gst -> Delay.eventually_synchronous ~gst:(time gst) ~delta:c.delta ~wild:c.wild
   | None -> Delay.synchronous ~delta:c.delta
 
-let build_config c =
+let build_config ~events c =
   {
     (Deployment.default_config ~seed:c.seed ~n:c.n ~delay:(build_delay c) ~churn_rate:c.churn)
     with
     Deployment.churn_policy = c.policy;
-    events_enabled = c.trace || c.trace_out <> None || c.monitor || c.dot_out <> None;
+    events_enabled = events;
   }
 
 (* The monitors the protocol's registry entry calls for (see
-   Harness.monitor_config), at this run's window, liveness deadline
-   and delay model. *)
-let monitor_config_for (p : Protocol.t) c =
-  Harness.monitor_config ?churn_window:c.churn_window ~liveness_k:c.liveness_k
-    ~gst:(c.gst <> None) p ~n:c.n ~delta:c.delta
+   Harness.monitor_config), at this judge's window and liveness
+   deadline and this deployment's delay model. *)
+let monitor_config_for (p : Protocol.t) j ~n ~delta ~gst =
+  Harness.monitor_config ?churn_window:j.churn_window ~liveness_k:j.liveness_k
+    ~gst:(gst <> None) p ~n ~delta
 
 (* Every simulated front end (run with or without --shards, analyze,
    hunt, sweep --attribution) drives Harness with the same drain, so a
@@ -171,11 +191,11 @@ let spec_for ?monitor c workload =
   { Harness.horizon = c.horizon; drain = (20 * c.delta) + (4 * c.wild); workload; monitor }
 
 (* The single-register runner, deterministic in its seed and plan. *)
-let harness_runner ?monitor ?config (p : Protocol.t) c =
+let harness_runner ?monitor ?(events = false) (p : Protocol.t) c =
   let spec =
     spec_for ?monitor c (Harness.Rate { read_rate = c.read_rate; write_every = c.write_every })
   in
-  let config = Option.value config ~default:(build_config c) in
+  let config = build_config ~events c in
   Result.map
     (fun inst ~seed plan -> Harness.run inst { config with Deployment.seed } spec plan)
     (Harness.instance p ~n:c.n ~delta:c.delta)
@@ -211,13 +231,20 @@ let print_events tagged =
         Event.pp st.Event.ev)
     tagged
 
+(* [--trace], [--trace-out], [--monitor] and [--dot-out] read the typed
+   event stream; without them the run records none. *)
+let run_events c = c.trace || c.trace_out <> None || c.monitor <> None || c.dot_out <> None
+
+let run_monitor (p : Protocol.t) c =
+  Option.map (fun j -> monitor_config_for p j ~n:c.sim.n ~delta:c.sim.delta ~gst:c.sim.gst)
+    c.monitor
+
 (* [dds run]: one judged run, rendered. *)
 let run_single (proto : Protocol.t) c =
-  let monitor = if c.monitor then Some (monitor_config_for proto c) else None in
-  match harness_runner ?monitor proto c with
+  match harness_runner ?monitor:(run_monitor proto c) ~events:(run_events c) proto c.sim with
   | Error e -> `Error (false, e)
   | Ok go ->
-    let r = go ~seed:c.seed (Option.value c.nemesis ~default:[]) in
+    let r = go ~seed:c.sim.seed (Option.value c.nemesis ~default:[]) in
     if c.trace then
       print_events (List.map (fun ev -> (None, ev)) (Event.events r.Harness.events));
     (match c.dump_history with
@@ -248,7 +275,7 @@ let run_single (proto : Protocol.t) c =
       Format.printf "causal graph written to %s@." path
     | None -> ());
     Summary.print ~name:proto.Protocol.name r;
-    if c.monitor then begin
+    if c.monitor <> None then begin
       Format.printf "monitors   : %d violation(s)@." (List.length r.Harness.findings);
       List.iter
         (fun v -> Format.printf "  %a@." Dds_monitor.Monitor.pp_violation v)
@@ -256,7 +283,8 @@ let run_single (proto : Protocol.t) c =
     end;
     if Regularity.is_ok r.Harness.regularity then `Ok ()
     else begin
-      Format.printf "repro      : %s@." (repro_line ~protocol:proto.Protocol.name c);
+      Format.printf "repro      : %s@."
+        (repro_line ~protocol:proto.Protocol.name ?monitor:c.monitor ?nemesis:c.nemesis c.sim);
       `Error (false, "safety violated")
     end
 
@@ -265,8 +293,8 @@ let run_single (proto : Protocol.t) c =
    own Harness run with the same monitors and nemesis plan; per-shard
    verdicts, one shard-tagged trace file. *)
 let run_sharded (p : Protocol.t) c =
-  let name = p.Protocol.name in
-  match Harness.instance p ~n:c.n ~delta:c.delta with
+  let name = p.Protocol.name and s = c.sim and sh = c.sharding in
+  match Harness.instance p ~n:s.n ~delta:s.delta with
   | Error e -> `Error (false, e)
   | Ok _ when c.dump_history <> None || c.dot_out <> None ->
     `Error (true, "--dump-history and --dot-out write one register's file: not with --shards")
@@ -277,30 +305,29 @@ let run_sharded (p : Protocol.t) c =
        which derive from Shard.seed_for), so the identical plan
        re-partitions across any --shards value. *)
     let plan =
-      Skew.plan ~rng:(Rng.create ~seed:c.seed)
-        { (Skew.default ~keys:c.keys ~s:c.skew ~until:(time c.horizon)) with
-          Skew.read_rate = c.read_rate;
-          write_every = c.write_every }
+      Skew.plan ~rng:(Rng.create ~seed:s.seed)
+        { (Skew.default ~keys:sh.keys ~s:sh.skew ~until:(time s.horizon)) with
+          Skew.read_rate = s.read_rate;
+          write_every = s.write_every }
     in
-    let monitor = if c.monitor then Some (monitor_config_for p c) else None in
     let shards =
-      Harness.run_shards inst (build_config c) ~shards:c.shards
-        (spec_for ?monitor c (Harness.Plan plan))
+      Harness.run_shards inst (build_config ~events:(run_events c) s) ~shards:sh.shards
+        (spec_for ?monitor:(run_monitor p c) s (Harness.Plan plan))
         (Option.value c.nemesis ~default:[])
     in
     let tagged = Harness.tagged_events shards in
     if c.trace then print_events tagged;
     let issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 shards in
     Format.printf "protocol   : %s, sharded store: %d shard(s) x n=%d, %d keys, zipf s=%g@."
-      name c.shards c.n c.keys c.skew;
+      name sh.shards s.n sh.keys sh.skew;
     Format.printf "plan       : %d op(s) — %d issued, %d skipped (no idle process)@."
       (List.length plan) issued (List.length plan - issued);
     List.iteri
-      (fun s (routed, (r : Harness.result)) ->
+      (fun i (routed, (r : Harness.result)) ->
         let h = r.Harness.history and reg = r.Harness.regularity in
         Format.printf
           "  shard %2d : %6d routed %6d issued %5d skipped | %5d reads %4d writes done | %s@."
-          s routed (Harness.issued r) (routed - Harness.issued r)
+          i routed (Harness.issued r) (routed - Harness.issued r)
           (List.length (History.completed_reads h))
           (List.length (History.completed_writes h))
           (if Regularity.is_ok reg then "REGULAR" else "VIOLATED");
@@ -310,7 +337,7 @@ let run_sharded (p : Protocol.t) c =
           (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
           r.Harness.findings)
       shards;
-    if c.monitor then
+    if c.monitor <> None then
       Format.printf "monitors   : %d violation(s)@."
         (List.fold_left (fun acc (_, r) -> acc + List.length r.Harness.findings) 0 shards);
     (match c.trace_out with
@@ -323,9 +350,9 @@ let run_sharded (p : Protocol.t) c =
     | Some path ->
       let per_shard =
         List.mapi
-          (fun s (_, r) ->
+          (fun i (_, r) ->
             Json.Obj
-              [ ("shard", Json.Int s); ("metrics", Export.metrics_to_json r.Harness.snapshot) ])
+              [ ("shard", Json.Int i); ("metrics", Export.metrics_to_json r.Harness.snapshot) ])
           shards
       in
       write_file path (Json.to_string (Json.List per_shard) ^ "\n");
@@ -334,14 +361,16 @@ let run_sharded (p : Protocol.t) c =
     let all_ok = List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) shards in
     Format.printf "regularity : %s (%d shard(s))@."
       (if all_ok then "REGULAR" else "VIOLATED")
-      c.shards;
+      sh.shards;
     if all_ok then `Ok ()
     else begin
-      Format.printf "repro      : %s@." (repro_line ~protocol:name c);
+      Format.printf "repro      : %s@."
+        (repro_line ~protocol:name ~sharding:sh ?monitor:c.monitor ?nemesis:c.nemesis s);
       `Error (false, "safety violated")
     end
 
-let run_protocol (p : Protocol.t) c = if c.shards > 0 then run_sharded p c else run_single p c
+let run_protocol (p : Protocol.t) c =
+  if c.sharding.shards > 0 then run_sharded p c else run_single p c
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner terms *)
@@ -359,7 +388,10 @@ let checked conv ~ok ~what =
 
 let positive_int = checked Arg.int ~ok:(fun k -> k > 0) ~what:"must be positive"
 let nonneg_int = checked Arg.int ~ok:(fun k -> k >= 0) ~what:"must not be negative"
-let nonneg_float = checked Arg.float ~ok:(fun x -> x >= 0.0) ~what:"must not be negative"
+let nonneg_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x >= 0.0)
+    ~what:"must be finite and not negative"
 
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc:"Deterministic run seed.")
@@ -375,7 +407,7 @@ let delta_t =
 let churn_t =
   Arg.(
     value
-    & opt float 0.0
+    & opt (checked Arg.float ~ok:(fun c -> c >= 0.0 && c < 1.0) ~what:"must be in [0, 1)") 0.0
     & info [ "churn"; "c" ] ~docv:"RATE"
         ~doc:"Churn rate c: fraction of the system refreshed per tick.")
 
@@ -388,14 +420,16 @@ let policy_t =
     & info [ "policy" ] ~docv:"POLICY" ~doc:"Leave policy: uniform|oldest|youngest|active.")
 
 let horizon_t =
-  Arg.(value & opt int 500 & info [ "horizon" ] ~docv:"TICKS" ~doc:"Workload horizon.")
+  Arg.(value & opt nonneg_int 500 & info [ "horizon" ] ~docv:"TICKS" ~doc:"Workload horizon.")
 
 let read_rate_t =
-  Arg.(value & opt float 1.0 & info [ "read-rate" ] ~docv:"R" ~doc:"Expected reads per tick.")
+  Arg.(
+    value & opt nonneg_float 1.0
+    & info [ "read-rate" ] ~docv:"R" ~doc:"Expected reads per tick.")
 
 let write_every_t =
   Arg.(
-    value & opt int 20
+    value & opt nonneg_int 20
     & info [ "write-every" ] ~docv:"TICKS" ~doc:"One write every this many ticks (0: never).")
 
 let shards_t =
@@ -427,13 +461,13 @@ let skew_t =
 let gst_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some nonneg_int) None
     & info [ "gst" ] ~docv:"TICK"
         ~doc:"Use eventually-synchronous delays with this global stabilization time.")
 
 let wild_t =
   Arg.(
-    value & opt int 50
+    value & opt nonneg_int 50
     & info [ "wild" ] ~docv:"TICKS" ~doc:"Pre-GST delay cap (with $(b,--gst)).")
 
 let trace_t =
@@ -518,9 +552,11 @@ let nemesis_t =
            $(b,partition(a=0-4,b=5-9)@[100,150]), $(b,crash(k=2,recover=10)@120), \
            $(b,storm(k=6)@200). Every injected fault is recorded in the typed trace.")
 
+(* OCaml 5.1 runs at most 128 domains, the submitting one included. *)
 let jobs_t =
   Arg.(
-    value & opt int 0
+    value
+    & opt (checked Arg.int ~ok:(fun j -> j >= 0 && j <= 128) ~what:"must be in [0, 128]") 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for $(b,sweep) and $(b,hunt): independent cells/seeds run in \
@@ -530,7 +566,7 @@ let jobs_t =
 
 let minor_heap_t =
   Arg.(
-    value & opt int 0
+    value & opt nonneg_int 0
     & info [ "minor-heap-words" ] ~docv:"WORDS"
         ~doc:
           "Minor-heap size (in words) applied via $(b,Gc.set) inside every engine domain \
@@ -559,23 +595,29 @@ let profile_out_t =
            domain, loadable in chrome://tracing / Perfetto) with the summary attached \
            under a top-level $(b,summary) key. Implies $(b,--profile).")
 
-let common_t =
-  let make seed n delta churn policy horizon read_rate write_every shards keys skew gst
-      wild trace dump_history trace_out trace_format metrics_out monitor dot_out
-      churn_window liveness_k nemesis jobs minor_heap_words eprofile profile_out =
-    {
-      seed; n; delta; churn; policy; horizon; read_rate; write_every; shards; keys; skew;
-      gst; wild; trace; dump_history; trace_out; trace_format; metrics_out; monitor;
-      dot_out; churn_window; liveness_k; nemesis; jobs; minor_heap_words; eprofile;
-      profile_out;
-    }
+let sim_t =
+  let make seed n delta churn policy horizon read_rate write_every gst wild =
+    match gst with
+    | Some _ when wild < delta ->
+      `Error
+        (true, Printf.sprintf "--wild %d: must be at least --delta %d with --gst" wild delta)
+    | _ -> `Ok { seed; n; delta; churn; policy; horizon; read_rate; write_every; gst; wild }
   in
   Term.(
-    const make $ seed_t $ n_t $ delta_t $ churn_t $ policy_t $ horizon_t $ read_rate_t
-    $ write_every_t $ shards_t $ keys_t $ skew_t $ gst_t $ wild_t $ trace_t
-    $ dump_history_t $ trace_out_t $ trace_format_t $ metrics_out_t $ monitor_t
-    $ dot_out_t $ churn_window_t $ liveness_k_t $ nemesis_t $ jobs_t $ minor_heap_t
-    $ eprofile_t $ profile_out_t)
+    ret
+      (const make $ seed_t $ n_t $ delta_t $ churn_t $ policy_t $ horizon_t $ read_rate_t
+     $ write_every_t $ gst_t $ wild_t))
+
+let judge_t =
+  Term.(
+    const (fun churn_window liveness_k -> { churn_window; liveness_k })
+    $ churn_window_t $ liveness_k_t)
+
+let engine_t =
+  Term.(
+    const (fun jobs minor_heap_words eprofile profile_out metrics_out ->
+        { jobs; minor_heap_words; eprofile; profile_out; metrics_out })
+    $ jobs_t $ minor_heap_t $ eprofile_t $ profile_out_t $ metrics_out_t)
 
 (* An experiment's parameters as the command line amends them: a flag
    the user gives replaces the registered value, a flag left unset
@@ -687,6 +729,20 @@ let run_cmd =
              protocol, deployment and every scheduling/fault decision; all other flags \
              are ignored).")
   in
+  let run_t =
+    let make sim judge shards keys skew monitor nemesis trace trace_out trace_format
+        dump_history metrics_out dot_out =
+      {
+        sim;
+        sharding = { shards; keys; skew };
+        monitor = (if monitor then Some judge else None);
+        nemesis; trace; trace_out; trace_format; dump_history; metrics_out; dot_out;
+      }
+    in
+    Term.(
+      const make $ sim_t $ judge_t $ shards_t $ keys_t $ skew_t $ monitor_t $ nemesis_t
+      $ trace_t $ trace_out_t $ trace_format_t $ dump_history_t $ metrics_out_t $ dot_out_t)
+  in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
@@ -695,7 +751,7 @@ let run_cmd =
              match schedule with
              | Some path -> run_replay path
              | None -> resolve_protocol pos flag (fun p -> run_protocol p c))
-        $ schedule_t $ protocol_pos_t $ protocol_flag_t $ common_t))
+        $ schedule_t $ protocol_pos_t $ protocol_flag_t $ run_t))
 
 (* analyze *)
 
@@ -730,7 +786,7 @@ let analyze_cmd =
     Term.(
       ret
         (const (fun pos flag o c -> resolve_protocol pos flag (fun p -> run_analyze p o c))
-        $ protocol_pos_t $ protocol_flag_t $ out_t $ common_t))
+        $ protocol_pos_t $ protocol_flag_t $ out_t $ sim_t))
 
 (* sweep *)
 
@@ -744,22 +800,22 @@ let experiment_doc =
 (* One engine pool per sweep/hunt/check invocation. The summary (and
    the optional metrics dump notice) goes to stderr: stdout must stay
    byte-identical across worker counts, and CI diffs it. *)
-let with_engine' ?(profile = false) ?profile_out ?(minor_heap_words = 0) ~jobs ~metrics_out f =
-  let jobs = if jobs <= 0 then Dds_engine.Pool.default_jobs () else jobs in
+let with_engine (e : engine) f =
+  let jobs = if e.jobs = 0 then Dds_engine.Pool.default_jobs () else e.jobs in
   let recorder =
-    if profile || profile_out <> None then
+    if e.eprofile || e.profile_out <> None then
       Some (Dds_profile.Profile.create ~workers:jobs ())
     else None
   in
   Dds_engine.Pool.with_pool ~jobs
-    ?minor_heap_words:(if minor_heap_words > 0 then Some minor_heap_words else None)
+    ?minor_heap_words:(if e.minor_heap_words > 0 then Some e.minor_heap_words else None)
     ?profile:recorder (fun pool ->
       let r = f pool in
       let stats = Dds_engine.Pool.stats pool in
       let cells = List.fold_left (fun a s -> a + s.Dds_engine.Pool.ws_jobs) 0 stats in
       Format.eprintf "engine     : %d worker(s), %d job(s), %.2fs wall@."
         (Dds_engine.Pool.jobs pool) cells (Dds_engine.Pool.wall_s pool);
-      (match metrics_out with
+      (match e.metrics_out with
       | Some path ->
         write_file path
           (Json.to_string
@@ -773,17 +829,13 @@ let with_engine' ?(profile = false) ?profile_out ?(minor_heap_words = 0) ~jobs ~
            stays byte-identical with profiling on or off. *)
         Format.eprintf "%a@." Dds_profile.Profile.pp_summary
           (Dds_profile.Profile.summary rec_);
-        (match profile_out with
+        (match e.profile_out with
         | Some path ->
           write_file path (Json.to_string (Dds_profile.Profile.to_json rec_) ^ "\n");
           Format.eprintf "engine profile written to %s@." path
         | None -> ())
       | None -> ());
       r)
-
-let with_engine c f =
-  with_engine' ~profile:c.eprofile ?profile_out:c.profile_out
-    ~minor_heap_words:c.minor_heap_words ~jobs:c.jobs ~metrics_out:c.metrics_out f
 
 (* ------------------------------------------------------------------ *)
 (* Latency attribution (lib/causal), shared by explain / sweep
@@ -819,17 +871,17 @@ let attribution_table title (r : Causal.report) =
    enabled, analyzed in-process — what `dds sweep --attribution`
    appends per registered protocol. Sequential and pool-free, so the
    extra output is byte-identical at any --jobs. *)
-let attribution_report (p : Protocol.t) c =
+let attribution_report (p : Protocol.t) c ~liveness_k =
   Result.map
     (fun go ->
-      Causal.analyze ~bound:(c.liveness_k * c.delta)
+      Causal.analyze ~bound:(liveness_k * c.delta)
         (Event.events (go ~seed:c.seed []).Harness.events))
-    (harness_runner ~config:{ (build_config c) with Deployment.events_enabled = true } p c)
+    (harness_runner ~events:true p c)
 
-let print_attribution c =
+let print_attribution c ~liveness_k =
   List.iter
     (fun (p : Protocol.t) ->
-      match attribution_report p c with
+      match attribution_report p c ~liveness_k with
       | Error e -> Format.printf "attribution: %s skipped (%s)@." p.Protocol.name e
       | Ok r ->
         Report.print
@@ -841,20 +893,20 @@ let print_attribution c =
         | [] -> ()
         | over ->
           Format.printf "  %d op(s) over the %d-tick bound: %s@." (List.length over)
-            (c.liveness_k * c.delta)
+            (liveness_k * c.delta)
             (String.concat ", "
                (List.map (fun (a : Causal.attribution) -> string_of_int a.Causal.a_span) over))))
     Protocol.all
 
 (* The experiment's registered parameters, with each flag the user
    actually passed in place of its field. *)
-let run_sweep name attribution override c =
+let run_sweep name attribution override c liveness_k engine =
   match Experiment.find name with
   | Error e -> `Error (true, e)
   | Ok e ->
-    with_engine c (fun pool ->
+    with_engine engine (fun pool ->
         List.iter Report.print (e.Experiment.run ~pool (override e.Experiment.defaults)));
-    if attribution then print_attribution c;
+    if attribution then print_attribution c ~liveness_k;
     `Ok ()
 
 (* inspect *)
@@ -1238,18 +1290,18 @@ let explain_cmd =
   in
   let top_t =
     Arg.(
-      value & opt int 5
+      value & opt nonneg_int 5
       & info [ "top" ] ~docv:"K" ~doc:"How many slowest ops to render with full paths.")
   in
   let delta_t =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "delta" ] ~docv:"TICKS"
           ~doc:"The run's message-delay bound (must match to make the k*delta bound right).")
   in
   let bound_k_t =
     Arg.(
-      value & opt int 10
+      value & opt positive_int 10
       & info [ "bound-k" ] ~docv:"K"
           ~doc:"Flag ops slower than K*delta ticks (same default as the liveness monitor).")
   in
@@ -1284,13 +1336,13 @@ let explain_cmd =
    register, so monitors and the regularity checker run once per tag —
    auditing the mixed timeline as one register would interleave
    different keys' writes and report nonsense. *)
-let audit_sharded (proto : Protocol.t) initial merged_out c path
+let audit_sharded (proto : Protocol.t) cfg ~n ~delta initial merged_out path
     (tagged : (int option * Event.stamped) list) =
   let tags =
     List.sort_uniq compare (List.map (fun (s, _) -> Option.value s ~default:(-1)) tagged)
   in
   Format.printf "%s: %d events audited across %d shard(s) (%s monitors, n=%d, delta=%d)@."
-    path (List.length tagged) (List.length tags) proto.Protocol.name c.n c.delta;
+    path (List.length tagged) (List.length tags) proto.Protocol.name n delta;
   (match merged_out with
   | Some out ->
     write_file out (Export.jsonl_of_tagged_events tagged);
@@ -1302,7 +1354,7 @@ let audit_sharded (proto : Protocol.t) initial merged_out c path
         (fun (s, ev) -> if Option.value s ~default:(-1) = tag then Some ev else None)
         tagged
     in
-    let a = Harness.audit (monitor_config_for proto c) ~initial evs in
+    let a = Harness.audit cfg ~initial evs in
     let report = a.Harness.regularity in
     Format.printf "  shard %s : %s (%d events; %d reads, %d joins checked; %d monitor \
                    violation(s))@."
@@ -1328,7 +1380,8 @@ let audit_sharded (proto : Protocol.t) initial merged_out c path
    regularity checker, offline: everything the in-process checkers see
    is reconstructed from the trace alone (span payloads, Lamport
    stamps, membership events). Exits non-zero when anything fired. *)
-let run_audit paths (proto : Protocol.t) initial merged_out c =
+let run_audit paths (proto : Protocol.t) initial merged_out n delta gst judge dot_out =
+  let cfg = monitor_config_for proto judge ~n ~delta ~gst in
   (* A shard-tagged line carries its register's index; a plain trace
      has no tags and parses to all-None. The one reader keeps shard
      tags AND tolerates the partial final line of a killed live node,
@@ -1354,14 +1407,13 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
     let tagged_evs = Export.merge_tagged per_file in
     let path = String.concat "+" paths in
     if List.exists (fun (s, _) -> s <> None) tagged_evs then
-      audit_sharded proto initial merged_out c path tagged_evs
+      audit_sharded proto cfg ~n ~delta initial merged_out path tagged_evs
     else begin
       let evs = List.map snd tagged_evs in
-      let cfg = monitor_config_for proto c in
       let a = Harness.audit cfg ~initial evs in
       let violations = a.Harness.findings and report = a.Harness.regularity in
       Format.printf "%s: %d events audited (%s monitors, n=%d, delta=%d)@." path
-        (List.length evs) proto.Protocol.name c.n c.delta;
+        (List.length evs) proto.Protocol.name n delta;
       (match merged_out with
       | Some out ->
         write_file out (Export.jsonl_of_events evs);
@@ -1392,7 +1444,7 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
       (* Slowest ops with causes, plus a critical-path witness for
          every span the liveness monitor flagged (when the span did
          complete in-trace; one still open at the end has no path). *)
-      let causal = Causal.analyze ~bound:(c.liveness_k * c.delta) evs in
+      let causal = Causal.analyze ~bound:(judge.liveness_k * delta) evs in
       let slow = Causal.slowest causal 3 in
       if slow <> [] then begin
         Format.printf "slowest ops with causes:@.";
@@ -1406,7 +1458,7 @@ let run_audit paths (proto : Protocol.t) initial merged_out c =
           | None ->
             Format.printf "liveness witness (span %d): op still open at end of trace@." span)
         a.Harness.overdue;
-      (match c.dot_out with
+      (match dot_out with
       | Some out ->
         write_file out (Export.dot_of_events evs);
         Format.printf "causal graph written to %s@." out
@@ -1461,7 +1513,10 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit" ~doc)
-    Term.(ret (const run_audit $ files_t $ proto_t $ initial_t $ merged_out_t $ common_t))
+    Term.(
+      ret
+        (const run_audit $ files_t $ proto_t $ initial_t $ merged_out_t $ n_t $ delta_t $ gst_t
+       $ judge_t $ dot_out_t))
 
 (* serve / client / load *)
 
@@ -1859,14 +1914,16 @@ let load_cmd =
    non-zero iff a violation was found, so CI can assert both
    directions: a within-model hunt must come back clean, a fixed
    assumption-breaking plan must be flagged. *)
-let run_hunt (proto : Protocol.t) plans profile no_shrink c =
+let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine =
   let protocol = proto.Protocol.name in
-  match harness_runner ~monitor:(monitor_config_for proto c) proto c with
+  let monitor = monitor_config_for proto judge ~n:c.n ~delta:c.delta ~gst:c.gst in
+  match harness_runner ~monitor proto c with
   | Error e -> `Error (false, e)
+  | Ok _ when c.horizon = 0 -> `Error (true, "--horizon 0: a hunt's fault windows need a tick")
   | Ok go ->
     let runner ~seed plan = Harness.outcome (go ~seed plan) in
     let gen ~seed =
-      match c.nemesis with
+      match nemesis with
       | Some plan -> plan
       | None ->
         (* Derived from the seed but offset, so the plan stream never
@@ -1879,7 +1936,7 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c =
        reports the lowest violating seed and the sequential run count
        (see Hunt.search), so repro lines and summaries are identical
        at any --jobs. *)
-    match with_engine c (fun pool -> Hunt.search ~pool ~runner ~gen seeds) with
+    match with_engine engine (fun pool -> Hunt.search ~pool ~runner ~gen seeds) with
     | None ->
       Format.printf "hunt       : %d seed(s) clean (seeds %d..%d, %s profile, %d examined)@."
         plans c.seed
@@ -1905,15 +1962,10 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c =
           shrunk
         end
       in
-      let repro_c =
-        {
-          c with
-          seed = found.Hunt.seed;
-          monitor = true;
-          nemesis = (match found.Hunt.plan with [] -> None | p -> Some p);
-        }
-      in
-      Format.printf "repro      : %s@." (repro_line ~protocol repro_c);
+      Format.printf "repro      : %s@."
+        (repro_line ~protocol ~monitor:judge
+           ?nemesis:(match found.Hunt.plan with [] -> None | p -> Some p)
+           { c with seed = found.Hunt.seed });
       `Error (false, "hunt found a violating execution")
 
 let hunt_cmd =
@@ -1925,7 +1977,7 @@ let hunt_cmd =
   in
   let plans_t =
     Arg.(
-      value & opt int 25
+      value & opt positive_int 25
       & info [ "plans"; "runs" ] ~docv:"N" ~doc:"How many seeds (and random plans) to try.")
   in
   let faults_t =
@@ -1947,9 +1999,11 @@ let hunt_cmd =
   in
   Term.(
     ret
-      (const (fun pos flag plans faults no_shrink c ->
-           resolve_protocol pos flag (fun p -> run_hunt p plans faults no_shrink c))
-      $ protocol_pos_t $ protocol_flag_t $ plans_t $ faults_t $ no_shrink_t $ common_t))
+      (const (fun pos flag plans faults no_shrink c judge nemesis engine ->
+           resolve_protocol pos flag (fun p ->
+               run_hunt p plans faults no_shrink c judge nemesis engine))
+      $ protocol_pos_t $ protocol_flag_t $ plans_t $ faults_t $ no_shrink_t $ sim_t $ judge_t
+      $ nemesis_t $ engine_t))
   |> Cmd.v (Cmd.info "hunt" ~doc)
 
 let sweep_cmd =
@@ -1979,7 +2033,10 @@ let sweep_cmd =
              per op kind), with ops over the k*delta bound listed. The extra run is \
              sequential, so output stays byte-identical at any $(b,--jobs).")
   in
-  Term.(ret (const run_sweep $ name_t $ attribution_t $ experiment_override_t $ common_t))
+  Term.(
+    ret
+      (const run_sweep $ name_t $ attribution_t $ experiment_override_t $ sim_t $ liveness_k_t
+     $ engine_t))
   |> Cmd.v (Cmd.info "sweep" ~doc ~man)
 
 (* check *)
@@ -2005,7 +2062,8 @@ let run_check (p : Protocol.t) nodes delta writes reads joins quorum drop_budget
       preempt_bound;
     }
   in
-  with_engine' ~profile:eprofile ?profile_out ~jobs ~metrics_out:None @@ fun pool ->
+  with_engine { jobs; minor_heap_words = 0; eprofile; profile_out; metrics_out = None }
+  @@ fun pool ->
   match
     Dds_check.Check.run ~pool ~por:(not naive) ~state_cache:(not naive) ~frontier p cfg
   with

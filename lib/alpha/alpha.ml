@@ -2,10 +2,6 @@ open Dds_net
 
 type outcome = Commit of int | Abort of string
 
-let pp_outcome ppf = function
-  | Commit v -> Format.fprintf ppf "commit(%d)" v
-  | Abort why -> Format.fprintf ppf "abort(%s)" why
-
 let round_for ~participant_index ~attempt ~k = (attempt * k) + participant_index + 1
 
 (* Reads every register in parallel (k distinct protocol nodes of

@@ -54,5 +54,3 @@ val propose :
     @raise Invalid_argument if [value] is 0 (reserved for ⊥) or
     outside the codec's field range, or if [self] does not own
     [self_reg]. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

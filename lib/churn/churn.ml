@@ -132,5 +132,3 @@ let stop t =
   t.token <- None
 
 let refreshed t = t.refreshed
-
-let expected_per_tick t = float_of_int t.n *. mean_rate t.profile

@@ -81,6 +81,3 @@ val stop : t -> unit
 
 val refreshed : t -> int
 (** Total number of leave/join pairs performed so far. *)
-
-val expected_per_tick : t -> float
-(** [n * mean_rate]. *)

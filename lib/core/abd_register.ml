@@ -84,7 +84,6 @@ let pid t = t.pid
 let is_active t = t.active
 let busy t = match t.pending with Idle -> false | _ -> true
 let snapshot t = t.register
-let is_server t = t.server
 let quorum t = majority t.params
 let current_sn t = match t.register with Some v -> v.Value.sn | None -> -1
 let send t dst msg = Runtime.send t.rt ~src:t.pid ~dst msg

@@ -39,6 +39,3 @@ type msg =
   | Write_ack of { wid : int }
 
 include Register_intf.PROTOCOL with type msg := msg and type params := params
-
-val is_server : node -> bool
-(** Founding member (serves quorum requests). *)

@@ -69,7 +69,6 @@ module type S = sig
   val run_until : t -> Time.t -> unit
   val run_to_quiescence : t -> ?max_events:int -> unit -> unit
   val regularity : t -> Regularity.report
-  val staleness : t -> Staleness.report
   val analysis : t -> Analysis.t
 end
 
@@ -355,6 +354,5 @@ module Make (P : Register_intf.PROTOCOL) = struct
   let run_until t horizon = Scheduler.run_until t.sched horizon
   let run_to_quiescence t ?max_events () = Scheduler.run t.sched ?max_events ()
   let regularity t = Regularity.check t.history
-  let staleness t = Staleness.measure t.history
   let analysis t = Analysis.of_records (Membership.records t.membership)
 end

@@ -154,8 +154,6 @@ module type S = sig
 
   val regularity : t -> Regularity.report
 
-  val staleness : t -> Staleness.report
-
   val analysis : t -> Analysis.t
   (** Post-hoc membership analysis of the run so far. *)
 end

@@ -51,8 +51,6 @@ let storm ~k t = Storm { at = t; k }
 
 let every ~start ~period ~count mk = List.init count (fun i -> mk (start + (i * period)))
 
-let compose = List.concat
-
 (* --- codec --------------------------------------------------------- *)
 
 (* Pid lists print with ascending runs compressed ([0|1|2|9] as

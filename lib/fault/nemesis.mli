@@ -80,10 +80,6 @@ val every : start:int -> period:int -> count:int -> (int -> step) -> plan
 (** [every ~start ~period ~count mk] is [mk] applied at [start],
     [start + period], ... ([count] times). *)
 
-val compose : plan list -> plan
-(** Concatenation; for message faults, earlier plans win ties (first
-    matching rule applies). *)
-
 (** {1 Codec}
 
     Grammar, one step per [;]-separated clause:

@@ -130,14 +130,8 @@ let detach t pid =
   Pid.Table.remove t.handlers pid;
   t.present <- List.filter (fun y -> not (Pid.equal y pid)) t.present
 
-let is_attached t pid = Pid.Table.mem t.handlers pid
 let attached t = t.present
 let set_fault_plan t plan = t.fault <- Some plan
-
-let set_fault t pred =
-  t.fault <- Some (fun decision ~msg_kind:_ -> if pred decision then Drop_msg else Pass)
-
-let clear_fault t = t.fault <- None
 let faults_injected t = t.injected
 let in_flight t = t.flying
 let metrics t = t.metrics

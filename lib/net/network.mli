@@ -150,8 +150,6 @@ val detach : 'a t -> Pid.t -> unit
 (** Removes a process (it has left the system). Unknown pids are
     ignored: detaching twice is harmless. *)
 
-val is_attached : 'a t -> Pid.t -> bool
-
 val attached : 'a t -> Pid.t list
 (** Processes currently in the system, in increasing pid order. The
     list is kept by {!attach} and {!detach}, so the call is free. *)
@@ -169,14 +167,6 @@ val broadcast : 'a t -> src:Pid.t -> 'a -> unit
 val set_fault_plan : 'a t -> fault_plan -> unit
 (** Installs (or replaces) the fault plan consulted on every
     subsequent transmission. *)
-
-val set_fault : 'a t -> (Delay.decision -> bool) -> unit
-(** Predicate sugar over {!set_fault_plan}: messages for which the
-    predicate returns [true] get {!Drop_msg}, everything else
-    [Pass]. *)
-
-val clear_fault : 'a t -> unit
-(** Restores the default (reliable) plan. *)
 
 val faults_injected : 'a t -> int
 (** Number of transmissions on which the plan returned something other

@@ -75,9 +75,6 @@ let allowed_of_spans (initial, spans) ~invoked ~responded =
   in
   last_completed :: concurrents
 
-let allowed_values history ~invoked ~responded =
-  allowed_of_spans (write_spans history) ~invoked ~responded
-
 let distinct_data (initial, spans) =
   let data = initial.value.Value.data :: List.map (fun s -> s.value.Value.data) spans in
   let sorted = List.sort Int.compare data in

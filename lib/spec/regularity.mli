@@ -47,11 +47,6 @@ val check : ?include_joins:bool -> History.t -> report
 val is_ok : report -> bool
 (** No violations and writes were sequential. *)
 
-val allowed_values : History.t -> invoked:Dds_sim.Time.t -> responded:Dds_sim.Time.t -> Value.t list
-(** The set of values regularity permits an operation spanning
-    [\[invoked, responded\]] to return — exposed for tests and for the
-    brute-force oracle cross-check. *)
-
 val pp_violation : Format.formatter -> violation -> unit
 
 val pp_report : Format.formatter -> report -> unit

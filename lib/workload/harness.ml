@@ -73,7 +73,6 @@ let audit cfg ~initial evs =
 type result = {
   history : History.t;
   regularity : Regularity.report;
-  staleness : Staleness.report;
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;
   events : Event.sink;
@@ -129,7 +128,6 @@ let run (module I : INSTANCE) (cfg : Deployment.config) spec plan =
   {
     history = D.history d;
     regularity = D.regularity d;
-    staleness = D.staleness d;
     metrics = D.metrics d;
     snapshot = D.metrics_snapshot d;
     events = D.events d;

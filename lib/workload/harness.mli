@@ -95,7 +95,6 @@ val audit : Dds_monitor.Monitor.config -> initial:int -> Event.stamped list -> a
 type result = {
   history : History.t;
   regularity : Regularity.report;
-  staleness : Staleness.report;
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;  (** taken after the run, gauges included *)
   events : Event.sink;  (** typed events, monitor findings included *)

@@ -105,7 +105,8 @@ let lossy_run (module I : Harness.INSTANCE) cfg ~loss ~fault_seed ~read_rate ~wr
   let d = I.D.create cfg I.params in
   if loss > 0.0 then begin
     let rng = Rng.create ~seed:fault_seed in
-    Network.set_fault (I.D.network d) (fun _ -> Rng.float rng 1.0 < loss)
+    let open Dds_fault in
+    Network.set_fault_plan (I.D.network d) (Fault.compile ~rng [ Fault.rule ~p:loss Fault.Drop ])
   end;
   let until = time horizon in
   I.D.start_churn d ~until;

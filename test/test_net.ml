@@ -227,16 +227,17 @@ let test_fault_injection () =
   let a = Pid.of_int 0 and b = Pid.of_int 1 in
   attach w a;
   attach w b;
-  Network.set_fault w.net (fun dec -> Pid.equal dec.Delay.dst b);
+  Network.set_fault_plan w.net (fun dec ~msg_kind:_ ->
+      if Pid.equal dec.Delay.dst b then Network.Drop_msg else Network.Pass);
   Network.send w.net ~src:a ~dst:b "eaten";
   Network.send w.net ~src:b ~dst:a "passes";
   Scheduler.run w.sched ();
   check_int "one delivery" 1 (List.length !(w.inbox));
   check_int "one faulted" 1 (Metrics.get w.metrics "net.faulted");
-  Network.clear_fault w.net;
+  Network.set_fault_plan w.net (fun _ ~msg_kind:_ -> Network.Pass);
   Network.send w.net ~src:a ~dst:b "now passes";
   Scheduler.run w.sched ();
-  check_int "fault cleared" 2 (List.length !(w.inbox))
+  check_int "plan replaced" 2 (List.length !(w.inbox))
 
 (* ------------------------------------------------------------------ *)
 (* Flooding broadcast *)
@@ -303,7 +304,8 @@ let test_flood_routes_around_link_faults () =
       (fun i ->
         Network.attach net (Pid.of_int i) (fun ~src:_ _ -> got := i :: !got))
       [ 0; 1; 2; 3 ];
-    Network.set_fault net fault;
+    Network.set_fault_plan net (fun dec ~msg_kind:_ ->
+        if fault dec then Network.Drop_msg else Network.Pass);
     Network.broadcast net ~src:origin "partitioned";
     Scheduler.run sched ();
     List.sort_uniq Int.compare !got
