@@ -595,18 +595,29 @@ let profile_out_t =
            domain, loadable in chrome://tracing / Perfetto) with the summary attached \
            under a top-level $(b,summary) key. Implies $(b,--profile).")
 
-let sim_t =
+(* n processes issue at most n reads a tick; a larger rate would only
+   spin the generator. *)
+let read_rate_error ~read_rate ~n =
+  if read_rate > float_of_int n then
+    Some (Printf.sprintf "--read-rate %g: must be at most --nodes %d" read_rate n)
+  else None
+
+(* [sweep] bounds the read rate itself, against the experiment's n. *)
+let sim_term ~bound_read_rate =
   let make seed n delta churn policy horizon read_rate write_every gst wild =
-    match gst with
-    | Some _ when wild < delta ->
+    match (gst, read_rate_error ~read_rate ~n) with
+    | Some _, _ when wild < delta ->
       `Error
         (true, Printf.sprintf "--wild %d: must be at least --delta %d with --gst" wild delta)
+    | _, Some msg when bound_read_rate -> `Error (true, msg)
     | _ -> `Ok { seed; n; delta; churn; policy; horizon; read_rate; write_every; gst; wild }
   in
   Term.(
     ret
       (const make $ seed_t $ n_t $ delta_t $ churn_t $ policy_t $ horizon_t $ read_rate_t
      $ write_every_t $ gst_t $ wild_t))
+
+let sim_t = sim_term ~bound_read_rate:true
 
 let judge_t =
   Term.(
@@ -725,9 +736,9 @@ let run_cmd =
       & opt (some string) None
       & info [ "schedule" ] ~docv:"FILE"
           ~doc:
-            "Replay this checker schedule instead of a randomized run (the file fixes \
-             protocol, deployment and every scheduling/fault decision; all other flags \
-             are ignored).")
+            "Replay this checker schedule instead of a randomized run. The file fixes \
+             protocol, deployment and every scheduling/fault decision, so a protocol \
+             given too is not used, and any other run flag is a usage error.")
   in
   let run_t =
     let make sim judge shards keys skew monitor nemesis trace trace_out trace_format
@@ -747,11 +758,14 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const (fun schedule pos flag c ->
+        (const (fun schedule pos flag (c, used) ->
              match schedule with
+             | Some _ when used <> [] ->
+               `Error
+                 (true, "--schedule replays the file as recorded and takes no other run flag")
              | Some path -> run_replay path
              | None -> resolve_protocol pos flag (fun p -> run_protocol p c))
-        $ schedule_t $ protocol_pos_t $ protocol_flag_t $ run_t))
+        $ schedule_t $ protocol_pos_t $ protocol_flag_t $ with_used_args run_t))
 
 (* analyze *)
 
@@ -903,11 +917,17 @@ let print_attribution c ~liveness_k =
 let run_sweep name attribution override c liveness_k engine =
   match Experiment.find name with
   | Error e -> `Error (true, e)
-  | Ok e ->
-    with_engine engine (fun pool ->
-        List.iter Report.print (e.Experiment.run ~pool (override e.Experiment.defaults)));
-    if attribution then print_attribution c ~liveness_k;
-    `Ok ()
+  | Ok e -> (
+    let p = override e.Experiment.defaults in
+    let attributed =
+      if attribution then read_rate_error ~read_rate:c.read_rate ~n:c.n else None
+    in
+    match (read_rate_error ~read_rate:p.Experiment.read_rate ~n:p.Experiment.n, attributed) with
+    | Some msg, _ | None, Some msg -> `Error (true, msg)
+    | None, None ->
+      with_engine engine (fun pool -> List.iter Report.print (e.Experiment.run ~pool p));
+      if attribution then print_attribution c ~liveness_k;
+      `Ok ())
 
 (* inspect *)
 
@@ -2035,8 +2055,8 @@ let sweep_cmd =
   in
   Term.(
     ret
-      (const run_sweep $ name_t $ attribution_t $ experiment_override_t $ sim_t $ liveness_k_t
-     $ engine_t))
+      (const run_sweep $ name_t $ attribution_t $ experiment_override_t
+     $ sim_term ~bound_read_rate:false $ liveness_k_t $ engine_t))
   |> Cmd.v (Cmd.info "sweep" ~doc ~man)
 
 (* check *)

@@ -44,5 +44,9 @@ val min : t -> t -> t
 
 val max : t -> t -> t
 
+val count_before : t array -> t -> int
+(** [count_before sorted t] is how many entries of [sorted], which must
+    not decrease, are strictly before [t]: one binary search. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints a time point as [t=<ticks>]. *)

@@ -101,6 +101,7 @@ let freeze (c : cell) =
   }
 
 let ops t = List.rev_map freeze t.cells
+let fold_right f t init = List.fold_left (fun acc c -> f (freeze c) acc) init t.cells
 
 let filter_ops t pred = List.filter pred (ops t)
 

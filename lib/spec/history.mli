@@ -61,6 +61,11 @@ val abort : t -> op_id -> unit
 val ops : t -> op list
 (** Every recorded operation, in invocation order. *)
 
+val fold_right : (op -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_right f t init] is [List.fold_right f (ops t) init] without
+    building the list: one pass, newest operation first, for a checker
+    that sorts a history into several lists at once. *)
+
 val completed_reads : t -> op list
 (** Reads that responded and were not aborted, invocation order. *)
 

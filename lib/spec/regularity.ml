@@ -23,11 +23,11 @@ let of_write_op (o : History.op) =
     { value = v; invoked = Some o.invoked; responded }
   | History.Read _ | History.Join _ -> assert false
 
-let write_spans history =
+(* The disseminated writes' spans, sorted by sn, and the initial value's. *)
+let write_spans history spans =
   let initial = { value = History.initial history; invoked = None; responded = None } in
   (* [initial.responded = None] would mean "never completed"; encode the
      virtual initial write as completed-before-everything instead. *)
-  let spans = List.map of_write_op (History.disseminated_writes history) in
   (initial, List.sort (fun a b -> Value.compare_sn a.value b.value) spans)
 
 (* Sequentiality is judged on non-aborted writes only. *)
@@ -84,8 +84,13 @@ let distinct_data (initial, spans) =
   in
   no_dup sorted
 
-let check ?(include_joins = true) history =
-  let spans = write_spans history in
+(* The fold: every read and join scans every write span, O(R x W).
+   [check] falls back to it when its index would not be exact, and the
+   tests keep it as the oracle [check] must agree with. *)
+let check_by_fold ?(include_joins = true) history =
+  let spans =
+    write_spans history (List.map of_write_op (History.disseminated_writes history))
+  in
   let sequential = writes_sequential (sequential_spans history) in
   let distinct = distinct_data spans in
   let check_op (o : History.op) returned =
@@ -113,6 +118,113 @@ let check ?(include_joins = true) history =
     writes_sequential = sequential;
     distinct_data = distinct;
   }
+
+(* One pass over the history, newest operation first, so each list
+   comes out in invocation order. [next_invoked] is the invocation of
+   the next non-aborted write, for [writes_sequential]'s pairwise rule. *)
+type collected = {
+  reads : History.op list;
+  joins : History.op list;
+  disseminated : write_span list;
+  sequential : bool;
+  next_invoked : Time.t option;
+}
+
+let collect ~include_joins history =
+  let step (o : History.op) acc =
+    let completed = (not o.aborted) && o.responded <> None in
+    match o.kind with
+    | History.Read _ -> if completed then { acc with reads = o :: acc.reads } else acc
+    | History.Join _ ->
+      if completed && include_joins then { acc with joins = o :: acc.joins } else acc
+    | History.Write _ ->
+      let disseminated = of_write_op o :: acc.disseminated in
+      if o.aborted then { acc with disseminated }
+      else
+        let ok =
+          match (o.responded, acc.next_invoked) with
+          | _, None -> true
+          | Some r, Some next -> Time.(r <= next)
+          | None, Some _ -> false
+        in
+        {
+          acc with
+          disseminated;
+          sequential = acc.sequential && ok;
+          next_invoked = Some o.invoked;
+        }
+  in
+  History.fold_right step history
+    { reads = []; joins = []; disseminated = []; sequential = true; next_invoked = None }
+
+module Datum = Hashtbl.Make (Int)
+
+(* The sn-sorted spans indexed for one lookup per read: each datum's
+   span (-1 for the initial value) and the completed spans' responses
+   in sn order. The lookup is exact when every datum is distinct and
+   those responses do not decrease, so the spans completed before any
+   instant are a prefix of [responses]. *)
+type index = {
+  spans : write_span array;
+  by_datum : int Datum.t;
+  responses : Time.t array;
+  completed : int array;  (** span index of each entry of [responses] *)
+  distinct : bool;
+  monotone : bool;
+}
+
+let index (initial, spans) =
+  let spans = Array.of_list spans in
+  let by_datum = Datum.create (Array.length spans + 1) in
+  Datum.add by_datum initial.value.Value.data (-1);
+  let distinct = ref true in
+  let completed = ref [] in
+  for i = Array.length spans - 1 downto 0 do
+    let d = spans.(i).value.Value.data in
+    if Datum.mem by_datum d then distinct := false else Datum.add by_datum d i;
+    if spans.(i).responded <> None then completed := i :: !completed
+  done;
+  let completed = Array.of_list !completed in
+  let responses = Array.map (fun i -> Option.get spans.(i).responded) completed in
+  let monotone = ref true in
+  for k = 1 to Array.length responses - 1 do
+    if Time.(responses.(k) < responses.(k - 1)) then monotone := false
+  done;
+  { spans; by_datum; responses; completed; distinct = !distinct; monotone = !monotone }
+
+(* [allowed_of_spans]'s verdict without building the list: the datum's
+   span is the last completed one or concurrent with the op. *)
+let allows idx ~invoked ~responded (returned : Value.t) =
+  match Datum.find_opt idx.by_datum returned.Value.data with
+  | None -> false
+  | Some j ->
+    let k = Time.count_before idx.responses invoked in
+    let last = if k = 0 then -1 else idx.completed.(k - 1) in
+    j = last || (j >= 0 && concurrent_with idx.spans.(j) ~invoked ~responded)
+
+let check ?(include_joins = true) history =
+  let c = collect ~include_joins history in
+  let spans = write_spans history c.disseminated in
+  let idx = index spans in
+  if not (idx.distinct && idx.monotone) then check_by_fold ~include_joins history
+  else
+    let verdict (o : History.op) =
+      match (o.kind, o.responded) with
+      | (History.Read (Some returned) | History.Join (Some returned)), Some responded ->
+        if allows idx ~invoked:o.invoked ~responded returned then None
+        else
+          let allowed = allowed_of_spans spans ~invoked:o.invoked ~responded in
+          Some { op = o; returned; allowed }
+      | _ -> None
+    in
+    let violations = List.filter_map verdict c.reads @ List.filter_map verdict c.joins in
+    {
+      checked_reads = List.length c.reads;
+      checked_joins = List.length c.joins;
+      violations;
+      writes_sequential = c.sequential;
+      distinct_data = true;
+    }
 
 let is_ok r = r.writes_sequential && r.distinct_data && r.violations = []
 

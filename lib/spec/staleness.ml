@@ -16,11 +16,18 @@ let measure ?(include_joins = false) history =
         | _, _ -> None)
       (History.completed_writes history)
     |> List.sort (fun (a, _) (b, _) -> Time.compare a b)
+    |> Array.of_list
   in
+  let responses = Array.map fst write_resp_sns in
+  (* [max_sn.(k)]: the highest sn among the first k + 1 responses. *)
+  let max_sn = Array.map snd write_resp_sns in
+  for k = 1 to Array.length max_sn - 1 do
+    max_sn.(k) <- Stdlib.max max_sn.(k) max_sn.(k - 1)
+  done;
   let last_sn_before invoked =
-    List.fold_left
-      (fun acc (resp, sn) -> if Time.(resp < invoked) then Stdlib.max acc sn else acc)
-      0 write_resp_sns
+    match Time.count_before responses invoked with
+    | 0 -> 0
+    | k -> Stdlib.max 0 max_sn.(k - 1)
   in
   let reads = History.completed_reads history in
   let joins = if include_joins then History.completed_joins history else [] in

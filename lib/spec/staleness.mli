@@ -17,6 +17,8 @@ type report = {
 }
 
 val measure : ?include_joins:bool -> History.t -> report
-(** [include_joins] defaults to [false]. *)
+(** [include_joins] defaults to [false]. Each read costs one binary
+    search over the completed writes sorted by response, carrying the
+    running maximum sn: O((R + W) log W) in all. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -438,6 +438,179 @@ let prop_stale_reads_flagged =
       let r = Regularity.check h in
       List.length r.Regularity.violations = 1)
 
+(* ------------------------------------------------------------------ *)
+(* The indexed checkers against their folds *)
+
+type fate = Done | Pending | Aborted
+
+let random_fate rng = match Rng.int rng 10 with 0 -> Aborted | 1 -> Pending | _ -> Done
+
+(* A random history on a short timeline, so responses and invocations
+   often share a tick. Writes run one after another with fresh data,
+   and some sequence numbers repeat; with [~messy] some writes also
+   start before the previous one ended or reuse a datum (the initial
+   one included), which sends [Regularity.check] to its fallback. Some
+   writes end aborted or pending. Reads and joins overlap freely, may
+   end pending or aborted, and return a written value (of an aborted
+   or pending write too), the initial value, bottom, or a datum nobody
+   wrote. Operations are recorded in invocation order. *)
+let random_history rng ~messy =
+  let initial = Value.initial 0 in
+  let ops = ref [] in
+  let written = ref [ initial ] in
+  let clock = ref 1 in
+  for i = 1 to Rng.int rng 8 do
+    let at =
+      if messy && Rng.int rng 4 = 0 then Stdlib.max 0 (!clock - Rng.int rng 4)
+      else !clock + Rng.int rng 3
+    in
+    let until = at + Rng.int rng 4 in
+    let data =
+      if messy && Rng.int rng 4 = 0 then (Rng.pick_list rng !written).Value.data else 100 + i
+    in
+    let value = v ~data ~sn:(if Rng.int rng 6 = 0 then i - 1 else i) in
+    let fate = random_fate rng in
+    written := value :: !written;
+    let record h =
+      let id = History.begin_write h (pid 0) ~now:(time at) value in
+      match fate with
+      | Done -> History.end_write h id ~now:(time until) value
+      | Pending -> ()
+      | Aborted -> History.abort h id
+    in
+    ops := (at, record) :: !ops;
+    clock := until
+  done;
+  for _ = 1 to Rng.int rng 12 do
+    let at = Rng.int rng (!clock + 4) in
+    let until = at + Rng.int rng 4 in
+    let returned =
+      match Rng.int rng 8 with
+      | 0 -> Value.bottom
+      | 1 -> initial
+      | 2 -> v ~data:999 ~sn:1
+      | _ -> Rng.pick_list rng !written
+    in
+    let fate = random_fate rng in
+    let p = pid (1 + Rng.int rng 3) in
+    let begin_, end_ =
+      if Rng.int rng 4 = 0 then (History.begin_join, History.end_join)
+      else (History.begin_read, History.end_read)
+    in
+    let record h =
+      let id = begin_ h p ~now:(time at) in
+      match fate with
+      | Done -> end_ h id ~now:(time until) returned
+      | Pending -> ()
+      | Aborted -> History.abort h id
+    in
+    ops := (at, record) :: !ops
+  done;
+  let h = History.create ~initial in
+  List.iter
+    (fun (_, record) -> record h)
+    (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev !ops));
+  h
+
+let prop_check_equals_fold =
+  QCheck2.Test.make ~name:"indexed regularity check equals the fold, field for field"
+    ~count:2000
+    ~print:QCheck2.Print.(triple int bool bool)
+    QCheck2.Gen.(triple (int_range 0 1_000_000) bool bool)
+    (fun (seed, messy, include_joins) ->
+      let h = random_history (Rng.create ~seed) ~messy in
+      Regularity.check ~include_joins h = Regularity.check_by_fold ~include_joins h)
+
+(* The property above is only as strong as its histories: make sure
+   they reach violations and both fallback triggers. *)
+let test_generator_coverage () =
+  let reports =
+    List.init 500 (fun seed ->
+        Regularity.check_by_fold (random_history (Rng.create ~seed) ~messy:(seed mod 2 = 0)))
+  in
+  let count pred = List.length (List.filter pred reports) in
+  check_bool "some violations" true (count (fun r -> r.Regularity.violations <> []) > 50);
+  check_bool "some clean" true (count Regularity.is_ok > 50);
+  check_bool "some repeated data" true (count (fun r -> not r.Regularity.distinct_data) > 20);
+  check_bool "some overlapping writes" true
+    (count (fun r -> not r.Regularity.writes_sequential) > 20)
+
+(* Fallback trigger: w3 responded before w2, so the spans completed
+   before t=6 ({w1, w3}) are not a prefix of the responses in sn order
+   (3, 10, 4). A binary search would pick w1 as the last completed
+   write; the fold picks w3. *)
+let test_fallback_responses_decrease () =
+  let h = History.create ~initial:(Value.initial 0) in
+  add_write h ~p:0 ~at:1 ~until:3 ~data:10 ~sn:1;
+  add_write h ~p:0 ~at:2 ~until:10 ~data:20 ~sn:2;
+  add_write h ~p:0 ~at:2 ~until:4 ~data:30 ~sn:3;
+  add_read h ~p:1 ~at:6 ~until:7 ~data:30 ~sn:3;
+  add_read h ~p:2 ~at:6 ~until:7 ~data:10 ~sn:1;
+  let r = Regularity.check h in
+  check_bool "equals the fold" true (r = Regularity.check_by_fold h);
+  check_bool "writes overlap" false r.Regularity.writes_sequential;
+  match r.Regularity.violations with
+  | [ viol ] ->
+    check_int "the read of w1 is flagged" 10 viol.Regularity.returned.Value.data;
+    check
+      Alcotest.(list int)
+      "allowed: last completed, then concurrent" [ 30; 20 ]
+      (List.map (fun (x : Value.t) -> x.Value.data) viol.Regularity.allowed)
+  | _ -> Alcotest.fail "expected exactly the read of w1 flagged"
+
+(* Fallback trigger: datum 10 is written twice, so a datum no longer
+   names one write. The read at t=3 returns w1's 10, the last completed
+   write; an index holding w3 for datum 10 would flag it. *)
+let test_fallback_repeated_datum () =
+  let h = History.create ~initial:(Value.initial 0) in
+  add_write h ~p:0 ~at:1 ~until:2 ~data:10 ~sn:1;
+  add_write h ~p:0 ~at:3 ~until:4 ~data:20 ~sn:2;
+  add_write h ~p:0 ~at:5 ~until:6 ~data:10 ~sn:3;
+  add_read h ~p:1 ~at:3 ~until:3 ~data:10 ~sn:1;
+  let r = Regularity.check h in
+  check_bool "equals the fold" true (r = Regularity.check_by_fold h);
+  check_bool "repeated datum reported" false r.Regularity.distinct_data;
+  check_int "the read is allowed" 0 (List.length r.Regularity.violations)
+
+(* Staleness as it was measured before the binary search: a fold over
+   every completed write for each read. *)
+let staleness_by_fold ~include_joins h =
+  let writes =
+    List.filter_map
+      (fun (o : History.op) ->
+        match (o.kind, o.responded) with
+        | History.Write w, Some r -> Some (r, w.Value.sn)
+        | _, _ -> None)
+      (History.completed_writes h)
+  in
+  let last_sn_before invoked =
+    List.fold_left
+      (fun acc (resp, sn) -> if Time.(resp < invoked) then Stdlib.max acc sn else acc)
+      0 writes
+  in
+  let joins = if include_joins then History.completed_joins h else [] in
+  List.filter_map
+    (fun (o : History.op) ->
+      match o.kind with
+      | History.Read (Some x) | History.Join (Some x) ->
+        let sn = if Value.is_bottom x then -1 else x.Value.sn in
+        Some (o, Stdlib.max 0 (last_sn_before o.invoked - sn))
+      | History.Read None | History.Join None | History.Write _ -> None)
+    (History.completed_reads h @ joins)
+  |> List.stable_sort (fun ((a : History.op), _) (b, _) -> Time.compare a.invoked b.invoked)
+
+let test_staleness_equals_fold () =
+  for seed = 0 to 499 do
+    let h = random_history (Rng.create ~seed) ~messy:(seed mod 3 = 0) in
+    let include_joins = seed mod 2 = 0 in
+    let r = Staleness.measure ~include_joins h in
+    let expected = staleness_by_fold ~include_joins h in
+    check_bool (Printf.sprintf "seed %d: per read" seed) true (r.Staleness.per_read = expected);
+    check_int (Printf.sprintf "seed %d: max" seed)
+      (List.fold_left (fun m (_, s) -> Stdlib.max m s) 0 expected)
+      r.Staleness.max_staleness
+  done
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -475,6 +648,10 @@ let () =
           Alcotest.test_case "overlapping writes" `Quick test_overlapping_writes_detected;
           Alcotest.test_case "duplicate data" `Quick test_duplicate_data_detected;
           Alcotest.test_case "boundary tie permissive" `Quick test_boundary_tie_is_permissive;
+          Alcotest.test_case "fallback: responses decrease in sn order" `Quick
+            test_fallback_responses_decrease;
+          Alcotest.test_case "fallback: repeated datum" `Quick test_fallback_repeated_datum;
+          Alcotest.test_case "oracle generator coverage" `Quick test_generator_coverage;
         ] );
       ( "atomicity",
         [
@@ -486,6 +663,7 @@ let () =
         [
           Alcotest.test_case "measurement" `Quick test_staleness_measurement;
           Alcotest.test_case "empty" `Quick test_staleness_empty_history;
+          Alcotest.test_case "equals the fold" `Quick test_staleness_equals_fold;
         ] );
       ( "linearizability",
         [
@@ -499,5 +677,6 @@ let () =
           prop_sequential_histories_regular;
           prop_stale_reads_flagged;
           prop_atomicity_equivalence;
+          prop_check_equals_fold;
         ];
     ]
