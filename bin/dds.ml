@@ -38,6 +38,32 @@ module Causal = Dds_causal.Causal
 let time = Time.of_int
 
 (* ------------------------------------------------------------------ *)
+
+(* The exit contract, one for every subcommand: 0 clean, 1 a verdict
+   found a problem, 124 usage or bad input, 125 a bug. A subcommand
+   reports a finding as [`Found msg]; [judged] prints it the way
+   Cmdliner prints an error and exits 1, so a script can tell a found
+   violation from a misspelled flag. *)
+let exit_found = 1
+
+let exits =
+  Cmd.Exit.info exit_found
+    ~doc:
+      "when a verdict found a problem: a run, replay or audit that violates safety, a hunt \
+       or check that found a counterexample, or a load that saw errors."
+  :: Cmd.Exit.defaults
+
+let judged t =
+  let exit_of = function
+    | `Ok () -> `Ok Cmd.Exit.ok
+    | `Found msg ->
+      Format.eprintf "dds: %s@." msg;
+      `Ok exit_found
+    | (`Error _ | `Help _) as e -> e
+  in
+  Term.ret (Term.map exit_of t)
+
+(* ------------------------------------------------------------------ *)
 (* Shared run/report logic, generic over the protocol. *)
 
 module Summary = struct
@@ -285,7 +311,7 @@ let run_single (proto : Protocol.t) c =
     else begin
       Format.printf "repro      : %s@."
         (repro_line ~protocol:proto.Protocol.name ?monitor:c.monitor ?nemesis:c.nemesis c.sim);
-      `Error (false, "safety violated")
+      `Found "safety violated"
     end
 
 (* The sharded store path (--shards N): one skewed plan drawn up front
@@ -366,7 +392,7 @@ let run_sharded (p : Protocol.t) c =
     else begin
       Format.printf "repro      : %s@."
         (repro_line ~protocol:name ~sharding:sh ?monitor:c.monitor ?nemesis:c.nemesis s);
-      `Error (false, "safety violated")
+      `Found "safety violated"
     end
 
 let run_protocol (p : Protocol.t) c =
@@ -723,7 +749,7 @@ let run_replay path =
         Format.printf "atomicity  : %d new/old inversion(s)@." r.Dds_check.Check.inversions;
         List.iter (fun l -> Format.printf "  %s@." l) r.Dds_check.Check.violations;
         if r.Dds_check.Check.violations = [] then `Ok ()
-        else `Error (false, "schedule violates the specification")))
+        else `Found "schedule violates the specification"))
 
 let run_cmd =
   let doc =
@@ -755,9 +781,9 @@ let run_cmd =
       $ trace_t $ trace_out_t $ trace_format_t $ dump_history_t $ metrics_out_t $ dot_out_t)
   in
   Cmd.v
-    (Cmd.info "run" ~doc)
+    (Cmd.info "run" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const (fun schedule pos flag (c, used) ->
              match schedule with
              | Some _ when used <> [] ->
@@ -796,9 +822,9 @@ let analyze_cmd =
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"CSV output path.")
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc)
+    (Cmd.info "analyze" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const (fun pos flag o c -> resolve_protocol pos flag (fun p -> run_analyze p o c))
         $ protocol_pos_t $ protocol_flag_t $ out_t $ sim_t))
 
@@ -1210,7 +1236,7 @@ let inspect_cmd =
     Arg.(
       required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file.")
   in
-  Cmd.v (Cmd.info "inspect" ~doc) Term.(ret (const run_inspect $ file_t))
+  Cmd.v (Cmd.info "inspect" ~exits ~doc) Term.(judged (const run_inspect $ file_t))
 
 (* explain *)
 
@@ -1344,9 +1370,9 @@ let explain_cmd =
              op, one slice per path segment; loadable in chrome://tracing / Perfetto).")
   in
   Cmd.v
-    (Cmd.info "explain" ~doc)
+    (Cmd.info "explain" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const run_explain $ file_t $ op_t $ top_t $ delta_t $ bound_k_t $ json_out_t
        $ chrome_out_t))
 
@@ -1394,12 +1420,12 @@ let audit_sharded (proto : Protocol.t) cfg ~n ~delta initial merged_out path
   Format.printf "regularity : %s (%d shard(s))@."
     (if all_ok then "REGULAR" else "VIOLATED")
     (List.length tags);
-  if all_ok then `Ok () else `Error (false, "audit found violations")
+  if all_ok then `Ok () else `Found "audit found violations"
 
 (* Replays exported JSONL traces through the streaming monitors and the
    regularity checker, offline: everything the in-process checkers see
    is reconstructed from the trace alone (span payloads, Lamport
-   stamps, membership events). Exits non-zero when anything fired. *)
+   stamps, membership events). Exits 1 when anything fired. *)
 let run_audit paths (proto : Protocol.t) initial merged_out n delta gst judge dot_out =
   let cfg = monitor_config_for proto judge ~n ~delta ~gst in
   (* A shard-tagged line carries its register's index; a plain trace
@@ -1484,7 +1510,7 @@ let run_audit paths (proto : Protocol.t) initial merged_out n delta gst judge do
         Format.printf "causal graph written to %s@." out
       | None -> ());
       if violations = [] && Regularity.is_ok report then `Ok ()
-      else `Error (false, "audit found violations")
+      else `Found "audit found violations"
     end
 
 let audit_cmd =
@@ -1494,7 +1520,7 @@ let audit_cmd =
      inversions) and the regularity checker. Multiple files (one per live node from \
      $(b,dds serve --trace-out)) are stable-merged on their shared time line first; \
      wire traces are stamped in milliseconds, so pass $(b,--delta) in ms there (the \
-     runtime's 1 tick = 1 ms convention). Exits non-zero if anything fired."
+     runtime's 1 tick = 1 ms convention). Exits 1 if anything fired."
   in
   let files_t =
     Arg.(
@@ -1532,9 +1558,9 @@ let audit_cmd =
              run's configuration for the regularity verdict to be meaningful.")
   in
   Cmd.v
-    (Cmd.info "audit" ~doc)
+    (Cmd.info "audit" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const run_audit $ files_t $ proto_t $ initial_t $ merged_out_t $ n_t $ delta_t $ gst_t
        $ judge_t $ dot_out_t))
 
@@ -1760,9 +1786,9 @@ let serve_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:"On shutdown, write this node's counters as JSON.")
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (Cmd.info "serve" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const run_serve $ proto_pos_t $ id_t $ peers_t $ shards_t $ owned_t $ join_t
        $ initial_t $ delta_ms_t $ epoch_t $ quorum_t $ trace_out_t $ metrics_out_t))
 
@@ -1821,8 +1847,8 @@ let client_cmd =
             "The 63-bit key the operation addresses (default 0 — the one register of \
              a 1-shard deployment).")
   in
-  Cmd.v (Cmd.info "client" ~doc)
-    Term.(ret (const run_client $ addr_t $ op_t $ datum_t $ key_t))
+  Cmd.v (Cmd.info "client" ~exits ~doc)
+    Term.(judged (const run_client $ addr_t $ op_t $ datum_t $ key_t))
 
 let run_load peers shards owned keys skew clients duration write_ratio seed metrics_out =
   match parse_peers peers with
@@ -1872,7 +1898,7 @@ let run_load peers shards owned keys skew clients duration write_ratio seed metr
             (Json.to_string (Export.metrics_to_json (Metrics.snapshot r.Runix.Load.metrics))
             ^ "\n")
         | None -> ());
-        if r.Runix.Load.errors = 0 then `Ok () else `Error (false, "load saw errors")))
+        if r.Runix.Load.errors = 0 then `Ok () else `Found "load saw errors"))
 
 let load_cmd =
   let doc =
@@ -1883,7 +1909,7 @@ let load_cmd =
      to dds serve): a read on a random reachable owner, a write on the shard's writer, \
      so each shard keeps one writer. It refuses to start when a shard has no reachable \
      owner, or, with writes, when a shard's writer is unreachable. The report splits \
-     latency by op kind and into hot and cold key classes; exits non-zero if any op \
+     latency by op kind and into hot and cold key classes; exits 1 if any op \
      came back as an error or was still unanswered a second after the duration ran \
      out."
   in
@@ -1919,9 +1945,9 @@ let load_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:"Write ops counters, the ops/s gauge and the latency histograms as JSON.")
   in
-  Cmd.v (Cmd.info "load" ~doc)
+  Cmd.v (Cmd.info "load" ~exits ~doc)
     Term.(
-      ret
+      judged
         (const run_load $ peers_t $ serve_shards_t $ serve_owned_t $ keys_t $ skew_t
        $ clients_t $ duration_t $ write_ratio_t $ seed_t $ metrics_out_t))
 
@@ -1931,7 +1957,7 @@ let load_cmd =
    get a deterministically derived random nemesis plan (or the fixed
    --nemesis plan when given); the first violating run is shrunk to a
    minimal plan and echoed as a copy-pasteable `dds run` line. Exits
-   non-zero iff a violation was found, so CI can assert both
+   1 iff a violation was found, so CI can assert both
    directions: a within-model hunt must come back clean, a fixed
    assumption-breaking plan must be flagged. *)
 let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine =
@@ -1986,14 +2012,14 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine
         (repro_line ~protocol ~monitor:judge
            ?nemesis:(match found.Hunt.plan with [] -> None | p -> Some p)
            { c with seed = found.Hunt.seed });
-      `Error (false, "hunt found a violating execution")
+      `Found "hunt found a violating execution"
 
 let hunt_cmd =
   let doc =
     "Randomized nemesis search: N seeds each run a seed-derived random fault plan (or the \
      fixed $(b,--nemesis) plan); the first violating run is shrunk to a minimal \
      counterexample and echoed as a copy-pasteable $(b,dds run) repro line. Exits \
-     non-zero iff a violation was found."
+     1 iff a violation was found."
   in
   let plans_t =
     Arg.(
@@ -2018,13 +2044,13 @@ let hunt_cmd =
       & info [ "no-shrink" ] ~doc:"Report the first counterexample without minimizing it.")
   in
   Term.(
-    ret
+    judged
       (const (fun pos flag plans faults no_shrink c judge nemesis engine ->
            resolve_protocol pos flag (fun p ->
                run_hunt p plans faults no_shrink c judge nemesis engine))
       $ protocol_pos_t $ protocol_flag_t $ plans_t $ faults_t $ no_shrink_t $ sim_t $ judge_t
       $ nemesis_t $ engine_t))
-  |> Cmd.v (Cmd.info "hunt" ~doc)
+  |> Cmd.v (Cmd.info "hunt" ~exits ~doc)
 
 let sweep_cmd =
   let doc = "Regenerate one experiment's tables (see DESIGN.md's index or $(b,dds list))." in
@@ -2054,10 +2080,10 @@ let sweep_cmd =
              sequential, so output stays byte-identical at any $(b,--jobs).")
   in
   Term.(
-    ret
+    judged
       (const run_sweep $ name_t $ attribution_t $ experiment_override_t
      $ sim_term ~bound_read_rate:false $ liveness_k_t $ engine_t))
-  |> Cmd.v (Cmd.info "sweep" ~doc ~man)
+  |> Cmd.v (Cmd.info "sweep" ~exits ~doc ~man)
 
 (* check *)
 
@@ -2118,7 +2144,7 @@ let run_check (p : Protocol.t) nodes delta writes reads joins quorum drop_budget
       | None ->
         Format.printf "schedule   : (replay with dds run --schedule)@.%s"
           (Dds_check.Schedule.to_string v.Dds_check.Check.schedule));
-      `Error (false, "check found a violating schedule"))
+      `Found "check found a violating schedule")
 
 let check_doc =
   "Explore $(i,every) schedule of a small scripted deployment up to the given bounds: \
@@ -2126,7 +2152,7 @@ let check_doc =
    first, and the bounded adversary branches on drop-or-deliver per message and \
    crash-or-not at fixed ticks. Terminal runs are judged against regularity (and \
    atomicity for protocols that promise it); the first violating schedule is emitted \
-   in a replayable format. Exits non-zero iff a violation was found."
+   in a replayable format. Exits 1 iff a violation was found."
 
 let check_cmd =
   let nodes_t =
@@ -2203,7 +2229,7 @@ let check_cmd =
              are only comparable at equal frontier), independent of --jobs.")
   in
   Term.(
-    ret
+    judged
       (const (fun pos flag nodes delta writes reads joins quorum drop crash depth preempt
                   out naive frontier jobs eprofile profile_out ->
            resolve_protocol pos flag (fun p ->
@@ -2212,7 +2238,7 @@ let check_cmd =
       $ protocol_pos_t $ protocol_flag_t $ nodes_t $ delta_t $ writes_t $ reads_t
       $ joins_t $ quorum_t $ drop_t $ crash_t $ depth_t $ preempt_t $ schedule_out_t
       $ naive_t $ frontier_t $ jobs_t $ eprofile_t $ profile_out_t))
-  |> Cmd.v (Cmd.info "check" ~doc:check_doc)
+  |> Cmd.v (Cmd.info "check" ~exits ~doc:check_doc)
 
 (* list *)
 
@@ -2250,12 +2276,12 @@ let list_cmd =
     "List the registered protocols (with their theorem metadata), sweeps, and the \
      runtime wire-protocol frame catalog (one field layout per frame)."
   in
-  Cmd.v (Cmd.info "list" ~doc) Term.(ret (const run_list $ const ()))
+  Cmd.v (Cmd.info "list" ~exits ~doc) Term.(judged (const run_list $ const ()))
 
 let main_cmd =
   let doc = "regular registers in dynamic distributed systems (Baldoni et al., ICDCS 2009)" in
   Cmd.group
-    (Cmd.info "dds" ~version:"1.0.0" ~doc)
+    (Cmd.info "dds" ~version:"1.0.0" ~exits ~doc)
     [
       run_cmd;
       analyze_cmd;
@@ -2271,4 +2297,4 @@ let main_cmd =
       list_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (Cmd.eval' main_cmd)

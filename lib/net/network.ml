@@ -20,34 +20,14 @@ let fault_action_name = function
   | Delay_by _ -> "delay"
   | Corrupt_tag -> "corrupt"
 
-(* The counters every simulated copy bumps, resolved once at [create]
-   so the per-message path hashes no counter name. *)
-type hot = {
-  transmit : Metrics.counter;
-  sent : Metrics.counter;
-  broadcast : Metrics.counter;
-  delivered : Metrics.counter;
-  dropped : Metrics.counter;
-}
-
-let hot_counters m =
-  let c = Metrics.counter m in
-  {
-    transmit = c "net.transmit";
-    sent = c "net.sent";
-    broadcast = c "net.broadcast";
-    delivered = c "net.delivered";
-    dropped = c "net.dropped";
-  }
-
 type 'a t = {
   sched : Scheduler.t;
   rng : Rng.t;
   delay : Delay.t;
   metrics : Metrics.t option;
-  hot : hot option;  (** [Some] iff [metrics] is *)
   events : Event.sink option;
-  msg_kind : ('a -> string) option;
+  traffic : 'a Traffic.t;
+  msg_kind : 'a -> string;
   put_msg : (Buffer.t -> 'a -> unit) option;
   key_buf : Buffer.t;  (** reused for every delivery key; one per network *)
   mode : broadcast_mode;
@@ -59,9 +39,6 @@ type 'a t = {
   mutable broadcast_counter : int;
   flood_seen : (int * int * int, unit) Hashtbl.t;
       (** (destination, origin, broadcast id) already delivered *)
-  clocks : int Pid.Table.t;
-      (** per-process Lamport clocks, maintained only while an enabled
-          event sink is wired (the stamps are observable nowhere else) *)
 }
 
 let create ~sched ~rng ~delay ?metrics ?events ?msg_kind ?put_msg
@@ -70,13 +47,14 @@ let create ~sched ~rng ~delay ?metrics ?events ?msg_kind ?put_msg
   | Flooding { relay_depth } when relay_depth < 1 ->
     invalid_arg "Network.create: flooding relay depth must be >= 1"
   | Flooding _ | Primitive -> ());
+  let msg_kind = match msg_kind with Some f -> f | None -> fun _ -> "msg" in
   {
     sched;
     rng;
     delay;
     metrics;
-    hot = Option.map hot_counters metrics;
     events;
+    traffic = Traffic.create ~metrics ~events ~now:(fun () -> Scheduler.now sched) ~msg_kind;
     msg_kind;
     put_msg;
     key_buf = Buffer.create 64;
@@ -89,36 +67,10 @@ let create ~sched ~rng ~delay ?metrics ?events ?msg_kind ?put_msg
     broadcast_counter = 0;
     flood_seen =
       Hashtbl.create (match broadcast_mode with Primitive -> 1 | Flooding _ -> 4 * nodes);
-    clocks = Pid.Table.create nodes;
   }
 
 let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
-let count t pick = match t.hot with Some h -> Metrics.bump (pick h) | None -> ()
 let now t = Scheduler.now t.sched
-
-(* Telemetry. Call sites test [events_live] first and build their
-   event only inside the test, so disabled telemetry allocates
-   nothing: no closure, no event. *)
-let events_live t = match t.events with Some s -> Event.enabled s | None -> false
-let emit t ev = match t.events with Some s -> Event.emit s ~at:(now t) ev | None -> ()
-
-let kind_of t msg = match t.msg_kind with Some f -> f msg | None -> "msg"
-
-(* Lamport stamping. [tick_send] advances the sender's clock by one;
-   [tick_recv] applies the max(local, sent) + 1 receive rule. Both are
-   called only under [events_live], so uninstrumented runs never touch
-   the table. *)
-let clock t pid = match Pid.Table.find t.clocks pid with c -> c | exception Not_found -> 0
-
-let tick_send t pid =
-  let c = clock t pid + 1 in
-  Pid.Table.replace t.clocks pid c;
-  c
-
-let tick_recv t pid ~sent =
-  let c = Stdlib.max (clock t pid) sent + 1 in
-  Pid.Table.replace t.clocks pid c;
-  c
 
 let attach t pid handler =
   if Pid.Table.mem t.handlers pid then
@@ -169,56 +121,25 @@ let tag_label ~get_msg ~msg_kind ~pp_msg kind =
         Format.asprintf "%a" pp_msg msg ]
   end
 
-(* One Send event (and one net.transmit tick) per point-to-point copy,
-   so [count Send events = net.transmit] holds for any trace; each Send
-   is later resolved by exactly one Deliver or Drop. An injected
-   duplicate is one more copy, with its own Send. Returns the sender's
-   Lamport stamp (0 without an enabled event sink). *)
-let announce t ~kind ~src ~dst msg =
-  count t (fun h -> h.transmit);
-  if not (events_live t) then 0
-  else begin
-    let lamport = tick_send t src in
-    emit t
-      (Event.Send
-         {
-           src = Pid.to_int src;
-           dst = Pid.to_int dst;
-           kind = kind_of t msg;
-           broadcast = (match kind with Delay.Broadcast -> true | Delay.Point_to_point -> false);
-           lamport;
-         });
-    lamport
-  end
-
 (* One copy reaching its delivery instant: attachment is checked now,
    not at send time. [on_arrival] runs instead of the plain handler
    call when provided (flooding uses it to dedup and relay). *)
-let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
+let arrive t ~src ~dst ~as_src ~sent ~on_arrival msg =
   t.flying <- t.flying - 1;
   match Pid.Table.find t.handlers dst with
   | handler -> (
-    count t (fun h -> h.delivered);
-    if events_live t then begin
-      let lamport = tick_recv t dst ~sent:sent_lc in
-      emit t
-        (Event.Deliver
-           {
-             src = Pid.to_int src;
-             dst = Pid.to_int dst;
-             kind = kind_of t msg;
-             lamport;
-             sent = sent_lc;
-           })
-    end;
+    Traffic.deliver t.traffic ~src ~dst ~sent msg;
     match on_arrival with Some f -> f handler | None -> handler ~src:as_src msg)
   | exception Not_found ->
     (* Destination left the system before delivery. *)
-    count t (fun h -> h.dropped);
-    if events_live t then
-      emit t
-        (Event.Drop
-           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Departed })
+    Traffic.drop t.traffic ~src ~dst ~reason:Departed msg
+
+(* One copy leaves: a [Send] per point-to-point copy, so an injected
+   duplicate is one more copy with its own [Send]. Returns the
+   sender's stamp, which the copy's [Deliver] carries. *)
+let announce t ~kind ~src ~dst msg =
+  let broadcast = match kind with Delay.Broadcast -> true | Delay.Point_to_point -> false in
+  Traffic.transmit t.traffic ~src ~dst ~broadcast msg
 
 (* Schedules one copy. [as_src] is the sender identity the protocol
    handler observes — forged by an injected Corrupt_tag; the
@@ -226,7 +147,7 @@ let arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg =
    pairing stays intact. [extra] stretches the sampled delay (injected
    Delay_by). *)
 let copy t ~kind ~src ~dst ~as_src ~extra ~on_arrival decision msg =
-  let sent_lc = announce t ~kind ~src ~dst msg in
+  let sent = announce t ~kind ~src ~dst msg in
   let d = Delay.sample t.delay ~rng:t.rng decision + extra in
   t.flying <- t.flying + 1;
   let tag =
@@ -236,7 +157,7 @@ let copy t ~kind ~src ~dst ~as_src ~extra ~on_arrival decision msg =
   in
   ignore
     (Scheduler.schedule_after t.sched ?tag d (fun () ->
-         arrive t ~src ~dst ~as_src ~sent_lc ~on_arrival msg))
+         arrive t ~src ~dst ~as_src ~sent ~on_arrival msg))
 
 (* Schedules one point-to-point transmission; consults the fault plan
    at send time. *)
@@ -244,7 +165,7 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
   let decision = { Delay.now = now t; src; dst; kind } in
   let action =
     match t.fault with
-    | Some plan -> plan decision ~msg_kind:(kind_of t msg)
+    | Some plan -> plan decision ~msg_kind:(t.msg_kind msg)
     | None -> Pass
   in
   (match action with
@@ -252,24 +173,22 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
   | faulted ->
     t.injected <- t.injected + 1;
     bump t "net.injected";
-    if events_live t then
-      emit t
+    match t.events with
+    | Some s when Event.enabled s ->
+      Event.emit s ~at:(now t)
         (Event.Fault_injected
            {
              fault = fault_action_name faulted;
              src = Pid.to_int src;
              dst = Pid.to_int dst;
-             kind = kind_of t msg;
-           }));
+             kind = t.msg_kind msg;
+           })
+    | Some _ | None -> ());
   match action with
   | Pass -> copy t ~kind ~src ~dst ~as_src:src ~extra:0 ~on_arrival decision msg
   | Drop_msg ->
-    let _lc = announce t ~kind ~src ~dst msg in
-    bump t "net.faulted";
-    if events_live t then
-      emit t
-        (Event.Drop
-           { src = Pid.to_int src; dst = Pid.to_int dst; kind = kind_of t msg; reason = Faulted })
+    let _sent = announce t ~kind ~src ~dst msg in
+    Traffic.drop t.traffic ~src ~dst ~reason:Faulted msg
   | Delay_by { extra } ->
     copy t ~kind ~src ~dst ~as_src:src ~extra:(Stdlib.max 0 extra) ~on_arrival decision msg
   | Corrupt_tag ->
@@ -283,10 +202,10 @@ let transmit t ~kind ~src ~dst ?on_arrival msg =
 
 let send t ~src ~dst msg =
   if Pid.Table.mem t.handlers dst then begin
-    count t (fun h -> h.sent);
+    Traffic.sent t.traffic;
     transmit t ~kind:Delay.Point_to_point ~src ~dst msg
   end
-  else count t (fun h -> h.dropped)
+  else Traffic.absent t.traffic
 
 (* One flooding hop: deliver-once at [dst], then relay to everyone the
    relayer currently sees while hops remain. The per-destination seen
@@ -313,7 +232,7 @@ let rec flood_hop t ~origin ~id ~ttl ~src ~dst msg =
   transmit t ~kind:Delay.Broadcast ~src ~dst ~on_arrival msg
 
 let broadcast t ~src msg =
-  count t (fun h -> h.broadcast);
+  Traffic.broadcast t.traffic;
   match t.mode with
   | Primitive ->
     (* Snapshot the present set: only processes in the system at

@@ -90,14 +90,16 @@ val create :
   ?nodes:int ->
   unit ->
   'a t
-(** A network with no attached processes. [metrics] (counters
-    [net.sent], [net.broadcast], [net.transmit], [net.delivered],
-    [net.dropped], [net.faulted], [net.injected], [net.relayed],
-    [net.duplicate]) is an optional observability sink;
-    [events] receives typed [Send]/[Deliver]/[Drop] telemetry, one
-    [Send] per point-to-point copy (a broadcast fans out into one per
-    present destination, an injected duplicate adds one more), so a
-    trace's [Send] count always equals the [net.transmit] counter.
+(** A network with no attached processes. [metrics] is an optional
+    observability sink and [events] receives typed telemetry. Every
+    copy is recorded through {!Traffic}, the one owner of the traffic
+    schema the live store shares: its counters, Lamport stamps, and
+    [Send]/[Deliver]/[Drop] events, one [Send] per point-to-point copy
+    (a broadcast fans out into one per present destination, an injected
+    duplicate adds one more), so a trace's [Send] count always equals
+    the transmit counter. The fault-only counters [net.injected],
+    [net.relayed] and [net.duplicate], and [Fault_injected] events, are
+    this module's.
     [msg_kind] names each payload's wire kind (e.g. ["INQUIRY"]) in
     typed events; payloads themselves never appear in telemetry.
     [put_msg] is the payload's binary codec; it is required only while

@@ -109,6 +109,8 @@ let decode ?(version = Wire.v2) payload =
   | 1 -> finish (Client_hello { version = Wire.get_u8 r })
   | 2 ->
     let src = Wire.get_int r in
+    (* A source names a pid, and no pid is negative. *)
+    if src < 0 then raise (Wire.Malformed (Printf.sprintf "Msg from source %d" src));
     let lamport = Wire.get_int r in
     let shard = Wire.get_int r in
     Msg { src; lamport; shard; rest = r }

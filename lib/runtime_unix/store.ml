@@ -104,7 +104,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
   type instance = {
     shard : int;
     sink : Event.sink;
-    mutable lamport : int;
+    traffic : P.msg Traffic.t;
     mutable handler : (src:Pid.t -> P.msg -> unit) option;
     mutable node : P.node option;
     mutable left : bool;
@@ -112,14 +112,10 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     mutable op_busy : bool;
   }
 
-  (* The counters every message or op batch bumps, resolved once at
-     [create] so the live path hashes no counter name per message. *)
+  (* The counters every op batch bumps, resolved once at [create] so
+     the live path hashes no counter name per batch; the per-message
+     counters live in each instance's [traffic]. *)
   type counters = {
-    c_transmit : Metrics.counter;
-    c_sent : Metrics.counter;
-    c_broadcast : Metrics.counter;
-    c_delivered : Metrics.counter;
-    c_dropped : Metrics.counter;
     c_reads_coalesced : Metrics.counter;
     c_writes_coalesced : Metrics.counter;
   }
@@ -127,11 +123,6 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
   let counters m =
     let c = Metrics.counter m in
     {
-      c_transmit = c "net.transmit";
-      c_sent = c "net.sent";
-      c_broadcast = c "net.broadcast";
-      c_delivered = c "net.delivered";
-      c_dropped = c "net.dropped";
       c_reads_coalesced = c "store.reads_coalesced";
       c_writes_coalesced = c "store.writes_coalesced";
     }
@@ -173,36 +164,17 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
 
   (* --- clock ------------------------------------------------------- *)
 
-  let now t =
-    let ms = int_of_float (Loop.now_ms () -. t.cfg.epoch_ms) in
+  let since epoch_ms =
+    let ms = int_of_float (Loop.now_ms () -. epoch_ms) in
     Time.of_int (Stdlib.max 0 ms)
+
+  let now t = since t.cfg.epoch_ms
 
   let emit t inst ev =
     if Event.enabled inst.sink then Event.emit inst.sink ~at:(now t) ev
 
-  let tick_send inst =
-    inst.lamport <- inst.lamport + 1;
-    inst.lamport
-
-  let tick_recv inst ~sent =
-    inst.lamport <- Stdlib.max inst.lamport sent + 1;
-    inst.lamport
-
   (* --- transport --------------------------------------------------- *)
 
-  let announce t inst ~bcast ~dst msg =
-    Metrics.bump t.ctr.c_transmit;
-    let lc = if Event.enabled inst.sink then tick_send inst else 0 in
-    emit t inst
-      (Event.Send
-         { src = self_i t; dst; kind = P.msg_kind msg; broadcast = bcast; lamport = lc });
-    lc
-
-  (* A copy to ourselves: broadcasts include the sender, and the sync
-     protocol's joiner answers its own INQUIRY queue through this
-     path. Delivery is deferred to the next loop turn so a handler
-     never re-enters itself — the simulator's >= 1 tick delay gives
-     the same guarantee there. *)
   let after_ms_ignore loop d f = ignore (Loop.after_ms loop d f : unit -> unit)
 
   (* One protocol op per instance at a time, answered in arrival order.
@@ -258,47 +230,42 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
           P.read node ~k)
       | Some _ | None -> ()
 
-  let deliver_local t inst ~sent_lc msg =
-    after_ms_ignore t.loop 0 (fun () ->
-        match inst.handler with
-        | Some h when not inst.left ->
-          Metrics.bump t.ctr.c_delivered;
-          let recv_lc =
-            if Event.enabled inst.sink then tick_recv inst ~sent:sent_lc else 0
-          in
-          emit t inst
-            (Event.Deliver
-               {
-                 src = self_i t;
-                 dst = self_i t;
-                 kind = P.msg_kind msg;
-                 lamport = recv_lc;
-                 sent = sent_lc;
-               });
-          h ~src:(pid t) msg
-        | Some _ | None ->
-          Metrics.bump t.ctr.c_dropped;
-          emit t inst
-            (Event.Drop
-               { src = self_i t; dst = self_i t; kind = P.msg_kind msg; reason = Event.Departed }))
+  (* A copy from [src] reaching [inst]: handed to the protocol while
+     the instance is attached, after which a queued op may start;
+     dropped once it has left. *)
+  let arrive t inst ~src ~sent msg =
+    match inst.handler with
+    | Some h when not inst.left ->
+      Traffic.deliver inst.traffic ~src ~dst:(pid t) ~sent msg;
+      h ~src msg;
+      pump t inst
+    | Some _ | None -> Traffic.drop inst.traffic ~src ~dst:(pid t) ~reason:Departed msg
 
   let link_ready t peer =
     peer <> self_i t
     && match t.links.(peer).conn with Some c -> not c.Conn.closed | None -> false
 
-  let transmit t inst ~bcast dst msg =
+  let announce t inst ~broadcast dst msg =
+    Traffic.transmit inst.traffic ~src:(pid t) ~dst:(Pid.of_int dst) ~broadcast msg
+
+  (* A copy to ourselves: broadcasts include the sender, and the sync
+     protocol's joiner answers its own INQUIRY queue through this
+     path. Delivery is deferred to the next loop turn so a handler
+     never re-enters itself — the simulator's >= 1 tick delay gives
+     the same guarantee there. *)
+  let transmit t inst ~broadcast dst msg =
     if dst = self_i t then begin
-      let lc = announce t inst ~bcast ~dst msg in
-      deliver_local t inst ~sent_lc:lc msg
+      let sent = announce t inst ~broadcast dst msg in
+      after_ms_ignore t.loop 0 (fun () -> arrive t inst ~src:(pid t) ~sent msg)
     end
     else
       match t.links.(dst).conn with
       | Some conn when not conn.Conn.closed ->
-        let lc = announce t inst ~bcast ~dst msg in
-        let b = Frame.buf_msg_header ~src:(self_i t) ~lamport:lc ~shard:inst.shard () in
+        let lamport = announce t inst ~broadcast dst msg in
+        let b = Frame.buf_msg_header ~src:(self_i t) ~lamport ~shard:inst.shard () in
         P.put_msg b msg;
         Conn.write_frame conn b
-      | Some _ | None -> Metrics.bump t.ctr.c_dropped
+      | Some _ | None -> Traffic.absent inst.traffic
 
   (* A shard's messages are confined to its owners: a send to a
      non-owner is a protocol bug surfaced as a dropped message, not a
@@ -311,13 +278,13 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
       && ((dst = self_i t && inst.handler <> None) || link_ready t dst)
     in
     if attached then begin
-      Metrics.bump t.ctr.c_sent;
-      transmit t inst ~bcast:false dst msg
+      Traffic.sent inst.traffic;
+      transmit t inst ~broadcast:false dst msg
     end
-    else Metrics.bump t.ctr.c_dropped
+    else Traffic.absent inst.traffic
 
   let rt_broadcast t inst ~src:_ msg =
-    Metrics.bump t.ctr.c_broadcast;
+    Traffic.broadcast inst.traffic;
     (* Present set = ourselves plus every owner of this shard our
        outgoing link reaches, in pid order — the wire analogue of the
        simulator's sorted attached snapshot, restricted to the shard's
@@ -325,7 +292,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     List.iter
       (fun dst ->
         if (dst = self_i t && inst.handler <> None) || link_ready t dst then
-          transmit t inst ~bcast:true dst msg)
+          transmit t inst ~broadcast:true dst msg)
       (Placement.owners t.cfg.placement inst.shard)
 
   let runtime t inst : P.msg Runtime.t =
@@ -358,20 +325,7 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     with
     | exception (Wire.Truncated | Wire.Malformed _) ->
       Metrics.incr t.metrics "net.malformed"
-    | msg -> (
-      match inst.handler with
-      | Some h when not inst.left ->
-        Metrics.bump t.ctr.c_delivered;
-        let recv_lc = if Event.enabled inst.sink then tick_recv inst ~sent:lamport else 0 in
-        emit t inst
-          (Event.Deliver
-             { src; dst = self_i t; kind = P.msg_kind msg; lamport = recv_lc; sent = lamport });
-        h ~src:(Pid.of_int src) msg;
-        pump t inst
-      | Some _ | None ->
-        Metrics.bump t.ctr.c_dropped;
-        emit t inst
-          (Event.Drop { src; dst = self_i t; kind = P.msg_kind msg; reason = Event.Departed }))
+    | msg -> arrive t inst ~src:(Pid.of_int src) ~sent:lamport msg
 
   let err t conn ~req reason =
     Metrics.incr t.metrics "net.refused";
@@ -556,17 +510,23 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
     let nshards = Placement.shards cfg.placement in
     let events_on = cfg.events_enabled || cfg.trace_path <> None in
     let owned = Placement.owned cfg.placement cfg.self in
+    let metrics = Metrics.create () in
     let instances =
       Array.init nshards (fun shard ->
           if List.mem shard owned then
+            let sink =
+              Event.create
+                ~first_span:(span_base ~self:cfg.self ~shards:nshards ~shard)
+                ~enabled:events_on ()
+            in
             Some
               {
                 shard;
-                sink =
-                  Event.create
-                    ~first_span:(span_base ~self:cfg.self ~shards:nshards ~shard)
-                    ~enabled:events_on ();
-                lamport = 0;
+                sink;
+                traffic =
+                  Traffic.create ~metrics:(Some metrics) ~events:(Some sink)
+                    ~now:(fun () -> since cfg.epoch_ms)
+                    ~msg_kind:P.msg_kind;
                 handler = None;
                 node = None;
                 left = false;
@@ -575,7 +535,6 @@ module Make (P : Dds_core.Register_intf.PROTOCOL) = struct
               }
           else None)
     in
-    let metrics = Metrics.create () in
     let t =
       {
         cfg;

@@ -85,8 +85,7 @@ let distinct_data (initial, spans) =
   no_dup sorted
 
 (* The fold: every read and join scans every write span, O(R x W).
-   [check] falls back to it when its index would not be exact, and the
-   tests keep it as the oracle [check] must agree with. *)
+   The tests keep it as the oracle [check] must agree with. *)
 let check_by_fold ?(include_joins = true) history =
   let spans =
     write_spans history (List.map of_write_op (History.disseminated_writes history))
@@ -160,71 +159,79 @@ let collect ~include_joins history =
 module Datum = Hashtbl.Make (Int)
 
 (* The sn-sorted spans indexed for one lookup per read: each datum's
-   span (-1 for the initial value) and the completed spans' responses
-   in sn order. The lookup is exact when every datum is distinct and
-   those responses do not decrease, so the spans completed before any
-   instant are a prefix of [responses]. *)
+   spans, in sn order (-1 for the initial value), and the completed
+   spans sorted by response, with [last.(k)] the highest sn index among
+   the first k + 1 of them. The spans completed before an instant are
+   then a prefix of [responses], and the last of them in sn order is
+   one binary search away, whatever the order of responses in sn
+   order and however often a datum repeats. *)
 type index = {
   spans : write_span array;
-  by_datum : int Datum.t;
+  by_datum : int list Datum.t;
   responses : Time.t array;
-  completed : int array;  (** span index of each entry of [responses] *)
+  last : int array;
   distinct : bool;
-  monotone : bool;
 }
 
 let index (initial, spans) =
   let spans = Array.of_list spans in
   let by_datum = Datum.create (Array.length spans + 1) in
-  Datum.add by_datum initial.value.Value.data (-1);
   let distinct = ref true in
+  let add d i =
+    match Datum.find by_datum d with
+    | js ->
+      distinct := false;
+      Datum.replace by_datum d (i :: js)
+    | exception Not_found -> Datum.add by_datum d [ i ]
+  in
   let completed = ref [] in
   for i = Array.length spans - 1 downto 0 do
-    let d = spans.(i).value.Value.data in
-    if Datum.mem by_datum d then distinct := false else Datum.add by_datum d i;
+    add spans.(i).value.Value.data i;
     if spans.(i).responded <> None then completed := i :: !completed
   done;
-  let completed = Array.of_list !completed in
-  let responses = Array.map (fun i -> Option.get spans.(i).responded) completed in
-  let monotone = ref true in
-  for k = 1 to Array.length responses - 1 do
-    if Time.(responses.(k) < responses.(k - 1)) then monotone := false
+  add initial.value.Value.data (-1);
+  let response i = Option.get spans.(i).responded in
+  let last = Array.of_list !completed in
+  Array.stable_sort (fun i j -> Time.compare (response i) (response j)) last;
+  let responses = Array.map response last in
+  for k = 1 to Array.length last - 1 do
+    last.(k) <- Stdlib.max last.(k) last.(k - 1)
   done;
-  { spans; by_datum; responses; completed; distinct = !distinct; monotone = !monotone }
+  { spans; by_datum; responses; last; distinct = !distinct }
 
-(* [allowed_of_spans]'s verdict without building the list: the datum's
-   span is the last completed one or concurrent with the op. *)
+(* [allowed_of_spans]'s verdict without building the list: one of the
+   datum's spans is the last completed one or concurrent with the op. *)
 let allows idx ~invoked ~responded (returned : Value.t) =
   match Datum.find_opt idx.by_datum returned.Value.data with
   | None -> false
-  | Some j ->
+  | Some js ->
     let k = Time.count_before idx.responses invoked in
-    let last = if k = 0 then -1 else idx.completed.(k - 1) in
-    j = last || (j >= 0 && concurrent_with idx.spans.(j) ~invoked ~responded)
+    let last = if k = 0 then -1 else idx.last.(k - 1) in
+    List.exists
+      (fun j -> j = last || (j >= 0 && concurrent_with idx.spans.(j) ~invoked ~responded))
+      js
 
 let check ?(include_joins = true) history =
   let c = collect ~include_joins history in
   let spans = write_spans history c.disseminated in
   let idx = index spans in
-  if not (idx.distinct && idx.monotone) then check_by_fold ~include_joins history
-  else
-    let verdict (o : History.op) =
-      match (o.kind, o.responded) with
-      | (History.Read (Some returned) | History.Join (Some returned)), Some responded ->
-        if allows idx ~invoked:o.invoked ~responded returned then None
-        else
-          let allowed = allowed_of_spans spans ~invoked:o.invoked ~responded in
-          Some { op = o; returned; allowed }
-      | _ -> None
-    in
-    let violations = List.filter_map verdict c.reads @ List.filter_map verdict c.joins in
-    {
-      checked_reads = List.length c.reads;
-      checked_joins = List.length c.joins;
-      violations;
-      writes_sequential = c.sequential;
-      distinct_data = true;
-    }
+  let verdict (o : History.op) =
+    match (o.kind, o.responded) with
+    | (History.Read (Some returned) | History.Join (Some returned)), Some responded ->
+      if allows idx ~invoked:o.invoked ~responded returned then None
+      else
+        let allowed = allowed_of_spans spans ~invoked:o.invoked ~responded in
+        Some { op = o; returned; allowed }
+    | _ -> None
+  in
+  let violations = List.filter_map verdict c.reads @ List.filter_map verdict c.joins in
+  {
+    checked_reads = List.length c.reads;
+    checked_joins = List.length c.joins;
+    violations;
+    writes_sequential = c.sequential;
+    distinct_data = idx.distinct;
+  }
 
 let is_ok r = r.writes_sequential && r.distinct_data && r.violations = []
 

@@ -47,24 +47,23 @@ val check : ?include_joins:bool -> History.t -> report
     Cost: O((R + W) log W) for R reads and joins and W write spans. One
     pass over the history sorts it into reads, joins and write spans;
     the spans, sorted by sequence number, are indexed once by datum,
-    along with the responses of the completed ones. A read's last
-    completed write is then one binary search, and its verdict is O(1):
-    the returned datum's write is that one, or is concurrent with the
-    read. The [allowed] list is built only for a violation.
+    and the completed ones once by response, each entry carrying the
+    highest sequence number completed so far. A read's last completed
+    write is then one binary search, and its verdict is O(1) per span
+    of the returned datum: that span is the last completed one, or is
+    concurrent with the read. The [allowed] list is built only for a
+    violation.
 
-    The index is exact under two conditions, which [check] tests on
-    every history rather than assumes: every datum is distinct, the
-    initial value included ([distinct_data]); and the completed
-    writes' responses do not decrease in sequence-number order. When
-    either fails (overlapping writes, a repeated datum), [check] is
-    {!check_by_fold}, at O(R x W). Either way the report equals {!check_by_fold}'s,
-    field for field. *)
+    The index is exact for every history: repeated data (each datum
+    keeps all its spans) and writes whose responses decrease in
+    sequence-number order (overlapping writes) included. The report
+    equals {!check_by_fold}'s, field for field. *)
 
 val check_by_fold : ?include_joins:bool -> History.t -> report
 (** The O(R x W) reference: every read and join folds over every write
     span and builds its allowed list. Kept as the test oracle for
     {!check}, the role {!Linearizability.check} has for {!Atomicity}:
-    besides [check]'s fallback, only tests call it. *)
+    only tests call it. *)
 
 val is_ok : report -> bool
 (** No violations and writes were sequential. *)

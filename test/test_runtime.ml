@@ -608,12 +608,60 @@ let read_tagged_trace path =
 (* Every node's trace merged on the shared timeline, tags dropped. *)
 let merged_trace paths = List.map snd (Export.merge_tagged (List.map read_tagged_trace paths))
 
+(* A counter from a metrics JSON file, as [--metrics-out] writes it. *)
+let metrics_counter path name =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok j ->
+    Option.value ~default:0
+      (Option.bind (Json.member "counters" j) (fun c ->
+           Option.bind (Json.member name c) Json.to_int_opt))
+
+(* The traffic identities a simulated trace obeys (test_obs), held to
+   a live node's own trace and counters: one Send per net.transmit, one
+   Deliver per net.delivered, and no more Drops than net.dropped. *)
+let check_traffic_identities ~node ~trace ~metrics =
+  let evs = List.map (fun (_, st) -> st.Event.ev) (read_tagged_trace trace) in
+  let count pred = List.length (List.filter pred evs) in
+  let counter = metrics_counter metrics in
+  let name what = Printf.sprintf "node %d: %s" node what in
+  check_int (name "Send events = net.transmit") (counter "net.transmit")
+    (count (function Event.Send _ -> true | _ -> false));
+  check_int (name "Deliver events = net.delivered") (counter "net.delivered")
+    (count (function Event.Deliver _ -> true | _ -> false));
+  check_bool (name "Drop events <= net.dropped") true
+    (count (function Event.Drop _ -> true | _ -> false) <= counter "net.dropped")
+
+(* Every Deliver's [sent] stamp is the Lamport stamp of a Send from its
+   source to its destination in the merged trace. *)
+let check_deliveries_paired merged =
+  let sends = Hashtbl.create 1024 in
+  List.iter
+    (fun st ->
+      match st.Event.ev with
+      | Event.Send { src; dst; lamport; _ } -> Hashtbl.replace sends (src, dst, lamport) ()
+      | _ -> ())
+    merged;
+  let unpaired =
+    List.filter
+      (fun st ->
+        match st.Event.ev with
+        | Event.Deliver { src; dst; sent; _ } -> not (Hashtbl.mem sends (src, dst, sent))
+        | _ -> false)
+      merged
+  in
+  check_int "Deliver events without their Send" 0 (List.length unpaired)
+
 let test_loopback_deployment () =
   let n = 3 in
   let socks = Array.init n (fun _ -> bind_ephemeral ()) in
   let addrs = Array.map (fun (_, port) -> ("127.0.0.1", port)) socks in
   let traces =
     Array.init n (fun i -> Filename.temp_file (Printf.sprintf "dds-node%d-" i) ".jsonl")
+  in
+  let metrics =
+    Array.init n (fun i -> Filename.temp_file (Printf.sprintf "dds-node%d-" i) ".json")
   in
   let epoch_ms = Store.default_epoch_ms () in
   let children =
@@ -622,7 +670,8 @@ let test_loopback_deployment () =
         match Unix.fork () with
         | 0 ->
           (* Child: run node i until the parent writes to the control
-             pipe, then shut down cleanly (flushing the trace). *)
+             pipe, then shut down cleanly (flushing the trace) and
+             write its counters. *)
           Unix.close ctl_w;
           (try
              let loop = Loop.create () in
@@ -637,6 +686,10 @@ let test_loopback_deployment () =
              let node = S_es.create ~loop cfg (fun _shard -> Es_register.default_params ~n) in
              Loop.watch_read loop ctl_r (fun () ->
                  S_es.shutdown node;
+                 Out_channel.with_open_bin metrics.(i) (fun oc ->
+                     output_string oc
+                       (Json.to_string
+                          (Export.metrics_to_json (Metrics.snapshot (S_es.metrics node)))));
                  Loop.stop loop);
              Loop.run loop
            with _ -> ());
@@ -690,9 +743,13 @@ let test_loopback_deployment () =
       ignore (Unix.waitpid [] pid);
       Unix.close ctl_w)
     children;
+  Array.iteri
+    (fun node trace -> check_traffic_identities ~node ~trace ~metrics:metrics.(node))
+    traces;
   let merged = merged_trace (Array.to_list traces) in
-  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) traces;
+  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (Array.append traces metrics);
   check_bool "merged trace non-trivial" true (List.length merged > 100);
+  check_deliveries_paired merged;
   (* The wire trace must audit exactly like a simulated deployment:
      clean monitors, REGULAR verdict. delta = 30 ms on the wire (1
      tick = 1 ms), delta = 3 ticks in the simulator. *)
@@ -886,6 +943,16 @@ let test_hostile_frames () =
       (match raw_recv_frame fd with
       | Frame.Hello _ -> ()
       | _ -> Alcotest.fail "connection dropped after a malformed Msg");
+      Unix.close fd;
+      (* A well-formed payload from a negative source, which no pid is:
+         the frame is malformed, so the connection closes. *)
+      let fd = raw_dial port in
+      raw_send fd (Frame.buf_hello 0);
+      let b = Frame.buf_msg_header ~src:(-1) ~lamport:1 ~shard:0 () in
+      Es_register.put_msg b (Es_register.Inquiry { r_sn = 5 });
+      raw_send fd b;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      check_int "negative source: closed" 0 (Unix.read fd (Bytes.create 64) 0 64);
       Unix.close fd;
       let c = Client.connect ~host:"127.0.0.1" ~port () in
       (match Client.write c 8 with

@@ -449,7 +449,7 @@ let random_fate rng = match Rng.int rng 10 with 0 -> Aborted | 1 -> Pending | _ 
    often share a tick. Writes run one after another with fresh data,
    and some sequence numbers repeat; with [~messy] some writes also
    start before the previous one ended or reuse a datum (the initial
-   one included), which sends [Regularity.check] to its fallback. Some
+   one included), which the index must judge exactly as the fold. Some
    writes end aborted or pending. Reads and joins overlap freely, may
    end pending or aborted, and return a written value (of an aborted
    or pending write too), the initial value, bottom, or a datum nobody
@@ -522,7 +522,7 @@ let prop_check_equals_fold =
       Regularity.check ~include_joins h = Regularity.check_by_fold ~include_joins h)
 
 (* The property above is only as strong as its histories: make sure
-   they reach violations and both fallback triggers. *)
+   they reach violations, repeated data and overlapping writes. *)
 let test_generator_coverage () =
   let reports =
     List.init 500 (fun seed ->
@@ -535,10 +535,11 @@ let test_generator_coverage () =
   check_bool "some overlapping writes" true
     (count (fun r -> not r.Regularity.writes_sequential) > 20)
 
-(* Fallback trigger: w3 responded before w2, so the spans completed
-   before t=6 ({w1, w3}) are not a prefix of the responses in sn order
-   (3, 10, 4). A binary search would pick w1 as the last completed
-   write; the fold picks w3. *)
+(* Responses decrease in sn order: w3 responded before w2, so the
+   spans completed before t=6 ({w1, w3}) are not a prefix of the
+   responses in sn order (3, 10, 4). A binary search over those would
+   pick w1 as the last completed write; the fold, and the index's
+   responses sorted by time with their running sn maximum, pick w3. *)
 let test_fallback_responses_decrease () =
   let h = History.create ~initial:(Value.initial 0) in
   add_write h ~p:0 ~at:1 ~until:3 ~data:10 ~sn:1;
@@ -558,9 +559,9 @@ let test_fallback_responses_decrease () =
       (List.map (fun (x : Value.t) -> x.Value.data) viol.Regularity.allowed)
   | _ -> Alcotest.fail "expected exactly the read of w1 flagged"
 
-(* Fallback trigger: datum 10 is written twice, so a datum no longer
-   names one write. The read at t=3 returns w1's 10, the last completed
-   write; an index holding w3 for datum 10 would flag it. *)
+(* A repeated datum: 10 is written twice, so a datum no longer names
+   one write. The read at t=3 returns w1's 10, the last completed
+   write; an index holding only w3 for datum 10 would flag it. *)
 let test_fallback_repeated_datum () =
   let h = History.create ~initial:(Value.initial 0) in
   add_write h ~p:0 ~at:1 ~until:2 ~data:10 ~sn:1;
