@@ -157,6 +157,58 @@ let test_array_retire_aborts () =
   let h = (Register_array.histories arr).(0) in
   check_int "read aborted in history" 1 (List.length (Dds_spec.History.aborted h))
 
+(* Exact oracle for the array's op bookkeeping: E18 prints only
+   aggregates, so this pins each register's whole history of one
+   churned run (joins, reads and writes, completed and aborted) byte for
+   byte. Owners are not protected, so some leave mid-write. *)
+let test_array_histories_pinned () =
+  let arr = make_array ~seed:3 ~n:10 ~k:3 ~churn:0.04 () in
+  let sched = Register_array.scheduler arr in
+  let rng = Rng.create ~seed:11 in
+  let drive tick () =
+    for reg = 0 to 2 do
+      let owner = Register_array.owner arr ~reg in
+      if Register_array.is_active arr owner && not (Register_array.busy arr ~self:owner ~reg)
+      then
+        Register_array.write arr ~self:owner ~reg
+          ~record:{ Codec.lre = tick; lrww = tick; v = reg }
+          ~k:(fun () -> ())
+    done;
+    match Membership.active (Register_array.membership arr) with
+    | [] -> ()
+    | active ->
+      let self = Rng.pick_list rng active and reg = Rng.int rng 3 in
+      if not (Register_array.busy arr ~self ~reg) then
+        Register_array.read arr ~self ~reg ~k:(fun _ -> ())
+  in
+  for tick = 1 to 400 do
+    ignore (Scheduler.schedule_at sched (time tick) (drive tick))
+  done;
+  Register_array.start_churn arr ~until:(time 400);
+  Scheduler.run_until sched (time 500);
+  let hs = Array.to_list (Register_array.histories arr) in
+  let some f = List.exists (fun h -> List.exists f (Dds_spec.History.ops h)) hs in
+  let is_join = function Dds_spec.History.Join _ -> true | _ -> false in
+  let is_write = function Dds_spec.History.Write _ -> true | _ -> false in
+  let is_read = function Dds_spec.History.Read _ -> true | _ -> false in
+  let finished kind (o : Dds_spec.History.op) =
+    kind o.kind && o.responded <> None && not o.aborted
+  in
+  let cut kind (o : Dds_spec.History.op) = kind o.kind && o.aborted in
+  check_bool "completed joins" true (some (finished is_join));
+  check_bool "completed writes" true (some (finished is_write));
+  check_bool "completed reads" true (some (finished is_read));
+  check_bool "aborted joins" true (some (cut is_join));
+  check_bool "aborted writes" true (some (cut is_write));
+  check_bool "aborted reads" true (some (cut is_read));
+  check (Alcotest.list Alcotest.string) "history digests" 
+    [
+      "dab87d693e3ae81f73f2d8d857a39ff0";
+      "655bc7e3a0323cb2f16f56d71c1364e0";
+      "413d7ba05855e6e463a508efc6b5fd45";
+    ]
+    (List.map (fun h -> Digest.to_hex (Digest.string (Dds_spec.History.to_csv h))) hs)
+
 (* ------------------------------------------------------------------ *)
 (* Alpha *)
 
@@ -362,6 +414,7 @@ let () =
           Alcotest.test_case "joiner joins all registers" `Quick
             test_array_joiner_joins_all_registers;
           Alcotest.test_case "retire aborts" `Quick test_array_retire_aborts;
+          Alcotest.test_case "histories pinned" `Quick test_array_histories_pinned;
         ] );
       ( "alpha",
         [

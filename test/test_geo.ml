@@ -158,6 +158,35 @@ let test_world_reentry_gets_fresh_identity () =
   check_bool "identities = founders + entries" true (identities > 40 && entries > 40);
   check_bool "more identities than walkers" true (identities > 40)
 
+(* Exact oracle for the zone world's op bookkeeping: E19 prints only
+   aggregates, so this pins the whole history of one churned run (joins
+   completed and aborted, writes completed and aborted, reads) byte for
+   byte. *)
+let churned_world_history () =
+  let w = Zone_world.create (Zone_world.default_config ~seed:9 ~speed:3.0) in
+  Zone_world.start w ~until:(time 400);
+  Zone_world.start_activity w ~read_rate:1.5 ~write_every:4 ~until:(time 400);
+  Zone_world.run_until w (time 420);
+  Zone_world.history w
+
+let test_world_history_pinned () =
+  let open Dds_spec in
+  let h = churned_world_history () in
+  let aborted kind =
+    List.exists
+      (fun (o : History.op) ->
+        match (o.History.kind, kind) with
+        | History.Join _, `Join | History.Write _, `Write -> true
+        | _ -> false)
+      (History.aborted h)
+  in
+  check_bool "completed joins" true (History.completed_joins h <> []);
+  check_bool "aborted joins" true (aborted `Join);
+  check_bool "completed writes" true (History.completed_writes h <> []);
+  check_bool "aborted writes" true (aborted `Write);
+  check Alcotest.string "history digest" "442e525e696de3ee97b68c7dca2906be"
+    (Digest.to_hex (Digest.string (History.to_csv h)))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let prop_towards_never_overshoots =
@@ -200,6 +229,7 @@ let () =
             test_world_fast_transit_starves_joins;
           Alcotest.test_case "re-entry fresh identity" `Quick
             test_world_reentry_gets_fresh_identity;
+          Alcotest.test_case "history pinned" `Quick test_world_history_pinned;
         ] );
       qsuite "geo-props" [ prop_towards_never_overshoots ];
     ]
