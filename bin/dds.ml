@@ -573,10 +573,11 @@ let nemesis_t =
     & info [ "nemesis" ] ~docv:"PLAN"
         ~doc:
           "Arm a fault schedule before running: $(b,;)-separated steps like \
-           $(b,drop(kind=INQUIRY,p=0.1,max=5)@[10,50]), $(b,dup(copies=2)), \
-           $(b,delay(extra=9)@[40,60]), $(b,corrupt()), \
-           $(b,partition(a=0-4,b=5-9)@[100,150]), $(b,crash(k=2,recover=10)@120), \
-           $(b,storm(k=6)@200). Every injected fault is recorded in the typed trace.")
+           $(b,drop\\(kind=INQUIRY,p=0.1,max=5\\)@[10,50]), $(b,dup\\(copies=2\\)), \
+           $(b,delay\\(extra=9\\)@[40,60]), $(b,corrupt\\(\\)), \
+           $(b,partition\\(a=0-4,b=5-9\\)@[100,150]), \
+           $(b,crash\\(k=2,recover=10\\)@120), $(b,storm\\(k=6\\)@200). Every injected \
+           fault is recorded in the typed trace.")
 
 (* OCaml 5.1 runs at most 128 domains, the submitting one included. *)
 let jobs_t =
@@ -1612,7 +1613,7 @@ let serve_shards_t =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Size of the key space partition: keys route to shard \
-           $(b,SplitMix64(key) mod N), each shard an independent register. 1 (the \
+           $(b,SplitMix64\\(key\\) mod N), each shard an independent register. 1 (the \
            default) is the classic single-register deployment.")
 
 let serve_owned_t =

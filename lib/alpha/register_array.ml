@@ -4,12 +4,7 @@ open Dds_churn
 open Dds_spec
 open Dds_core
 
-type process = {
-  pid : Pid.t;
-  mutable nodes : Es_register.node array;
-  mutable joins_done : int;
-  mutable pending : (int * History.op_id) list;  (** (register, op) in flight *)
-}
+module Host = Node_host.Make (Es_register)
 
 type t = {
   sched : Scheduler.t;
@@ -20,10 +15,8 @@ type t = {
   churn_rate : float;
   churn_policy : Churn.leave_policy;
   protect : Pid.t -> bool;
-  nets : Es_register.msg Network.t array;
+  hosts : Host.t array;  (** one per register, each over its own network *)
   membership : Membership.t;
-  histories : History.t array;
-  processes : process Pid.Table.t;
   pid_gen : Pid.gen;
   mutable founding : Pid.t list;
   mutable churn : Churn.t option;
@@ -35,7 +28,7 @@ let scheduler t = t.sched
 let membership t = t.membership
 let rng t = t.layer_rng
 let founding t = t.founding
-let histories t = t.histories
+let histories t = Array.map Host.history t.hosts
 
 let owner t ~reg =
   if reg < 0 || reg >= t.k then invalid_arg "Register_array.owner: no such register";
@@ -47,44 +40,22 @@ let is_present t pid = Membership.is_present t.membership pid
 let is_active t pid = Membership.is_active t.membership pid
 let now t = Scheduler.now t.sched
 
-let proc t pid ~op =
-  match Pid.Table.find_opt t.processes pid with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Register_array.%s: unknown process" op)
-
 (* Brings one process up: one protocol node per register, active once
-   every join has returned. Founding members (initial = Some v) skip
-   the join protocol — their nodes activate synchronously. *)
-let add_process t pid ~initial =
-  let joins = Array.make t.k None in
-  let p = { pid; nodes = [||]; joins_done = 0; pending = [] } in
+   every join has returned. Founding members skip the join protocol —
+   their nodes activate synchronously. *)
+let add_process t pid ~founding =
   Membership.add t.membership pid ~now:(now t);
-  if initial = None then
-    for reg = 0 to t.k - 1 do
-      let op = History.begin_join t.histories.(reg) pid ~now:(now t) in
-      joins.(reg) <- Some op;
-      p.pending <- (reg, op) :: p.pending
-    done;
-  Pid.Table.replace t.processes pid p;
-  let make_node reg =
-    let on_active value =
-      (match joins.(reg) with
-      | Some op when Membership.is_present t.membership pid ->
-        History.end_join t.histories.(reg) op ~now:(now t) value;
-        p.pending <- List.filter (fun entry -> entry <> (reg, op)) p.pending
-      | Some _ | None -> ());
-      p.joins_done <- p.joins_done + 1;
-      if p.joins_done = t.k && Membership.is_present t.membership pid then begin
-        Membership.set_active t.membership pid ~now:(now t);
-        notify t
-      end
-    in
-    Es_register.create ~rt:(Dds_runtime.Runtime.of_sim ~sched:t.sched ~net:t.nets.(reg))
-      ~params:(Es_register.default_params ~n:t.n)
-      ~pid ~initial ~on_active
+  let joins_done = ref 0 in
+  let on_active _ =
+    incr joins_done;
+    if !joins_done = t.k && Membership.is_present t.membership pid then begin
+      Membership.set_active t.membership pid ~now:(now t);
+      notify t
+    end
   in
-  p.nodes <- Array.init t.k make_node;
-  p
+  Array.iter
+    (fun host -> if founding then Host.found host pid ~on_active else Host.join host pid ~on_active)
+    t.hosts
 
 let create ~seed ~n ~k ~delay ~churn_rate ?(churn_policy = Churn.Uniform)
     ?(protect = fun _ -> false) () =
@@ -96,12 +67,13 @@ let create ~seed ~n ~k ~delay ~churn_rate ?(churn_policy = Churn.Uniform)
   let layer_rng = Rng.split root in
   let sched = Scheduler.create () in
   let membership = Membership.create () in
-  let nets =
+  (* Each register starts at datum 0, which is the codec's ⊥ packing. *)
+  let params = Es_register.default_params ~n in
+  let hosts =
     Array.init k (fun _ ->
-        Network.create ~sched ~rng:(Rng.split net_rng) ~delay ())
+        let net = Network.create ~sched ~rng:(Rng.split net_rng) ~delay () in
+        Host.create ~sched ~net ~params)
   in
-  let initial_value = Value.initial (Codec.pack Codec.bottom) in
-  let histories = Array.init k (fun _ -> History.create ~initial:initial_value) in
   let t =
     {
       sched;
@@ -112,10 +84,8 @@ let create ~seed ~n ~k ~delay ~churn_rate ?(churn_policy = Churn.Uniform)
       churn_rate;
       churn_policy;
       protect;
-      nets;
+      hosts;
       membership;
-      histories;
-      processes = Pid.Table.create 64;
       pid_gen = Pid.generator ();
       founding = [];
       churn = None;
@@ -125,23 +95,19 @@ let create ~seed ~n ~k ~delay ~churn_rate ?(churn_policy = Churn.Uniform)
   for _ = 1 to n do
     let pid = Pid.fresh t.pid_gen in
     t.founding <- t.founding @ [ pid ];
-    ignore (add_process t pid ~initial:(Some initial_value))
+    add_process t pid ~founding:true
   done;
   t
 
 let spawn t =
   let pid = Pid.fresh t.pid_gen in
-  ignore (add_process t pid ~initial:None);
+  add_process t pid ~founding:false;
   notify t;
   pid
 
 let retire t pid =
-  let p = proc t pid ~op:"retire" in
-  Array.iter Es_register.leave p.nodes;
-  List.iter (fun (reg, op) -> History.abort t.histories.(reg) op) p.pending;
-  p.pending <- [];
+  Array.iter (fun host -> Host.depart host pid) t.hosts;
   Membership.remove t.membership pid ~now:(now t);
-  Pid.Table.remove t.processes pid;
   notify t
 
 let start_churn t ~until =
@@ -156,37 +122,21 @@ let start_churn t ~until =
   t.churn <- Some churn
 
 let read t ~self ~reg ~k:cont =
-  let p = proc t self ~op:"read" in
-  let op = History.begin_read t.histories.(reg) self ~now:(now t) in
-  p.pending <- (reg, op) :: p.pending;
-  Es_register.read p.nodes.(reg) ~k:(fun value ->
-      History.end_read t.histories.(reg) op ~now:(now t) value;
-      p.pending <- List.filter (fun entry -> entry <> (reg, op)) p.pending;
-      cont (Codec.unpack value.Value.data))
+  Host.read t.hosts.(reg) self ~k:(fun value -> cont (Codec.unpack value.Value.data))
 
 let write t ~self ~reg ~record ~k:cont =
   if not (Pid.equal self (owner t ~reg)) then
     invalid_arg "Register_array.write: only the register's owner may write";
-  let p = proc t self ~op:"write" in
-  let data = Codec.pack record in
-  let guess =
-    match Es_register.snapshot p.nodes.(reg) with
-    | Some v when not (Value.is_bottom v) -> Value.make ~data ~sn:(v.Value.sn + 1)
-    | Some _ | None -> Value.make ~data ~sn:0
-  in
-  let op = History.begin_write t.histories.(reg) self ~now:(now t) guess in
-  p.pending <- (reg, op) :: p.pending;
-  Es_register.write p.nodes.(reg) data ~k:(fun value ->
-      History.end_write t.histories.(reg) op ~now:(now t) value;
-      p.pending <- List.filter (fun entry -> entry <> (reg, op)) p.pending;
-      cont ())
+  Host.write t.hosts.(reg) self (Codec.pack record) ~k:(fun _ -> cont ())
+
+let node t ~self ~reg ~op =
+  match Host.node t.hosts.(reg) self with
+  | Some node -> node
+  | None -> invalid_arg (Printf.sprintf "Register_array.%s: unknown process" op)
 
 let snapshot_own t ~self ~reg =
-  let p = proc t self ~op:"snapshot_own" in
-  match Es_register.snapshot p.nodes.(reg) with
+  match Es_register.snapshot (node t ~self ~reg ~op:"snapshot_own") with
   | Some v -> Codec.unpack v.Value.data
   | None -> Codec.bottom
 
-let busy t ~self ~reg =
-  let p = proc t self ~op:"busy" in
-  Es_register.busy p.nodes.(reg)
+let busy t ~self ~reg = Es_register.busy (node t ~self ~reg ~op:"busy")

@@ -9,8 +9,9 @@ open Dds_spec
     participant; this module composes [k] independent instances of the
     eventually-synchronous protocol over one scheduler, one membership
     and one churn engine — each register has its own network (message
-    spaces never mix) and each process runs [k] protocol nodes, one
-    per register. A process is {e active} once all [k] of its joins
+    spaces never mix) and its own {!Dds_core.Node_host}, which records
+    that register's history, and each process runs [k] protocol nodes,
+    one per register. A process is {e active} once all [k] of its joins
     have returned; operations on different registers by the same
     process may run in parallel (they are different nodes), while each
     single register keeps the one-op-at-a-time discipline.

@@ -1,7 +1,6 @@
 open Dds_sim
 open Dds_net
 open Dds_churn
-open Dds_runtime
 open Dds_spec
 
 type config = {
@@ -12,7 +11,6 @@ type config = {
   churn_profile : Churn.rate_profile option;
   churn_policy : Churn.leave_policy;
   protect_writer : bool;
-  initial_value : int;
   broadcast_mode : Network.broadcast_mode;
   events_enabled : bool;
   events_first_span : int;
@@ -27,7 +25,6 @@ let default_config ~seed ~n ~delay ~churn_rate =
     churn_profile = None;
     churn_policy = Churn.Uniform;
     protect_writer = true;
-    initial_value = 0;
     broadcast_mode = Network.Primitive;
     events_enabled = false;
     events_first_span = 0;
@@ -74,31 +71,29 @@ end
 
 module Make (P : Register_intf.PROTOCOL) = struct
   module Protocol = P
+  module Host = Node_host.Make (P)
+
   type t = {
     cfg : config;
     sched : Scheduler.t;
     net : P.msg Network.t;
-    rt : P.msg Runtime.t;
+    host : Host.t;
     membership : Membership.t;
-    history : History.t;
     metrics : Metrics.t;
     events : Event.sink;
     churn_rng : Rng.t;
     workload_rng : Rng.t;
     pid_gen : Pid.gen;
-    nodes : P.node Pid.Table.t;
-    pending_ops : History.op_id list ref Pid.Table.t;
     mutable writer : Pid.t option;
     mutable churn : Churn.t option;
     mutable write_counter : int;
-    params : P.params;
   }
 
   let config t = t.cfg
   let scheduler t = t.sched
   let network t = t.net
   let membership t = t.membership
-  let history t = t.history
+  let history t = Host.history t.host
   let metrics t = t.metrics
   let events t = t.events
   let workload_rng t = t.workload_rng
@@ -112,52 +107,18 @@ module Make (P : Register_intf.PROTOCOL) = struct
       (float_of_int (List.length (Membership.active t.membership)));
     Metrics.snapshot t.metrics
   let writer t = t.writer
-  let node t pid = Pid.Table.find_opt t.nodes pid
+  let node t pid = Host.node t.host pid
 
-  let track_op t pid op_id =
-    let cell =
-      match Pid.Table.find_opt t.pending_ops pid with
-      | Some c -> c
-      | None ->
-        let c = ref [] in
-        Pid.Table.replace t.pending_ops pid c;
-        c
-    in
-    cell := op_id :: !cell
-
-  let untrack_op t pid op_id =
-    match Pid.Table.find_opt t.pending_ops pid with
-    | Some c -> c := List.filter (fun id -> id <> op_id) !c
-    | None -> ()
-
-  let abort_pending t pid =
-    match Pid.Table.find_opt t.pending_ops pid with
-    | Some c ->
-      List.iter (History.abort t.history) !c;
-      c := []
-    | None -> ()
-
-  (* Brings one joiner into the system and records its join; the
-     [on_active] callback closes the join record with the adopted
-     value — unless the process left first, in which case the churn
-     path already aborted the record. *)
+  (* Brings one joiner into the system; the host records its join and
+     closes it when the join returns, unless the process left first. *)
   let spawn t =
     let pid = Pid.fresh t.pid_gen in
     let entered = now t in
     Membership.add t.membership pid ~now:entered;
-    let op_id = History.begin_join t.history pid ~now:entered in
-    track_op t pid op_id;
-    let on_active value =
-      if Membership.is_present t.membership pid then begin
+    Host.join t.host pid ~on_active:(fun _ ->
         Membership.set_active t.membership pid ~now:(now t);
-        History.end_join t.history op_id ~now:(now t) value;
-        untrack_op t pid op_id;
         Metrics.observe t.metrics "latency.join" ~edges:latency_edges
-          (float_of_int (Time.diff (now t) entered))
-      end
-    in
-    let node = P.create ~rt:t.rt ~params:t.params ~pid ~initial:None ~on_active in
-    Pid.Table.replace t.nodes pid node;
+          (float_of_int (Time.diff (now t) entered)));
     pid
 
   (* A crash-stop and a graceful leave are mechanically the same
@@ -165,25 +126,13 @@ module Make (P : Register_intf.PROTOCOL) = struct
      leave, and [P.leave] is already silent in every protocol) — so
      they share one path and differ only in bookkeeping: the membership
      record and the emitted event say which it was. *)
-  let depart t ~crashed ~who pid =
-    match Pid.Table.find_opt t.nodes pid with
-    | None -> invalid_arg (Format.asprintf "Deployment.%s: unknown %a" who Pid.pp pid)
-    | Some node ->
-      (* Close the telemetry span of any operation the departure cuts
-         short, so traces never carry an orphan [Op_start]. *)
-      (match P.current_span node with
-      | Some (span, op) ->
-        Event.emit t.events ~at:(now t)
-          (Event.Op_end { span; node = Pid.to_int pid; op; outcome = Event.Aborted; value = None })
-      | None -> ());
-      P.leave node;
-      abort_pending t pid;
-      Membership.remove t.membership ~crashed pid ~now:(now t);
-      Pid.Table.remove t.nodes pid;
-      if t.writer = Some pid then t.writer <- None
+  let depart t ~crashed pid =
+    Host.depart t.host pid;
+    Membership.remove t.membership ~crashed pid ~now:(now t);
+    if t.writer = Some pid then t.writer <- None
 
-  let retire t pid = depart t ~crashed:false ~who:"retire" pid
-  let crash t pid = depart t ~crashed:true ~who:"crash" pid
+  let retire t pid = depart t ~crashed:false pid
+  let crash t pid = depart t ~crashed:true pid
 
   let create cfg params =
     (* Probe phases so an attached engine profiler can attribute cell
@@ -216,28 +165,21 @@ module Make (P : Register_intf.PROTOCOL) = struct
            (Scheduler.schedule_at sched gst (fun () ->
                 Event.emit events ~at:gst Event.Gst_reached))
        | None -> ());
-    let initial_value = Value.initial cfg.initial_value in
-    let history = History.create ~initial:initial_value in
-    let rt = Runtime.of_sim ~sched ~net in
     let t =
       {
         cfg;
         sched;
         net;
-        rt;
+        host = Host.create ~sched ~net ~params;
         membership;
-        history;
         metrics;
         events;
         churn_rng;
         workload_rng;
         pid_gen = Pid.generator ();
-        nodes = Pid.Table.create cfg.n;
-        pending_ops = Pid.Table.create cfg.n;
         writer = None;
         churn = None;
         write_counter = 0;
-        params;
       }
     in
     (* The n founding members, active from time 0 with the initial
@@ -245,11 +187,8 @@ module Make (P : Register_intf.PROTOCOL) = struct
     for _ = 1 to cfg.n do
       let pid = Pid.fresh t.pid_gen in
       Membership.add t.membership pid ~now:Time.zero;
-      let node =
-        P.create ~rt ~params ~pid ~initial:(Some initial_value)
-          ~on_active:(fun _ -> Membership.set_active t.membership pid ~now:Time.zero)
-      in
-      Pid.Table.replace t.nodes pid node;
+      Host.found t.host pid ~on_active:(fun _ ->
+          Membership.set_active t.membership pid ~now:Time.zero);
       if t.writer = None then t.writer <- Some pid
     done;
     t
@@ -260,7 +199,7 @@ module Make (P : Register_intf.PROTOCOL) = struct
       ||
       (* Never churn out a process mid-write: the termination lemmas
          assume the writer stays for the duration of its write. *)
-      match Pid.Table.find_opt t.nodes pid with
+      match Host.node t.host pid with
       | Some node -> P.is_active node && P.busy node
       | None -> false
     in
@@ -277,58 +216,25 @@ module Make (P : Register_intf.PROTOCOL) = struct
 
   let stop_churn t = match t.churn with Some c -> Churn.stop c | None -> ()
 
-  let get_ready_node t pid ~op =
-    match Pid.Table.find_opt t.nodes pid with
-    | None -> invalid_arg (Printf.sprintf "Deployment.%s: unknown node" op)
-    | Some node ->
-      if not (P.is_active node) then
-        invalid_arg (Printf.sprintf "Deployment.%s: node not active" op);
-      if P.busy node then invalid_arg (Printf.sprintf "Deployment.%s: node busy" op);
-      node
-
   let read t pid =
-    let node = get_ready_node t pid ~op:"read" in
     let started = now t in
-    let op_id = History.begin_read t.history pid ~now:started in
-    track_op t pid op_id;
-    Metrics.incr t.metrics "op.read";
-    P.read node ~k:(fun value ->
-        History.end_read t.history op_id ~now:(now t) value;
-        untrack_op t pid op_id;
+    Host.read t.host pid ~k:(fun _ ->
         Metrics.observe t.metrics "latency.read" ~edges:latency_edges
-          (float_of_int (Time.diff (now t) started)))
+          (float_of_int (Time.diff (now t) started)));
+    Metrics.incr t.metrics "op.read"
 
   let write_value t pid data =
-    let node = get_ready_node t pid ~op:"write" in
-    let sn =
-      (* The history needs the sn the write will carry; with the
-         single-writer regime it is the node's current sn + 1. The
-         exact value is patched in at completion (History.end_write). *)
-      match P.snapshot node with
-      | Some v when not (Value.is_bottom v) -> v.Value.sn + 1
-      | Some _ | None -> 0
-    in
     let started = now t in
-    let op_id = History.begin_write t.history pid ~now:started (Value.make ~data ~sn) in
-    track_op t pid op_id;
-    Metrics.incr t.metrics "op.write";
-    P.write node data ~k:(fun value ->
-        History.end_write t.history op_id ~now:(now t) value;
-        untrack_op t pid op_id;
+    Host.write t.host pid data ~k:(fun _ ->
         Metrics.observe t.metrics "latency.write" ~edges:latency_edges
-          (float_of_int (Time.diff (now t) started)))
+          (float_of_int (Time.diff (now t) started)));
+    Metrics.incr t.metrics "op.write"
 
   let write t pid =
     t.write_counter <- t.write_counter + 1;
     write_value t pid t.write_counter
 
-  let idle_active t =
-    List.filter
-      (fun pid ->
-        match Pid.Table.find_opt t.nodes pid with
-        | Some node -> P.is_active node && not (P.busy node)
-        | None -> false)
-      (Membership.active t.membership)
+  let idle_active t = List.filter (Host.idle t.host) (Membership.active t.membership)
 
   let random_idle_active ?(exclude = []) t =
     let candidates =
@@ -342,7 +248,7 @@ module Make (P : Register_intf.PROTOCOL) = struct
      never concurrent — one designation at a time guarantees that. *)
   let elect_writer t =
     match t.writer with
-    | Some w when Pid.Table.mem t.nodes w -> Some w
+    | Some w when Option.is_some (Host.node t.host w) -> Some w
     | Some _ | None -> (
       t.writer <- None;
       match random_idle_active t with
@@ -353,6 +259,6 @@ module Make (P : Register_intf.PROTOCOL) = struct
 
   let run_until t horizon = Scheduler.run_until t.sched horizon
   let run_to_quiescence t ?max_events () = Scheduler.run t.sched ?max_events ()
-  let regularity t = Regularity.check t.history
+  let regularity t = Regularity.check (history t)
   let analysis t = Analysis.of_records (Membership.records t.membership)
 end

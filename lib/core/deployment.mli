@@ -7,12 +7,12 @@ open Dds_spec
 
     [Make (P)] assembles, from one seed: a scheduler, a network with
     the requested delay model, a membership table, the churn engine,
-    the history recorder, and [n] founding nodes (one of which is the
-    designated writer — footnote 1's single-writer regime). Every
-    operation issued through the deployment is recorded in the history;
-    operations cut short because their process left are marked aborted,
-    so the safety checkers judge exactly what the paper's specification
-    covers. *)
+    and a {!Node_host} holding [n] founding nodes (one of which is the
+    designated writer — footnote 1's single-writer regime). The host
+    records every operation issued through the deployment in the
+    history; operations cut short because their process left are
+    marked aborted, so the safety checkers judge exactly what the
+    paper's specification covers. *)
 
 type config = {
   seed : int;
@@ -25,7 +25,6 @@ type config = {
   protect_writer : bool;
       (** never churn out the designated writer (the termination lemmas
           assume the writer stays for its writes) *)
-  initial_value : int;
   broadcast_mode : Network.broadcast_mode;
       (** the postulated primitive, or the flooding implementation of
           it (remember to scale the protocol's delta to
@@ -44,8 +43,8 @@ type config = {
 }
 
 val default_config : seed:int -> n:int -> delay:Delay.t -> churn_rate:float -> config
-(** Uniform churn policy, protected writer, initial value 0, primitive
-    broadcast, no typed events. *)
+(** Uniform churn policy, protected writer, primitive broadcast, no
+    typed events. *)
 
 (** The interface a deployment presents, abstracted over its protocol
     so generic drivers (workload generators, sweep runners) can be
@@ -57,8 +56,8 @@ module type S = sig
 
   val create : config -> Protocol.params -> t
   (** Builds the system at time 0: [n] founding members, all active and
-      holding the initial value (Section 3.3's initialization). Churn
-      has not started yet. *)
+      holding the initial value, datum 0 (Section 3.3's
+      initialization). Churn has not started yet. *)
 
   (** {1 Substrate access} *)
 
@@ -77,7 +76,7 @@ module type S = sig
   val events : t -> Event.sink
   (** The run's typed-event sink (disabled unless
       {!config.events_enabled}); protocols, network and membership all
-      feed it. On churn-retire the deployment closes the victim's
+      feed it. On churn-retire the node host closes the victim's
       in-flight span with an [Aborted] {!Event.Op_end}, so every
       [Op_start] in the record is matched. *)
 

@@ -318,7 +318,7 @@ let write t data ~k =
   if not t.active then invalid_arg "Es_register.write: node is not active";
   if busy t then invalid_arg "Es_register.write: node is busy";
   (* The final sequence number is fixed only after the embedded read
-     phase; the Op_start carries the local guess (what the deployment's
+     phase; the Op_start carries the local guess (what the node host's
      history also records at invocation), the Op_end the true value. *)
   span_start t ~value:(Value.make ~data ~sn:(current_sn t + 1)) Event.Write;
   start_read_phase t (Write_read { data; k })

@@ -9,8 +9,8 @@ open Dds_spec
     A protocol node owns one {!t}; each join/read/write allocates one
     telemetry span ({!start}), marks its progress ({!phase},
     {!quorum}) and closes it exactly once ({!finish}) right before
-    invoking the operation's continuation. The deployment closes
-    still-open spans as [Aborted] when a process is churned out
+    invoking the operation's continuation. The node host
+    ({!Node_host}) closes still-open spans as [Aborted] when a process is churned out
     mid-operation (see {!Register_intf.PROTOCOL.current_span}).
 
     Every function is a no-op when the node's runtime carries no

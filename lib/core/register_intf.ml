@@ -77,7 +77,7 @@ module type PROTOCOL = sig
   (** The telemetry span of the operation in flight on this node, if
       any — protocols allocate one span per join/read/write (see
       {!Event.fresh_span}) and emit its [Op_start]/[Op_phase]/[Op_end]
-      events themselves; the deployment uses this accessor to close
+      events themselves; the node host uses this accessor to close
       the span as [Aborted] when the process is churned out
       mid-operation. [None] whenever {!busy} is [false] and while no
       join is in progress, or when the network has no event sink. *)

@@ -13,7 +13,6 @@ type config = {
   zone_radius : float;
   speed : float;
   delta : int;
-  initial_value : int;
 }
 
 let default_config ~seed ~speed =
@@ -26,14 +25,13 @@ let default_config ~seed ~speed =
     zone_radius = 25.0;
     speed;
     delta = 3;
-    initial_value = 0;
   }
+
+module Host = Node_host.Make (Sync_register)
 
 type slot = {
   walker : Mobility.walker;
   mutable pid : Pid.t option;  (** identity while inside the zone *)
-  mutable node : Sync_register.node option;
-  mutable pending : History.op_id list;
 }
 
 type t = {
@@ -41,9 +39,8 @@ type t = {
   sched : Scheduler.t;
   move_rng : Rng.t;
   workload_rng : Rng.t;
-  net : Sync_register.msg Network.t;
+  host : Host.t;
   membership : Membership.t;
-  history : History.t;
   metrics : Metrics.t;
   pid_gen : Pid.gen;
   slots : slot array;
@@ -58,12 +55,11 @@ type t = {
 
 let scheduler t = t.sched
 let membership t = t.membership
-let history t = t.history
+let history t = Host.history t.host
 let metrics t = t.metrics
 let now t = Scheduler.now t.sched
 let zone_population t = Membership.n_present t.membership
 let inside t p = Point.within p ~center:t.cfg.zone_center ~radius:t.cfg.zone_radius
-let params t = Sync_register.default_params ~delta:t.cfg.delta
 
 (* A walker crosses into the zone: a brand-new process joins. *)
 let enter t slot ~founding =
@@ -71,44 +67,19 @@ let enter t slot ~founding =
   slot.pid <- Some pid;
   Membership.add t.membership pid ~now:(now t);
   t.entries <- t.entries + 1;
-  if founding then begin
-    let node =
-      Sync_register.create ~rt:(Dds_runtime.Runtime.of_sim ~sched:t.sched ~net:t.net)
-        ~params:(params t) ~pid
-        ~initial:(Some (Value.initial t.cfg.initial_value))
-        ~on_active:(fun _ -> Membership.set_active t.membership pid ~now:(now t))
-    in
-    slot.node <- Some node
-  end
-  else begin
-    let op = History.begin_join t.history pid ~now:(now t) in
-    slot.pending <- op :: slot.pending;
-    let node =
-      Sync_register.create ~rt:(Dds_runtime.Runtime.of_sim ~sched:t.sched ~net:t.net)
-        ~params:(params t) ~pid ~initial:None
-        ~on_active:(fun value ->
-          if Membership.is_present t.membership pid then begin
-            Membership.set_active t.membership pid ~now:(now t);
-            History.end_join t.history op ~now:(now t) value;
-            slot.pending <- List.filter (fun o -> o <> op) slot.pending
-          end)
-    in
-    slot.node <- Some node
-  end
+  let on_active _ = Membership.set_active t.membership pid ~now:(now t) in
+  if founding then Host.found t.host pid ~on_active else Host.join t.host pid ~on_active
 
 (* The walker leaves coverage: the process is gone forever. *)
 let exit_zone t slot =
-  (match slot.node with Some node -> Sync_register.leave node | None -> ());
   (match slot.pid with
   | Some pid ->
-    List.iter (History.abort t.history) slot.pending;
-    slot.pending <- [];
+    Host.depart t.host pid;
     Membership.remove t.membership pid ~now:(now t);
     if t.writer = Some pid then t.writer <- None;
     t.exits <- t.exits + 1
   | None -> ());
-  slot.pid <- None;
-  slot.node <- None
+  slot.pid <- None
 
 let create cfg =
   let root = Rng.create ~seed:cfg.seed in
@@ -128,9 +99,9 @@ let create cfg =
       sched;
       move_rng;
       workload_rng;
-      net;
+      host =
+        Host.create ~sched ~net ~params:(Sync_register.default_params ~delta:cfg.delta);
       membership = Membership.create ~metrics ();
-      history = History.create ~initial:(Value.initial cfg.initial_value);
       metrics;
       pid_gen = Pid.generator ();
       slots =
@@ -140,8 +111,6 @@ let create cfg =
                 Mobility.create move_rng ~width:cfg.width ~height:cfg.height
                   ~speed:cfg.speed;
               pid = None;
-              node = None;
-              pending = [];
             });
       population = Stats.create ();
       writer = None;
@@ -194,48 +163,10 @@ let start t ~until =
   in
   schedule (Time.add (now t) 1)
 
-let node_ready t pid =
-  Array.fold_left
-    (fun acc slot ->
-      match (acc, slot.pid, slot.node) with
-      | None, Some p, Some node when Pid.equal p pid ->
-        if Sync_register.is_active node && not (Sync_register.busy node) then Some node
-        else None
-      | acc, _, _ -> acc)
-    None t.slots
-
 let active_ready t =
   Array.to_list t.slots
   |> List.filter_map (fun slot ->
-         match (slot.pid, slot.node) with
-         | Some pid, Some node
-           when Sync_register.is_active node && not (Sync_register.busy node) ->
-           Some pid
-         | _ -> None)
-
-let do_read t pid node =
-  let op = History.begin_read t.history pid ~now:(now t) in
-  Sync_register.read node ~k:(fun value -> History.end_read t.history op ~now:(now t) value)
-
-let do_write t pid node =
-  t.write_counter <- t.write_counter + 1;
-  let data = t.write_counter in
-  let sn =
-    match Sync_register.snapshot node with
-    | Some v when not (Value.is_bottom v) -> v.Value.sn + 1
-    | Some _ | None -> 0
-  in
-  let op = History.begin_write t.history pid ~now:(now t) (Value.make ~data ~sn) in
-  (* The walker may wander out before the write's delta wait ends; the
-     slot's pending list lets the exit path abort it. *)
-  let slot =
-    Array.to_list t.slots
-    |> List.find (fun s -> match s.pid with Some p -> Pid.equal p pid | None -> false)
-  in
-  slot.pending <- op :: slot.pending;
-  Sync_register.write node data ~k:(fun value ->
-      History.end_write t.history op ~now:(now t) value;
-      slot.pending <- List.filter (fun o -> o <> op) slot.pending)
+         match slot.pid with Some pid when Host.idle t.host pid -> Some pid | _ -> None)
 
 let activity_tick t ~read_rate ~write_every () =
   let tick = Time.to_int (now t) in
@@ -248,17 +179,15 @@ let activity_tick t ~read_rate ~write_every () =
        | pid :: _ -> t.writer <- Some pid
        | [] -> t.writer <- None));
      match t.writer with
-     | Some w -> (
-       match node_ready t w with Some node -> do_write t w node | None -> ())
-     | None -> ()
+     | Some w when Host.idle t.host w ->
+       t.write_counter <- t.write_counter + 1;
+       Host.write t.host w t.write_counter ~k:ignore
+     | Some _ | None -> ()
    end);
-  let reads = int_of_float read_rate + (if Rng.float t.workload_rng 1.0 < (read_rate -. Float.of_int (int_of_float read_rate)) then 1 else 0) in
-  for _ = 1 to reads do
+  for _ = 1 to Rng.stochastic_round t.workload_rng read_rate do
     match active_ready t with
     | [] -> ()
-    | candidates -> (
-      let pid = Rng.pick_list t.workload_rng candidates in
-      match node_ready t pid with Some node -> do_read t pid node | None -> ())
+    | candidates -> Host.read t.host (Rng.pick_list t.workload_rng candidates) ~k:ignore
   done
 
 let start_activity t ~read_rate ~write_every ~until =
@@ -271,8 +200,8 @@ let start_activity t ~read_rate ~write_every ~until =
   schedule (Time.add (now t) 1)
 
 let run_until t horizon = Scheduler.run_until t.sched horizon
-let regularity t = Regularity.check t.history
-let staleness t = Staleness.measure t.history
+let regularity t = Regularity.check (history t)
+let staleness t = Staleness.measure (history t)
 
 let emergent_churn t =
   if t.ticks = 0 || t.population_sum = 0 then 0.0

@@ -29,7 +29,6 @@ type config = {
   zone_radius : float;
   speed : float;  (** distance units per tick, all walkers *)
   delta : int;  (** radio delay bound inside the zone *)
-  initial_value : int;
 }
 
 val default_config : seed:int -> speed:float -> config

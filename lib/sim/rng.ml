@@ -40,6 +40,10 @@ let float g bound =
   let raw = Int64.shift_right_logical (bits64 g) 11 in
   Int64.to_float raw *. (1.0 /. 9007199254740992.0) *. bound
 
+let stochastic_round g x =
+  let base = int_of_float x in
+  base + if float g 1.0 < x -. float_of_int base then 1 else 0
+
 let bool g = Int64.(logand (bits64 g) 1L) = 1L
 
 let pick g arr =

@@ -40,6 +40,12 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
+val stochastic_round : t -> float -> int
+(** [stochastic_round g x] is [x]'s integer part plus one with
+    probability its fractional part: an integer whose mean is [x], at
+    the cost of exactly one {!float} draw. Turns a per-tick rate into
+    this tick's count. *)
+
 val bool : t -> bool
 (** A fair coin flip. *)
 

@@ -7,11 +7,6 @@ type config = { read_rate : float; write_every : int; start : Time.t; until : Ti
 let default ~until = { read_rate = 1.0; write_every = 20; start = Time.of_int 1; until }
 
 module Make (D : Deployment.S) = struct
-  let reads_this_tick rng rate =
-    let base = int_of_float rate in
-    let frac = rate -. float_of_int base in
-    base + (if Rng.float rng 1.0 < frac then 1 else 0)
-
   (* The designated writer when it can take a write now: re-elected on
      the fly if the previous writer left (footnote 1: many writers are
      fine as long as writes never overlap, which one-designation-at-a-
@@ -34,7 +29,7 @@ module Make (D : Deployment.S) = struct
     if cfg.write_every > 0 && now mod cfg.write_every = 0 then
       Option.iter (D.write d) (idle_writer d);
     (* A tick with nobody able to read issues fewer reads. *)
-    for _ = 1 to reads_this_tick rng cfg.read_rate do
+    for _ = 1 to Rng.stochastic_round rng cfg.read_rate do
       read_anywhere d
     done
 

@@ -96,9 +96,10 @@ let threshold_run ~delta ~horizon inst cfg =
   judged inst cfg ~read_rate:1.0 ~write_every:(5 * delta) ~horizon ~drain:(4 * delta)
 
 (* E15, E17 and E20 drop each message with probability [loss], drawn
-   from a stream seeded [fault_seed]. Harness has no network-fault
-   hook, so these runs drive the deployment themselves, in Harness's
-   order. *)
+   from a stream seeded [fault_seed]. [Harness.run] arms a fault plan
+   from [Rng.split (D.workload_rng d)], a different stream, so these
+   runs drive the deployment themselves, in Harness's order, to keep
+   their drop draws. *)
 let lossy_run (module I : Harness.INSTANCE) cfg ~loss ~fault_seed ~read_rate ~write_every
     ~horizon ~drain =
   let module G = Generator.Make (I.D) in

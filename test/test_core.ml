@@ -599,6 +599,97 @@ let test_es_reader_dl_prev_to_joiner () =
   | None -> Alcotest.fail "reader missing"
 
 (* ------------------------------------------------------------------ *)
+(* Node host *)
+
+(* The es protocol with a [leave] that does nothing: the departed node
+   stays attached and its joins, reads and writes still return, so only
+   the host's own bookkeeping keeps their records aborted. *)
+module Lingering = struct
+  include Es_register
+
+  let leave (_ : node) = ()
+end
+
+module Lingering_host = Node_host.Make (Lingering)
+module Es_host = Node_host.Make (Es_register)
+
+(* [n] es founders p0..p(n-1) on a fresh host over a synchronous
+   network, or one whose delays an adversary picks. *)
+let es_founders ~create ~found ?(delay = Delay.synchronous ~delta:3) ~n () =
+  let sched = Scheduler.create () in
+  let net = Network.create ~sched ~rng:(Rng.create ~seed:1) ~delay () in
+  let host = create ~sched ~net ~params:(Es_register.default_params ~n) in
+  for i = 0 to n - 1 do
+    found host (pid i) ~on_active:ignore
+  done;
+  (sched, host)
+
+let lingering_founders =
+  es_founders ~create:Lingering_host.create ~found:Lingering_host.found
+
+let test_host_departed_joiner_join_aborted () =
+  let sched, host = lingering_founders ~n:5 () in
+  let joiner = pid 5 and activated = ref false in
+  ignore
+    (Scheduler.schedule_at sched (time 1) (fun () ->
+         Lingering_host.join host joiner ~on_active:(fun _ -> activated := true);
+         Lingering_host.depart host joiner));
+  Scheduler.run_until sched (time 50);
+  let h = Lingering_host.history host in
+  check_bool "on_active never fired" false !activated;
+  check_int "no completed join" 0 (List.length (History.completed_joins h));
+  check_int "join aborted" 1 (List.length (History.aborted h));
+  check_int "nothing pending" 0 (List.length (History.pending h));
+  check_bool "node gone" true (Option.is_none (Lingering_host.node host joiner))
+
+let test_host_departure_aborts_read_and_write () =
+  let sched, host = lingering_founders ~n:5 () in
+  let returned = ref 0 in
+  ignore
+    (Scheduler.schedule_at sched (time 1) (fun () ->
+         Lingering_host.write host (pid 0) 7 ~k:(fun _ -> incr returned);
+         Lingering_host.read host (pid 1) ~k:(fun _ -> incr returned);
+         Lingering_host.depart host (pid 0);
+         Lingering_host.depart host (pid 1)));
+  Scheduler.run_until sched (time 50);
+  let h = Lingering_host.history host in
+  check_int "no continuation fired" 0 !returned;
+  check_int "no completed write" 0 (List.length (History.completed_writes h));
+  check_int "no completed read" 0 (List.length (History.completed_reads h));
+  check_int "both aborted" 2 (List.length (History.aborted h));
+  check_int "nothing pending" 0 (List.length (History.pending h))
+
+let test_host_write_patched_to_final_sn () =
+  (* Every message from p0 to p2 takes 59 ticks, so p2 still holds sn 0
+     when it writes at t = 20 and guesses sn 1; its read phase hears
+     sn 1 from p1 and the write goes out with sn 2. *)
+  let slow_to_p2 (d : Delay.decision) =
+    if Pid.equal d.Delay.src (pid 0) && Pid.equal d.Delay.dst (pid 2) then 59 else 1
+  in
+  let sched, host =
+    es_founders ~create:Es_host.create ~found:Es_host.found ~delay:(Delay.adversarial slow_to_p2)
+      ~n:3 ()
+  in
+  let write_sns () =
+    List.filter_map
+      (fun (o : History.op) ->
+        match o.History.kind with
+        | History.Write v when Pid.equal o.History.pid (pid 2) -> Some v.Value.sn
+        | _ -> None)
+      (History.ops (Es_host.history host))
+  in
+  let guessed = ref [] in
+  ignore (Scheduler.schedule_at sched (time 1) (fun () -> Es_host.write host (pid 0) 1 ~k:ignore));
+  ignore
+    (Scheduler.schedule_at sched (time 20) (fun () ->
+         Es_host.write host (pid 2) 2 ~k:ignore;
+         guessed := write_sns ()));
+  Scheduler.run_until sched (time 40);
+  check (Alcotest.list Alcotest.int) "invocation guess" [ 1 ] !guessed;
+  check (Alcotest.list Alcotest.int) "final sn" [ 2 ] (write_sns ());
+  check_int "completed" 2 (List.length (History.completed_writes (Es_host.history host)))
+
+(* ------------------------------------------------------------------ *)
 (* Deployment mechanics *)
 
 let test_deployment_abort_on_leave () =
@@ -833,6 +924,15 @@ let () =
           Alcotest.test_case "blocks once majority left" `Quick
             test_abd_blocks_once_majority_left;
           Alcotest.test_case "write-back ablation" `Quick test_abd_write_back_ablation;
+        ] );
+      ( "host",
+        [
+          Alcotest.test_case "departed joiner's join aborted" `Quick
+            test_host_departed_joiner_join_aborted;
+          Alcotest.test_case "departure aborts read and write" `Quick
+            test_host_departure_aborts_read_and_write;
+          Alcotest.test_case "write patched to final sn" `Quick
+            test_host_write_patched_to_final_sn;
         ] );
       ( "deployment",
         [

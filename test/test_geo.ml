@@ -162,16 +162,16 @@ let test_world_reentry_gets_fresh_identity () =
    aggregates, so this pins the whole history of one churned run (joins
    completed and aborted, writes completed and aborted, reads) byte for
    byte. *)
-let churned_world_history () =
+let churned_world () =
   let w = Zone_world.create (Zone_world.default_config ~seed:9 ~speed:3.0) in
   Zone_world.start w ~until:(time 400);
   Zone_world.start_activity w ~read_rate:1.5 ~write_every:4 ~until:(time 400);
   Zone_world.run_until w (time 420);
-  Zone_world.history w
+  w
 
 let test_world_history_pinned () =
   let open Dds_spec in
-  let h = churned_world_history () in
+  let h = Zone_world.history (churned_world ()) in
   let aborted kind =
     List.exists
       (fun (o : History.op) ->
@@ -186,6 +186,35 @@ let test_world_history_pinned () =
   check_bool "aborted writes" true (aborted `Write);
   check Alcotest.string "history digest" "442e525e696de3ee97b68c7dca2906be"
     (Digest.to_hex (Digest.string (History.to_csv h)))
+
+(* A writer that wanders out before its delta wait ends leaves an
+   aborted write; a write is left open only by a writer still inside. *)
+let test_world_exit_mid_write_aborts () =
+  let open Dds_spec in
+  let w = churned_world () in
+  let left (o : History.op) =
+    match Dds_churn.Membership.find_record (Zone_world.membership w) o.History.pid with
+    | Some r -> r.Dds_churn.Membership.leave_time
+    | None -> None
+  in
+  let writes =
+    List.filter
+      (fun (o : History.op) -> match o.History.kind with History.Write _ -> true | _ -> false)
+      (History.ops (Zone_world.history w))
+  in
+  let aborted = List.filter (fun (o : History.op) -> o.History.aborted) writes in
+  check_bool "some writer left mid-write" true (aborted <> []);
+  List.iter
+    (fun (o : History.op) ->
+      check_bool "never responded" true (o.History.responded = None);
+      check_bool "writer left after invoking" true
+        (match left o with Some at -> Time.(at >= o.History.invoked) | None -> false))
+    aborted;
+  List.iter
+    (fun (o : History.op) ->
+      if (not o.History.aborted) && o.History.responded = None then
+        check_bool "open write's writer still inside" true (left o = None))
+    writes
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -230,6 +259,7 @@ let () =
           Alcotest.test_case "re-entry fresh identity" `Quick
             test_world_reentry_gets_fresh_identity;
           Alcotest.test_case "history pinned" `Quick test_world_history_pinned;
+          Alcotest.test_case "exit mid-write aborts" `Quick test_world_exit_mid_write_aborts;
         ] );
       qsuite "geo-props" [ prop_towards_never_overshoots ];
     ]
