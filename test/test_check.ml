@@ -477,6 +477,47 @@ let prop_jobs_invariant =
         (fun jobs -> Pool.with_pool ~jobs (fun pl -> String.equal reference (run (Some pl))))
         [ 1; 2; 4 ])
 
+(* The frontier is only a partition of the tree: with the state cache
+   off (a cache is per job, so it prunes differently on different
+   partitions), splitting the top of the tree into up to 64 probed
+   subtrees explores exactly what one sequential DFS from the root
+   explores. The verdict and the counterexample's index agree always;
+   every count agrees on clean configs. On violating ones the counts
+   legitimately differ: the sequential DFS stops at its first
+   violation, while every frontier job runs to completion. *)
+let prop_frontier_invariant =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ "sync"; "es"; "abd" ] >>= fun proto ->
+      int_range 2 4 >>= fun nodes ->
+      int_range 1 2 >>= fun delta ->
+      int_range 0 1 >>= fun drop_budget ->
+      int_range 0 1 >>= fun crash_budget ->
+      int_range 1 20 >>= fun depth_bound ->
+      int_range 0 2 >>= fun preempt_bound ->
+      (if String.equal proto "es" then oneofl [ None; Some 1 ] else return None)
+      >|= fun quorum ->
+      config ~proto ~nodes ~delta ?quorum ~drop_budget ~crash_budget ~depth_bound
+        ~preempt_bound ())
+  in
+  QCheck.Test.make ~count:60 ~name:"frontier 64 explores what one sequential DFS does"
+    (QCheck.make
+       ~print:(fun cfg -> Schedule.to_string { Schedule.config = cfg; decisions = [] })
+       gen)
+    (fun cfg ->
+      let run frontier =
+        match Check.run ~state_cache:false ~frontier (Protocol.find_exn cfg.Schedule.proto) cfg with
+        | Error e -> Alcotest.fail e
+        | Ok o -> o
+      in
+      let seq = run 1 and split = run 64 in
+      match (seq.Check.violation, split.Check.violation) with
+      | None, None -> seq.Check.stats = split.Check.stats
+      | Some a, Some b ->
+        a.Check.at_schedule = b.Check.at_schedule
+        && String.equal (Schedule.to_string a.Check.schedule) (Schedule.to_string b.Check.schedule)
+      | Some _, None | None, Some _ -> false)
+
 let () =
   Alcotest.run "dds-check"
     [
@@ -516,5 +557,9 @@ let () =
       ( "keys",
         Alcotest.test_case "every registered protocol covered" `Quick test_keys_cover_registry
         :: List.map (fun (_, p) -> QCheck_alcotest.to_alcotest ~long:false p) key_props );
-      ("determinism", [ QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant ]);
+      ( "determinism",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant;
+          QCheck_alcotest.to_alcotest ~long:false prop_frontier_invariant;
+        ] );
     ]
