@@ -2223,7 +2223,7 @@ let check_cmd =
   in
   let frontier_t =
     Arg.(
-      value & opt int 64
+      value & opt nonneg_int 64
       & info [ "frontier" ] ~docv:"N"
           ~doc:
             "Parallel partitioning width target. Part of the exploration shape (counts \

@@ -73,46 +73,155 @@ let to_schedule label decisions =
   List.map (fun d -> { Schedule.chosen = d.chosen; arity = d.arity; label = label d }) decisions
 
 (* ------------------------------------------------------------------ *)
-(* Exploration internals. *)
+(* Exploration internals: a node of the choice tree, the one rule that
+   says which branches of a point are explored, the one rule that says
+   what an explored branch's child inherits, and the one tally that
+   runs, skipped branches, subtree jobs and the whole check add up to.
+   A run's chooser, the DFS and the frontier probes all go through
+   these. *)
 
 type prune = No_prune | Sleep_redundant | State_hit | Preempt_blocked
 
-(* The decisions a run is forced through: a DFS path, or a schedule
-   being replayed, whose labels are checked against the run. *)
-type script = Path of dec array | Recorded of Schedule.decision array
+(* A node of the choice tree: the decisions that reach it, newest
+   first, so a child's path is one cons onto its parent's and every
+   frame a run opens shares that run's list (paths cost O(depth) per
+   run, not O(depth) per frame); the sleep set on entry; and the
+   preemptions spent on the way. *)
+type node = { path : dec list; sleep : Scheduler.tag list; preempts : int }
 
-(* Decision paths are kept newest first, so a child's path is one cons
-   onto its parent's and every frame a run opens shares that run's
-   list: paths cost O(depth) per run, not O(depth) per frame. *)
-let path_script = function
-  | [] -> Path [||]
+let root = { path = []; sleep = []; preempts = 0 }
+
+(* The decisions a run is forced through: the path to a tree node, or
+   a schedule being replayed, whose labels are checked against the
+   run. *)
+type script = Path of node | Recorded of Schedule.decision array
+
+(* A path oldest first, converted in one pass. *)
+let path_array = function
+  | [] -> [||]
   | newest :: _ as path ->
     let n = List.length path in
     let a = Array.make n newest in
     List.iteri (fun k d -> a.(n - 1 - k) <- d) path;
-    Path a
+    a
 
+(* A choice point a run opened, at [node]. [tried] is the branch
+   explored last: the run's own pick, then each sibling the DFS
+   descends into. [dones] holds the tags of the branches explored so
+   far, newest first. *)
 type frame = {
-  f_path : dec list;  (** decisions before this point, newest first *)
-  f_tags : Scheduler.tag array;  (** the point's branches *)
-  f_at : Time.t;
-  f_sched : bool;  (** scheduling point (preemption accounting applies) *)
-  f_chosen : int;
-  f_sleep : Scheduler.tag list;  (** sleep set on entry to this node *)
-  f_preempts : int;  (** preemptions spent before this point *)
+  node : node;
+  tags : Scheduler.tag array;  (** the point's branches *)
+  at : Time.t;
+  sched : bool;  (** scheduling point (preemption accounting applies) *)
+  mutable tried : int;
+  mutable dones : Scheduler.tag list;
 }
 
 let branch f i =
-  { chosen = i; arity = Array.length f.f_tags; tag = f.f_tags.(i); at = f.f_at; sched = f.f_sched }
+  { chosen = i; arity = Array.length f.tags; tag = f.tags.(i); at = f.at; sched = f.sched }
+
+(* The branch rule: branch [i] of [f] is asleep (a commuting
+   interleaving covers it), blocked (a preemption over the budget) or
+   awake ([No_prune]), and only awake branches are explored. *)
+let status ~por ~(cfg : Schedule.config) f i =
+  if por && in_sleep f.tags.(i) f.node.sleep then Sleep_redundant
+  else if f.sched && i > 0 && f.node.preempts >= cfg.preempt_bound then Preempt_blocked
+  else No_prune
+
+(* The lowest awake branch of [f] from [i] up; [skip] is told why each
+   branch passed over is not explored. *)
+let rec awake_from ~por ~cfg ~skip f i =
+  if i >= Array.length f.tags then None
+  else
+    match status ~por ~cfg f i with
+    | No_prune -> Some i
+    | why ->
+      skip why;
+      awake_from ~por ~cfg ~skip f (i + 1)
+
+(* The child rule: the node branch [i] of [f] leads to. It sleeps on
+   its parent's sleep set and on the siblings explored before it, as
+   far as they commute with its own event; a non-FIFO branch at a
+   scheduling point spends one preemption. *)
+let child ~por f i =
+  {
+    path = branch f i :: f.node.path;
+    sleep = (if por then List.filter (indep f.tags.(i)) (f.node.sleep @ f.dones) else []);
+    preempts = (f.node.preempts + if f.sched && i > 0 then 1 else 0);
+  }
+
+(* The tally of a run, a skipped branch, a subtree job or a whole
+   check: its counts, and its first violation as the decisions (newest
+   first), the findings and the 1-based index among the schedules
+   counted in it. *)
+type job_result = { jr_stats : stats; jr_violation : (dec list * string list * int) option }
+
+let zero =
+  {
+    schedules = 0;
+    truncated = 0;
+    state_prunes = 0;
+    sleep_skips = 0;
+    preempt_skips = 0;
+    max_depth = 0;
+    cache_entries = 0;
+    cache_peak = 0;
+  }
+
+let empty = { jr_stats = zero; jr_violation = None }
+let counts st = { jr_stats = st; jr_violation = None }
+
+(* One pruned run or skipped branch. *)
+let pruned =
+  let sleep = counts { zero with sleep_skips = 1 }
+  and hit = counts { zero with state_prunes = 1 }
+  and blocked = counts { zero with preempt_skips = 1 } in
+  function
+  | No_prune -> empty | Sleep_redundant -> sleep | State_hit -> hit | Preempt_blocked -> blocked
+
+(* One judged schedule. *)
+let judged ~decisions ~truncated ~bad =
+  {
+    jr_stats =
+      {
+        zero with
+        schedules = 1;
+        truncated = Bool.to_int truncated;
+        max_depth = List.length decisions;
+      };
+    jr_violation = (if bad = [] then None else Some (decisions, bad, 1));
+  }
+
+(* [a] then [b]: counts add, the depth and the cache peak take the
+   max, and the first violation wins, renumbered past [a]'s
+   schedules. *)
+let combine a b =
+  let x = a.jr_stats and y = b.jr_stats in
+  {
+    jr_stats =
+      {
+        schedules = x.schedules + y.schedules;
+        truncated = x.truncated + y.truncated;
+        state_prunes = x.state_prunes + y.state_prunes;
+        sleep_skips = x.sleep_skips + y.sleep_skips;
+        preempt_skips = x.preempt_skips + y.preempt_skips;
+        max_depth = Stdlib.max x.max_depth y.max_depth;
+        cache_entries = x.cache_entries + y.cache_entries;
+        cache_peak = Stdlib.max x.cache_peak y.cache_peak;
+      };
+    jr_violation =
+      (match a.jr_violation with
+      | Some _ as v -> v
+      | None ->
+        Option.map (fun (decs, lines, at) -> (decs, lines, x.schedules + at)) b.jr_violation);
+  }
 
 type run_result = {
   frames : frame list;  (** fresh points opened, shallow to deep *)
-  decisions : dec list;  (** newest first *)
-  r_truncated : bool;
-  pruned : prune;
-  bad : string list;
+  tally : job_result;  (** this run alone: one judged schedule, or one prune *)
   report : Regularity.report option;
-  r_inversions : int;
+  inversions : int;
 }
 
 type cache_entry = {
@@ -175,8 +284,8 @@ let check_arity i ~offered ~recorded =
    delay, no churn engine, fixed workload), so the decision sequence
    alone determines the run. *)
 let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (params : p)
-    ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~sleep0 ~preempts0 ~fresh_limit
-    ~por ~(cache : cache option) () : run_result =
+    ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~fresh_limit ~por
+    ~(cache : cache option) () : run_result =
   let dconfig =
     Deployment.default_config ~seed:0 ~n:cfg.nodes
       ~delay:(Delay.adversarial (fun _ -> cfg.delta))
@@ -187,14 +296,15 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   let module A = Adversary.Make (D) in
   let adversary = ref None in
   let depth = ref 0 in
-  let taken = ref [] in
+  (* The node the run stands at; its path grows by every decision past
+     a forced path, which is already on it. *)
+  let cur = ref (match script with Path nd -> nd | Recorded _ -> root) in
+  let forced = match script with Path nd -> path_array nd.path | Recorded _ -> [||] in
   let frames = ref [] in
   let fresh_open = ref 0 in
   let truncated = ref false in
-  let pruned = ref No_prune in
-  let sleep = ref sleep0 in
-  let preempts = ref preempts0 in
-  let script_len = match script with Path a -> Array.length a | Recorded a -> Array.length a in
+  let why_pruned = ref No_prune in
+  let script_len = match script with Path _ -> Array.length forced | Recorded a -> Array.length a in
   (* Fingerprint of everything observable about the simulation state:
      virtual time, each present node's protocol-visible state, every
      in-flight event (including the popped ready set at a scheduling
@@ -255,110 +365,84 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   let decide ~sched_point ~(tags : Scheduler.tag array) ~at =
     let arity = Array.length tags in
     let offered ch = { chosen = ch; arity; tag = tags.(ch); at; sched = sched_point } in
-    let record dec =
-      taken := dec :: !taken;
-      dec.chosen
+    let take ch =
+      cur := { !cur with path = offered ch :: !cur.path };
+      ch
     in
-    let take ch = record (offered ch) in
     let i = !depth in
     incr depth;
     if i < script_len then
       match script with
-      | Path a ->
+      | Path _ ->
         (* The path's own decision is reused as is: runs are
            deterministic, so its tag equals the one offered here. *)
-        check_arity i ~offered:arity ~recorded:a.(i).arity;
-        record a.(i)
+        check_arity i ~offered:arity ~recorded:forced.(i).arity;
+        forced.(i).chosen
       | Recorded a ->
         let r = a.(i) in
         check_arity i ~offered:arity ~recorded:r.Schedule.arity;
-        let dec = offered r.Schedule.chosen in
-        let here = label dec in
+        let here = label (offered r.Schedule.chosen) in
         if not (String.equal here r.Schedule.label) then
           failwith
             (Printf.sprintf
                "check: schedule divergence at decision %d: branch %d is %S, schedule \
                 recorded %S"
-               i dec.chosen here r.Schedule.label);
-        record dec
-    else if !pruned <> No_prune || !fresh_open >= fresh_limit then take 0
+               i r.Schedule.chosen here r.Schedule.label);
+        take r.Schedule.chosen
+    else if !why_pruned <> No_prune || !fresh_open >= fresh_limit then take 0
     else if i >= cfg.depth_bound then begin
       truncated := true;
       take 0
     end
     else begin
+      let { sleep; preempts; _ } = !cur in
       let depth_left = cfg.depth_bound - i in
-      let preempt_left = cfg.preempt_bound - !preempts in
+      let preempt_left = cfg.preempt_bound - preempts in
       let cache_hit =
         match cache with
         | None -> false
         | Some cache -> (
           let fp = fingerprint cache tags in
+          let entry =
+            { ce_sleep = sleep; ce_depth_left = depth_left; ce_preempt_left = preempt_left }
+          in
           match Hashtbl.find_opt cache.entries fp with
           | Some entries
             when List.exists
                    (fun e ->
                      e.ce_depth_left >= depth_left
                      && e.ce_preempt_left >= preempt_left
-                     && sleep_subset e.ce_sleep !sleep)
+                     && sleep_subset e.ce_sleep sleep)
                    !entries ->
             true
           | Some entries ->
-            entries :=
-              { ce_sleep = !sleep; ce_depth_left = depth_left; ce_preempt_left = preempt_left }
-              :: !entries;
+            entries := entry :: !entries;
             false
           | None ->
-            Hashtbl.add cache.entries fp
-              (ref
-                 [
-                   {
-                     ce_sleep = !sleep;
-                     ce_depth_left = depth_left;
-                     ce_preempt_left = preempt_left;
-                   };
-                 ]);
+            Hashtbl.add cache.entries fp (ref [ entry ]);
             false)
       in
       if cache_hit then begin
-        pruned := State_hit;
+        why_pruned := State_hit;
         take 0
       end
       else begin
-        (* Lowest awake branch within the preemption budget. *)
-        let choice = ref None in
-        let any_awake = ref false in
-        let j = ref 0 in
-        while !choice = None && !j < arity do
-          let t = tags.(!j) in
-          if por && in_sleep t !sleep then ()
-          else begin
-            any_awake := true;
-            if sched_point && !j > 0 && !preempts >= cfg.preempt_bound then ()
-            else choice := Some !j
-          end;
-          incr j
-        done;
-        match !choice with
+        let f = { node = !cur; tags; at; sched = sched_point; tried = 0; dones = [] } in
+        (* With no awake branch the run is pruned: over the preemption
+           budget if any branch was blocked, else redundant. *)
+        let why = ref Sleep_redundant in
+        match
+          awake_from ~por ~cfg f 0 ~skip:(fun w -> if w = Preempt_blocked then why := w)
+        with
         | None ->
-          pruned := (if !any_awake then Preempt_blocked else Sleep_redundant);
+          why_pruned := !why;
           take 0
         | Some a ->
-          frames :=
-            {
-              f_path = !taken;
-              f_tags = tags;
-              f_at = at;
-              f_sched = sched_point;
-              f_chosen = a;
-              f_sleep = !sleep;
-              f_preempts = !preempts;
-            }
-            :: !frames;
+          f.tried <- a;
+          frames := f :: !frames;
           incr fresh_open;
-          if sched_point && a > 0 then incr preempts;
-          if por then sleep := List.filter (fun t -> indep tags.(a) t) !sleep;
-          take a
+          cur := child ~por f a;
+          a
       end
     end
   in
@@ -405,8 +489,8 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
       ignore (Scheduler.schedule_at sched (Time.of_int t) (fun () -> ignore (D.spawn d))))
     js;
   D.run_until d (Time.of_int (horizon_of cfg));
-  let report, inversions, bad =
-    if !pruned <> No_prune then (None, 0, [])
+  let tally, report, inversions =
+    if !why_pruned <> No_prune then (pruned !why_pruned, None, 0)
     else begin
       let report = D.regularity d in
       let invs = if atomic then Atomicity.inversions (D.history d) else [] in
@@ -416,18 +500,10 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
           report.Regularity.violations
         @ List.map (Format.asprintf "%a" Atomicity.pp_inversion) invs
       in
-      (Some report, List.length invs, lines)
+      (judged ~decisions:!cur.path ~truncated:!truncated ~bad:lines, Some report, List.length invs)
     end
   in
-  {
-    frames = List.rev !frames;
-    decisions = !taken;
-    r_truncated = !truncated;
-    pruned = !pruned;
-    bad;
-    report;
-    r_inversions = inversions;
-  }
+  { frames = List.rev !frames; tally; report; inversions }
 
 (* [make_exec] resolves the protocol's parameters once and closes over
    them: the returned function is one stateless re-execution, paired
@@ -439,110 +515,47 @@ let make_exec (p : Protocol.t) (cfg : Schedule.config) =
   | Ok params ->
     let label = label (module R.D) in
     Ok
-      ( (fun ~script ~sleep0 ~preempts0 ~fresh_limit ~por ~cache () ->
+      ( (fun ~script ~fresh_limit ~por ~cache () ->
           run_one
             (module R.D)
-            params ~label ~atomic:p.Protocol.atomic ~cfg ~script ~sleep0 ~preempts0 ~fresh_limit
-            ~por ~cache ()),
+            params ~label ~atomic:p.Protocol.atomic ~cfg ~script ~fresh_limit ~por ~cache ()),
         label )
 
 (* ------------------------------------------------------------------ *)
-(* DFS over one subtree, stateless-re-execution style: each iteration
+(* DFS over one subtree, stateless-re-execution style: each descent
    re-runs from the root with a longer forced prefix. *)
 
-type node = {
-  n_path : dec list;  (** newest first *)
-  n_sleep : Scheduler.tag list;
-  n_preempts : int;
-}
-
-type leaf =
-  | Done of {
-      d_decisions : dec list;  (** newest first *)
-      d_truncated : bool;
-      d_bad : string list;
-      d_depth : int;
-    }
-  | Skip of prune
-
-type job_result = {
-  jr_stats : stats;
-  jr_violation : (dec list * string list * int) option;
-      (** decisions, findings, schedules judged when found (job-local) *)
-}
-
-type fstate = { fs : frame; mutable tried : int; mutable dones : Scheduler.tag list }
-
-let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_result =
+let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (top : node) : job_result =
   let cache = if state_cache then Some (create_cache ()) else None in
-  let schedules = ref 0
-  and truncated = ref 0
-  and state_prunes = ref 0
-  and sleep_skips = ref 0
-  and preempt_skips = ref 0
-  and max_depth = ref 0 in
-  let violation = ref None in
-  let stack : fstate list ref = ref [] in
-  (* Branches below the first explored one were skipped at discovery:
-     asleep, or awake but over the preemption budget. *)
-  let discovery_skips (f : frame) =
-    for i = 0 to f.f_chosen - 1 do
-      if por && in_sleep f.f_tags.(i) f.f_sleep then incr sleep_skips
-      else incr preempt_skips
-    done
+  let total = ref empty in
+  let skip why = total := combine !total (pruned why) in
+  let stack = ref [] in
+  let descend nd =
+    let rr = exec ~script:(Path nd) ~fresh_limit:max_int ~por ~cache () in
+    (* Branches below a run's pick were skipped when it opened them. *)
+    List.iter
+      (fun f ->
+        for i = 0 to f.tried - 1 do
+          skip (status ~por ~cfg f i)
+        done)
+      rr.frames;
+    total := combine !total rr.tally;
+    List.iter (fun f -> stack := f :: !stack) rr.frames
   in
-  let run_path script sleep preempts =
-    let rr =
-      exec ~script:(path_script script) ~sleep0:sleep ~preempts0:preempts
-        ~fresh_limit:max_int ~por ~cache ()
-    in
-    List.iter discovery_skips rr.frames;
-    (match rr.pruned with
-    | No_prune ->
-      incr schedules;
-      if rr.r_truncated then incr truncated;
-      max_depth := Stdlib.max !max_depth (List.length rr.decisions);
-      if rr.bad <> [] && !violation = None then
-        violation := Some (rr.decisions, rr.bad, !schedules)
-    | Sleep_redundant -> incr sleep_skips
-    | State_hit -> incr state_prunes
-    | Preempt_blocked -> incr preempt_skips);
-    List.iter (fun f -> stack := { fs = f; tried = f.f_chosen; dones = [] } :: !stack) rr.frames
-  in
-  run_path root.n_path root.n_sleep root.n_preempts;
-  let running = ref true in
-  while !running && !violation = None do
+  descend top;
+  let rec next_sibling () =
     match !stack with
-    | [] -> running := false
-    | top :: rest -> (
-      top.dones <- top.fs.f_tags.(top.tried) :: top.dones;
-      let arity = Array.length top.fs.f_tags in
-      let next = ref None in
-      let i = ref (top.tried + 1) in
-      while !next = None && !i < arity do
-        let t = top.fs.f_tags.(!i) in
-        if por && in_sleep t top.fs.f_sleep then incr sleep_skips
-        else if top.fs.f_sched && !i > 0 && top.fs.f_preempts >= cfg.preempt_bound then
-          incr preempt_skips
-        else next := Some !i;
-        incr i
-      done;
-      match !next with
+    | f :: rest when Option.is_none !total.jr_violation ->
+      f.dones <- f.tags.(f.tried) :: f.dones;
+      (match awake_from ~por ~cfg ~skip f (f.tried + 1) with
       | None -> stack := rest
       | Some i ->
-        top.tried <- i;
-        let child_sleep =
-          if por then
-            List.filter
-              (fun t -> indep top.fs.f_tags.(i) t)
-              (top.fs.f_sleep @ top.dones)
-          else []
-        in
-        let child_preempts =
-          top.fs.f_preempts + (if top.fs.f_sched && i > 0 then 1 else 0)
-        in
-        run_path (branch top.fs i :: top.fs.f_path) child_sleep child_preempts)
-  done;
+        f.tried <- i;
+        descend (child ~por f i));
+      next_sibling ()
+    | _ -> ()
+  in
+  next_sibling ();
   (* Entries are only ever added, so the cache's final population is
      its peak; every miss inserts exactly one entry, so this is also
      the miss count (hit rate = state_prunes / (state_prunes +
@@ -552,146 +565,38 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (root : node) : job_res
     | None -> 0
     | Some c -> Hashtbl.fold (fun _ entries acc -> acc + List.length !entries) c.entries 0
   in
-  {
-    jr_stats =
-      {
-        schedules = !schedules;
-        truncated = !truncated;
-        state_prunes = !state_prunes;
-        sleep_skips = !sleep_skips;
-        preempt_skips = !preempt_skips;
-        max_depth = !max_depth;
-        cache_entries = cache_size;
-        cache_peak = cache_size;
-      };
-    jr_violation = !violation;
-  }
+  combine !total (counts { zero with cache_entries = cache_size; cache_peak = cache_size })
 
 (* ------------------------------------------------------------------ *)
 (* Top-of-tree partitioning: one probe run discovers the first choice
-   point below a prefix; its branches (in index order, with the sleep
-   sets sequential DFS would give them) become the next frontier
-   level. Probes use no state cache, so the frontier — and therefore
-   every explored count — is a pure function of the tree shape. *)
+   point below a node; its awake branches (in index order, with the
+   children sequential DFS would give them) become the next frontier
+   level, and every other branch, or a probe run that opens no point,
+   is a one-run tally already. Probes use no state cache, so the
+   frontier — and therefore every explored count — is a pure function
+   of the tree shape. *)
 
-let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, leaf) Either.t list =
-  let rr =
-    exec ~script:(path_script nd.n_path) ~sleep0:nd.n_sleep ~preempts0:nd.n_preempts
-      ~fresh_limit:1 ~por ~cache:None ()
-  in
-  match rr.pruned with
-  | Sleep_redundant | State_hit | Preempt_blocked -> [ Either.Right (Skip rr.pruned) ]
-  | No_prune -> (
-    match rr.frames with
-    | [] ->
-      [
-        Either.Right
-          (Done
-             {
-               d_decisions = rr.decisions;
-               d_truncated = rr.r_truncated;
-               d_bad = rr.bad;
-               d_depth = List.length rr.decisions;
-             });
-      ]
-    | f :: _ ->
-      let out = ref [] in
-      let dones = ref [] in
-      for i = 0 to Array.length f.f_tags - 1 do
-        let t = f.f_tags.(i) in
-        if por && in_sleep t f.f_sleep then out := Either.Right (Skip Sleep_redundant) :: !out
-        else if f.f_sched && i > 0 && f.f_preempts >= cfg.preempt_bound then
-          out := Either.Right (Skip Preempt_blocked) :: !out
-        else begin
-          let child_sleep =
-            if por then List.filter (fun b -> indep t b) (f.f_sleep @ !dones) else []
-          in
-          let child_preempts = f.f_preempts + (if f.f_sched && i > 0 then 1 else 0) in
-          out :=
-            Either.Left
-              {
-                n_path = branch f i :: f.f_path;
-                n_sleep = child_sleep;
-                n_preempts = child_preempts;
-              }
-            :: !out;
-          dones := t :: !dones
-        end
-      done;
-      List.rev !out)
+let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, job_result) Either.t list
+    =
+  let rr = exec ~script:(Path nd) ~fresh_limit:1 ~por ~cache:None () in
+  match rr.frames with
+  | [] -> [ Either.Right rr.tally ]
+  | f :: _ ->
+    List.init (Array.length f.tags) (fun i ->
+        match status ~por ~cfg f i with
+        | No_prune ->
+          let c = child ~por f i in
+          f.dones <- f.tags.(i) :: f.dones;
+          Either.Left c
+        | why -> Either.Right (pruned why))
 
 (* ------------------------------------------------------------------ *)
-(* Orchestration and merging. *)
+(* Orchestration. *)
 
 let rec drop_while p = function x :: tl when p x -> drop_while p tl | l -> l
 
 (* Oldest first, without the trailing run of branch-0 decisions. *)
 let trim_defaults newest_first = List.rev (drop_while (fun d -> d.chosen = 0) newest_first)
-
-let zero =
-  {
-    schedules = 0;
-    truncated = 0;
-    state_prunes = 0;
-    sleep_skips = 0;
-    preempt_skips = 0;
-    max_depth = 0;
-    cache_entries = 0;
-    cache_peak = 0;
-  }
-
-let merge ~label (cfg : Schedule.config) (items : (job_result, leaf) Either.t list) : outcome =
-  let st = ref zero in
-  let violation = ref None in
-  List.iter
-    (fun item ->
-      match item with
-      | Either.Right (Done dn) ->
-        (if dn.d_bad <> [] && !violation = None then
-           violation := Some (dn.d_decisions, dn.d_bad, !st.schedules + 1));
-        st :=
-          {
-            !st with
-            schedules = !st.schedules + 1;
-            truncated = (!st.truncated + if dn.d_truncated then 1 else 0);
-            max_depth = Stdlib.max !st.max_depth dn.d_depth;
-          }
-      | Either.Right (Skip Sleep_redundant) -> st := { !st with sleep_skips = !st.sleep_skips + 1 }
-      | Either.Right (Skip State_hit) -> st := { !st with state_prunes = !st.state_prunes + 1 }
-      | Either.Right (Skip Preempt_blocked) ->
-        st := { !st with preempt_skips = !st.preempt_skips + 1 }
-      | Either.Right (Skip No_prune) -> ()
-      | Either.Left jr ->
-        (match jr.jr_violation with
-        | Some (decs, lines, at) when !violation = None ->
-          violation := Some (decs, lines, !st.schedules + at)
-        | Some _ | None -> ());
-        let s = jr.jr_stats in
-        st :=
-          {
-            schedules = !st.schedules + s.schedules;
-            truncated = !st.truncated + s.truncated;
-            state_prunes = !st.state_prunes + s.state_prunes;
-            sleep_skips = !st.sleep_skips + s.sleep_skips;
-            preempt_skips = !st.preempt_skips + s.preempt_skips;
-            max_depth = Stdlib.max !st.max_depth s.max_depth;
-            cache_entries = !st.cache_entries + s.cache_entries;
-            cache_peak = Stdlib.max !st.cache_peak s.cache_peak;
-          })
-    items;
-  {
-    stats = !st;
-    violation =
-      Option.map
-        (fun (decs, lines, at) ->
-          {
-            schedule =
-              { Schedule.config = cfg; decisions = to_schedule label (trim_defaults decs) };
-            lines;
-            at_schedule = at;
-          })
-        !violation;
-  }
 
 let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol.t)
     (cfg : Schedule.config) : (outcome, string) result =
@@ -705,33 +610,42 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
            p.Protocol.name)
   in
   let* exec, label = make_exec p cfg in
-  let root = { n_path = []; n_sleep = []; n_preempts = 0 } in
   let go pool =
     let frontier_nodes =
       Pool.expand_frontier pool
-        ~key:(fun nd -> Printf.sprintf "check:probe:d%d" (List.length nd.n_path))
+        ~key:(fun nd -> Printf.sprintf "check:probe:d%d" (List.length nd.path))
         ~children:(children ~exec ~por ~cfg) ~max_levels:2 ~target:frontier [ root ]
-    in
-    let lefts =
-      List.filter_map
-        (function Either.Left nd -> Some nd | Either.Right _ -> None)
-        frontier_nodes
     in
     let jresults =
       Pool.map pool
         ~key:(fun (i, _) -> Printf.sprintf "check:dfs:%d" i)
         ~f:(fun (_, nd) -> dfs ~exec ~por ~state_cache ~cfg nd)
-        (List.mapi (fun i nd -> (i, nd)) lefts)
+        (List.mapi (fun i nd -> (i, nd)) (List.filter_map Either.find_left frontier_nodes))
     in
-    (* Splice job results back into frontier order. *)
-    let rec splice fr js acc =
-      match (fr, js) with
-      | [], [] -> List.rev acc
-      | Either.Right leafv :: fr, js -> splice fr js (Either.Right leafv :: acc)
-      | Either.Left _ :: fr, jr :: js -> splice fr js (Either.Left jr :: acc)
-      | Either.Left _ :: _, [] | [], _ :: _ -> assert false
+    (* Tally in frontier order, each job's result where its subtree
+       stood. *)
+    let total, _ =
+      List.fold_left
+        (fun (acc, jresults) item ->
+          match (item, jresults) with
+          | Either.Right leaf, _ -> (combine acc leaf, jresults)
+          | Either.Left _, jr :: rest -> (combine acc jr, rest)
+          | Either.Left _, [] -> assert false)
+        (empty, jresults) frontier_nodes
     in
-    merge ~label cfg (splice frontier_nodes jresults [])
+    {
+      stats = total.jr_stats;
+      violation =
+        Option.map
+          (fun (decs, lines, at) ->
+            {
+              schedule =
+                { Schedule.config = cfg; decisions = to_schedule label (trim_defaults decs) };
+              lines;
+              at_schedule = at;
+            })
+          total.jr_violation;
+    }
   in
   match pool with
   | Some pool -> Ok (go pool)
@@ -751,9 +665,8 @@ let replay_schedule (s : Schedule.t) : (replay, string) result =
   in
   let* exec, _ = make_exec p cfg in
   match
-    exec ~script:(Recorded (Array.of_list s.Schedule.decisions)) ~sleep0:[] ~preempts0:0
-      ~fresh_limit:0
-      ~por:false ~cache:None ()
+    exec ~script:(Recorded (Array.of_list s.Schedule.decisions)) ~fresh_limit:0 ~por:false
+      ~cache:None ()
   with
   | exception Failure msg -> Error msg
   | rr ->
@@ -764,7 +677,8 @@ let replay_schedule (s : Schedule.t) : (replay, string) result =
       {
         decisions_used = List.length s.Schedule.decisions;
         regularity = report;
-        inversions = rr.r_inversions;
-        violations = rr.bad;
+        inversions = rr.inversions;
+        violations =
+          (match rr.tally.jr_violation with Some (_, lines, _) -> lines | None -> []);
       }
 

@@ -28,6 +28,17 @@ open Dds_core
     - {b preemption bound}: picking a non-FIFO branch at a scheduling
       point costs one preemption from a per-run budget.
 
+    One branch rule says whether a branch is asleep, blocked by the
+    preemption budget or awake (explored), and one child rule says
+    what an explored branch's node inherits (its parent's sleep set
+    plus the siblings explored before it, filtered by independence,
+    and one more preemption for a non-FIFO scheduling branch). A run's
+    own pick, the DFS's next sibling and the frontier probes all use
+    both. Every run is counted as a one-run tally (one judged schedule
+    or one prune), every skipped branch as a one-prune tally, and one
+    fold adds them up in canonical order, for a subtree and for the
+    whole check alike.
+
     Terminal runs are judged by {!Dds_spec.Regularity.check} (and
     {!Dds_spec.Atomicity.inversions} for protocols that promise
     atomicity). The first violating schedule, in canonical
@@ -38,7 +49,12 @@ open Dds_core
     worker-count-independent frontier ({!Dds_engine.Pool.expand_frontier})
     whose subtrees are explored as parallel jobs with per-subtree
     caches; every job runs to completion, so explored counts — and the
-    rendered report — are byte-identical at any [--jobs]. *)
+    rendered report — are byte-identical at any [--jobs]. With
+    [~state_cache:false] the frontier only partitions the tree: any
+    [frontier] gives the same verdict and [at_schedule] as one
+    sequential DFS ([~frontier:1]), and on a clean config the same
+    counts; on a violating one the counts differ, since the sequential
+    DFS stops at its first violation and frontier jobs do not. *)
 
 type stats = {
   schedules : int;  (** terminal runs judged *)

@@ -10,26 +10,18 @@ let search ?pool ~runner ~gen seeds =
     let o : outcome = runner ~seed plan in
     if o.violations = [] then None else Some (plan, o.violations)
   in
-  match pool with
-  | None ->
-    let runs = ref 0 in
-    List.find_map
-      (fun seed ->
-        incr runs;
-        match try_seed seed with
-        | None -> None
-        | Some (plan, violations) -> Some { seed; plan; violations; runs = !runs })
-      seeds
-  | Some p ->
-    (* Early-cancel parallel scan. [find_first] always evaluates every
-       seed before a hit, so both the winning seed (the earliest in
-       the list) and the run count (hit position + 1, matching the
-       sequential count exactly) are worker-count-independent. *)
+  (* Early-cancel scan, on a one-worker pool when none is given.
+     [find_first] always evaluates every seed before a hit, so both the
+     winning seed (the earliest in the list) and the run count (hit
+     position + 1) are worker-count-independent. *)
+  let scan p =
     Dds_engine.Pool.find_first p
       ~key:(fun seed -> Printf.sprintf "hunt:seed=%d" seed)
       ~f:try_seed seeds
     |> Option.map (fun (i, (plan, violations)) ->
            { seed = List.nth seeds i; plan; violations; runs = i + 1 })
+  in
+  match pool with Some p -> scan p | None -> Dds_engine.Pool.with_pool ~jobs:1 scan
 
 let half x = Stdlib.max 1 (x / 2)
 

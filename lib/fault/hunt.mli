@@ -32,12 +32,12 @@ val search :
   found option
 (** [search ~runner ~gen seeds] runs each seed under [gen ~seed] in
     order and returns the first violating run, or [None] when every
-    seed came back clean. With [?pool] the seeds run as parallel
-    engine jobs with early cancellation; the reported seed is still
-    the {e earliest} violating one in [seeds] and [runs] still counts
-    the seeds up to and including it, exactly as in the sequential
-    scan, whatever the worker count. Shrinking stays sequential — each
-    candidate depends on the last verdict. *)
+    seed came back clean. The seeds run as engine jobs with early
+    cancellation, on [?pool] or else on a one-worker pool; the
+    reported seed is the {e earliest} violating one in [seeds] and
+    [runs] counts the seeds up to and including it, whatever the
+    worker count. Shrinking stays sequential — each candidate depends
+    on the last verdict. *)
 
 val shrink : runner:runner -> found -> found
 (** Greedy minimization at the found seed: repeatedly try removing one
