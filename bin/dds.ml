@@ -2109,43 +2109,48 @@ let run_check (p : Protocol.t) nodes delta writes reads joins quorum drop_budget
       preempt_bound;
     }
   in
-  with_engine { jobs; minor_heap_words = 0; eprofile; profile_out; metrics_out = None }
-  @@ fun pool ->
-  match
-    Dds_check.Check.run ~pool ~por:(not naive) ~state_cache:(not naive) ~frontier p cfg
-  with
+  (* Bad input is refused before the pool opens, so its error is all
+     that reaches stderr. *)
+  match Dds_check.Check.validate p cfg with
   | Error e -> `Error (false, e)
-  | Ok { Dds_check.Check.stats; violation } ->
-    Format.printf "check      : %s nodes=%d delta=%d writes=%d reads=%d joins=%d%s@."
-      p.Protocol.name nodes delta writes reads joins
-      (match quorum with Some q -> Printf.sprintf " quorum=%d" q | None -> "");
-    Format.printf "adversary  : <=%d drop(s), <=%d crash(es)@." drop_budget crash_budget;
-    Format.printf "bounds     : depth %d, %d preemption(s)@." depth_bound preempt_bound;
-    Format.printf "schedules  : %d explored, %d truncated at the depth bound@."
-      stats.Dds_check.Check.schedules stats.Dds_check.Check.truncated;
-    Format.printf "pruned     : %d state-cache hit(s), %d sleep-set skip(s), %d over the \
-                   preemption budget@."
-      stats.Dds_check.Check.state_prunes stats.Dds_check.Check.sleep_skips
-      stats.Dds_check.Check.preempt_skips;
-    Format.printf "max depth  : %d decision(s)@." stats.Dds_check.Check.max_depth;
-    (match violation with
-    | None ->
-      Format.printf "verdict    : CLEAN — no %s violation within bounds@."
-        (if p.Protocol.atomic then "regularity/atomicity" else "regularity");
-      `Ok ()
-    | Some v ->
-      Format.printf "verdict    : VIOLATION at schedule %d of %d@."
-        v.Dds_check.Check.at_schedule stats.Dds_check.Check.schedules;
-      List.iter (fun l -> Format.printf "  %s@." l) v.Dds_check.Check.lines;
-      (match schedule_out with
-      | Some path ->
-        write_file path (Dds_check.Schedule.to_string v.Dds_check.Check.schedule);
-        Format.printf "schedule   : written to %s (replay: dds run --schedule %s)@." path
-          path
+  | Ok () -> (
+    with_engine { jobs; minor_heap_words = 0; eprofile; profile_out; metrics_out = None }
+    @@ fun pool ->
+    match
+      Dds_check.Check.run ~pool ~por:(not naive) ~state_cache:(not naive) ~frontier p cfg
+    with
+    | Error e -> `Error (false, e)
+    | Ok { Dds_check.Check.stats; violation } ->
+      Format.printf "check      : %s nodes=%d delta=%d writes=%d reads=%d joins=%d%s@."
+        p.Protocol.name nodes delta writes reads joins
+        (match quorum with Some q -> Printf.sprintf " quorum=%d" q | None -> "");
+      Format.printf "adversary  : <=%d drop(s), <=%d crash(es)@." drop_budget crash_budget;
+      Format.printf "bounds     : depth %d, %d preemption(s)@." depth_bound preempt_bound;
+      Format.printf "schedules  : %d explored, %d truncated at the depth bound@."
+        stats.Dds_check.Check.schedules stats.Dds_check.Check.truncated;
+      Format.printf "pruned     : %d state-cache hit(s), %d sleep-set skip(s), %d over the \
+                     preemption budget@."
+        stats.Dds_check.Check.state_prunes stats.Dds_check.Check.sleep_skips
+        stats.Dds_check.Check.preempt_skips;
+      Format.printf "max depth  : %d decision(s)@." stats.Dds_check.Check.max_depth;
+      (match violation with
       | None ->
-        Format.printf "schedule   : (replay with dds run --schedule)@.%s"
-          (Dds_check.Schedule.to_string v.Dds_check.Check.schedule));
-      `Found "check found a violating schedule")
+        Format.printf "verdict    : CLEAN — no %s violation within bounds@."
+          (if p.Protocol.atomic then "regularity/atomicity" else "regularity");
+        `Ok ()
+      | Some v ->
+        Format.printf "verdict    : VIOLATION at schedule %d of %d@."
+          v.Dds_check.Check.at_schedule stats.Dds_check.Check.schedules;
+        List.iter (fun l -> Format.printf "  %s@." l) v.Dds_check.Check.lines;
+        (match schedule_out with
+        | Some path ->
+          write_file path (Dds_check.Schedule.to_string v.Dds_check.Check.schedule);
+          Format.printf "schedule   : written to %s (replay: dds run --schedule %s)@." path
+            path
+        | None ->
+          Format.printf "schedule   : (replay with dds run --schedule)@.%s"
+            (Dds_check.Schedule.to_string v.Dds_check.Check.schedule));
+        `Found "check found a violating schedule"))
 
 let check_doc =
   "Explore $(i,every) schedule of a small scripted deployment up to the given bounds: \

@@ -258,7 +258,7 @@ let horizon_of c =
 
 let crash_ticks (c : Schedule.config) = [ 2 + c.delta; 2 + (3 * c.delta); 2 + (5 * c.delta) ]
 
-let validate (c : Schedule.config) =
+let validate_config (c : Schedule.config) =
   if c.nodes < 1 then Error "check: nodes must be >= 1"
   else if c.delta < 1 then Error "check: delta must be >= 1"
   else if c.writes < 0 || c.reads < 0 || c.joins < 0 then
@@ -277,14 +277,15 @@ let check_arity i ~offered ~recorded =
          i offered recorded)
 
 (* One stateless re-execution: build a fresh deployment, force the
-   scripted decision prefix, then descend (lowest awake branch first)
-   opening up to [fresh_limit] new frames; beyond the depth bound or
-   after a prune, every decision defaults to branch 0. Deterministic:
-   checker deployments draw no randomness (adversarially constant
-   delay, no churn engine, fixed workload), so the decision sequence
-   alone determines the run. *)
+   scripted decision prefix, then descend (lowest awake branch first),
+   opening a frame per point. The run stops at a prune, and a [probe]
+   at its first frame; past the depth bound or a replayed schedule,
+   every decision takes branch 0 up to the horizon, as that run is
+   judged. Deterministic: checker deployments draw no randomness
+   (adversarially constant delay, no churn engine, fixed workload), so
+   the decision sequence alone determines the run. *)
 let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (params : p)
-    ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~fresh_limit ~por
+    ~label ~atomic ~(cfg : Schedule.config) ~(script : script) ~probe ~por
     ~(cache : cache option) () : run_result =
   let dconfig =
     Deployment.default_config ~seed:0 ~n:cfg.nodes
@@ -299,11 +300,16 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
   (* The node the run stands at; its path grows by every decision past
      a forced path, which is already on it. *)
   let cur = ref (match script with Path nd -> nd | Recorded _ -> root) in
-  let forced = match script with Path nd -> path_array nd.path | Recorded _ -> [||] in
+  let forced, replay =
+    match script with Path nd -> (path_array nd.path, false) | Recorded _ -> ([||], true)
+  in
   let frames = ref [] in
-  let fresh_open = ref 0 in
   let truncated = ref false in
-  let why_pruned = ref No_prune in
+  (* Raised where a run's tally is settled; it unwinds out of the
+     chooser or an adversary callback, which is safe because the
+     deployment is this run's alone and is dropped with it. A probe
+     stops at its frame with [No_prune], an empty tally. *)
+  let exception Stop of prune in
   let script_len = match script with Path _ -> Array.length forced | Recorded a -> Array.length a in
   (* Fingerprint of everything observable about the simulation state:
      virtual time, each present node's protocol-visible state, every
@@ -389,7 +395,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
                 recorded %S"
                i r.Schedule.chosen here r.Schedule.label);
         take r.Schedule.chosen
-    else if !why_pruned <> No_prune || !fresh_open >= fresh_limit then take 0
+    else if replay then take 0
     else if i >= cfg.depth_bound then begin
       truncated := true;
       take 0
@@ -422,10 +428,7 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
             Hashtbl.add cache.entries fp (ref [ entry ]);
             false)
       in
-      if cache_hit then begin
-        why_pruned := State_hit;
-        take 0
-      end
+      if cache_hit then raise_notrace (Stop State_hit)
       else begin
         let f = { node = !cur; tags; at; sched = sched_point; tried = 0; dones = [] } in
         (* With no awake branch the run is pruned: over the preemption
@@ -434,13 +437,11 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
         match
           awake_from ~por ~cfg f 0 ~skip:(fun w -> if w = Preempt_blocked then why := w)
         with
-        | None ->
-          why_pruned := !why;
-          take 0
+        | None -> raise_notrace (Stop !why)
         | Some a ->
           f.tried <- a;
           frames := f :: !frames;
-          incr fresh_open;
+          if probe then raise_notrace (Stop No_prune);
           cur := child ~por f a;
           a
       end
@@ -488,20 +489,17 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
     (fun t ->
       ignore (Scheduler.schedule_at sched (Time.of_int t) (fun () -> ignore (D.spawn d))))
     js;
-  D.run_until d (Time.of_int (horizon_of cfg));
   let tally, report, inversions =
-    if !why_pruned <> No_prune then (pruned !why_pruned, None, 0)
-    else begin
+    match D.run_until d (Time.of_int (horizon_of cfg)) with
+    | exception Stop why -> (pruned why, None, 0)
+    | () ->
       let report = D.regularity d in
       let invs = if atomic then Atomicity.inversions (D.history d) else [] in
       let lines =
-        List.map
-          (Format.asprintf "%a" Regularity.pp_violation)
-          report.Regularity.violations
+        List.map (Format.asprintf "%a" Regularity.pp_violation) report.Regularity.violations
         @ List.map (Format.asprintf "%a" Atomicity.pp_inversion) invs
       in
       (judged ~decisions:!cur.path ~truncated:!truncated ~bad:lines, Some report, List.length invs)
-    end
   in
   { frames = List.rev !frames; tally; report; inversions }
 
@@ -515,10 +513,10 @@ let make_exec (p : Protocol.t) (cfg : Schedule.config) =
   | Ok params ->
     let label = label (module R.D) in
     Ok
-      ( (fun ~script ~fresh_limit ~por ~cache () ->
+      ( (fun ~script ~probe ~por ~cache () ->
           run_one
             (module R.D)
-            params ~label ~atomic:p.Protocol.atomic ~cfg ~script ~fresh_limit ~por ~cache ()),
+            params ~label ~atomic:p.Protocol.atomic ~cfg ~script ~probe ~por ~cache ()),
         label )
 
 (* ------------------------------------------------------------------ *)
@@ -531,7 +529,7 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (top : node) : job_resu
   let skip why = total := combine !total (pruned why) in
   let stack = ref [] in
   let descend nd =
-    let rr = exec ~script:(Path nd) ~fresh_limit:max_int ~por ~cache () in
+    let rr = exec ~script:(Path nd) ~probe:false ~por ~cache () in
     (* Branches below a run's pick were skipped when it opened them. *)
     List.iter
       (fun f ->
@@ -578,7 +576,7 @@ let dfs ~exec ~por ~state_cache ~(cfg : Schedule.config) (top : node) : job_resu
 
 let children ~exec ~por ~(cfg : Schedule.config) (nd : node) : (node, job_result) Either.t list
     =
-  let rr = exec ~script:(Path nd) ~fresh_limit:1 ~por ~cache:None () in
+  let rr = exec ~script:(Path nd) ~probe:true ~por ~cache:None () in
   match rr.frames with
   | [] -> [ Either.Right rr.tally ]
   | f :: _ ->
@@ -598,10 +596,10 @@ let rec drop_while p = function x :: tl when p x -> drop_while p tl | l -> l
 (* Oldest first, without the trailing run of branch-0 decisions. *)
 let trim_defaults newest_first = List.rev (drop_while (fun d -> d.chosen = 0) newest_first)
 
-let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol.t)
-    (cfg : Schedule.config) : (outcome, string) result =
+(* Every input check a check makes before it explores anything. *)
+let prepare (p : Protocol.t) (cfg : Schedule.config) =
   let ( let* ) = Result.bind in
-  let* () = validate cfg in
+  let* () = validate_config cfg in
   let* () =
     if String.equal cfg.proto p.Protocol.name then Ok ()
     else
@@ -609,7 +607,14 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
         (Printf.sprintf "check: config is for protocol %S, asked to check %S" cfg.proto
            p.Protocol.name)
   in
-  let* exec, label = make_exec p cfg in
+  make_exec p cfg
+
+let validate p cfg = Result.map ignore (prepare p cfg)
+
+let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol.t)
+    (cfg : Schedule.config) : (outcome, string) result =
+  let ( let* ) = Result.bind in
+  let* exec, label = prepare p cfg in
   let go pool =
     let frontier_nodes =
       Pool.expand_frontier pool
@@ -654,7 +659,7 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
 let replay_schedule (s : Schedule.t) : (replay, string) result =
   let ( let* ) = Result.bind in
   let cfg = s.Schedule.config in
-  let* () = validate cfg in
+  let* () = validate_config cfg in
   let* p =
     match Protocol.find cfg.proto with
     | Some p -> Ok p
@@ -665,13 +670,13 @@ let replay_schedule (s : Schedule.t) : (replay, string) result =
   in
   let* exec, _ = make_exec p cfg in
   match
-    exec ~script:(Recorded (Array.of_list s.Schedule.decisions)) ~fresh_limit:0 ~por:false
+    exec ~script:(Recorded (Array.of_list s.Schedule.decisions)) ~probe:false ~por:false
       ~cache:None ()
   with
   | exception Failure msg -> Error msg
   | rr ->
     let report =
-      match rr.report with Some r -> r | None -> assert false (* fresh_limit 0 never prunes *)
+      match rr.report with Some r -> r | None -> assert false (* a replay never prunes *)
     in
     Ok
       {

@@ -23,8 +23,8 @@ open Dds_core
       (clock, per-node register state, in-flight messages, operation
       history, adversary budgets) prunes prefixes that converge to a
       state already explored at least as permissively;
-    - {b depth bound}: decisions beyond it take branch 0 (the run is
-      judged but counted truncated);
+    - {b depth bound}: decisions beyond it take branch 0 up to the
+      horizon (the run is judged but counted truncated);
     - {b preemption bound}: picking a non-FIFO branch at a scheduling
       point costs one preemption from a per-run budget.
 
@@ -38,6 +38,14 @@ open Dds_core
     or one prune), every skipped branch as a one-prune tally, and one
     fold adds them up in canonical order, for a subtree and for the
     whole check alike.
+
+    A run stops at the decision that settles its tally: a pruned run
+    (a state-cache hit, or a point with no awake branch) ends at its
+    prune, and a frontier probe ends at its first fresh point. Past a
+    prune nothing could reach the tally, so every count is what a run
+    to the horizon would give. Only judged runs go to the horizon:
+    untruncated ones, truncated ones past the depth bound, and
+    replays.
 
     Terminal runs are judged by {!Dds_spec.Regularity.check} (and
     {!Dds_spec.Atomicity.inversions} for protocols that promise
@@ -81,6 +89,12 @@ type violation = {
 }
 
 type outcome = { stats : stats; violation : violation option }
+
+val validate : Protocol.t -> Schedule.config -> (unit, string) result
+(** The input checks {!run} makes before it explores anything: the
+    config's ranges, its protocol name, and the protocol's own
+    parameters (e.g. a quorum override on sync). [Ok ()] iff [run]
+    gets past them. *)
 
 val run :
   ?pool:Dds_engine.Pool.t ->

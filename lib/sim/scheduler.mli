@@ -86,7 +86,11 @@ val set_chooser : t -> (candidate array -> int) option -> unit
     runs before the clock moves to the candidates' time and must not
     schedule events. [set_chooser s None] restores FIFO order.
     A chooser returning an out-of-range index raises
-    [Invalid_argument] at the next {!step}. *)
+    [Invalid_argument] at the next {!step}. [f] may raise to abandon
+    the run (the model checker does, at a prune): the exception
+    propagates out of {!step} or {!run_until} and leaves the scheduler
+    in the middle of a step, so the scheduler must then be
+    discarded. *)
 
 val choosing : t -> bool
 (** Whether a chooser is currently installed. Subsystems use this to

@@ -518,6 +518,41 @@ let prop_frontier_invariant =
         && String.equal (Schedule.to_string a.Check.schedule) (Schedule.to_string b.Check.schedule)
       | Some _, None | None, Some _ -> false)
 
+(* The reductions are sound: with sleep sets and the state cache on, a
+   check reaches the same verdict as the naive DFS with both off. A
+   cache hit ends a run at the prune, so this is also the oracle that
+   a run stopped there loses no violation. Random small configs of
+   every protocol, with a joiner and either budget, with and without
+   es's sub-majority quorum bug. *)
+let prop_cached_matches_naive =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ "sync"; "es"; "abd" ] >>= fun proto ->
+      int_range 1 4 >>= fun nodes ->
+      int_range 0 1 >>= fun joins ->
+      int_range 0 1 >>= fun drop_budget ->
+      int_range 0 1 >>= fun crash_budget ->
+      int_range 1 16 >>= fun depth_bound ->
+      int_range 0 2 >>= fun preempt_bound ->
+      (if String.equal proto "es" then oneofl [ None; Some 1 ] else return None)
+      >|= fun quorum ->
+      config ~proto ~nodes ~joins ?quorum ~drop_budget ~crash_budget ~depth_bound
+        ~preempt_bound ())
+  in
+  QCheck.Test.make ~count:50 ~name:"cached and naive checks reach the same verdict"
+    (QCheck.make
+       ~print:(fun cfg -> Schedule.to_string { Schedule.config = cfg; decisions = [] })
+       gen)
+    (fun cfg ->
+      let verdict ~reduce =
+        match
+          Check.run ~por:reduce ~state_cache:reduce (Protocol.find_exn cfg.Schedule.proto) cfg
+        with
+        | Error e -> Alcotest.fail e
+        | Ok o -> Option.is_some o.Check.violation
+      in
+      Bool.equal (verdict ~reduce:true) (verdict ~reduce:false))
+
 let () =
   Alcotest.run "dds-check"
     [
@@ -561,5 +596,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant;
           QCheck_alcotest.to_alcotest ~long:false prop_frontier_invariant;
+          QCheck_alcotest.to_alcotest ~long:false prop_cached_matches_naive;
         ] );
     ]
