@@ -2,7 +2,7 @@
 
    Subcommands:
      run       simulate one deployment of a register protocol and report
-               (or replay a checker schedule with --schedule)
+     replay    re-execute a schedule emitted by check and judge it
      sweep     regenerate one experiment's tables (any of E1..E25)
      inspect   summarize a JSONL trace produced by run --trace-out
      explain   causal critical-path analysis of a JSONL trace: per-op
@@ -34,23 +34,27 @@ open Dds_workload
 open Dds_fault
 open Cmdliner
 module Causal = Dds_causal.Causal
+module Verdict = Dds_monitor.Verdict
 
 let time = Time.of_int
 
 (* ------------------------------------------------------------------ *)
 
 (* The exit contract, one for every subcommand: 0 clean, 1 a verdict
-   found a problem, 124 usage or bad input, 125 a bug. A subcommand
-   reports a finding as [`Found msg]; [judged] prints it the way
-   Cmdliner prints an error and exits 1, so a script can tell a found
-   violation from a misspelled flag. *)
+   found a problem, 124 usage or bad input, 125 a bug. Every judged
+   execution's 1 comes from Verdict.is_ok (lib/monitor/verdict.mli),
+   whichever front end judged it. A subcommand reports a finding as
+   [`Found msg]; [judged] prints it the way Cmdliner prints an error
+   and exits 1, so a script can tell a found violation from a
+   misspelled flag. *)
 let exit_found = 1
 
 let exits =
   Cmd.Exit.info exit_found
     ~doc:
-      "when a verdict found a problem: a run, replay or audit that violates safety, a hunt \
-       or check that found a counterexample, or a load that saw errors."
+      "when a verdict found a problem: a run, replay or audit whose execution violates \
+       regularity or atomicity or trips a monitor (a breached churn bound or active \
+       majority included), a hunt or check that found one, or a load that saw errors."
   :: Cmd.Exit.defaults
 
 let judged t =
@@ -95,14 +99,6 @@ module Summary = struct
            latency_row (History.completed_reads history) "read";
            latency_row (History.completed_writes history) "write";
          ]);
-    let r = run.Harness.regularity in
-    Format.printf "safety     : %s (%d reads, %d joins checked; %d violations)@."
-      (if Regularity.is_ok r then "REGULAR" else "VIOLATED")
-      r.Regularity.checked_reads r.Regularity.checked_joins
-      (List.length r.Regularity.violations);
-    List.iter
-      (fun v -> Format.printf "  %a@." Regularity.pp_violation v)
-      r.Regularity.violations;
     Format.printf "atomicity  : %d new/old inversion(s)@."
       (List.length (Atomicity.inversions history));
     Format.printf "staleness  : %a@." Staleness.pp_report (Staleness.measure history);
@@ -112,7 +108,8 @@ module Summary = struct
     Format.printf "@.counters:@.";
     List.iter
       (fun (k, v) -> Format.printf "  %-18s %d@." k v)
-      (Metrics.to_list run.Harness.metrics)
+      (Metrics.to_list run.Harness.metrics);
+    Format.printf "%a" Verdict.pp run.Harness.verdict
 end
 
 (* One run of the paper's model: n processes, delay bound delta, churn
@@ -265,6 +262,16 @@ let run_monitor (p : Protocol.t) c =
   Option.map (fun j -> monitor_config_for p j ~n:c.sim.n ~delta:c.sim.delta ~gst:c.sim.gst)
     c.monitor
 
+(* A judged run's exit: clean, or its repro line and a finding. *)
+let run_exit (p : Protocol.t) c verdicts =
+  if List.for_all Verdict.is_ok verdicts then `Ok ()
+  else begin
+    Format.printf "repro      : %s@."
+      (repro_line ~protocol:p.Protocol.name ~sharding:c.sharding ?monitor:c.monitor
+         ?nemesis:c.nemesis c.sim);
+    `Found "run found violations"
+  end
+
 (* [dds run]: one judged run, rendered. *)
 let run_single (proto : Protocol.t) c =
   match harness_runner ?monitor:(run_monitor proto c) ~events:(run_events c) proto c.sim with
@@ -301,18 +308,7 @@ let run_single (proto : Protocol.t) c =
       Format.printf "causal graph written to %s@." path
     | None -> ());
     Summary.print ~name:proto.Protocol.name r;
-    if c.monitor <> None then begin
-      Format.printf "monitors   : %d violation(s)@." (List.length r.Harness.findings);
-      List.iter
-        (fun v -> Format.printf "  %a@." Dds_monitor.Monitor.pp_violation v)
-        r.Harness.findings
-    end;
-    if Regularity.is_ok r.Harness.regularity then `Ok ()
-    else begin
-      Format.printf "repro      : %s@."
-        (repro_line ~protocol:proto.Protocol.name ?monitor:c.monitor ?nemesis:c.nemesis c.sim);
-      `Found "safety violated"
-    end
+    run_exit proto c [ r.Harness.verdict ]
 
 (* The sharded store path (--shards N): one skewed plan drawn up front
    and hash-routed across N independent registers, each judged by its
@@ -350,22 +346,14 @@ let run_sharded (p : Protocol.t) c =
       (List.length plan) issued (List.length plan - issued);
     List.iteri
       (fun i (routed, (r : Harness.result)) ->
-        let h = r.Harness.history and reg = r.Harness.regularity in
+        let h = r.Harness.history in
         Format.printf
-          "  shard %2d : %6d routed %6d issued %5d skipped | %5d reads %4d writes done | %s@."
+          "  shard %2d : %6d routed %6d issued %5d skipped | %5d reads %4d writes done | %a@.%a"
           i routed (Harness.issued r) (routed - Harness.issued r)
           (List.length (History.completed_reads h))
           (List.length (History.completed_writes h))
-          (if Regularity.is_ok reg then "REGULAR" else "VIOLATED");
-        List.iter (fun v -> Format.printf "    %a@." Regularity.pp_violation v)
-          reg.Regularity.violations;
-        List.iter
-          (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
-          r.Harness.findings)
+          Verdict.pp_row r.Harness.verdict (Verdict.pp_problems ~indent:4) r.Harness.verdict)
       shards;
-    if c.monitor <> None then
-      Format.printf "monitors   : %d violation(s)@."
-        (List.fold_left (fun acc (_, r) -> acc + List.length r.Harness.findings) 0 shards);
     (match c.trace_out with
     | Some path ->
       write_file path (Export.jsonl_of_tagged_events tagged);
@@ -384,16 +372,9 @@ let run_sharded (p : Protocol.t) c =
       write_file path (Json.to_string (Json.List per_shard) ^ "\n");
       Format.printf "metrics written to %s (one object per shard)@." path
     | None -> ());
-    let all_ok = List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) shards in
-    Format.printf "regularity : %s (%d shard(s))@."
-      (if all_ok then "REGULAR" else "VIOLATED")
-      sh.shards;
-    if all_ok then `Ok ()
-    else begin
-      Format.printf "repro      : %s@."
-        (repro_line ~protocol:name ~sharding:sh ?monitor:c.monitor ?nemesis:c.nemesis s);
-      `Found "safety violated"
-    end
+    let verdicts = List.map (fun (_, r) -> r.Harness.verdict) shards in
+    Format.printf "%a" Verdict.pp_total verdicts;
+    run_exit p c verdicts
 
 let run_protocol (p : Protocol.t) c =
   if c.sharding.shards > 0 then run_sharded p c else run_single p c
@@ -541,7 +522,8 @@ let monitor_t =
         ~doc:
           "Run the online assumption/safety monitors (churn rate, active majority, span \
            liveness, new/old inversions) against the live event stream; findings are \
-           reported and recorded as violation events in the trace.")
+           reported, recorded as violation events in the trace, and fail the run (exit 1) \
+           as they fail $(b,dds audit) of that trace.")
 
 let dot_out_t =
   Arg.(
@@ -717,56 +699,8 @@ let resolve_protocol pos flag k =
   | Some p, _ | None, Some p -> k p
   | None, None -> `Error (true, "missing protocol: give it positionally or with --proto")
 
-(* Replay a schedule emitted by [dds check]: re-executes the recorded
-   decision sequence through the same choice points and re-judges. *)
-let run_replay path =
-  match read_file path with
-  | exception Sys_error e -> `Error (false, e)
-  | text -> (
-    match Dds_check.Schedule.of_string text with
-    | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
-    | Ok sched -> (
-      match Dds_check.Check.replay_schedule sched with
-      | Error e -> `Error (false, e)
-      | Ok r ->
-        let cfg = sched.Dds_check.Schedule.config in
-        Format.printf
-          "replay     : %s nodes=%d delta=%d writes=%d reads=%d joins=%d%s drops<=%d \
-           crashes<=%d@."
-          cfg.Dds_check.Schedule.proto cfg.Dds_check.Schedule.nodes
-          cfg.Dds_check.Schedule.delta cfg.Dds_check.Schedule.writes
-          cfg.Dds_check.Schedule.reads cfg.Dds_check.Schedule.joins
-          (match cfg.Dds_check.Schedule.quorum with
-          | Some q -> Printf.sprintf " quorum=%d" q
-          | None -> "")
-          cfg.Dds_check.Schedule.drop_budget cfg.Dds_check.Schedule.crash_budget;
-        Format.printf "decisions  : %d recorded (deeper points default to branch 0)@."
-          r.Dds_check.Check.decisions_used;
-        let reg = r.Dds_check.Check.regularity in
-        Format.printf "regularity : %s (%d reads, %d joins checked; %d violations)@."
-          (if Regularity.is_ok reg then "REGULAR" else "VIOLATED")
-          reg.Regularity.checked_reads reg.Regularity.checked_joins
-          (List.length reg.Regularity.violations);
-        Format.printf "atomicity  : %d new/old inversion(s)@." r.Dds_check.Check.inversions;
-        List.iter (fun l -> Format.printf "  %s@." l) r.Dds_check.Check.violations;
-        if r.Dds_check.Check.violations = [] then `Ok ()
-        else `Found "schedule violates the specification"))
-
 let run_cmd =
-  let doc =
-    "Simulate one deployment under churn and report safety and latency; or, with \
-     $(b,--schedule), replay a counterexample schedule emitted by $(b,dds check)."
-  in
-  let schedule_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schedule" ] ~docv:"FILE"
-          ~doc:
-            "Replay this checker schedule instead of a randomized run. The file fixes \
-             protocol, deployment and every scheduling/fault decision, so a protocol \
-             given too is not used, and any other run flag is a usage error.")
-  in
+  let doc = "Simulate one deployment under churn and report safety and latency." in
   let run_t =
     let make sim judge shards keys skew monitor nemesis trace trace_out trace_format
         dump_history metrics_out dot_out =
@@ -785,14 +719,44 @@ let run_cmd =
     (Cmd.info "run" ~exits ~doc)
     Term.(
       judged
-        (const (fun schedule pos flag (c, used) ->
-             match schedule with
-             | Some _ when used <> [] ->
-               `Error
-                 (true, "--schedule replays the file as recorded and takes no other run flag")
-             | Some path -> run_replay path
-             | None -> resolve_protocol pos flag (fun p -> run_protocol p c))
-        $ schedule_t $ protocol_pos_t $ protocol_flag_t $ with_used_args run_t))
+        (const (fun pos flag c -> resolve_protocol pos flag (fun p -> run_protocol p c))
+        $ protocol_pos_t $ protocol_flag_t $ run_t))
+
+(* replay *)
+
+(* Re-executes a schedule emitted by [dds check] through the same
+   choice points and judges it as the checker did. *)
+let run_replay path =
+  let open Dds_check in
+  match read_file path with
+  | exception Sys_error e -> `Error (false, e)
+  | text -> (
+    match Schedule.of_string text with
+    | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
+    | Ok sched -> (
+      match Check.replay_schedule sched with
+      | Error e -> `Error (false, e)
+      | Ok verdict ->
+        let c = sched.Schedule.config in
+        Format.printf
+          "replay     : %s nodes=%d delta=%d writes=%d reads=%d joins=%d%s drops<=%d \
+           crashes<=%d@."
+          c.proto c.nodes c.delta c.writes c.reads c.joins
+          (match c.quorum with Some q -> Printf.sprintf " quorum=%d" q | None -> "")
+          c.drop_budget c.crash_budget;
+        Format.printf "decisions  : %d recorded (deeper points default to branch 0)@.%a"
+          (List.length sched.Schedule.decisions) Verdict.pp verdict;
+        if Verdict.is_ok verdict then `Ok () else `Found "schedule violates the specification"))
+
+let replay_cmd =
+  let doc =
+    "Replay a schedule emitted by $(b,dds check): the file fixes protocol, deployment and \
+     every scheduling and fault decision, and the run is judged as the checker judged it."
+  in
+  let file_t =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Schedule file.")
+  in
+  Cmd.v (Cmd.info "replay" ~exits ~doc) Term.(judged (const run_replay $ file_t))
 
 (* analyze *)
 
@@ -1379,54 +1343,40 @@ let explain_cmd =
 
 (* audit *)
 
-(* The per-shard audit of a tagged trace: each shard is an independent
-   register, so monitors and the regularity checker run once per tag —
-   auditing the mixed timeline as one register would interleave
-   different keys' writes and report nonsense. *)
-let audit_sharded (proto : Protocol.t) cfg ~n ~delta initial merged_out path
-    (tagged : (int option * Event.stamped) list) =
-  let tags =
-    List.sort_uniq compare (List.map (fun (s, _) -> Option.value s ~default:(-1)) tagged)
-  in
-  Format.printf "%s: %d events audited across %d shard(s) (%s monitors, n=%d, delta=%d)@."
-    path (List.length tagged) (List.length tags) proto.Protocol.name n delta;
-  (match merged_out with
-  | Some out ->
-    write_file out (Export.jsonl_of_tagged_events tagged);
-    Format.printf "merged     : shard-tagged trace -> %s@." out
-  | None -> ());
-  let verdict tag =
-    let evs =
-      List.filter_map
-        (fun (s, ev) -> if Option.value s ~default:(-1) = tag then Some ev else None)
-        tagged
-    in
-    let a = Harness.audit cfg ~initial evs in
-    let report = a.Harness.regularity in
-    Format.printf "  shard %s : %s (%d events; %d reads, %d joins checked; %d monitor \
-                   violation(s))@."
-      (if tag < 0 then "?" else string_of_int tag)
-      (if Regularity.is_ok report then "REGULAR" else "VIOLATED")
-      (List.length evs) report.Regularity.checked_reads report.Regularity.checked_joins
-      (List.length a.Harness.findings);
-    List.iter
-      (fun v -> Format.printf "    %a@." Regularity.pp_violation v)
-      report.Regularity.violations;
-    List.iter
-      (fun v -> Format.printf "    %a@." Dds_monitor.Monitor.pp_violation v)
-      a.Harness.findings;
-    a.Harness.findings = [] && Regularity.is_ok report
-  in
-  let all_ok = List.for_all Fun.id (List.map verdict tags) in
-  Format.printf "regularity : %s (%d shard(s))@."
-    (if all_ok then "REGULAR" else "VIOLATED")
-    (List.length tags);
-  if all_ok then `Ok () else `Found "audit found violations"
+(* One register's verdict block with its causal context: spans still
+   open at the end, the slowest ops with causes, and a critical-path
+   witness for every span the liveness monitor flagged (when the span
+   did complete in-trace; one still open at the end has no path). *)
+let audit_details ~bound evs v =
+  Format.printf "%a" Verdict.pp v;
+  let orphans = Event.unclosed_spans evs in
+  if orphans <> [] then
+    Format.printf "unclosed   : %d span(s) still open at end of trace: %s@."
+      (List.length orphans)
+      (String.concat ", " (List.map string_of_int orphans));
+  let causal = Causal.analyze ~bound evs in
+  let slow = Causal.slowest causal 3 in
+  if slow <> [] then begin
+    Format.printf "slowest ops with causes:@.";
+    List.iter (fun a -> Format.printf "%a" Causal.pp_attribution a) slow
+  end;
+  List.iter
+    (fun span ->
+      match Causal.find_op causal span with
+      | Some a -> Format.printf "liveness witness (span %d):@.%a" span Causal.pp_attribution a
+      | None -> Format.printf "liveness witness (span %d): op still open at end of trace@." span)
+    (Dds_monitor.Monitor.overdue (Option.value v.Verdict.findings ~default:[]))
 
 (* Replays exported JSONL traces through the streaming monitors and the
    regularity checker, offline: everything the in-process checkers see
    is reconstructed from the trace alone (span payloads, Lamport
-   stamps, membership events). Exits 1 when anything fired. *)
+   stamps, membership events). The events are grouped by shard tag,
+   because each shard is an independent register (auditing the mixed
+   timeline as one register would interleave different keys' writes
+   and report nonsense); an untagged trace is one group. Each group
+   gets one verdict, a shard's as a row and an untagged trace's as the
+   block with its causal witnesses. Exits 1 when any verdict found a
+   problem. *)
 let run_audit paths (proto : Protocol.t) initial merged_out n delta gst judge dot_out =
   let cfg = monitor_config_for proto judge ~n ~delta ~gst in
   (* A shard-tagged line carries its register's index; a plain trace
@@ -1451,68 +1401,39 @@ let run_audit paths (proto : Protocol.t) initial merged_out n delta gst judge do
        the shared timestamp reconstructs the single trace the simulator
        would have produced (span ids are globally unique already — each
        node offsets its own by pid * 1_000_000). *)
-    let tagged_evs = Export.merge_tagged per_file in
-    let path = String.concat "+" paths in
-    if List.exists (fun (s, _) -> s <> None) tagged_evs then
-      audit_sharded proto cfg ~n ~delta initial merged_out path tagged_evs
-    else begin
-      let evs = List.map snd tagged_evs in
-      let a = Harness.audit cfg ~initial evs in
-      let violations = a.Harness.findings and report = a.Harness.regularity in
-      Format.printf "%s: %d events audited (%s monitors, n=%d, delta=%d)@." path
-        (List.length evs) proto.Protocol.name n delta;
-      (match merged_out with
-      | Some out ->
-        write_file out (Export.jsonl_of_events evs);
-        Format.printf "merged     : %d file(s) -> %s@." (List.length per_file) out
-      | None -> ());
-      (match cfg.Dds_monitor.Monitor.churn_bound with
-      | Some b -> Format.printf "churn bound: %.5f per tick@." b
-      | None -> Format.printf "churn bound: none@.");
-      if violations = [] then Format.printf "monitors   : no violations@."
-      else begin
-        Format.printf "monitors   : %d violation(s)@." (List.length violations);
-        List.iter
-          (fun v -> Format.printf "  %a@." Dds_monitor.Monitor.pp_violation v)
-          violations
-      end;
-      let orphans = Event.unclosed_spans evs in
-      if orphans <> [] then
-        Format.printf "unclosed   : %d span(s) still open at end of trace: %s@."
-          (List.length orphans)
-          (String.concat ", " (List.map string_of_int orphans));
-      Format.printf "regularity : %s (%d reads, %d joins checked; %d violations)@."
-        (if Regularity.is_ok report then "REGULAR" else "VIOLATED")
-        report.Regularity.checked_reads report.Regularity.checked_joins
-        (List.length report.Regularity.violations);
-      List.iter
-        (fun v -> Format.printf "  %a@." Regularity.pp_violation v)
-        report.Regularity.violations;
-      (* Slowest ops with causes, plus a critical-path witness for
-         every span the liveness monitor flagged (when the span did
-         complete in-trace; one still open at the end has no path). *)
-      let causal = Causal.analyze ~bound:(judge.liveness_k * delta) evs in
-      let slow = Causal.slowest causal 3 in
-      if slow <> [] then begin
-        Format.printf "slowest ops with causes:@.";
-        List.iter (fun a -> Format.printf "%a" Causal.pp_attribution a) slow
-      end;
-      List.iter
-        (fun span ->
-          match Causal.find_op causal span with
-          | Some a ->
-            Format.printf "liveness witness (span %d):@.%a" span Causal.pp_attribution a
-          | None ->
-            Format.printf "liveness witness (span %d): op still open at end of trace@." span)
-        a.Harness.overdue;
-      (match dot_out with
-      | Some out ->
-        write_file out (Export.dot_of_events evs);
-        Format.printf "causal graph written to %s@." out
-      | None -> ());
-      if violations = [] && Regularity.is_ok report then `Ok ()
-      else `Found "audit found violations"
-    end
+    let tagged = Export.merge_tagged per_file in
+    let sharded = List.exists (fun (s, _) -> s <> None) tagged in
+    let tags = if sharded then List.sort_uniq compare (List.map fst tagged) else [ None ] in
+    Format.printf "%s: %d events audited%s (%s monitors, n=%d, delta=%d)@."
+      (String.concat "+" paths) (List.length tagged)
+      (if sharded then Printf.sprintf " across %d shard(s)" (List.length tags) else "")
+      proto.Protocol.name n delta;
+    (match merged_out with
+    | Some out ->
+      write_file out (Export.jsonl_of_tagged_events tagged);
+      Format.printf "merged     : %d file(s) -> %s@." (List.length per_file) out
+    | None -> ());
+    Format.printf "churn bound: %s@."
+      (Option.fold ~none:"none" ~some:(Printf.sprintf "%.5f per tick")
+         cfg.Dds_monitor.Monitor.churn_bound);
+    let judge_group tag =
+      let evs = List.filter_map (fun (s, ev) -> if s = tag then Some ev else None) tagged in
+      let v = Harness.audit cfg ~initial evs in
+      if sharded then
+        Format.printf "  shard %s : %a, %d events@.%a"
+          (match tag with Some s -> string_of_int s | None -> "?")
+          Verdict.pp_row v (List.length evs) (Verdict.pp_problems ~indent:4) v
+      else audit_details ~bound:(judge.liveness_k * delta) evs v;
+      v
+    in
+    let verdicts = List.map judge_group tags in
+    if sharded then Format.printf "%a" Verdict.pp_total verdicts;
+    (match dot_out with
+    | Some out ->
+      write_file out (Export.dot_of_events (List.map snd tagged));
+      Format.printf "causal graph written to %s@." out
+    | None -> ());
+    if List.for_all Verdict.is_ok verdicts then `Ok () else `Found "audit found violations"
 
 let audit_cmd =
   let doc =
@@ -1968,7 +1889,7 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine
   | Error e -> `Error (false, e)
   | Ok _ when c.horizon = 0 -> `Error (true, "--horizon 0: a hunt's fault windows need a tick")
   | Ok go ->
-    let runner ~seed plan = Harness.outcome (go ~seed plan) in
+    let runner ~seed plan = (go ~seed plan).Harness.verdict in
     let gen ~seed =
       match nemesis with
       | Some plan -> plan
@@ -1995,7 +1916,7 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine
       Format.printf "hunt       : violation at seed %d after %d of %d seed(s) examined@."
         found.Hunt.seed found.Hunt.runs plans;
       Format.printf "plan       : %s@." (Nemesis.to_string found.Hunt.plan);
-      List.iter (fun v -> Format.printf "  %s@." v) found.Hunt.violations;
+      Format.printf "%a" (Verdict.pp_problems ~indent:2) found.Hunt.verdict;
       let found =
         if no_shrink then found
         else begin
@@ -2005,7 +1926,7 @@ let run_hunt (proto : Protocol.t) plans profile no_shrink c judge nemesis engine
             | [] -> "<no faults needed>"
             | p -> Nemesis.to_string p)
             shrunk.Hunt.runs;
-          List.iter (fun v -> Format.printf "  %s@." v) shrunk.Hunt.violations;
+          Format.printf "%a" (Verdict.pp_problems ~indent:2) shrunk.Hunt.verdict;
           shrunk
         end
       in
@@ -2141,14 +2062,13 @@ let run_check (p : Protocol.t) nodes delta writes reads joins quorum drop_budget
       | Some v ->
         Format.printf "verdict    : VIOLATION at schedule %d of %d@."
           v.Dds_check.Check.at_schedule stats.Dds_check.Check.schedules;
-        List.iter (fun l -> Format.printf "  %s@." l) v.Dds_check.Check.lines;
+        Format.printf "%a" (Verdict.pp_problems ~indent:2) v.Dds_check.Check.verdict;
         (match schedule_out with
         | Some path ->
           write_file path (Dds_check.Schedule.to_string v.Dds_check.Check.schedule);
-          Format.printf "schedule   : written to %s (replay: dds run --schedule %s)@." path
-            path
+          Format.printf "schedule   : written to %s (replay: dds replay %s)@." path path
         | None ->
-          Format.printf "schedule   : (replay with dds run --schedule)@.%s"
+          Format.printf "schedule   : (replay with dds replay)@.%s"
             (Dds_check.Schedule.to_string v.Dds_check.Check.schedule));
         `Found "check found a violating schedule"))
 
@@ -2290,6 +2210,7 @@ let main_cmd =
     (Cmd.info "dds" ~version:"1.0.0" ~exits ~doc)
     [
       run_cmd;
+      replay_cmd;
       analyze_cmd;
       sweep_cmd;
       inspect_cmd;

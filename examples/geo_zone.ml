@@ -89,7 +89,7 @@ let citywide speed churn =
       { Harness.horizon; drain = 20 * delta; workload = Harness.Plan plan; monitor = None }
       []
   in
-  let regular (r : Harness.result) = Dds_spec.Regularity.is_ok r.Harness.regularity in
+  let regular (r : Harness.result) = Dds_monitor.Verdict.is_ok r.Harness.verdict in
   Format.printf "           | citywide store at that churn:";
   List.iteri
     (fun z (routed, r) ->

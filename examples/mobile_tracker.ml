@@ -64,7 +64,7 @@ let () =
       []
   in
   let issued = List.fold_left (fun acc (_, r) -> acc + Harness.issued r) 0 fleet in
-  let regular (r : Harness.result) = Regularity.is_ok r.Harness.regularity in
+  let regular (r : Harness.result) = Dds_monitor.Verdict.is_ok r.Harness.verdict in
 
   Format.printf "fleet      : %d convoys on %d radio channels (n=12 each, delta=%d)@."
     convoys channels delta;

@@ -4,6 +4,7 @@ open Dds_spec
 open Dds_core
 open Dds_fault
 module Pool = Dds_engine.Pool
+module Verdict = Dds_monitor.Verdict
 
 type stats = {
   schedules : int;
@@ -16,16 +17,9 @@ type stats = {
   cache_peak : int;
 }
 
-type violation = { schedule : Schedule.t; lines : string list; at_schedule : int }
+type violation = { schedule : Schedule.t; verdict : Verdict.t; at_schedule : int }
 
 type outcome = { stats : stats; violation : violation option }
-
-type replay = {
-  decisions_used : int;
-  regularity : Regularity.report;
-  inversions : int;
-  violations : string list;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Independence and sleep sets. Two events commute iff both are
@@ -153,9 +147,9 @@ let child ~por f i =
 
 (* The tally of a run, a skipped branch, a subtree job or a whole
    check: its counts, and its first violation as the decisions (newest
-   first), the findings and the 1-based index among the schedules
+   first), the verdict and the 1-based index among the schedules
    counted in it. *)
-type job_result = { jr_stats : stats; jr_violation : (dec list * string list * int) option }
+type job_result = { jr_stats : stats; jr_violation : (dec list * Verdict.t * int) option }
 
 let zero =
   {
@@ -181,7 +175,7 @@ let pruned =
   | No_prune -> empty | Sleep_redundant -> sleep | State_hit -> hit | Preempt_blocked -> blocked
 
 (* One judged schedule. *)
-let judged ~decisions ~truncated ~bad =
+let judged ~decisions ~truncated verdict =
   {
     jr_stats =
       {
@@ -190,7 +184,7 @@ let judged ~decisions ~truncated ~bad =
         truncated = Bool.to_int truncated;
         max_depth = List.length decisions;
       };
-    jr_violation = (if bad = [] then None else Some (decisions, bad, 1));
+    jr_violation = (if Verdict.is_ok verdict then None else Some (decisions, verdict, 1));
   }
 
 (* [a] then [b]: counts add, the depth and the cache peak take the
@@ -214,14 +208,13 @@ let combine a b =
       (match a.jr_violation with
       | Some _ as v -> v
       | None ->
-        Option.map (fun (decs, lines, at) -> (decs, lines, x.schedules + at)) b.jr_violation);
+        Option.map (fun (decs, v, at) -> (decs, v, x.schedules + at)) b.jr_violation);
   }
 
 type run_result = {
   frames : frame list;  (** fresh points opened, shallow to deep *)
   tally : job_result;  (** this run alone: one judged schedule, or one prune *)
-  report : Regularity.report option;
-  inversions : int;
+  verdict : Verdict.t option;  (** [None] for a pruned run *)
 }
 
 type cache_entry = {
@@ -489,19 +482,16 @@ let run_one (type p) (module D : Deployment.S with type Protocol.params = p) (pa
     (fun t ->
       ignore (Scheduler.schedule_at sched (Time.of_int t) (fun () -> ignore (D.spawn d))))
     js;
-  let tally, report, inversions =
-    match D.run_until d (Time.of_int (horizon_of cfg)) with
-    | exception Stop why -> (pruned why, None, 0)
-    | () ->
-      let report = D.regularity d in
-      let invs = if atomic then Atomicity.inversions (D.history d) else [] in
-      let lines =
-        List.map (Format.asprintf "%a" Regularity.pp_violation) report.Regularity.violations
-        @ List.map (Format.asprintf "%a" Atomicity.pp_inversion) invs
-      in
-      (judged ~decisions:!cur.path ~truncated:!truncated ~bad:lines, Some report, List.length invs)
-  in
-  { frames = List.rev !frames; tally; report; inversions }
+  match D.run_until d (Time.of_int (horizon_of cfg)) with
+  | exception Stop why -> { frames = List.rev !frames; tally = pruned why; verdict = None }
+  | () ->
+    let inversions = if atomic then Some (Atomicity.inversions (D.history d)) else None in
+    let verdict = Verdict.make ?inversions (D.regularity d) in
+    {
+      frames = List.rev !frames;
+      tally = judged ~decisions:!cur.path ~truncated:!truncated verdict;
+      verdict = Some verdict;
+    }
 
 (* [make_exec] resolves the protocol's parameters once and closes over
    them: the returned function is one stateless re-execution, paired
@@ -642,11 +632,11 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
       stats = total.jr_stats;
       violation =
         Option.map
-          (fun (decs, lines, at) ->
+          (fun (decs, verdict, at) ->
             {
               schedule =
                 { Schedule.config = cfg; decisions = to_schedule label (trim_defaults decs) };
-              lines;
+              verdict;
               at_schedule = at;
             })
           total.jr_violation;
@@ -656,7 +646,7 @@ let run ?pool ?(por = true) ?(state_cache = true) ?(frontier = 64) (p : Protocol
   | Some pool -> Ok (go pool)
   | None -> Ok (Pool.with_pool ~jobs:1 go)
 
-let replay_schedule (s : Schedule.t) : (replay, string) result =
+let replay_schedule (s : Schedule.t) : (Verdict.t, string) result =
   let ( let* ) = Result.bind in
   let cfg = s.Schedule.config in
   let* () = validate_config cfg in
@@ -674,16 +664,6 @@ let replay_schedule (s : Schedule.t) : (replay, string) result =
       ~cache:None ()
   with
   | exception Failure msg -> Error msg
-  | rr ->
-    let report =
-      match rr.report with Some r -> r | None -> assert false (* a replay never prunes *)
-    in
-    Ok
-      {
-        decisions_used = List.length s.Schedule.decisions;
-        regularity = report;
-        inversions = rr.inversions;
-        violations =
-          (match rr.tally.jr_violation with Some (_, lines, _) -> lines | None -> []);
-      }
+  | { verdict = Some v; _ } -> Ok v
+  | { verdict = None; _ } -> assert false (* a replay never prunes *)
 

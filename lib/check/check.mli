@@ -49,9 +49,10 @@ open Dds_core
 
     Terminal runs are judged by {!Dds_spec.Regularity.check} (and
     {!Dds_spec.Atomicity.inversions} for protocols that promise
-    atomicity). The first violating schedule, in canonical
-    (left-to-right DFS) order, is returned as a replayable
-    {!Schedule.t}.
+    atomicity), into one {!Dds_monitor.Verdict.t} per run: a schedule
+    violates iff its verdict is not {!Dds_monitor.Verdict.is_ok}. The
+    first violating schedule, in canonical (left-to-right DFS) order,
+    is returned as a replayable {!Schedule.t} with its verdict.
 
     With [?pool], the top of the choice tree is partitioned into a
     worker-count-independent frontier ({!Dds_engine.Pool.expand_frontier})
@@ -84,7 +85,7 @@ type stats = {
 type violation = {
   schedule : Schedule.t;
       (** replayable counterexample, default-tail trimmed *)
-  lines : string list;  (** rendered violation findings *)
+  verdict : Dds_monitor.Verdict.t;  (** the violating run's verdict *)
   at_schedule : int;  (** 1-based index in canonical exploration order *)
 }
 
@@ -112,16 +113,10 @@ val run :
     [Error] when the spec is invalid for the protocol (e.g. a quorum
     override on sync). *)
 
-type replay = {
-  decisions_used : int;
-  regularity : Dds_spec.Regularity.report;
-  inversions : int;
-  violations : string list;  (** empty = clean *)
-}
-
-val replay_schedule : Schedule.t -> (replay, string) result
-(** Re-executes one schedule exactly ([dds run --schedule]): decisions
-    beyond the recorded sequence take branch 0. [Error] on unknown
+val replay_schedule : Schedule.t -> (Dds_monitor.Verdict.t, string) result
+(** Re-executes one schedule exactly ([dds replay FILE]) and returns
+    the verdict {!run} gave it: decisions beyond the recorded sequence
+    take branch 0. [Error] on unknown
     protocol, invalid spec, or divergence: a recorded arity that does
     not match the replayed choice point, or a recorded label that is
     not the label of the branch the run takes there (the error names

@@ -12,7 +12,7 @@
     The textual format is line-oriented and exact:
     [to_string >> of_string] is the identity, so a counterexample
     written by [dds check] replays byte-for-byte under
-    [dds run --schedule]. *)
+    [dds replay FILE]. *)
 
 type config = {
   proto : string;

@@ -1,14 +1,14 @@
-type outcome = { violations : string list; injected : int }
+module Verdict = Dds_monitor.Verdict
 
-type runner = seed:int -> Nemesis.plan -> outcome
+type runner = seed:int -> Nemesis.plan -> Verdict.t
 
-type found = { seed : int; plan : Nemesis.plan; violations : string list; runs : int }
+type found = { seed : int; plan : Nemesis.plan; verdict : Verdict.t; runs : int }
 
 let search ?pool ~runner ~gen seeds =
   let try_seed seed =
     let plan = gen ~seed in
-    let o : outcome = runner ~seed plan in
-    if o.violations = [] then None else Some (plan, o.violations)
+    let v = runner ~seed plan in
+    if Verdict.is_ok v then None else Some (plan, v)
   in
   (* Early-cancel scan, on a one-worker pool when none is given.
      [find_first] always evaluates every seed before a hit, so both the
@@ -18,8 +18,8 @@ let search ?pool ~runner ~gen seeds =
     Dds_engine.Pool.find_first p
       ~key:(fun seed -> Printf.sprintf "hunt:seed=%d" seed)
       ~f:try_seed seeds
-    |> Option.map (fun (i, (plan, violations)) ->
-           { seed = List.nth seeds i; plan; violations; runs = i + 1 })
+    |> Option.map (fun (i, (plan, verdict)) ->
+           { seed = List.nth seeds i; plan; verdict; runs = i + 1 })
   in
   match pool with Some p -> scan p | None -> Dds_engine.Pool.with_pool ~jobs:1 scan
 
@@ -59,14 +59,14 @@ let shrink ~runner found =
   let attempts = ref 0 in
   let fails plan =
     incr attempts;
-    let o : outcome = runner ~seed:found.seed plan in
-    if o.violations = [] then None else Some o.violations
+    let v = runner ~seed:found.seed plan in
+    if Verdict.is_ok v then None else Some v
   in
   (* Greedy descent: adopt the first single-change candidate that
      still violates and restart; stop when no removal or weakening
      keeps the violation alive. Candidate order tries removals first,
      so whole steps disappear before budgets get tuned. *)
-  let rec improve plan violations =
+  let rec improve plan verdict =
     let n = List.length plan in
     let removals = List.init n (fun i -> List.filteri (fun j _ -> j <> i) plan) in
     let weakenings =
@@ -79,7 +79,7 @@ let shrink ~runner found =
            plan)
     in
     let rec try_candidates = function
-      | [] -> (plan, violations)
+      | [] -> (plan, verdict)
       | cand :: tl -> (
         match fails cand with
         | Some v -> improve cand v
@@ -87,5 +87,5 @@ let shrink ~runner found =
     in
     try_candidates (removals @ weakenings)
   in
-  let plan, violations = improve found.plan found.violations in
-  { found with plan; violations; runs = !attempts }
+  let plan, verdict = improve found.plan found.verdict in
+  { found with plan; verdict; runs = !attempts }

@@ -3,24 +3,21 @@
     The hunter is generic over how a run is judged: a {!runner} takes
     a seed and a nemesis plan, drives one full deployment (workload,
     churn, monitors, regularity check — see {!Dds_workload.Harness})
-    and reports what fired. {!search} sweeps seeds, deriving each
+    and returns its {!Dds_monitor.Verdict}; a run violates iff that is
+    not [is_ok], the rule [dds run] exits by, so a found run's repro
+    line exits 1 too. {!search} sweeps seeds, deriving each
     seed's plan deterministically, so a hit is reproducible from the
     seed alone; {!shrink} then delta-debugs the plan — dropping steps
     one at a time and halving budgets — down to a locally minimal
     counterexample whose every remaining fault is necessary. *)
 
-type outcome = {
-  violations : string list;  (** monitor + regularity findings; [[]] = clean run *)
-  injected : int;  (** faults actually applied (message + process) *)
-}
-
-type runner = seed:int -> Nemesis.plan -> outcome
-(** Must be deterministic: same seed and plan, same outcome. *)
+type runner = seed:int -> Nemesis.plan -> Dds_monitor.Verdict.t
+(** Must be deterministic: same seed and plan, same verdict. *)
 
 type found = {
   seed : int;
   plan : Nemesis.plan;
-  violations : string list;
+  verdict : Dds_monitor.Verdict.t;  (** the found (or shrunk) run's verdict *)
   runs : int;  (** runs spent finding (search) or spent in total (shrink) *)
 }
 
@@ -44,7 +41,7 @@ val shrink : runner:runner -> found -> found
     step, then weakening one step (halve a dup's copies, a delay's
     extra, a rule's budget or probability, a crash/storm's [k]; narrow
     a window), keeping any candidate that still violates, until no
-    single change does. The result's [violations] are the minimal
+    single change does. The result's [verdict] is the minimal
     plan's and [runs] counts the shrink attempts. A plan can shrink to
     [[]] — meaning the violation needs no faults at all. *)
 

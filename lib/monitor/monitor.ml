@@ -23,7 +23,7 @@ let default ~n ~delta =
     inversions = true;
   }
 
-type violation = { monitor : string; at : Time.t; detail : string }
+type violation = { monitor : string; at : Time.t; detail : string; span : int option }
 
 let pp_violation ppf v =
   Format.fprintf ppf "%a [%s] %s" Time.pp v.at v.monitor v.detail
@@ -53,7 +53,6 @@ type t = {
   mutable majority_armed : bool;
   (* liveness *)
   open_spans : (int, open_span) Hashtbl.t;
-  mutable overdue_rev : int list;  (** span ids the liveness monitor flagged *)
   mutable gst : Time.t option;
   mutable last_seen : Time.t;
   (* inversions: completed reads as (responded, running max sn),
@@ -72,7 +71,6 @@ let create cfg =
     active = Hashtbl.create 64;
     majority_armed = true;
     open_spans = Hashtbl.create 64;
-    overdue_rev = [];
     gst = None;
     last_seen = Time.zero;
     reads = Array.make 64 (Time.zero, 0);
@@ -81,10 +79,10 @@ let create cfg =
 
 let violations t = List.rev t.out_rev
 
-let overdue_spans t = List.sort_uniq Int.compare t.overdue_rev
+let overdue vs = List.sort_uniq Int.compare (List.filter_map (fun v -> v.span) vs)
 
-let fire t ~monitor ~at detail =
-  let v = { monitor; at; detail } in
+let fire ?span t ~monitor ~at detail =
+  let v = { monitor; at; detail; span } in
   t.out_rev <- v :: t.out_rev;
   v
 
@@ -179,8 +177,7 @@ let liveness_scan t ~at =
           match deadline t s with
           | Some d when Time.to_int at > d ->
             s.o_overdue <- true;
-            t.overdue_rev <- span :: t.overdue_rev;
-            fire t ~monitor:"liveness" ~at
+            fire ~span t ~monitor:"liveness" ~at
               (Printf.sprintf "%s by p%d (span %d) open since t=%d, past deadline t=%d"
                  (Event.op_kind_to_string s.o_op)
                  s.o_node span
@@ -284,8 +281,9 @@ let finalize t ~at =
 
 let run cfg events =
   let t = create cfg in
-  let during = List.concat_map (fun st -> feed t st) events in
+  List.iter (fun st -> ignore (feed t st)) events;
   let last =
     List.fold_left (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at) Time.zero events
   in
-  during @ finalize t ~at:last
+  ignore (finalize t ~at:last);
+  violations t

@@ -55,10 +55,11 @@ val default : n:int -> delta:int -> config
     start) and inversions; callers enable the assumption monitors that
     match their protocol's theorem. *)
 
-type violation = { monitor : string; at : Time.t; detail : string }
+type violation = { monitor : string; at : Time.t; detail : string; span : int option }
 (** [monitor] is one of ["churn"], ["majority"], ["liveness"],
     ["inversion"]; [at] the tick at which it fired (for a churn
-    episode, the first offending tick). *)
+    episode, the first offending tick); [span] the overdue operation's
+    span id for a liveness finding, [None] otherwise. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 
@@ -86,12 +87,13 @@ val finalize : t -> at:Time.t -> violation list
 val violations : t -> violation list
 (** Everything fired so far, in firing order. *)
 
-val overdue_spans : t -> int list
-(** Span ids the liveness monitor has flagged, sorted. The structural
-    counterpart of the ["liveness"] violations' detail strings: causal
-    analysis ({!Dds_causal}) cross-references these ids to attach a
+val overdue : violation list -> int list
+(** The span ids of the liveness findings among these, sorted. The
+    structural counterpart of their detail strings: causal analysis
+    ({!Dds_causal}) cross-references these ids to attach a
     critical-path witness to each bound violation without parsing
     prose. *)
 
 val run : config -> Event.stamped list -> violation list
-(** [feed]s the whole trace, then {!finalize}s at its last timestamp. *)
+(** [feed]s the whole trace, then {!finalize}s at its last timestamp,
+    and returns every finding in firing order ({!violations}). *)

@@ -239,9 +239,3 @@ let pp_violation ppf v =
   Format.fprintf ppf "%a returned %a, allowed {%a}" History.pp_op v.op Value.pp v.returned
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") Value.pp)
     v.allowed
-
-let pp_report ppf r =
-  Format.fprintf ppf "reads=%d joins=%d violations=%d writes_sequential=%b distinct_data=%b"
-    r.checked_reads r.checked_joins (List.length r.violations) r.writes_sequential
-    r.distinct_data;
-  List.iter (fun v -> Format.fprintf ppf "@.  %a" pp_violation v) r.violations

@@ -66,8 +66,6 @@ val check_by_fold : ?include_joins:bool -> History.t -> report
     only tests call it. *)
 
 val is_ok : report -> bool
-(** No violations and writes were sequential. *)
+(** No violations, writes were sequential and data distinct. *)
 
 val pp_violation : Format.formatter -> violation -> unit
-
-val pp_report : Format.formatter -> report -> unit

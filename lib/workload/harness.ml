@@ -5,6 +5,7 @@ open Dds_core
 open Dds_fault
 open Dds_shard
 module Monitor = Dds_monitor.Monitor
+module Verdict = Dds_monitor.Verdict
 
 type workload =
   | Rate of { read_rate : float; write_every : int }
@@ -51,34 +52,18 @@ let monitor_config ?churn_window ?(liveness_k = 10) ?(gst = false) (p : Protocol
     inversions = p.Protocol.atomic;
   }
 
-type audit = {
-  findings : Monitor.violation list;
-  regularity : Regularity.report;
-  overdue : int list;
-}
-
 let audit cfg ~initial evs =
-  let m = Monitor.create cfg in
-  List.iter (fun st -> ignore (Monitor.feed m st)) evs;
-  let last =
-    List.fold_left (fun acc ({ at; _ } : Event.stamped) -> Time.max acc at) Time.zero evs
-  in
-  ignore (Monitor.finalize m ~at:last);
-  {
-    findings = Monitor.violations m;
-    regularity = Regularity.check (Replay.history_of_events ~initial:(Value.initial initial) evs);
-    overdue = Monitor.overdue_spans m;
-  }
+  Verdict.make ~findings:(Monitor.run cfg evs)
+    (Regularity.check (Replay.history_of_events ~initial:(Value.initial initial) evs))
 
 type result = {
   history : History.t;
-  regularity : Regularity.report;
+  verdict : Verdict.t;
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;
   events : Event.sink;
   analysis : Analysis.t;
   membership : Membership.t;
-  findings : Monitor.violation list;
   injected : int;
 }
 
@@ -124,16 +109,15 @@ let run (module I : INSTANCE) (cfg : Deployment.config) spec plan =
     G.run d { Generator.read_rate; write_every; start = Time.of_int 1; until }
   | Plan ops -> G.run_plan d ops);
   D.run_until d (Time.of_int (spec.horizon + spec.drain));
-  let findings = match mon with None -> [] | Some m -> detach (D.events d) m ~at:(D.now d) in
+  let findings = Option.map (fun m -> detach (D.events d) m ~at:(D.now d)) mon in
   {
     history = D.history d;
-    regularity = D.regularity d;
+    verdict = Verdict.make ?findings (D.regularity d);
     metrics = D.metrics d;
     snapshot = D.metrics_snapshot d;
     events = D.events d;
     analysis = D.analysis d;
     membership = D.membership d;
-    findings;
     injected = (match armed with None -> 0 | Some i -> Inj.total_injected i);
   }
 
@@ -163,13 +147,3 @@ let tagged_events shards =
     (List.mapi
        (fun s (_, r) -> List.map (fun ev -> (Some s, ev)) (Event.events r.events))
        shards)
-
-let outcome r =
-  {
-    Hunt.violations =
-      List.map (Format.asprintf "%a" Monitor.pp_violation) r.findings
-      @ List.map
-          (Format.asprintf "regularity: %a" Regularity.pp_violation)
-          r.regularity.Regularity.violations;
-    injected = r.injected;
-  }

@@ -12,8 +12,11 @@ open Dds_fault
     E14, E16, E21, E22, E24, E25 and E23's constant-rate row all call
     {!run} (a sharded store through {!run_shards}) and render from the
     {!result} it hands back, so a [dds hunt] repro line replays exactly
-    the execution the hunter judged. A sweep cell with its own protocol
-    parameters passes its own {!INSTANCE}. E15, E17 and E20 (seeded
+    the execution the hunter judged. They all judge by the result's
+    {!Dds_monitor.Verdict}, and {!audit} builds the same value from a
+    recorded trace, so a run, its repro line and the audit of its trace
+    exit alike. A sweep cell with its own protocol parameters passes its
+    own {!INSTANCE}. E15, E17 and E20 (seeded
     link loss) and E23's session-churn rows drive their deployments in
     {!Sweep} instead.
 
@@ -78,30 +81,24 @@ val monitor_config :
     diagram). Window defaults to [3 * delta], the liveness deadline to
     [liveness_k * delta] with [liveness_k = 10]. *)
 
-(** An offline verdict on a recorded event stream. *)
-type audit = {
-  findings : Dds_monitor.Monitor.violation list;  (** in firing order *)
-  regularity : Regularity.report;
-  overdue : int list;  (** spans the liveness monitor flagged *)
-}
-
-val audit : Dds_monitor.Monitor.config -> initial:int -> Event.stamped list -> audit
+val audit :
+  Dds_monitor.Monitor.config -> initial:int -> Event.stamped list -> Dds_monitor.Verdict.t
 (** Judges one register's recorded events (one shard's slice of a
     tagged trace, or a live deployment's merged trace) as {!run} judges
     a run: monitors finalized at the last event's tick, then regularity
-    of the {!Replay}ed history from the [initial] datum. *)
+    of the {!Replay}ed history from the [initial] datum. The verdict
+    carries the findings, so a run's verdict and the audit of its own
+    exported trace compare field for field. *)
 
 (** The finished run's deployment-independent views. *)
 type result = {
   history : History.t;
-  regularity : Regularity.report;
+  verdict : Dds_monitor.Verdict.t;  (** regularity, and findings when monitored *)
   metrics : Metrics.t;
   snapshot : Metrics.snapshot;  (** taken after the run, gauges included *)
   events : Event.sink;  (** typed events, monitor findings included *)
   analysis : Analysis.t;
   membership : Membership.t;
-  findings : Dds_monitor.Monitor.violation list;
-      (** monitor findings in firing order; [[]] without a monitor *)
   injected : int;  (** {!Dds_fault.Injector.Make.total_injected}; [0] for an empty plan *)
 }
 
@@ -131,7 +128,3 @@ val issued : result -> int
 val tagged_events : (int * result) list -> (int option * Event.stamped) list
 (** {!run_shards}'s events tagged with their shard and merged on the
     shared timeline: one trace for {!Export.jsonl_of_tagged_events}. *)
-
-val outcome : result -> Hunt.outcome
-(** The hunter's verdict on a run: monitor findings then regularity
-    violations, each pretty-printed, and the injected count. *)

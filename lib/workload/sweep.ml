@@ -116,6 +116,7 @@ let lossy_run (module I : Harness.INSTANCE) cfg ~loss ~fault_seed ~read_rate ~wr
   (I.D.history d, I.D.regularity d, I.D.metrics d)
 
 let violations (r : Regularity.report) = List.length r.Regularity.violations
+let regularity (r : Harness.result) = r.Harness.verdict.Dds_monitor.Verdict.regularity
 
 let latency_of (o : History.op) =
   Option.map (fun r -> Time.diff r o.History.invoked) o.History.responded
@@ -205,7 +206,7 @@ let sync_safety ?(on_empty = Sync_register.Retry) ?pool ~n ~delta ~ratios ~seeds
     let r =
       threshold_run ~delta ~horizon inst (config ~adversarial:true ~seed ~n ~delta (c_of ratio))
     in
-    ( violations r.Harness.regularity,
+    ( violations (regularity r),
       Metrics.get r.Harness.metrics "sync.join.retry",
       stuck_joins r.Harness.history )
   in
@@ -330,7 +331,7 @@ let es_boundary ?pool ~n ~rates ~horizon ~seed () =
         bd_aborted = List.length (History.aborted h);
         bd_min_active = min_active;
         bd_majority = (n / 2) + 1;
-        bd_violations = violations r.Harness.regularity;
+        bd_violations = violations (regularity r);
       })
     rates
 
@@ -373,7 +374,7 @@ let abd_vs_dynamic ?pool ~n ~delta ~c ~horizon ~seed () =
       vs_protocol = p.Protocol.name;
       vs_completed = List.length (completed_ops h);
       vs_pending = List.length (History.pending h);
-      vs_violations = violations r.Harness.regularity;
+      vs_violations = violations (regularity r);
       vs_last_completed_at = last_completed_tick h;
       vs_founders_alive_at_end = founders_alive r.Harness.membership ~n;
     }
@@ -522,7 +523,7 @@ let sync_probe ~n ~delta ~seed ~horizon c =
     threshold_run ~delta ~horizon (sync_with (paper_literal ~delta))
       (config ~adversarial:true ~seed ~n ~delta c)
   in
-  r.Harness.regularity.Regularity.violations = [] && stuck_joins r.Harness.history = 0
+  (regularity r).Regularity.violations = [] && stuck_joins r.Harness.history = 0
 
 (* The upward scan inside each cell is adaptive (each probe depends on
    the previous one passing), so the parallel unit is the delta, not
@@ -593,7 +594,7 @@ let bursty_churn ?pool ~n ~delta ~seeds ~horizon () =
         Deployment.churn_profile = Some profile }
     in
     let r = threshold_run ~delta ~horizon (sync_with (paper_literal ~delta)) cfg in
-    (violations r.Harness.regularity, stuck_joins r.Harness.history)
+    (violations (regularity r), stuck_joins r.Harness.history)
   in
   List.map
     (fun ((label, profile, peak), outcomes) ->
@@ -673,7 +674,7 @@ let join_wait_optimization ?pool ~n ~delta ~p2ps ~horizon ~seed () =
       jo_join_mean = Stats.mean stats;
       jo_join_max = Stats.max_value stats;
       jo_joins = Stats.count stats;
-      jo_violations = violations r.Harness.regularity;
+      jo_violations = violations (regularity r);
     }
   in
   let variants =
@@ -886,7 +887,7 @@ let read_repair_ablation ?pool ~n ~horizon ~seed () =
       rp_scenario_inversions = List.length scenario.Scenario.inversions;
       rp_run_inversions = List.length (Atomicity.inversions h);
       rp_read_mean = Stats.mean (latency_stats (List.filter is_read (completed_ops h)));
-      rp_violations = violations r.Harness.regularity;
+      rp_violations = violations (regularity r);
     }
   in
   pmap ?pool
@@ -918,7 +919,7 @@ let delta_calibration ?pool ~n ~actual ~believed ~horizon ~seed () =
       {
         cb_believed = believed_delta;
         cb_actual = actual;
-        cb_violations = violations r.Harness.regularity;
+        cb_violations = violations (regularity r);
         cb_join_mean = Stats.mean (latency_stats joins);
         cb_joins = List.length joins;
       })
@@ -956,7 +957,7 @@ let session_models ?pool ~n ~delta ~mean ~horizon ~seed () =
   let constant_row ~model =
     let c = 1.0 /. mean in
     let r = threshold_run ~delta ~horizon (sync_with params) (config ~seed ~n ~delta c) in
-    row ~model ~measured:c r.Harness.history r.Harness.regularity r.Harness.analysis
+    row ~model ~measured:c r.Harness.history (regularity r) r.Harness.analysis
   in
   (* Session churn replaces the constant-rate process, which Harness
      always starts, so these rows drive the deployment themselves. *)
@@ -1039,14 +1040,15 @@ let nemesis_matrix ?pool ~n ~delta ~horizon ~seed () =
        regularity. *)
     let monitor = Harness.monitor_config p ~n ~delta in
     let spec = Harness.default_spec ~monitor ~horizon ~drain:(20 * delta) () in
-    let o = Harness.outcome (Harness.run (Harness.instance_exn p ~n ~delta) cfg spec plan) in
+    let r = Harness.run (Harness.instance_exn p ~n ~delta) cfg spec plan in
+    let problems = Dds_monitor.Verdict.problems r.Harness.verdict in
     {
       nm_plan = Nemesis.to_string plan;
       nm_profile = profile;
       nm_protocol = p.Protocol.name;
-      nm_injected = o.Hunt.injected;
-      nm_findings = List.length o.Hunt.violations;
-      nm_flagged = o.Hunt.violations <> [];
+      nm_injected = r.Harness.injected;
+      nm_findings = List.length problems;
+      nm_flagged = problems <> [];
     }
   in
   let cells =
@@ -1125,7 +1127,7 @@ let shard_scaling ?pool ~protocol ~n ~delta ~shards ~skews ~churns ~keys ~read_r
            float_of_int (List.fold_left (fun acc (routed, _) -> Stdlib.max acc routed) 0 shards)
            /. float_of_int total_sched);
       sh_regular =
-        List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) shards;
+        List.for_all (fun (_, r) -> Regularity.is_ok (regularity r)) shards;
     }
   in
   pmap ?pool

@@ -282,7 +282,7 @@ let test_monitor_overdue_empty_on_compliant_run () =
   in
   ignore (Dds_monitor.Monitor.finalize m ~at:last_at);
   check Alcotest.(list int) "no structurally overdue spans" []
-    (Dds_monitor.Monitor.overdue_spans m)
+    (Dds_monitor.Monitor.overdue (Dds_monitor.Monitor.violations m))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -10,6 +10,7 @@ open Dds_spec
 open Dds_core
 open Dds_check
 module Pool = Dds_engine.Pool
+module Verdict = Dds_monitor.Verdict
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -178,7 +179,7 @@ let clean_check name =
     | None -> ()
     | Some v ->
       Alcotest.failf "%s violated: %s\n%s" name
-        (String.concat "; " v.Check.lines)
+        (String.concat "; " (Verdict.problems v.Check.verdict))
         (Schedule.to_string v.Check.schedule))
 
 let test_clean_sync () = clean_check "sync"
@@ -202,7 +203,7 @@ let test_es_mutation_caught () =
   | Error e -> Alcotest.fail e
   | Ok { violation = None; _ } -> Alcotest.fail "quorum-1 mutation not caught"
   | Ok { violation = Some v; _ } ->
-    check_bool "violation rendered" true (v.Check.lines <> []);
+    check_bool "violation rendered" true (Verdict.problems v.Check.verdict <> []);
     check_bool "counterexample is positive" true (v.Check.at_schedule >= 1);
     (* Minimal: the trimmed schedule ends on a real (non-default) choice. *)
     (match List.rev v.Check.schedule.Schedule.decisions with
@@ -221,8 +222,12 @@ let test_es_mutation_replays () =
       match Check.replay_schedule sched with
       | Error e -> Alcotest.fail e
       | Ok r ->
-        check_bool "replay reproduces the violation" true (r.Check.violations <> []);
-        check_int "same findings" (List.length v.Check.lines) (List.length r.Check.violations)))
+        check_bool "replay reproduces the violation" true (not (Verdict.is_ok r));
+        check
+          (Alcotest.list Alcotest.string)
+          "same findings"
+          (Verdict.problems v.Check.verdict)
+          (Verdict.problems r)))
 
 (* ------------------------------------------------------------------ *)
 (* Oracles recorded before the exploration path stopped rendering
@@ -321,7 +326,7 @@ let test_replay_checks_labels () =
   | Ok sched -> (
     match Check.replay_schedule sched with
     | Error e -> Alcotest.fail e
-    | Ok r -> check_bool "unedited schedule still violates" true (r.Check.violations <> [])));
+    | Ok r -> check_bool "unedited schedule still violates" true (not (Verdict.is_ok r))));
   (match
      replay_edited ~from:"choice 1/2 drop?WRITE:p0->p1=1" ~into:"choice 1/2 drop?WRITE:p0->p2=1"
    with
@@ -350,7 +355,7 @@ let test_es_majority_tolerates_drop () =
   match Check.run p (config ~proto:"es" ~drop_budget:1 ~depth_bound:20 ()) with
   | Error e -> Alcotest.fail e
   | Ok { violation = Some v; _ } ->
-    Alcotest.failf "majority ES violated under one drop: %s" (String.concat "; " v.Check.lines)
+    Alcotest.failf "majority ES violated under one drop: %s" (String.concat "; " (Verdict.problems v.Check.verdict))
   | Ok { violation = None; stats } ->
     check_bool "explored some schedules" true (stats.Check.schedules > 0)
 
@@ -457,7 +462,7 @@ let render_outcome (o : Check.outcome) =
     | None -> "clean"
     | Some v ->
       Printf.sprintf "#%d:%s:%s" v.Check.at_schedule
-        (String.concat ";" v.Check.lines)
+        (String.concat ";" (Verdict.problems v.Check.verdict))
         (Schedule.to_string v.Check.schedule))
 
 let prop_jobs_invariant =

@@ -17,6 +17,7 @@ let pid = Pid.of_int
 
 module Sync_d = Deployment.Make (Sync_register)
 module Harness = Dds_workload.Harness
+module Verdict = Dds_monitor.Verdict
 module Generator = Dds_workload.Generator
 
 let sync = Protocol.find_exn "sync"
@@ -36,7 +37,7 @@ let judged (p : Protocol.t) ~seed ~n ~delta ~proto_delta ~horizon plan =
       ~monitor:(Harness.monitor_config p ~n ~delta:proto_delta)
       ~horizon ~drain:(20 * proto_delta) ()
   in
-  Harness.outcome (Harness.run (Harness.instance_exn p ~n ~delta:proto_delta) cfg spec plan)
+  Harness.run (Harness.instance_exn p ~n ~delta:proto_delta) cfg spec plan
 
 let run_sync ?(seed = 11) ?(n = 10) ?(delta = 3) ?proto_delta ~horizon plan =
   let proto_delta = Option.value proto_delta ~default:delta in
@@ -45,13 +46,13 @@ let run_sync ?(seed = 11) ?(n = 10) ?(delta = 3) ?proto_delta ~horizon plan =
 let run_es ?(seed = 11) ?(n = 10) ?(delta = 3) ~horizon plan =
   judged es ~seed ~n ~delta ~proto_delta:delta ~horizon plan
 
-let check_clean name (o : Hunt.outcome) =
-  if o.Hunt.violations <> [] then
+let check_clean name (r : Harness.result) =
+  if not (Verdict.is_ok r.Harness.verdict) then
     Alcotest.failf "%s: expected a clean run, got:@.%s" name
-      (String.concat "\n" o.Hunt.violations)
+      (String.concat "\n" (Verdict.problems r.Harness.verdict))
 
-let check_flagged name (o : Hunt.outcome) =
-  check_bool (name ^ " flagged") true (o.Hunt.violations <> [])
+let check_flagged name (r : Harness.result) =
+  check_bool (name ^ " flagged") true (not (Verdict.is_ok r.Harness.verdict))
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -125,12 +126,12 @@ let prop_codec_roundtrip_random =
 let test_within_sync_duplicates () =
   let o = run_sync ~horizon:100 [ Nemesis.dup ~copies:2 (Nemesis.during ~from_:1 ~until_:80) ] in
   check_clean "sync under duplicates" o;
-  check_bool "faults actually injected" true (o.Hunt.injected > 0)
+  check_bool "faults actually injected" true (o.Harness.injected > 0)
 
 let test_within_es_duplicates () =
   let o = run_es ~horizon:100 [ Nemesis.dup ~copies:1 Nemesis.always ] in
   check_clean "es under duplicates" o;
-  check_bool "faults actually injected" true (o.Hunt.injected > 0)
+  check_bool "faults actually injected" true (o.Harness.injected > 0)
 
 let test_within_sync_delay_inside_slack () =
   (* The network enforces delta = 3; the protocol believes delta = 6.
@@ -141,17 +142,17 @@ let test_within_sync_delay_inside_slack () =
       [ Nemesis.delay ~extra:3 (Nemesis.during ~from_:1 ~until_:80) ]
   in
   check_clean "sync with delay inside slack" o;
-  check_bool "faults actually injected" true (o.Hunt.injected > 0)
+  check_bool "faults actually injected" true (o.Harness.injected > 0)
 
 let test_within_es_crash_recovery () =
   let o = run_es ~horizon:100 [ Nemesis.crash ~recover:6 ~k:1 40 ] in
   check_clean "es minority crash with recovery" o;
-  check_bool "crash injected" true (o.Hunt.injected >= 1)
+  check_bool "crash injected" true (o.Harness.injected >= 1)
 
 let test_within_sync_storm () =
   let o = run_sync ~horizon:100 [ Nemesis.storm ~k:1 50 ] in
   check_clean "sync single-process storm" o;
-  check_bool "storm injected" true (o.Hunt.injected >= 1)
+  check_bool "storm injected" true (o.Harness.injected >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Assumption-breaking plans must be flagged. *)
@@ -167,7 +168,7 @@ let test_breaking_sync_partition () =
   let o = run_sync ~horizon:100 [ breaking_partition ] in
   check_flagged "oneway partition across a write" o;
   check_bool "stale read reported" true
-    (List.exists (fun v -> String.length v >= 10 && String.sub v 0 10 = "regularity") o.Hunt.violations)
+    (List.exists (fun v -> String.length v >= 10 && String.sub v 0 10 = "regularity") (Verdict.problems o.Harness.verdict))
 
 let test_breaking_sync_delay_past_delta () =
   (* WRITE broadcasts delayed well past the believed bound: the writer
@@ -193,7 +194,7 @@ let test_breaking_es_mass_crash () =
            go 0
          in
          has_sub "majority")
-       o.Hunt.violations)
+       (Verdict.problems o.Harness.verdict))
 
 (* ------------------------------------------------------------------ *)
 (* Hunt: search finds a planted violation, shrink strips the harmless
@@ -201,21 +202,21 @@ let test_breaking_es_mass_crash () =
    string — exactly what the printed repro line relies on. *)
 
 let test_hunt_search_clean_on_within_plans () =
-  let runner ~seed plan = run_sync ~seed ~horizon:80 plan in
+  let runner ~seed plan = (run_sync ~seed ~horizon:80 plan).Harness.verdict in
   let gen ~seed:_ = [ Nemesis.dup ~copies:1 (Nemesis.during ~from_:1 ~until_:60) ] in
   match Hunt.search ~runner ~gen [ 3; 4 ] with
   | None -> ()
   | Some f ->
-    Alcotest.failf "within-model plan flagged: %s" (String.concat "; " f.Hunt.violations)
+    Alcotest.failf "within-model plan flagged: %s" (String.concat "; " (Verdict.problems f.Hunt.verdict))
 
 let test_hunt_search_and_shrink () =
-  let runner ~seed plan = run_sync ~seed ~horizon:100 plan in
+  let runner ~seed plan = (run_sync ~seed ~horizon:100 plan).Harness.verdict in
   let harmless = Nemesis.dup ~copies:1 (Nemesis.during ~from_:1 ~until_:10) in
   let gen ~seed:_ = [ harmless; breaking_partition ] in
   match Hunt.search ~runner ~gen [ 11 ] with
   | None -> Alcotest.fail "planted violation not found"
   | Some found ->
-    check_bool "violations reported" true (found.Hunt.violations <> []);
+    check_bool "violations reported" true (not (Verdict.is_ok found.Hunt.verdict));
     let shrunk = Hunt.shrink ~runner found in
     check_bool "shrunk no larger" true
       (List.length shrunk.Hunt.plan <= List.length found.Hunt.plan);
@@ -238,7 +239,7 @@ let test_hunt_search_and_shrink () =
     | Ok plan' ->
       check_bool "shrunk plan round-trips" true (Nemesis.equal plan' shrunk.Hunt.plan);
       let o = runner ~seed:shrunk.Hunt.seed plan' in
-      check_bool "repro still violates" true (o.Hunt.violations <> []))
+      check_bool "repro still violates" true (not (Verdict.is_ok o)))
 
 (* ------------------------------------------------------------------ *)
 (* One run path: arming splits a stream off the workload rng, so the
@@ -294,7 +295,7 @@ let test_hunt_shrunk_run_is_repro () =
   in
   let inst = Harness.instance_exn es ~n ~delta in
   let go ~seed plan = Harness.run inst { cfg with Deployment.seed } spec plan in
-  let runner ~seed plan = Harness.outcome (go ~seed plan) in
+  let runner ~seed plan = (go ~seed plan).Harness.verdict in
   let plan =
     match Nemesis.of_string "delay(extra=10)@[51,166]" with
     | Ok plan -> plan

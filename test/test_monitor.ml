@@ -244,7 +244,7 @@ let test_no_false_positives_compliant_run () =
   Alcotest.(check (list string)) "compliant run fires nothing" [] (monitors vs)
 
 let regularity_fingerprint (r : Regularity.report) =
-  Format.asprintf "%a" Regularity.pp_report r
+  Format.asprintf "%a" Dds_monitor.Verdict.pp (Dds_monitor.Verdict.make r)
 
 (* The deployment's own verdict vs the one recomputed from the
    exported trace alone ([Deployment.regularity] is [Regularity.check]

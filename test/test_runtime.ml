@@ -21,6 +21,7 @@ module Placement = Dds_runtime_unix.Placement
 module Client = Dds_runtime_unix.Client
 module Load = Dds_runtime_unix.Load
 module Shard = Dds_shard.Shard
+module Verdict = Dds_monitor.Verdict
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -586,15 +587,13 @@ let bind_ephemeral () =
   in
   (fd, port)
 
-(* The verdict `dds audit --proto es` reaches on [evs]: clean monitors
-   (ES churn bound, standing majority, liveness at the default k = 10)
-   and a REGULAR history. delta is in the trace's tick unit — simulator
+(* Whether `dds audit --proto es` passes [evs]: clean monitors (ES
+   churn bound, standing majority, liveness at the default k = 10) and
+   a REGULAR history. delta is in the trace's tick unit — simulator
    ticks for a simulated trace, milliseconds for a wire trace. *)
-let audit_verdict ~n ~delta evs =
-  let a =
-    Harness.audit (Harness.monitor_config (Protocol.find_exn "es") ~n ~delta) ~initial:0 evs
-  in
-  (a.Harness.findings = [], Regularity.is_ok a.Harness.regularity)
+let audit_ok ~n ~delta evs =
+  Verdict.is_ok
+    (Harness.audit (Harness.monitor_config (Protocol.find_exn "es") ~n ~delta) ~initial:0 evs)
 
 let read_tagged_trace path =
   let ic = open_in_bin path in
@@ -753,7 +752,7 @@ let test_loopback_deployment () =
   (* The wire trace must audit exactly like a simulated deployment:
      clean monitors, REGULAR verdict. delta = 30 ms on the wire (1
      tick = 1 ms), delta = 3 ticks in the simulator. *)
-  let wire_monitors_ok, wire_regular = audit_verdict ~n ~delta:30 merged in
+  let wire_ok = audit_ok ~n ~delta:30 merged in
   let module Es_d = Deployment.Make (Es_register) in
   let sim_cfg =
     {
@@ -772,11 +771,9 @@ let test_loopback_deployment () =
       start = Time.of_int 1;
       until = Time.of_int 300;
     };
-  let sim_monitors_ok, sim_regular = audit_verdict ~n ~delta:3 (Event.events (Es_d.events d)) in
-  check_bool "sim monitors clean" true sim_monitors_ok;
-  check_bool "sim regular" true sim_regular;
-  check_bool "wire monitors verdict matches sim" sim_monitors_ok wire_monitors_ok;
-  check_bool "wire regularity verdict matches sim" sim_regular wire_regular
+  let sim_ok = audit_ok ~n ~delta:3 (Event.events (Es_d.events d)) in
+  check_bool "sim verdict clean" true sim_ok;
+  check_bool "wire verdict matches sim" sim_ok wire_ok
 
 (* ------------------------------------------------------------------ *)
 (* Hello version checks against a live server *)
@@ -1088,7 +1085,7 @@ let test_sharded_loopback () =
       (Printf.sprintf "shard %d trace non-trivial" shard)
       true
       (List.length evs > 20);
-    audit_verdict ~n:(List.length (Placement.owners placement shard)) ~delta:30 evs
+    audit_ok ~n:(List.length (Placement.owners placement shard)) ~delta:30 evs
   in
   let wire_verdicts = List.map shard_verdict [ 0; 1 ] in
   (* The simulated twin: same shard count, key space and skew, one
@@ -1118,20 +1115,13 @@ let test_sharded_loopback () =
       []
   in
   check_bool "sim sharded store regular" true
-    (List.for_all (fun (_, r) -> Regularity.is_ok r.Harness.regularity) sim);
+    (List.for_all (fun (_, r) -> Verdict.is_ok r.Harness.verdict) sim);
   let sim_tagged = Harness.tagged_events sim in
-  let sim_verdict shard = audit_verdict ~n ~delta:3 (slice sim_tagged shard) in
   List.iteri
-    (fun shard (wire_mon, wire_reg) ->
-      let sim_mon, sim_reg = sim_verdict shard in
-      check_bool (Printf.sprintf "sim shard %d monitors clean" shard) true sim_mon;
-      check_bool (Printf.sprintf "sim shard %d regular" shard) true sim_reg;
-      check_bool
-        (Printf.sprintf "shard %d monitor verdict matches sim" shard)
-        sim_mon wire_mon;
-      check_bool
-        (Printf.sprintf "shard %d regularity verdict matches sim" shard)
-        sim_reg wire_reg)
+    (fun shard wire_ok ->
+      let sim_ok = audit_ok ~n ~delta:3 (slice sim_tagged shard) in
+      check_bool (Printf.sprintf "sim shard %d verdict clean" shard) true sim_ok;
+      check_bool (Printf.sprintf "shard %d verdict matches sim" shard) sim_ok wire_ok)
     wire_verdicts
 
 (* Three addresses under the placement "0;0,1;0,1" (shard 0 on every
@@ -1352,10 +1342,9 @@ let with_protocol_store (p : Protocol.t) f =
       { reads = 0; writes = 0 } counts
   in
   Array.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) (Array.append traces counts);
-  let a = Harness.audit (Harness.monitor_config p ~n ~delta) ~initial:0 merged in
-  let report = a.Harness.regularity in
-  check_bool "audited trace holds reads" true (report.Regularity.checked_reads > 0);
-  (result, a.Harness.findings = [] && Regularity.is_ok report, coalesced)
+  let v = Harness.audit (Harness.monitor_config p ~n ~delta) ~initial:0 merged in
+  check_bool "audited trace holds reads" true (v.Verdict.regularity.Regularity.checked_reads > 0);
+  (result, Verdict.is_ok v, coalesced)
 
 (* A v2 client connection on a raw socket: negotiate, then send a
    whole pipeline of frames in a single write and collect replies. *)

@@ -13,6 +13,7 @@ open Dds_spec
 open Dds_core
 open Dds_workload
 module Shard = Dds_shard.Shard
+module Verdict = Dds_monitor.Verdict
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -179,7 +180,7 @@ let test_rotation_moves_hot_key () =
 (* ------------------------------------------------------------------ *)
 (* Unit: the store end to end *)
 
-let regular (r : Harness.result) = Regularity.is_ok r.Harness.regularity
+let regular (r : Harness.result) = Regularity.is_ok r.Harness.verdict.Verdict.regularity
 
 let test_store_regular_per_shard () =
   let store = run_store ~shards:4 ~churn:0.02 (plan ()) in
@@ -241,7 +242,7 @@ let test_audit_matches_run () =
   let store = run_store ~shards:3 ~churn:0.15 ~monitor (plan ~until:200 ()) ~horizon:200 in
   let back = parse_tagged (Export.jsonl_of_tagged_events (Harness.tagged_events store)) in
   check_bool "the run is past the churn bound" true
-    (List.exists (fun (_, r) -> r.Harness.findings <> []) store);
+    (List.exists (fun (_, r) -> r.Harness.verdict.Verdict.findings <> Some []) store);
   List.iteri
     (fun s (_, (r : Harness.result)) ->
       let slice = List.filter_map (fun (t, ev) -> if t = Some s then Some ev else None) back in
@@ -249,10 +250,8 @@ let test_audit_matches_run () =
       check
         (Alcotest.list Alcotest.string)
         (Printf.sprintf "shard %d findings" s)
-        (List.map (Format.asprintf "%a" Dds_monitor.Monitor.pp_violation) r.Harness.findings)
-        (List.map (Format.asprintf "%a" Dds_monitor.Monitor.pp_violation) a.Harness.findings);
-      check_bool (Printf.sprintf "shard %d regularity" s) true
-        (r.Harness.regularity = a.Harness.regularity))
+        (Verdict.problems r.Harness.verdict) (Verdict.problems a);
+      check_bool (Printf.sprintf "shard %d verdict" s) true (r.Harness.verdict = a))
     store
 
 let test_shard_table_columns () =

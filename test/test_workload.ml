@@ -16,6 +16,7 @@ let time = Time.of_int
 
 module Sync_d = Deployment.Make (Sync_register)
 module G = Generator.Make (Sync_d)
+module Verdict = Dds_monitor.Verdict
 
 (* ------------------------------------------------------------------ *)
 (* Generator *)
@@ -354,6 +355,77 @@ let test_registry_unknown_lists_ids () =
         check_bool (e.Experiment.id ^ " listed") true (mentions e.Experiment.id))
       Experiment.all
 
+
+(* ------------------------------------------------------------------ *)
+(* One judge: a monitored run's verdict equals the offline audit of the
+   run's own JSONL export, so `dds run --monitor` and `dds audit` of
+   its trace exit alike. Four configs breach a hypothesis (no active
+   majority, churn over the bound, a one-way partition) and are
+   flagged; two are clean. *)
+
+type judged_config = {
+  name : string;
+  proto : string;
+  nodes : int;
+  dt : int;
+  seed : int;
+  churn : float;
+  horizon : int;
+  read_rate : float;
+  write_every : int;
+  plan : string;
+  ok : bool;
+}
+
+let judged_configs =
+  let c name proto ?(nodes = 20) ?(dt = 3) ?(seed = 42) ?(churn = 0.0) ?(horizon = 500)
+      ?(read_rate = 1.0) ?(write_every = 20) ?(plan = "") ok =
+    { name; proto; nodes; dt; seed; churn; horizon; read_rate; write_every; plan; ok }
+  in
+  [
+    c "es crash" "es" ~nodes:3 ~dt:1 ~horizon:40 ~read_rate:0.5 ~write_every:5
+      ~plan:"crash(k=2)@10" false;
+    c "sync over-churned" "sync" ~nodes:10 ~churn:0.2 ~horizon:150 false;
+    c "es over-churned" "es" ~churn:0.03 false;
+    c "es one-way partition" "es" ~nodes:5 ~horizon:200
+      ~plan:"partition(a=0-2,b=3-4,oneway)@[35,45]" false;
+    c "abd clean" "abd" ~nodes:5 ~horizon:200 ~churn:0.01 true;
+    c "sync clean" "sync" ~nodes:8 ~churn:0.05 ~horizon:300 ~seed:7 true;
+  ]
+
+let test_run_verdict_matches_audit () =
+  List.iter
+    (fun c ->
+      let p = Protocol.find_exn c.proto and n = c.nodes and delta = c.dt in
+      let monitor = Harness.monitor_config p ~n ~delta in
+      let r =
+        Harness.run (Harness.instance_exn p ~n ~delta)
+          (Deployment.default_config ~seed:c.seed ~n ~delay:(Delay.synchronous ~delta)
+             ~churn_rate:c.churn)
+          {
+            Harness.horizon = c.horizon;
+            drain = (20 * delta) + 200;
+            workload = Harness.Rate { read_rate = c.read_rate; write_every = c.write_every };
+            monitor = Some monitor;
+          }
+          (Result.get_ok (Dds_fault.Nemesis.of_string c.plan))
+      in
+      let evs =
+        match Export.events_of_jsonl (Export.jsonl_of_events (Event.events r.Harness.events)) with
+        | Ok (tagged, []) -> List.map snd tagged
+        | Ok (_, w :: _) | Error w -> Alcotest.fail w
+      in
+      let v = r.Harness.verdict and a = Harness.audit monitor ~initial:0 evs in
+      let counts (v : Verdict.t) =
+        (v.Verdict.regularity.Regularity.checked_reads, v.Verdict.regularity.Regularity.checked_joins)
+      in
+      check (Alcotest.list Alcotest.string) (c.name ^ ": problems") (Verdict.problems v)
+        (Verdict.problems a);
+      check Alcotest.(pair int int) (c.name ^ ": checked counts") (counts v) (counts a);
+      check_bool (c.name ^ ": run verdict") c.ok (Verdict.is_ok v);
+      check_bool (c.name ^ ": audit verdict") c.ok (Verdict.is_ok a))
+    judged_configs
+
 let () =
   Alcotest.run "dds_workload"
     [
@@ -364,6 +436,11 @@ let () =
           Alcotest.test_case "distinct write data" `Quick test_generator_distinct_write_data;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
+      ( "verdict",
+        [
+          Alcotest.test_case "run verdict equals the audit of its trace" `Quick
+            test_run_verdict_matches_audit;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "names pairwise unique" `Quick test_registry_names_unique;
